@@ -12,8 +12,9 @@ import concurrent.futures
 import os
 import sys
 
-from .config import ConfigError, config_defaults_text, parse_config_file
-from .scenarios import FLOAT_DIGITS_ENV, run_scenario
+from .config import (FLOAT_DIGITS_ENV, ConfigError, config_defaults_text,
+                     output_digits, parse_config_file)
+from .scenarios import run_scenario
 
 # CLI verb -> scenario key expected in the config
 VERBS = {
@@ -37,6 +38,7 @@ Output precision: %s environment variable (significant digits, default 17).
 
 def _run_one(config_path: str, out_dir: str, expected_scenario: str | None) -> int:
     try:
+        output_digits()  # a bad CYLWAVE_PRECISION fails before any compute
         cfg = parse_config_file(config_path)
     except (ConfigError, OSError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
@@ -63,6 +65,13 @@ def _sweep_entry(args):
     return _run_one(path, out, None)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="cylwave",
@@ -79,15 +88,21 @@ def main(argv=None) -> int:
     p = sub.add_parser("sweep", help="run several configs concurrently")
     p.add_argument("configs", nargs="+")
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
 
     args = parser.parse_args(argv)
     if args.verb == "sweep":
-        jobs = []
+        jobs, seen = [], {}
         for path in args.configs:
-            stem = os.path.splitext(os.path.basename(path))[0]
-            jobs.append((path, os.path.join(args.out, stem)))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            out = os.path.join(args.out, os.path.splitext(os.path.basename(path))[0])
+            if out in seen:
+                print("config error: %s and %s would both write to %s"
+                      % (seen[out], path, out), file=sys.stderr)
+                return 2
+            seen[out] = path
+            jobs.append((path, out))
+        workers = min(args.jobs, len(jobs))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             codes = list(pool.map(_sweep_entry, jobs))
         for (path, out), code in zip(jobs, codes):
             print("%-50s %s" % (path, "pass" if code == 0 else "FAIL(%d)" % code))

@@ -8,11 +8,15 @@ model/grid (the time-step cap depends on both).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field as dc_field
 
 from .evolve import dt_max
 from .grids import CylinderGrid, GridConfig, GridError, build_grid
 from .reactions import ReactionError, ReactionModel, make_model
+
+# significant digits of every float written to outputs
+FLOAT_DIGITS_ENV = "CYLWAVE_PRECISION"
 
 SCENARIOS = ("wave", "converge", "gap", "secondary_speed", "comparison", "hypotheses")
 INITIAL_FAMILIES = ("shifted_tanh", "plateau_noise", "sandwich")
@@ -215,6 +219,18 @@ def validate_config(cfg: ExperimentConfig) -> None:
                           "(0.5 / sup|f_u|)" % (cfg.dt, cap))
     if cfg.sample_every < 1:
         raise ConfigError("sample_every must be >= 1")
+
+
+def output_digits() -> int:
+    """Significant digits for float outputs: ``CYLWAVE_PRECISION``, default 17."""
+    text = os.environ.get(FLOAT_DIGITS_ENV, "17")
+    try:
+        digits = int(text)
+    except ValueError:
+        digits = 0
+    if not 1 <= digits <= 17:
+        raise ConfigError("%s must be an integer in 1..17, got %r" % (FLOAT_DIGITS_ENV, text))
+    return digits
 
 
 def parse_config_file(path) -> ExperimentConfig:

@@ -125,6 +125,8 @@ def build_grid(config: GridConfig) -> CylinderGrid:
     else:
         if not config.y_min < config.y_max:
             raise GridError("cross-section interval is empty: [%g, %g]" % (config.y_min, config.y_max))
+        if config.n_y == 2 and config.bc_left == config.bc_right == DIRICHLET:
+            raise GridError("n_y = 2 with two Dirichlet ends leaves no free cross-section node")
         dy = (config.y_max - config.y_min) / (config.n_y - 1)
 
     return CylinderGrid(
@@ -186,12 +188,6 @@ class CrossSectionField:
 
     def copy(self) -> "CrossSectionField":
         return CrossSectionField(self.grid, self.values.copy())
-
-
-def field_from_section(section: CrossSectionField) -> Field:
-    """Constant-in-z extension of a cross-section function."""
-    g = section.grid
-    return Field(g, np.tile(section.values[:, None], (1, g.n_z)))
 
 
 def apply_boundary(u: Field) -> Field:

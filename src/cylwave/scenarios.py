@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig
+from .config import ExperimentConfig, output_digits
 from .evolve import EvolutionState, Stepper
 from .grids import CylinderGrid, Field, apply_boundary
 from .reactions import ReactionModel, check_hypotheses
@@ -30,22 +30,16 @@ from .waves import (WaveSolution, front_seed, save_solution, secondary_speed,
                     solve_wave, spectral_gap, translation_profile)
 from .weighted import translate, weighted_norm_l2
 
-FLOAT_DIGITS_ENV = "CYLWAVE_PRECISION"
-
 
 class ScenarioError(RuntimeError):
     pass
-
-
-def _digits() -> int:
-    return int(os.environ.get(FLOAT_DIGITS_ENV, "17"))
 
 
 def _fmt(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
-        return ("%%.%dg" % _digits()) % x
+        return ("%%.%dg" % output_digits()) % x
     return str(x)
 
 

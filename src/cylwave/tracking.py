@@ -8,12 +8,12 @@ what drives the exponential decay of the squared mismatch m(t).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from .config import output_digits
 from .evolve import EvolutionState, Stepper, flow_weights, weighted_energy
 from .grids import Field, axial_derivative
 from .reactions import ReactionModel
@@ -373,7 +373,7 @@ def fit_position_tail(trace: FrontTrace, window: tuple[float, float] | None = No
 def trace_to_csv(trace: FrontTrace, path, digits: int | None = None) -> None:
     """Write the pinned CSV columns, one row per sample."""
     if digits is None:
-        digits = int(os.environ.get("CYLWAVE_PRECISION", "17"))
+        digits = output_digits()
     fmt = "%%.%dg" % digits
     with open(path, "w") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")

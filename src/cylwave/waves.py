@@ -124,16 +124,12 @@ def freeze_frame(model: ReactionModel, grid: CylinderGrid, seed: Field,
         tol = 1e-8 if grid.n_y == 1 else 1e-5
     c = max(float(c_seed), 1e-6)
     kappa = gain
-    # refactorizing the 2D implicit operator is expensive; hold the speed for
-    # a block of steps between updates there (1D rebuilds are free)
-    min_hold = 1 if grid.n_y == 1 else 8
     stepper = Stepper(model, grid, dt, c)
     state = EvolutionState(0.0, apply_boundary(seed), c)
     plateau0 = float(np.max(state.u.values))
     pos_prev = front_position(state.u)
     drift_prev = None
     pending = 0.0
-    held = 0
     for k in range(1, max_steps + 1):
         state = stepper.step(state)
         smax = float(np.max(state.u.values))
@@ -152,12 +148,10 @@ def freeze_frame(model: ReactionModel, grid: CylinderGrid, seed: Field,
         if drift_prev is not None and drift * drift_prev < 0:
             kappa = max(0.5 * kappa, 0.05)
         drift_prev = drift
-        pending += kappa * drift / min_hold
-        held += 1
-        if held >= min_hold and abs(pending) > max(0.3 * abs(drift), 1e-13):
+        pending += kappa * drift
+        if abs(pending) > max(0.3 * abs(drift), 1e-13):
             c = max(c + pending, 1e-6)
             pending = 0.0
-            held = 0
             state = replace(state, frame_speed=c)
             stepper = Stepper(model, grid, dt, c)
     raise WaveSolverError("front failed to freeze in %d steps (last drift %.3g)"
@@ -204,33 +198,28 @@ def _newton_polish(model, grid, values, c, ref_values, max_iter=40,
         fu = eval_f_u(model, Field(grid, u.reshape(grid.shape))).values.ravel()
         Gc = ((transport_operator(grid, c + hc) - transport_operator(grid, c - hc)) @ u) / (2 * hc)
         Gc[pinned] = 0.0
+        # Schur-complement bordering: solve the Jacobian block for [G, Gc],
+        # then eliminate the speed through the phase condition; the exactly
+        # evaluated residual governs convergence, so mild near-null
+        # amplification in the block solves is harmless.  Pinned rows of the
+        # operator are zero, so unit diagonal entries there make identity
+        # rows enforcing the pinned values.
+        jac_diag = np.where(pinned, 1.0, fu)
         try:
             if grid.n_y == 1:
-                # Schur-complement bordering on the tridiagonal block; the
-                # exactly evaluated residual governs convergence, so mild
-                # near-null amplification in the block solves is harmless
                 lower, diag, upper = axial_bands(grid, c)
-                diag = diag + np.where(pinned, 1.0, fu)
                 band = np.zeros((3, grid.n_z))
                 band[0, 1:] = upper[:-1]
-                band[1, :] = diag
+                band[1, :] = diag + jac_diag
                 band[2, :-1] = lower[1:]
-                s1 = solve_banded((1, 1), band, G)
-                s2 = solve_banded((1, 1), band, Gc)
-                dc = (phase - p @ s1) / (p @ s2)
-                du = -s1 - dc * s2
+                s1, s2 = solve_banded((1, 1), band, np.column_stack([G, Gc])).T
             else:
-                A = transport_operator(grid, c)
-                # pinned rows of A are zero, so unit diagonal entries there
-                # make identity rows enforcing the pinned values
-                J = A + sp.diags(np.where(pinned, 1.0, fu))
-                B = sp.bmat([[J, Gc[:, None]],
-                             [sp.csr_matrix(p[None, :]), sp.csr_matrix((1, 1))]],
-                            format="csc")
-                sol = spla.splu(B).solve(np.concatenate([-G, [-phase]]))
-                du, dc = sol[:-1], float(sol[-1])
+                J = transport_operator(grid, c) + sp.diags(jac_diag)
+                s1, s2 = spla.splu(J.tocsc()).solve(np.column_stack([G, Gc])).T
         except (RuntimeError, np.linalg.LinAlgError) as exc:
             raise WaveSolverError("bordered Newton solve failed: %s" % exc)
+        dc = (phase - p @ s1) / (p @ s2)
+        du = -s1 - dc * s2
         stepsize = 1.0
         for _ in range(10):
             u_try = u + stepsize * du

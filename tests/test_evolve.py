@@ -1,12 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import quad
+from scipy.sparse.linalg import spsolve
 
 from cylwave.evolve import (EvolutionState, EvolutionError, Stepper,
                             check_dissipation, compare_evolutions, dt_max,
                             step, weighted_energy)
-from cylwave.grids import Field, GridConfig, build_grid, apply_boundary
-from cylwave.reactions import CubicBistable
+from cylwave.grids import (Field, GridConfig, build_grid, apply_boundary,
+                           transport_operator)
+from cylwave.reactions import CubicBistable, eval_f
 from cylwave.weighted import WeightedMeasure
 
 
@@ -57,6 +62,23 @@ class TestStep:
         s = EvolutionState(0.0, Field(g, np.ones(g.shape)))
         out = Stepper(MODEL, g, 0.1).step(s)
         np.testing.assert_allclose(out.u.values, 1.0, atol=1e-13)
+
+    @pytest.mark.parametrize("n_y, bc_left, bc_right, bc_axial_right", [
+        (1, "neumann", "neumann", "neumann"),
+        (1, "neumann", "neumann", "dirichlet"),
+    ] + [(7,) + tags for tags in itertools.product(("neumann", "dirichlet"), repeat=3)])
+    def test_step_matches_direct_sparse_solve(self, n_y, bc_left, bc_right, bc_axial_right):
+        g = build_grid(GridConfig(n_y=n_y, n_z=33, y_max=2.0, z_min=-3.0, z_max=2.0,
+                                  bc_left=bc_left, bc_right=bc_right,
+                                  bc_axial_right=bc_axial_right))
+        c, dt = 0.37, 0.1
+        u = Field(g, np.random.default_rng(3).uniform(0.0, 1.0, g.shape))
+        out = Stepper(MODEL, g, dt, frame_speed=c).step(EvolutionState(0.0, u, c))
+        rhs = (u.values + dt * eval_f(MODEL, u).values).ravel()
+        rhs[g.dirichlet_mask().ravel()] = 0.0
+        M = sp.identity(rhs.size, format="csc") - dt * transport_operator(g, c)
+        want = spsolve(M.tocsc(), rhs).reshape(g.shape)
+        np.testing.assert_allclose(out.u.values, want, rtol=0, atol=1e-12)
 
     def test_frame_speed_mismatch_rejected(self):
         g = all_neumann_1d()

@@ -44,6 +44,10 @@ class TestBuildGrid:
         with pytest.raises(GridError):
             build_grid(GridConfig(n_y=1, n_z=32, z_min=0, z_max=1, bc_left=DIRICHLET))
 
+    def test_no_free_section_node_rejected(self):
+        with pytest.raises(GridError, match="no free cross-section node"):
+            build_grid(GridConfig(n_y=2, bc_left="dirichlet", bc_right="dirichlet"))
+
     def test_deterministic(self):
         cfg = GridConfig(n_y=5, n_z=32, z_min=0.0, z_max=1.0)
         assert build_grid(cfg) == build_grid(cfg)

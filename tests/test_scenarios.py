@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import os
 
@@ -163,6 +164,49 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "sweep" / "one" / "manifest.txt").exists()
         assert (tmp_path / "sweep" / "two" / "manifest.txt").exists()
+
+    def test_sweep_rejects_colliding_output_dirs(self, tmp_path, capsys):
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "x.cfg").write_text(WAVE_SMALL)
+        code = main(["sweep", str(tmp_path / "a" / "x.cfg"), str(tmp_path / "b" / "x.cfg"),
+                     "--out", str(tmp_path / "sweep")])
+        assert code == 2
+        assert "both write to" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_sweep_rejects_nonpositive_jobs(self, tmp_path, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "one.cfg", "--out", str(tmp_path), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_sweep_caps_workers_at_config_count(self, tmp_path, monkeypatch):
+        seen = []
+
+        class PoolCreated(Exception):
+            pass
+
+        def fake_pool(max_workers):
+            seen.append(max_workers)
+            raise PoolCreated
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fake_pool)
+        with pytest.raises(PoolCreated):
+            main(["sweep", "one.cfg", "two.cfg", "--out", str(tmp_path), "--jobs", "64"])
+        assert seen == [2]
+
+    @pytest.mark.parametrize("value", ["0", "18", "six", ""])
+    def test_bad_precision_env_is_a_config_error(self, tmp_path, capsys, monkeypatch, value):
+        cfg = tmp_path / "wave.cfg"
+        cfg.write_text(WAVE_SMALL)
+        monkeypatch.setenv("CYLWAVE_PRECISION", value)
+        code = main(["wave", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "CYLWAVE_PRECISION" in err
+        assert not (tmp_path / "out").exists()
 
     def test_help_documents_defaults(self, capsys):
         with pytest.raises(SystemExit):
