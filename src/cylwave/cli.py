@@ -11,6 +11,7 @@ import argparse
 import concurrent.futures
 import os
 import sys
+import traceback
 
 from .config import (FLOAT_DIGITS_ENV, ConfigError, config_defaults_text,
                      output_digits, parse_config_file)
@@ -50,7 +51,9 @@ def _run_one(config_path: str, out_dir: str, expected_scenario: str | None) -> i
     try:
         manifest = run_scenario(cfg, out_dir)
     except Exception as exc:  # partial outputs are kept in out_dir
-        print("scenario failed: %s" % exc, file=sys.stderr)
+        if not type(exc).__module__.startswith("cylwave."):
+            traceback.print_exc()  # not a solver's own error: likely a bug
+        print("scenario failed: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 1
     for name, ok, detail in manifest.assertions:
         print("%-40s %s%s" % (name, "pass" if ok else "FAIL",

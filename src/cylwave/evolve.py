@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .grids import (DIRICHLET, CylinderGrid, Field, GridError, _section_operator,
-                    apply_boundary, axial_bands)
+from .grids import (DIRICHLET, CylinderGrid, Field, GridError, apply_boundary,
+                    axial_bands, symmetrized_section_operator)
 from .reactions import ReactionModel, eval_f
 from .weighted import WeightedMeasure, weight_values
 
@@ -43,19 +44,10 @@ class EvolutionState:
     window_shift: int = 0
 
 
-_SLOPE_CACHE: dict[tuple, float] = {}
-
-
+@lru_cache(maxsize=64)
 def dt_max(model: ReactionModel, grid: CylinderGrid) -> float:
     """Reaction-stability cap: 0.5 / sup|f_u| (diffusion is implicit)."""
-    key = (model, grid)
-    slope = _SLOPE_CACHE.get(key)
-    if slope is None:
-        slope = model.max_slope(grid)
-        if len(_SLOPE_CACHE) > 64:
-            _SLOPE_CACHE.clear()
-        _SLOPE_CACHE[key] = slope
-    return 0.5 / max(slope, 1e-12)
+    return 0.5 / max(model.max_slope(grid), 1e-12)
 
 
 def flow_weights(grid: CylinderGrid, m: WeightedMeasure) -> np.ndarray:
@@ -68,29 +60,18 @@ def flow_weights(grid: CylinderGrid, m: WeightedMeasure) -> np.ndarray:
     return grid.section_weights()[:, None] * wz[None, :]
 
 
-_SECTION_CACHE: dict[CylinderGrid, tuple] = {}
-
-
+@lru_cache(maxsize=16)
 def _section_modes(grid: CylinderGrid) -> tuple[slice, np.ndarray, np.ndarray, np.ndarray]:
     """Eigenpairs of the cross-section operator on its free (unpinned) rows.
 
     Returns ``(rows, lam, to_modes, from_modes)`` with ``A_y[rows, rows] =
-    from_modes @ diag(lam) @ to_modes``.  The trapezoid weights ``W`` make
-    ``W^{1/2} A_y W^{-1/2}`` symmetric (the Neumann mirror rows included), so
-    ``eigh`` applies; Dirichlet rows hold zero and drop out.
+    from_modes @ diag(lam) @ to_modes``, from ``eigh`` of the symmetrized
+    operator ``S = W^{1/2} A_y W^{-1/2}`` (symmetrized_section_operator).
+    Cached per grid; the arrays are shared and must not be modified.
     """
-    modes = _SECTION_CACHE.get(grid)
-    if modes is None:
-        pinned = grid.dirichlet_mask()[:, 0]  # the axial left end is never pinned
-        rows = slice(int(pinned[0]), grid.n_y - int(pinned[-1]))
-        w = np.sqrt(grid.section_weights()[rows])
-        Ay = _section_operator(grid).toarray()[rows, rows]
-        lam, Q = eigh(w[:, None] * Ay / w[None, :])
-        modes = (rows, lam, Q.T * w[None, :], Q / w[:, None])
-        if len(_SECTION_CACHE) > 16:
-            _SECTION_CACHE.clear()
-        _SECTION_CACHE[grid] = modes
-    return modes
+    rows, w, S = symmetrized_section_operator(grid)
+    lam, Q = eigh(S)
+    return rows, lam, Q.T * w[None, :], Q / w[:, None]
 
 
 class Stepper:

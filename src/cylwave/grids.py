@@ -11,6 +11,7 @@ weighted inner product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -252,7 +253,11 @@ def _axial_operator(grid: CylinderGrid, c: float) -> sp.csr_matrix:
     return sp.diags([lower[1:], diag, upper[:-1]], offsets=[-1, 0, 1], format="csr")
 
 
+@lru_cache(maxsize=16)
 def _section_operator(grid: CylinderGrid) -> sp.csr_matrix:
+    """Discrete ``d2/dy2`` on the cross-section: mirror rows at Neumann ends,
+    zero rows at Dirichlet ends.  The one encoding of ``A_y``; shared, so
+    callers must not modify it."""
     n = grid.n_y
     if n == 1:
         return sp.csr_matrix((1, 1))
@@ -272,34 +277,37 @@ def _section_operator(grid: CylinderGrid) -> sp.csr_matrix:
     return sp.diags([lower[1:], diag, upper[:-1]], offsets=[-1, 0, 1], format="csr")
 
 
-_OPERATOR_CACHE: dict[tuple, sp.csr_matrix] = {}
+def symmetrized_section_operator(grid: CylinderGrid) -> tuple[slice, np.ndarray, np.ndarray]:
+    """``(rows, sqrt_w, S)``: the free (unpinned) cross-section rows, the square
+    roots of their trapezoid weights ``W``, and ``S = W^{1/2} A_y W^{-1/2}`` on
+    them.  The weights make ``S`` symmetric (the Neumann mirror rows included)
+    up to rounding; Dirichlet rows hold zero and drop out.
+    """
+    pinned = grid.dirichlet_mask()[:, 0]  # the axial left end is never pinned
+    rows = slice(int(pinned[0]), grid.n_y - int(pinned[-1]))
+    w = np.sqrt(grid.section_weights()[rows])
+    Ay = _section_operator(grid).toarray()[rows, rows]
+    return rows, w, w[:, None] * Ay / w[None, :]
 
 
+@lru_cache(maxsize=4)
 def transport_operator(grid: CylinderGrid, c: float) -> sp.csr_matrix:
     """Sparse discrete ``Delta + c d/dz`` with the grid's boundary conventions.
 
     Rows at Dirichlet-pinned nodes are zero (the operator maps pinned values
     to zero, matching apply_boundary).  Acts on row-major raveled fields.
+    Cached per (grid, c); callers must not modify the result.
     """
-    key = (grid, float(c))
-    A = _OPERATOR_CACHE.get(key)
-    if A is not None:
-        return A
-    Az = _axial_operator(grid, c)
-    if grid.n_y == 1:
-        A = Az
-    else:
-        Ay = _section_operator(grid)
-        A = sp.kron(sp.identity(grid.n_y, format="csr"), Az, format="csr") + sp.kron(
-            Ay, sp.identity(grid.n_z, format="csr"), format="csr")
+    # a Newton iteration reuses c after building c +- hc, so four entries
+    # give every hit a larger cache would; each 2D operator is megabytes
+    A = _axial_operator(grid, c)
+    if grid.n_y > 1:
+        A = sp.kron(sp.identity(grid.n_y, format="csr"), A, format="csr") + sp.kron(
+            _section_operator(grid), sp.identity(grid.n_z, format="csr"), format="csr")
     mask = grid.dirichlet_mask().ravel()
     if mask.any():
         A = sp.diags((~mask).astype(float)) @ A
-    A = A.tocsr()
-    if len(_OPERATOR_CACHE) > 16:
-        _OPERATOR_CACHE.clear()
-    _OPERATOR_CACHE[key] = A
-    return A
+    return A.tocsr()
 
 
 def laplacian_advection(u: Field, c: float) -> Field:

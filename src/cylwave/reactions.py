@@ -24,7 +24,6 @@ class ReactionModel:
     """Base class: subclasses implement f, f_u, and V as numpy ufunc-style maps."""
 
     label = "custom"
-    holder_exponent = 1.0
 
     def f(self, u, y):
         raise NotImplementedError
@@ -67,10 +66,6 @@ def eval_f_u(model: ReactionModel, u: Field) -> Field:
     return Field(u.grid, np.broadcast_to(vals, u.grid.shape).copy())
 
 
-def eval_V(model: ReactionModel, u, y):
-    return model.V(u, y)
-
-
 def _poly_V(coeffs_desc: np.ndarray, u) -> np.ndarray:
     """-antiderivative of a polynomial f (highest degree first), cutoff to [0,1]."""
     anti = np.polyint(coeffs_desc)  # 0 constant term
@@ -84,7 +79,6 @@ class CubicBistable(ReactionModel):
 
     a: float = 0.25
     label: str = "cubic"
-    holder_exponent: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.a < 0.5:
@@ -117,7 +111,6 @@ class HeterogeneousCubic(ReactionModel):
     y_min: float = 0.0
     y_max: float = 1.0
     label: str = "cubic_y"
-    holder_exponent: float = 1.0
 
     def __post_init__(self):
         lo, hi = self.a0 - abs(self.a1), self.a0 + abs(self.a1)
@@ -156,7 +149,6 @@ class StackedBistable(ReactionModel):
     a3: float = 0.8
     scale: float = 1.0
     label: str = "stacked"
-    holder_exponent: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.a1 < self.a2 < self.a3 < 1.0:
@@ -183,7 +175,6 @@ class LinearModel(ReactionModel):
 
     mu: float = 0.0
     label: str = "linear"
-    holder_exponent: float = 1.0
 
     def f(self, u, y=None):
         return self.mu * np.asarray(u, dtype=float)
@@ -209,10 +200,6 @@ class ShiftedModel(ReactionModel):
     v_values: tuple  # v sampled on the grid's cross-section nodes
     y_nodes: tuple
     label: str = "shifted"
-
-    @property
-    def holder_exponent(self):  # type: ignore[override]
-        return self.base.holder_exponent
 
     def _v(self, y):
         yy = np.asarray(y, dtype=float)
@@ -267,7 +254,7 @@ def make_model(name: str, params: dict | None = None) -> ReactionModel:
 class HypothesesReport:
     zero_state_ok: bool           # f(0, y) = 0 for all sampled y
     upper_state_ok: bool          # f(1, y) <= 0 for all sampled y
-    holder_quotient_f: float      # heuristic sup |df| / |du|^gamma on the lattice
+    holder_quotient_f: float      # heuristic sup |df| / |du| on the lattice
     holder_quotient_f_u: float
     drive_integral: np.ndarray    # int_0^1 f(u, y) du per cross-section node
     drive_positive: bool
@@ -291,13 +278,12 @@ def check_hypotheses(model: ReactionModel, grid: CylinderGrid,
     zero_ok = bool(np.max(np.abs(f0)) <= tol)
     upper_ok = bool(np.max(f1) <= tol)
 
-    gamma = model.holder_exponent
     fu_grid = np.asarray(model.f(us[:, None], ys[None, :]))
     fu_grid = np.broadcast_to(fu_grid, (n_u, ys.size))
     fud_grid = np.broadcast_to(np.asarray(model.f_u(us[:, None], ys[None, :])), (n_u, ys.size))
     du = np.diff(us)[:, None]
-    q_f = float(np.max(np.abs(np.diff(fu_grid, axis=0)) / du ** gamma))
-    q_fu = float(np.max(np.abs(np.diff(fud_grid, axis=0)) / du ** gamma))
+    q_f = float(np.max(np.abs(np.diff(fu_grid, axis=0)) / du))
+    q_fu = float(np.max(np.abs(np.diff(fud_grid, axis=0)) / du))
 
     drive = np.trapezoid(fu_grid, us, axis=0)
 

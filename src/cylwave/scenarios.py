@@ -31,10 +31,6 @@ from .waves import (WaveSolution, front_seed, save_solution, secondary_speed,
 from .weighted import translate, weighted_norm_l2
 
 
-class ScenarioError(RuntimeError):
-    pass
-
-
 def _fmt(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .grids import DIRICHLET, CrossSectionField, CylinderGrid
+from .grids import (CrossSectionField, CylinderGrid, _section_operator,
+                    symmetrized_section_operator)
 from .reactions import ReactionModel
 
 NEWTON_GRAD_TOL = 1e-10
-EIGEN_RESIDUAL_TOL = 1e-9
 
 
 class SectionSolverError(RuntimeError):
@@ -36,29 +36,6 @@ def section_energy(v: CrossSectionField, model: ReactionModel) -> float:
     return float(0.5 * grad_sq + np.sum(w * Vv))
 
 
-def _section_matrices(grid: CylinderGrid, potential: np.ndarray):
-    """Stiffness+potential and lumped mass for -d2/dy2 + potential(y).
-
-    Dirichlet ends are eliminated; returns (A, mass, free_index).
-    """
-    n = grid.n_y
-    w = grid.section_weights()
-    if n == 1:
-        return np.array([[potential[0]]]), np.array([1.0]), np.array([0])
-    dy = grid.dy
-    main = np.full(n, 2.0 / dy)
-    main[0] = main[-1] = 1.0 / dy
-    off = np.full(n - 1, -1.0 / dy)
-    K = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
-    A = K + np.diag(w * potential)
-    free = np.arange(n)
-    if grid.bc_left == DIRICHLET:
-        free = free[1:]
-    if grid.bc_right == DIRICHLET:
-        free = free[:-1]
-    return A[np.ix_(free, free)], w[free], free
-
-
 @dataclass
 class EigenResult:
     value: float
@@ -68,55 +45,33 @@ class EigenResult:
 
 
 def principal_eigenpair(model: ReactionModel, grid: CylinderGrid,
-                        linearize_at: CrossSectionField | None = None,
-                        max_iter: int = 200) -> EigenResult:
+                        linearize_at: CrossSectionField | None = None) -> EigenResult:
     """Smallest eigenvalue of ``-d2/dy2 - f_u(v, y)`` under the grid's tags.
 
-    Inverse power iteration with a Gershgorin shift on the symmetrized
-    (mass-scaled) pencil; returns the positive principal eigenfunction,
-    normalized in the cross-section L2.
+    LAPACK ``eigh`` on the weight-symmetrized operator ``diag(-f_u) - S`` over
+    the free nodes (see symmetrized_section_operator); returns the positive
+    principal eigenfunction, normalized in the cross-section L2, and the
+    residual of the symmetric eigenpair.  ``iterations`` is 0 (direct solve).
     """
     y = grid.y
     v = np.zeros_like(y) if linearize_at is None else linearize_at.values
-    pot = -np.asarray(model.f_u(v, y), dtype=float)
-    pot = np.broadcast_to(pot, y.shape)
-    A, mass, free = _section_matrices(grid, pot)
-    d = 1.0 / np.sqrt(mass)
-    S = d[:, None] * A * d[None, :]  # symmetric standard form
-    S = 0.5 * (S + S.T)
-
-    # stiffness is PSD, so the spectrum sits above min(potential)
-    shift = float(np.min(pot)) - 1.0
-    lu, piv = sla.lu_factor(S - shift * np.eye(S.shape[0]))
-    x = np.ones(S.shape[0])
-    x /= np.linalg.norm(x)
-    value = float(x @ S @ x)
-    it = 0
-    for it in range(1, max_iter + 1):
-        x = sla.lu_solve((lu, piv), x)
-        x /= np.linalg.norm(x)
-        value = float(x @ S @ x)
-        res = float(np.linalg.norm(S @ x - value * x))
-        if res <= EIGEN_RESIDUAL_TOL * max(1.0, abs(value)):
-            break
-        if it % 20 == 0:
-            # quotient sits within res of the target eigenvalue
-            shift = value - 10.0 * res
-            lu, piv = sla.lu_factor(S - shift * np.eye(S.shape[0]))
-    else:
-        raise SectionSolverError("eigen iteration did not converge in %d steps" % max_iter)
+    pot = np.broadcast_to(-np.asarray(model.f_u(v, y), dtype=float), y.shape)
+    rows, sqrt_w, S = symmetrized_section_operator(grid)
+    S = np.diag(pot[rows]) - S
+    lam, X = sla.eigh(S, subset_by_index=[0, 0])
+    value, x = float(lam[0]), X[:, 0]
+    res = float(np.linalg.norm(S @ x - value * x))
 
     if np.sum(x) < 0:
         x = -x
     full = np.zeros(grid.n_y)
-    full[free] = d * x  # undo mass scaling
+    full[rows] = x / sqrt_w  # undo the weight symmetrization
     # L2 normalization over the cross-section
-    w = grid.section_weights()
-    full /= np.sqrt(np.sum(w * full ** 2))
-    if np.any(full[free] <= 0):
+    full /= np.sqrt(np.sum(grid.section_weights() * full ** 2))
+    if np.any(full[rows] <= 0):
         raise SectionSolverError("principal eigenfunction changed sign")
     return EigenResult(value=value, eigenfunction=CrossSectionField(grid, full),
-                       iterations=it, residual=res)
+                       iterations=0, residual=res)
 
 
 @dataclass
@@ -130,15 +85,8 @@ class CriticalPoint:
 
 def _section_residual(model, grid, v):
     """Strong-form residual v'' + f(v, y) with the grid's end conventions."""
-    y = grid.y
-    fv = np.broadcast_to(np.asarray(model.f(v, y), dtype=float), v.shape)
-    if grid.n_y == 1:
-        return fv.copy()
-    dy2 = grid.dy ** 2
-    r = np.empty_like(v)
-    r[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / dy2 + fv[1:-1]
-    r[0] = (2 * v[1] - 2 * v[0]) / dy2 + fv[0] if grid.bc_left != DIRICHLET else 0.0
-    r[-1] = (2 * v[-2] - 2 * v[-1]) / dy2 + fv[-1] if grid.bc_right != DIRICHLET else 0.0
+    r = _section_operator(grid) @ v + np.asarray(model.f(v, grid.y), dtype=float)
+    r[grid.dirichlet_mask()[:, 0]] = 0.0
     return r
 
 
@@ -156,13 +104,16 @@ def section_flow(model: ReactionModel, grid: CylinderGrid, v0: CrossSectionField
 
 def find_critical_point(model: ReactionModel, grid: CylinderGrid,
                         seed: CrossSectionField, max_newton: int = 60) -> CriticalPoint:
-    """Damped Newton on the discrete Euler-Lagrange system, flow fallback.
+    """Critical point of the cross-section energy near ``seed``.
 
-    Reports the energy and the smallest eigenvalue of the linearization at the
-    solution (recomputed with principal_eigenpair so one tolerance governs all
-    eigenvalues).
+    Explicit gradient-flow sweeps bring the seed near a solution of the
+    discrete Euler-Lagrange system ``A_y v + f(v, y) = 0`` (pinned ends held at
+    zero); damped Newton with the Jacobian ``A_y + diag(f_u)`` then converges
+    to ``|grad| <= NEWTON_GRAD_TOL``.  Reports the energy and the smallest
+    eigenvalue of the linearization at the solution (principal_eigenpair).
     """
     y = grid.y
+    pinned = grid.dirichlet_mask()[:, 0]
     v = seed.values.copy()
     nontrivial_seed = float(np.max(np.abs(v))) > 1e-8
 
@@ -185,35 +136,10 @@ def find_critical_point(model: ReactionModel, grid: CylinderGrid,
             converged = True
             break
         fu = np.broadcast_to(np.asarray(model.f_u(v, y), dtype=float), v.shape)
-        if grid.n_y == 1:
-            J = np.array([[fu[0]]])
-        else:
-            dy2 = grid.dy ** 2
-            J = np.zeros((grid.n_y, grid.n_y))
-            for i in range(grid.n_y):
-                J[i, i] = -2.0 / dy2 + fu[i]
-                if i > 0:
-                    J[i, i - 1] = 1.0 / dy2
-                if i < grid.n_y - 1:
-                    J[i, i + 1] = 1.0 / dy2
-            if grid.bc_left == DIRICHLET:
-                J[0, :] = 0.0
-                J[0, 0] = 1.0
-            else:
-                J[0, 1] = 2.0 / dy2
-            if grid.bc_right == DIRICHLET:
-                J[-1, :] = 0.0
-                J[-1, -1] = 1.0
-            else:
-                J[-1, -2] = 2.0 / dy2
-        rhs = r.copy()
-        if grid.n_y > 1:
-            if grid.bc_left == DIRICHLET:
-                rhs[0] = 0.0
-            if grid.bc_right == DIRICHLET:
-                rhs[-1] = 0.0
+        # pinned rows of A_y are zero; unit diagonal entries make them identity rows
+        J = _section_operator(grid).toarray() + np.diag(np.where(pinned, 1.0, fu))
         try:
-            dv = np.linalg.solve(J, -rhs)
+            dv = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError:
             raise SectionSolverError("singular Jacobian in cross-section Newton")
         step = 1.0

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .config import output_digits
 from .evolve import EvolutionState, Stepper, flow_weights, weighted_energy
@@ -48,44 +47,10 @@ class FitError(ValueError):
     pass
 
 
-class Template:
-    """Interpolated wave profile and its derivative, cached per solution.
-
-    A C^2 spline keeps the interpolation floor of the mismatch at O(dz^4)
-    squared, well below the decay-fit window's floating-point cutoff.
-    """
-
-    def __init__(self, ws: WaveSolution):
-        self.ws = ws
-        g = ws.grid
-        self._interp = CubicSpline(g.z, ws.profile.values, axis=1)
-        self._dinterp = self._interp.derivative()
-        self.max_shift = 0.5 * g.window_length
-
-    def at(self, R: float) -> np.ndarray:
-        g = self.ws.grid
-        return self._interp(np.clip(g.z - R, g.z_min, g.z_max))
-
-    def dz_at(self, R: float) -> np.ndarray:
-        g = self.ws.grid
-        zq = g.z - R
-        vals = self._dinterp(np.clip(zq, g.z_min, g.z_max))
-        vals[:, (zq < g.z_min) | (zq > g.z_max)] = 0.0
-        return vals
-
-
-def _template(ws: WaveSolution) -> Template:
-    tpl = getattr(ws, "_template_cache", None)
-    if tpl is None:
-        tpl = Template(ws)
-        ws._template_cache = tpl
-    return tpl
-
-
 def mismatch(u: Field, ws: WaveSolution, R: float,
              m: WeightedMeasure | None = None) -> float:
     """h(u, R) = 0.5 ||u - T_R profile||^2 in the weighted norm."""
-    tpl = _template(ws)
+    tpl = ws.template
     if abs(R) >= tpl.max_shift:
         raise ValueError("translation %g out of range" % R)
     mm = m if m is not None else ws.measure(z_ref=R)
@@ -98,7 +63,7 @@ def mismatch_derivatives(u: Field, ws: WaveSolution, R: float,
                          m: WeightedMeasure | None = None) -> tuple[float, float]:
     """(h', h''): first derivative exactly, second via the transported identity
     ``h'' = c h' + <u_z, T_R profile_dz>`` with centered u_z."""
-    tpl = _template(ws)
+    tpl = ws.template
     mm = m if m is not None else ws.measure(z_ref=R)
     w = quadrature_weights(u.grid, mm)
     tdz = tpl.dz_at(R)
@@ -126,7 +91,7 @@ def locate_front(u: Field, ws: WaveSolution, R_seed: float = 0.0,
     curvature at the candidate is non-positive and BracketError when no sign
     change exists in range.
     """
-    tpl = _template(ws)
+    tpl = ws.template
     limit = tpl.max_shift - 2 * ws.grid.dz
     mm = ws.measure(z_ref=R_seed)
     w = quadrature_weights(u.grid, mm)
@@ -188,7 +153,7 @@ def z_delta(u: Field, ws: WaveSolution, R: float,
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    tpl = _template(ws)
+    tpl = ws.template
     err = np.max(np.abs(u.values - tpl.at(R)), axis=0)
     exceeding = np.nonzero(err > delta)[0]
     if exceeding.size == 0:
@@ -245,7 +210,7 @@ def track(model: ReactionModel, ws: WaveSolution, u0: Field, dt: float,
     state = EvolutionState(0.0, u0, ws.speed)
     fs = locate_front(state.u, ws, 0.0)
     rows = []
-    tpl = _template(ws)
+    tpl = ws.template
 
     def record(t, state_u, fs, dRdt_fd, dRdt_q, diss):
         mm = fs.measure.shifted(fs.position)

@@ -11,10 +11,12 @@ mid-level of the front sits at z = 0 and re-polished.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.interpolate import CubicSpline, PchipInterpolator
 from scipy.linalg import solve_banded
 
 from .evolve import EvolutionState, Stepper, dt_max, flow_weights
@@ -23,7 +25,7 @@ from .grids import (CrossSectionField, CylinderGrid, Field, WINDOW_MARGIN,
                     transport_operator)
 from .reactions import ReactionModel, ShiftedModel, eval_f, eval_f_u
 from .sections import CriticalPoint, SectionSolverError, find_critical_point
-from .weighted import WeightedMeasure
+from .weighted import WeightedMeasure, translate
 
 NEWTON_TOL = 1e-11
 RESIDUAL_LIMIT = 1e-8
@@ -50,6 +52,37 @@ class WaveSolution:
 
     def measure(self, z_ref: float = 0.0) -> WeightedMeasure:
         return WeightedMeasure(self.speed, z_ref)
+
+    @cached_property
+    def template(self) -> "Template":
+        """Interpolated profile for tracking, built on first use."""
+        return Template(self)
+
+
+class Template:
+    """Interpolated wave profile and its derivative.
+
+    A C^2 spline keeps the interpolation floor of the mismatch at O(dz^4)
+    squared, well below the decay-fit window's floating-point cutoff.
+    """
+
+    def __init__(self, ws: WaveSolution):
+        self.ws = ws
+        g = ws.grid
+        self._interp = CubicSpline(g.z, ws.profile.values, axis=1)
+        self._dinterp = self._interp.derivative()
+        self.max_shift = 0.5 * g.window_length
+
+    def at(self, R: float) -> np.ndarray:
+        g = self.ws.grid
+        return self._interp(np.clip(g.z - R, g.z_min, g.z_max))
+
+    def dz_at(self, R: float) -> np.ndarray:
+        g = self.ws.grid
+        zq = g.z - R
+        vals = self._dinterp(np.clip(zq, g.z_min, g.z_max))
+        vals[:, (zq < g.z_min) | (zq > g.z_max)] = 0.0
+        return vals
 
 
 def front_seed(grid: CylinderGrid, plateau, offset: float = 0.0,
@@ -241,7 +274,6 @@ def _newton_polish(model, grid, values, c, ref_values, max_iter=40,
 
 def _mid_level_position(grid: CylinderGrid, values: np.ndarray) -> float:
     """z where the cross-section sup equals half its global maximum."""
-    from scipy.interpolate import PchipInterpolator
     from scipy.optimize import brentq
 
     s = np.max(np.abs(values), axis=0)
@@ -254,17 +286,16 @@ def _mid_level_position(grid: CylinderGrid, values: np.ndarray) -> float:
     return float(brentq(lambda z: float(interp(z)), lo, hi, xtol=1e-13))
 
 
-def solve_wave(model: ReactionModel, grid: CylinderGrid, seed: Field,
-               c_seed: float, dt: float | None = None,
-               freeze_tol: float | None = None,
-               max_freeze_steps: int = 40000) -> WaveSolution:
-    """Compute the selected speed and the centered minimizing profile."""
-    c1, frozen, _ = freeze_frame(model, grid, seed, c_seed, dt=dt,
-                                 tol=freeze_tol, max_steps=max_freeze_steps)
-    values, c = _newton_polish(model, grid, frozen.values, c1, frozen.values)
+def _centered_solution(model: ReactionModel, grid: CylinderGrid, values: np.ndarray,
+                       c: float) -> WaveSolution:
+    """Newton-polish ``values``, translate its mid-level to z = 0, re-polish.
 
+    Raises when the final residual of the discrete wave equation exceeds
+    RESIDUAL_LIMIT; the returned solution records (but does not enforce)
+    axial monotonicity.
+    """
+    values, c = _newton_polish(model, grid, values, c, values)
     total_shift = 0.0
-    from .weighted import translate
     for _ in range(6):
         zmid = _mid_level_position(grid, values)
         if abs(zmid) < 1e-10:
@@ -276,21 +307,29 @@ def solve_wave(model: ReactionModel, grid: CylinderGrid, seed: Field,
     res = float(np.max(np.abs(_wave_residual(model, grid, values, c))))
     if res > RESIDUAL_LIMIT:
         raise WaveSolverError("wave residual %.3g exceeds %.1g" % (res, RESIDUAL_LIMIT))
-    dvals = np.diff(values, axis=1)
-    monotone = bool(np.all(dvals <= 1e-12))
-    if not monotone:
-        raise WaveSolverError("computed profile is not monotone along the axis")
-    profile = Field(grid, values)
     return WaveSolution(
         grid=grid,
         speed=float(c),
-        profile=profile,
+        profile=Field(grid, values),
         profile_dz=axial_derivative(values, grid),
         residual=res,
         normalization_shift=float(total_shift),
         plateau=CrossSectionField(grid, values[:, 0].copy()),
-        monotone=monotone,
+        monotone=bool(np.all(np.diff(values, axis=1) <= 1e-12)),
     )
+
+
+def solve_wave(model: ReactionModel, grid: CylinderGrid, seed: Field,
+               c_seed: float, dt: float | None = None,
+               freeze_tol: float | None = None,
+               max_freeze_steps: int = 40000) -> WaveSolution:
+    """Compute the selected speed and the centered minimizing profile."""
+    c1, frozen, _ = freeze_frame(model, grid, seed, c_seed, dt=dt,
+                                 tol=freeze_tol, max_steps=max_freeze_steps)
+    ws = _centered_solution(model, grid, frozen.values, c1)
+    if not ws.monotone:
+        raise WaveSolverError("computed profile is not monotone along the axis")
+    return ws
 
 
 def refine_solution(ws: WaveSolution, grid: CylinderGrid,
@@ -304,8 +343,6 @@ def refine_solution(ws: WaveSolution, grid: CylinderGrid,
     if (grid.z_min, grid.z_max, grid.y_min, grid.y_max) != (
             ws.grid.z_min, ws.grid.z_max, ws.grid.y_min, ws.grid.y_max):
         raise WaveSolverError("refinement grid must keep the same window")
-    from scipy.interpolate import PchipInterpolator
-
     vals = PchipInterpolator(ws.grid.z, ws.profile.values, axis=1)(grid.z)
     if grid.n_y > 1:
         if ws.grid.n_y == 1:
@@ -313,30 +350,7 @@ def refine_solution(ws: WaveSolution, grid: CylinderGrid,
         else:
             vals = PchipInterpolator(ws.grid.y, vals, axis=0)(grid.y)
     vals = apply_boundary(Field(grid, vals)).values
-    c = ws.speed
-    values, c = _newton_polish(model, grid, vals, c, vals)
-    total_shift = 0.0
-    from .weighted import translate
-    for _ in range(6):
-        zmid = _mid_level_position(grid, values)
-        if abs(zmid) < 1e-10:
-            break
-        shifted = translate(Field(grid, values), -zmid)
-        total_shift += -zmid
-        values, c = _newton_polish(model, grid, shifted.values, c, shifted.values)
-    res = float(np.max(np.abs(_wave_residual(model, grid, values, c))))
-    if res > RESIDUAL_LIMIT:
-        raise WaveSolverError("refined residual %.3g exceeds %.1g" % (res, RESIDUAL_LIMIT))
-    return WaveSolution(
-        grid=grid,
-        speed=float(c),
-        profile=Field(grid, values),
-        profile_dz=axial_derivative(values, grid),
-        residual=res,
-        normalization_shift=float(total_shift),
-        plateau=CrossSectionField(grid, values[:, 0].copy()),
-        monotone=bool(np.all(np.diff(values, axis=1) <= 1e-12)),
-    )
+    return _centered_solution(model, grid, vals, ws.speed)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +547,7 @@ class TranslationReport:
 
 def translation_profile(ws: WaveSolution, radii: np.ndarray | None = None) -> TranslationReport:
     """Sample ||T_R profile - profile|| and fit the linear-band constants."""
-    from .weighted import translate, weighted_norm_l2
+    from .weighted import weighted_norm_l2
 
     if radii is None:
         radii = np.concatenate([np.linspace(-1.0, 1.0, 41), [-2.0, -1.5, 1.5, 2.0]])

@@ -4,8 +4,8 @@ import pytest
 from cylwave.grids import Field, GridConfig, build_grid
 from cylwave.reactions import (CubicBistable, HeterogeneousCubic, LinearModel,
                                ReactionError, ReactionModel, ShiftedModel,
-                               StackedBistable, check_hypotheses, eval_V,
-                               eval_f, make_model)
+                               StackedBistable, check_hypotheses, eval_f,
+                               make_model)
 
 
 def grid_1d(n_z=64):
@@ -32,13 +32,13 @@ class TestCubic:
 
     def test_potential_closed_form(self):
         m = CubicBistable(a=0.25)
-        assert eval_V(m, 0.0, 0.0) == 0.0
-        assert eval_V(m, 1.0, 0.0) == pytest.approx(-1.0 / 24.0, abs=1e-15)
+        assert m.V(0.0, 0.0) == 0.0
+        assert m.V(1.0, 0.0) == pytest.approx(-1.0 / 24.0, abs=1e-15)
 
     def test_potential_cutoff_plateau(self):
         m = CubicBistable(a=0.25)
-        assert eval_V(m, 2.0, 0.0) == eval_V(m, 1.0, 0.0)
-        assert eval_V(m, -0.5, 0.0) == 0.0
+        assert m.V(2.0, 0.0) == m.V(1.0, 0.0)
+        assert m.V(-0.5, 0.0) == 0.0
 
     def test_field_evaluation(self):
         g = grid_1d()

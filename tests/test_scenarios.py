@@ -208,6 +208,32 @@ class TestCli:
         assert err.count("\n") == 1 and "CYLWAVE_PRECISION" in err
         assert not (tmp_path / "out").exists()
 
+    @staticmethod
+    def _fail_with(monkeypatch, exc):
+        def run_scenario(cfg, out_dir):
+            raise exc
+        monkeypatch.setattr("cylwave.cli.run_scenario", run_scenario)
+
+    def test_solver_failure_is_one_line(self, tmp_path, capsys, monkeypatch):
+        from cylwave.waves import WaveSolverError
+        cfg = tmp_path / "wave.cfg"
+        cfg.write_text(WAVE_SMALL)
+        self._fail_with(monkeypatch, WaveSolverError("Newton stalled at residual 1e-3"))
+        code = main(["wave", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "scenario failed: WaveSolverError: Newton stalled at residual 1e-3\n"
+
+    def test_unexpected_failure_keeps_traceback(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "wave.cfg"
+        cfg.write_text(WAVE_SMALL)
+        self._fail_with(monkeypatch, KeyError("speed"))
+        code = main(["wave", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "in run_scenario" in err
+        assert err.endswith("scenario failed: KeyError: 'speed'\n")
+
     def test_help_documents_defaults(self, capsys):
         with pytest.raises(SystemExit):
             main(["--help"])

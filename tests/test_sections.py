@@ -11,9 +11,10 @@ def grid_1d():
     return build_grid(GridConfig(n_y=1, n_z=401, z_min=-20.0, z_max=20.0))
 
 
-def interval(n_y, bc="dirichlet"):
-    return build_grid(GridConfig(n_y=n_y, n_z=17, y_min=0.0, y_max=1.0,
-                                 z_min=0.0, z_max=1.0, bc_left=bc, bc_right=bc,
+def interval(n_y, bc="dirichlet", bc_right=None, y_max=1.0):
+    return build_grid(GridConfig(n_y=n_y, n_z=17, y_min=0.0, y_max=y_max,
+                                 z_min=0.0, z_max=1.0, bc_left=bc,
+                                 bc_right=bc if bc_right is None else bc_right,
                                  bc_axial_right="neumann"))
 
 
@@ -60,12 +61,14 @@ class TestPrincipalEigenpair:
 
     @pytest.mark.parametrize("mu", [0.0, 1.0])
     def test_dirichlet_interval_closed_form(self, mu):
-        errs = []
-        for n_y in (41, 81):
-            res = principal_eigenpair(LinearModel(mu=mu), interval(n_y))
-            errs.append(abs(res.value - (np.pi ** 2 - mu)))
-        assert errs[0] < 0.02
-        assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
+        # Dirichlet-Dirichlet: pi^2 - mu; Neumann-Dirichlet: (pi/2)^2 - mu
+        for left, exact in (("dirichlet", np.pi ** 2), ("neumann", (np.pi / 2) ** 2)):
+            errs = []
+            for n_y in (41, 81):
+                res = principal_eigenpair(LinearModel(mu=mu), interval(n_y, left, "dirichlet"))
+                errs.append(abs(res.value - (exact - mu)))
+            assert errs[0] < 0.02
+            assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
 
     def test_rayleigh_quotient_consistency(self):
         g = interval(41)
@@ -128,6 +131,24 @@ class TestCriticalPoints:
         cp = find_critical_point(CubicBistable(0.3), g,
                                  CrossSectionField(g, np.full(g.n_y, 0.8)))
         assert cp.hessian_floor >= 0.0
+
+    @pytest.mark.parametrize("bc_left, bc_right, n_y", [
+        ("neumann", "neumann", 81), ("neumann", "dirichlet", 81),
+        ("dirichlet", "neumann", 81), ("dirichlet", "dirichlet", 81),
+        ("neumann", "neumann", 1)])
+    def test_every_boundary_pair(self, bc_left, bc_right, n_y):
+        g = interval(n_y, bc_left, bc_right, y_max=20.0) if n_y > 1 else grid_1d()
+        m = CubicBistable(0.1)
+        # distance to the nearest pinned end; a ramp there keeps the seed smooth
+        dist = np.full(g.n_y, np.inf)
+        if bc_left == "dirichlet":
+            dist = np.minimum(dist, g.y - g.y_min)
+        if bc_right == "dirichlet":
+            dist = np.minimum(dist, g.y_max - g.y)
+        cp = find_critical_point(m, g, CrossSectionField(g, 0.9 * np.minimum(1.0, dist / 2)))
+        assert not cp.collapsed_to_trivial
+        assert cp.gradient_norm <= 1e-10
+        assert cp.hessian_floor == principal_eigenpair(m, g, linearize_at=cp.v).value
 
     def test_flow_decreases_energy(self):
         g = neumann_interval()
