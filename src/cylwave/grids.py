@@ -11,7 +11,7 @@ weighted inner product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -71,9 +71,12 @@ class CylinderGrid:
             return np.array([0.5 * (self.y_min + self.y_max)])
         return np.linspace(self.y_min, self.y_max, self.n_y)
 
-    @property
+    @cached_property
     def z(self) -> np.ndarray:
-        return np.linspace(self.z_min, self.z_max, self.n_z)
+        """Axial nodes, built once per grid and shared, hence read-only."""
+        z = np.linspace(self.z_min, self.z_max, self.n_z)
+        z.flags.writeable = False
+        return z
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -290,7 +293,7 @@ def symmetrized_section_operator(grid: CylinderGrid) -> tuple[slice, np.ndarray,
     return rows, w, w[:, None] * Ay / w[None, :]
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def transport_operator(grid: CylinderGrid, c: float) -> sp.csr_matrix:
     """Sparse discrete ``Delta + c d/dz`` with the grid's boundary conventions.
 
@@ -298,8 +301,9 @@ def transport_operator(grid: CylinderGrid, c: float) -> sp.csr_matrix:
     to zero, matching apply_boundary).  Acts on row-major raveled fields.
     Cached per (grid, c); callers must not modify the result.
     """
-    # a Newton iteration reuses c after building c +- hc, so four entries
-    # give every hit a larger cache would; each 2D operator is megabytes
+    # the Newton polish factors at the speed its line search just accepted,
+    # and dG/dc differences only the axial operator, so one entry gives every
+    # hit a larger cache would; each 2D operator is megabytes
     A = _axial_operator(grid, c)
     if grid.n_y > 1:
         A = sp.kron(sp.identity(grid.n_y, format="csr"), A, format="csr") + sp.kron(

@@ -236,7 +236,11 @@ def _run_converge(cfg, out_dir, manifest):
         "fit_window_lo": trace.fit_window[0],
         "fit_window_hi": trace.fit_window[1],
         "R_infinity": trace.R_infinity,
+        "tracker_iters_max": trace.tracker_iters_max,
+        "tracker_cap_hits": trace.tracker_cap_hits,
     })
+    manifest.check("tracker_no_cap_hits", trace.tracker_cap_hits == 0,
+                   "%d capped calls" % trace.tracker_cap_hits)
     manifest.check("sigma_positive", sigma > 0.0, "%.4g" % sigma)
     manifest.check("fit_quality", quality >= 0.99, "%.4f" % quality)
 

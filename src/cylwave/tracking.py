@@ -20,7 +20,8 @@ from .waves import WaveSolution
 from .weighted import WeightedMeasure, quadrature_weights, weighted_norm_h2
 
 DEFAULT_DELTA = 0.05
-M_FLOOR_FACTOR = 1e3 * np.finfo(float).eps
+_EPS = np.finfo(float).eps
+M_FLOOR_FACTOR = 1e3 * _EPS
 
 CSV_COLUMNS = ("t", "R", "m", "phi", "dRdt_fd", "dRdt_quotient", "h2c_norm", "z_delta")
 
@@ -48,28 +49,38 @@ class FitError(ValueError):
 
 
 def mismatch(u: Field, ws: WaveSolution, R: float,
-             m: WeightedMeasure | None = None) -> float:
-    """h(u, R) = 0.5 ||u - T_R profile||^2 in the weighted norm."""
+             m: WeightedMeasure | None = None, *,
+             weights: np.ndarray | None = None) -> float:
+    """h(u, R) = 0.5 ||u - T_R profile||^2 in the weighted norm.
+
+    ``weights`` may carry ``quadrature_weights(u.grid, m)`` precomputed.
+    """
     tpl = ws.template
     if abs(R) >= tpl.max_shift:
         raise ValueError("translation %g out of range" % R)
     mm = m if m is not None else ws.measure(z_ref=R)
-    w = quadrature_weights(u.grid, mm)
+    w = weights if weights is not None else quadrature_weights(u.grid, mm)
     diff = u.values - tpl.at(R)
     return 0.5 * float(np.sum(w * diff * diff))
 
 
 def mismatch_derivatives(u: Field, ws: WaveSolution, R: float,
-                         m: WeightedMeasure | None = None) -> tuple[float, float]:
+                         m: WeightedMeasure | None = None, *,
+                         weights: np.ndarray | None = None,
+                         u_z: np.ndarray | None = None) -> tuple[float, float]:
     """(h', h''): first derivative exactly, second via the transported identity
-    ``h'' = c h' + <u_z, T_R profile_dz>`` with centered u_z."""
+    ``h'' = c h' + <u_z, T_R profile_dz>`` with centered u_z.
+
+    ``weights`` and ``u_z`` may carry ``quadrature_weights(u.grid, m)`` and
+    ``axial_derivative(u.values, u.grid)`` precomputed.
+    """
     tpl = ws.template
     mm = m if m is not None else ws.measure(z_ref=R)
-    w = quadrature_weights(u.grid, mm)
+    w = weights if weights is not None else quadrature_weights(u.grid, mm)
     tdz = tpl.dz_at(R)
     diff = u.values - tpl.at(R)
     h1 = float(np.sum(w * diff * tdz))
-    uz = axial_derivative(u.values, u.grid)
+    uz = u_z if u_z is not None else axial_derivative(u.values, u.grid)
     h2 = mm.c * h1 + float(np.sum(w * uz * tdz))
     return h1, h2
 
@@ -81,33 +92,51 @@ class FrontState:
     curvature: float              # h'' at the optimum (> 0 required)
     ortho_residual: float         # |h'| at the optimum
     measure: WeightedMeasure
+    iterations: int = 0           # evaluations of (h', h''), bracketing included
+    capped: bool = False          # max_iter reached before either stopping test
 
 
 def locate_front(u: Field, ws: WaveSolution, R_seed: float = 0.0,
                  max_iter: int = 80) -> FrontState:
     """Safeguarded Newton on h' with a bisection fallback bracket.
 
-    Converges to |h'| <= 1e-12 * scale; raises ConvexityError when the
-    curvature at the candidate is non-positive and BracketError when no sign
-    change exists in range.
+    Stops at the first iterate where ``|h'|`` meets either test:
+
+    - the relative test ``|h'| <= 1e-12 * sqrt(2 h) * ||profile_dz||_w``;
+    - the roundoff floor ``|h'| <= eps * sum |w u T_R profile_dz|``: h' is a
+      sum of terms that cancel, and below this bound its value is rounding.
+
+    An iterate where neither holds after ``max_iter`` Newton or bisection
+    steps is returned with ``capped`` set, so the caller can count it.
+    Raises ConvexityError when the curvature at the result is non-positive
+    and BracketError when no sign change exists in range.
     """
     tpl = ws.template
     limit = tpl.max_shift - 2 * ws.grid.dz
     mm = ws.measure(z_ref=R_seed)
     w = quadrature_weights(u.grid, mm)
+    uz = axial_derivative(u.values, u.grid)
+    wu = w * u.values
     dz_norm_sq = float(np.sum(w * ws.profile_dz ** 2))
+    evals = 0
 
     def deriv(R):
-        return mismatch_derivatives(u, ws, R, m=mm)
+        nonlocal evals
+        evals += 1
+        return mismatch_derivatives(u, ws, R, m=mm, weights=w, u_z=uz)
 
     R = float(np.clip(R_seed, -limit, limit))
     h1, h2 = deriv(R)
     bracket = None
-    for _ in range(max_iter):
-        hval = mismatch(u, ws, R, m=mm)
+    steps = 0
+    while True:
+        hval = mismatch(u, ws, R, m=mm, weights=w)
         tol = 1e-12 * max(np.sqrt(2 * hval) * np.sqrt(dz_norm_sq), 1e-30)
-        if abs(h1) <= tol:
+        floor = _EPS * float(np.sum(np.abs(wu * tpl.dz_at(R))))
+        stop = max(tol, floor)
+        if abs(h1) <= stop or steps == max_iter:
             break
+        steps += 1
         if h2 > 0:
             step = -h1 / h2
             R_new = R + np.clip(step, -1.0, 1.0)
@@ -128,9 +157,9 @@ def locate_front(u: Field, ws: WaveSolution, R_seed: float = 0.0,
         h1, h2 = deriv(R)
     if h2 <= 0.0:
         raise ConvexityError("h'' = %.3g <= 0 at R = %.4g" % (h2, R))
-    hval = mismatch(u, ws, R, m=mm)
     return FrontState(position=R, deviation_sq=2.0 * hval, curvature=h2,
-                      ortho_residual=abs(h1), measure=mm)
+                      ortho_residual=abs(h1), measure=mm, iterations=evals,
+                      capped=bool(abs(h1) > stop))
 
 
 def _find_bracket(deriv, R0, limit, width0=0.5):
@@ -177,12 +206,14 @@ class FrontTrace:
     fit_window: tuple[float, float] | None = None
     R_infinity: float | None = None
     aborted: bool = False
+    tracker_iters_max: int = 0    # over every locate_front call, sampled or not
+    tracker_cap_hits: int = 0     # calls that returned with ``capped`` set
 
     FIELDS = [("t", float), ("R", float), ("m", float), ("phi", float),
               ("dRdt_fd", float), ("dRdt_quotient", float),
               ("h2c_norm", float), ("z_delta", float),
               ("ortho_residual", float), ("curvature", float),
-              ("dissipation", float)]
+              ("dissipation", float), ("tracker_iters", int)]
 
     def rebased(self, col: str) -> np.ndarray:
         """Samples of a weighted column re-referenced to z_ref = R(0)."""
@@ -203,7 +234,9 @@ def track(model: ReactionModel, ws: WaveSolution, u0: Field, dt: float,
     Each accepted step re-minimizes the mismatch from the previous optimum
     (warm-started Newton); the explicit translation-rate quotient is recorded
     alongside the finite difference of the tracked position as a consistency
-    diagnostic.
+    diagnostic.  Every tracker call is counted: a row holds the (h', h'')
+    evaluations of its own call, and the trace the maximum and the cap hits
+    over all calls.
     """
     grid = ws.grid
     stepper = Stepper(model, grid, dt, ws.speed)
@@ -211,6 +244,7 @@ def track(model: ReactionModel, ws: WaveSolution, u0: Field, dt: float,
     fs = locate_front(state.u, ws, 0.0)
     rows = []
     tpl = ws.template
+    calls = [(fs.iterations, fs.capped)]  # every tracker call, sampled or not
 
     def record(t, state_u, fs, dRdt_fd, dRdt_q, diss):
         mm = fs.measure.shifted(fs.position)
@@ -221,7 +255,7 @@ def track(model: ReactionModel, ws: WaveSolution, u0: Field, dt: float,
         m_here = float(np.sum(wq * w.values ** 2))
         rows.append((t, fs.position, m_here, phi, dRdt_fd, dRdt_q,
                      weighted_norm_h2(w, mm), z_delta(state_u, ws, fs.position, delta),
-                     fs.ortho_residual, fs.curvature, diss))
+                     fs.ortho_residual, fs.curvature, diss, fs.iterations))
 
     record(0.0, state.u, fs, np.nan, np.nan, np.nan)
     n_steps = int(round(horizon / dt))
@@ -232,8 +266,9 @@ def track(model: ReactionModel, ws: WaveSolution, u0: Field, dt: float,
             state = stepper.step(state)
             fs = locate_front(state.u, ws, R_prev)
         except (TrackerError, RuntimeError) as exc:
-            trace = _finalize_trace(rows, ws, dt, aborted=True)
+            trace = _finalize_trace(rows, ws, dt, calls, aborted=True)
             raise TrackingLossError("tracking lost at t=%.6g: %s" % (state.t, exc), trace)
+        calls.append((fs.iterations, fs.capped))
         ut = (state.u.values - prev_vals) / dt
         mm = fs.measure.shifted(fs.position)
         wq = quadrature_weights(grid, mm)
@@ -246,12 +281,14 @@ def track(model: ReactionModel, ws: WaveSolution, u0: Field, dt: float,
         if k % sample_every == 0 or k == n_steps:
             record(state.t, state.u, fs, (fs.position - R_prev) / dt, quotient, diss)
         R_prev = fs.position
-    return _finalize_trace(rows, ws, dt, aborted=False)
+    return _finalize_trace(rows, ws, dt, calls, aborted=False)
 
 
-def _finalize_trace(rows, ws, dt, aborted):
+def _finalize_trace(rows, ws, dt, calls, aborted):
     samples = np.array(rows, dtype=FrontTrace.FIELDS)
-    return FrontTrace(speed=ws.speed, samples=samples, dt=dt, aborted=aborted)
+    iters, capped = zip(*calls)
+    return FrontTrace(speed=ws.speed, samples=samples, dt=dt, aborted=aborted,
+                      tracker_iters_max=max(iters), tracker_cap_hits=sum(capped))
 
 
 def default_fit_window(trace: FrontTrace) -> tuple[float, float]:

@@ -21,8 +21,8 @@ from scipy.linalg import solve_banded
 
 from .evolve import EvolutionState, Stepper, dt_max, flow_weights
 from .grids import (CrossSectionField, CylinderGrid, Field, WINDOW_MARGIN,
-                    apply_boundary, axial_bands, axial_derivative,
-                    transport_operator)
+                    _axial_operator, apply_boundary, axial_bands,
+                    axial_derivative, transport_operator)
 from .reactions import ReactionModel, ShiftedModel, eval_f, eval_f_u
 from .sections import CriticalPoint, SectionSolverError, find_critical_point
 from .weighted import WeightedMeasure, translate
@@ -64,6 +64,11 @@ class Template:
 
     A C^2 spline keeps the interpolation floor of the mismatch at O(dz^4)
     squared, well below the decay-fit window's floating-point cutoff.
+
+    ``at`` and ``dz_at`` each remember their last translation: the tracker
+    asks for the same R several times in a row (h and h' at one iterate, then
+    the recorded row), so the spline runs once per R.  The returned arrays
+    are shared and therefore read-only.
     """
 
     def __init__(self, ws: WaveSolution):
@@ -72,17 +77,25 @@ class Template:
         self._interp = CubicSpline(g.z, ws.profile.values, axis=1)
         self._dinterp = self._interp.derivative()
         self.max_shift = 0.5 * g.window_length
+        self._at = self._dz_at = (None, None)
 
     def at(self, R: float) -> np.ndarray:
-        g = self.ws.grid
-        return self._interp(np.clip(g.z - R, g.z_min, g.z_max))
+        if self._at[0] != R:
+            g = self.ws.grid
+            vals = self._interp(np.clip(g.z - R, g.z_min, g.z_max))
+            vals.flags.writeable = False
+            self._at = (R, vals)
+        return self._at[1]
 
     def dz_at(self, R: float) -> np.ndarray:
-        g = self.ws.grid
-        zq = g.z - R
-        vals = self._dinterp(np.clip(zq, g.z_min, g.z_max))
-        vals[:, (zq < g.z_min) | (zq > g.z_max)] = 0.0
-        return vals
+        if self._dz_at[0] != R:
+            g = self.ws.grid
+            zq = g.z - R
+            vals = self._dinterp(np.clip(zq, g.z_min, g.z_max))
+            vals[:, (zq < g.z_min) | (zq > g.z_max)] = 0.0
+            vals.flags.writeable = False
+            self._dz_at = (R, vals)
+        return self._dz_at[1]
 
 
 def front_seed(grid: CylinderGrid, plateau, offset: float = 0.0,
@@ -229,7 +242,10 @@ def _newton_polish(model, grid, values, c, ref_values, max_iter=40,
         if merit <= tol:
             break
         fu = eval_f_u(model, Field(grid, u.reshape(grid.shape))).values.ravel()
-        Gc = ((transport_operator(grid, c + hc) - transport_operator(grid, c - hc)) @ u) / (2 * hc)
+        # only the axial operator depends on c: difference it alone and apply
+        # it to every axial line (row) of u
+        dA = _axial_operator(grid, c + hc) - _axial_operator(grid, c - hc)
+        Gc = (dA @ u.reshape(grid.shape).T).T.ravel() / (2 * hc)
         Gc[pinned] = 0.0
         # Schur-complement bordering: solve the Jacobian block for [G, Gc],
         # then eliminate the speed through the phase condition; the exactly

@@ -1,8 +1,9 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
-Each test prints one PASS/FAIL line (bypassing capture, so the lines appear
-under a plain ``pytest`` run).  The moving-frame convergence run is shared by
-the criteria that refer to it.
+Each criterion test prints one PASS/FAIL line (bypassing capture, so the
+lines appear under a plain ``pytest`` run).  The moving-frame convergence run
+is shared by the criteria that refer to it and by the tracker-work checks at
+the end.
 """
 
 import time
@@ -275,3 +276,32 @@ def test_criterion_10_mismatch_frontier_retreats(converge_run):
     ok = finite.sum() >= 5 and b > 0
     report(10, ok, "%d finite samples, retreat rate b = %.3f (>0), envelope offset %.2f"
            % (int(finite.sum()), b, envelope_gap))
+
+
+def test_tracker_work_on_the_convergence_run(converge_run):
+    # every tracker call stops on a test, none at max_iter, and the whole run
+    # averages at most four (h', h'') evaluations per step
+    _, _, _, trace, _ = converge_run
+    steps = trace.samples.size - 1
+    iters = trace.samples["tracker_iters"]
+    assert trace.tracker_cap_hits == 0
+    assert trace.tracker_iters_max == int(iters.max())
+    assert int(iters.sum()) <= 4 * steps
+
+
+def test_tracker_stops_at_the_roundoff_floor(converge_run):
+    # the last states of the run sit at the lattice-pinning floor, where |h'|
+    # stalls at rounding level (a stopping test on 1e-12 * scale alone runs 3
+    # of these 10 calls to max_iter); each must stop within a few evaluations
+    model, ws, u0, trace, _ = converge_run
+    R = trace.samples["R"]
+    stepper = Stepper(model, ws.grid, 0.05, ws.speed)
+    state = EvolutionState(0.0, u0, ws.speed)
+    for k in range(1, R.size):
+        state = stepper.step(state)
+        if k < R.size - 10:
+            continue
+        fs = locate_front(state.u, ws, float(R[k - 1]))
+        assert fs.position == R[k]  # replays the run's own call
+        assert not fs.capped
+        assert fs.iterations <= 8

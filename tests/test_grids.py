@@ -57,6 +57,16 @@ class TestBuildGrid:
         with pytest.raises(Exception):
             g.n_z = 10
 
+    def test_axial_nodes_built_once_and_read_only(self):
+        g = grid_1d()
+        assert g.z is g.z
+        np.testing.assert_array_equal(g.z, np.linspace(g.z_min, g.z_max, g.n_z))
+        with pytest.raises(ValueError):
+            g.z[0] = 0.0
+        # the cached nodes stay out of equality and hashing (cache keys)
+        fresh = grid_1d()
+        assert g == fresh and hash(g) == hash(fresh)
+
 
 class TestFields:
     def test_shape_mismatch(self):

@@ -102,6 +102,13 @@ class TestConvergeScenario:
             assert key in parsed["results"]
         assert float(parsed["results"]["sigma"]) > 0
 
+    def test_tracker_work_reported(self, result):
+        out, manifest = result
+        parsed = read_manifest(out / "manifest.txt")
+        assert int(parsed["results"]["tracker_iters_max"]) >= 1
+        assert parsed["results"]["tracker_cap_hits"] == "0"
+        assert ("tracker_no_cap_hits", True) in [(n, ok) for n, ok, _ in manifest.assertions]
+
 
 class TestDeterminism:
     def test_identical_config_and_seed_byte_identical_csv(self, tmp_path):

@@ -158,6 +158,17 @@ class TestLocateFront:
         scan_h = [mismatch(u, ws, r, m=m) for r in scan_R]
         assert abs(scan_R[int(np.argmin(scan_h))] - fs.position) <= 0.01
 
+    def test_cap_is_flagged(self, wave):
+        # one Newton step (clipped to length 1) cannot reach R = 1.5
+        _, ws = wave
+        u = translate(ws.profile, 1.5)
+        fs = locate_front(u, ws, 0.0, max_iter=1)
+        assert fs.capped
+        assert fs.iterations == 2
+        full = locate_front(u, ws, 0.0)
+        assert not full.capped
+        assert full.position == pytest.approx(1.5, abs=1e-6)
+
     def test_far_state_error(self, wave):
         _, ws = wave
         u = Field(ws.grid, np.full(ws.grid.shape, 0.5))
@@ -190,6 +201,20 @@ class TestTrack:
         trace = track(model, ws, ws.profile.copy(), dt=0.1, horizon=2.0)
         np.testing.assert_allclose(trace.samples["R"], 0.0, atol=1e-10)
         np.testing.assert_allclose(trace.samples["m"], 0.0, atol=1e-20)
+
+    def test_every_tracker_call_is_counted(self, wave):
+        model, ws = wave
+        u0 = front_seed(ws.grid, 1.0, offset=1.0, steepness=0.8)
+        every = track(model, ws, u0, dt=0.1, horizon=3.0)
+        iters = every.samples["tracker_iters"]
+        assert iters.min() >= 1
+        assert every.tracker_iters_max == iters.max()
+        assert every.tracker_cap_hits == 0
+        # sampling keeps the rows of the same calls and counts every call
+        sparse = track(model, ws, u0, dt=0.1, horizon=3.0, sample_every=4)
+        np.testing.assert_array_equal(sparse.samples["tracker_iters"],
+                                      iters[np.r_[0:iters.size:4, iters.size - 1]])
+        assert sparse.tracker_iters_max == every.tracker_iters_max
 
     def test_translated_wave_tracks_constant_position(self, wave):
         model, ws = wave

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from cylwave.evolve import flow_weights
 from cylwave.grids import (CrossSectionField, Field, GridConfig, build_grid,
@@ -121,6 +122,32 @@ class TestSolveWave:
         # translational mode to within 1e-6 of the mode's norm
         fine = refine_solution(mid, wave_grid(n_z=15001), model)
         assert defect(fine) <= 1e-6
+
+
+class TestTemplate:
+    def test_memo_matches_fresh_spline(self, cubic_wave):
+        _, ws = cubic_wave
+        g = ws.grid
+        spline = CubicSpline(g.z, ws.profile.values, axis=1)
+        dspline = spline.derivative()
+
+        def fresh(R):
+            zq = g.z - R
+            dz = dspline(np.clip(zq, g.z_min, g.z_max))
+            dz[:, (zq < g.z_min) | (zq > g.z_max)] = 0.0
+            return spline(np.clip(zq, g.z_min, g.z_max)), dz
+
+        tpl = ws.template
+        # R = 25 runs part of the window past z_min, where dz_at is zero
+        for R in (0.3, 25.0, 0.3):
+            at, dz = fresh(R)
+            np.testing.assert_array_equal(tpl.at(R), at)
+            np.testing.assert_array_equal(tpl.dz_at(R), dz)
+        assert tpl.at(0.3) is tpl.at(0.3)
+        with pytest.raises(ValueError):
+            tpl.at(0.3)[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            tpl.dz_at(0.3)[0, 0] = 1.0
 
 
 class TestSpectralGap:
