@@ -2,7 +2,8 @@
 
 Every verb takes ``--config <path>`` and ``--out <dir>``; the exit code is 0
 only when all acceptance assertions of the scenario pass.  ``sweep`` runs
-several configs concurrently with disjoint output directories.
+several configs concurrently with disjoint output directories.  An output
+directory must be missing or empty: existing results are never overwritten.
 """
 
 from __future__ import annotations
@@ -34,10 +35,21 @@ Unknown keys and duplicate keys are errors. Defaults:
 %s
 
 Output precision: %s environment variable (significant digits, default 17).
+An output directory must be missing or empty; a non-empty one is refused.
 """ % (config_defaults_text(), FLOAT_DIGITS_ENV)
 
 
+def _output_taken(out_dir: str) -> bool:
+    """Report (one line, as a config error) an output directory that holds files."""
+    if os.path.isdir(out_dir) and os.listdir(out_dir):
+        print("config error: output directory %s is not empty" % out_dir, file=sys.stderr)
+        return True
+    return False
+
+
 def _run_one(config_path: str, out_dir: str, expected_scenario: str | None) -> int:
+    if _output_taken(out_dir):
+        return 2
     try:
         output_digits()  # a bad CYLWAVE_PRECISION fails before any compute
         cfg = parse_config_file(config_path)
@@ -104,6 +116,8 @@ def main(argv=None) -> int:
                 return 2
             seen[out] = path
             jobs.append((path, out))
+        if any([_output_taken(out) for _, out in jobs]):  # a list: name every one
+            return 2
         workers = min(args.jobs, len(jobs))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             codes = list(pool.map(_sweep_entry, jobs))

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .grids import CylinderGrid, Field
 
@@ -32,7 +31,13 @@ class ReactionModel:
         raise NotImplementedError
 
     def V(self, u, y):
-        """Cutoff potential; default falls back to adaptive quadrature."""
+        """Cutoff potential; default falls back to adaptive quadrature.
+
+        The built-in models override this with closed forms, so
+        ``scipy.integrate`` is imported only when the fallback runs.
+        """
+        from scipy.integrate import quad
+
         uu = np.atleast_1d(np.asarray(u, dtype=float))
         yy = np.broadcast_to(np.asarray(y, dtype=float), uu.shape)
         out = np.empty(uu.shape)

@@ -97,7 +97,7 @@ class FrontState:
 
 
 def locate_front(u: Field, ws: WaveSolution, R_seed: float = 0.0,
-                 max_iter: int = 80) -> FrontState:
+                 max_iter: int = 80, *, u_z: np.ndarray | None = None) -> FrontState:
     """Safeguarded Newton on h' with a bisection fallback bracket.
 
     Stops at the first iterate where ``|h'|`` meets either test:
@@ -108,6 +108,7 @@ def locate_front(u: Field, ws: WaveSolution, R_seed: float = 0.0,
 
     An iterate where neither holds after ``max_iter`` Newton or bisection
     steps is returned with ``capped`` set, so the caller can count it.
+    ``u_z`` may carry ``axial_derivative(u.values, u.grid)`` precomputed.
     Raises ConvexityError when the curvature at the result is non-positive
     and BracketError when no sign change exists in range.
     """
@@ -115,7 +116,7 @@ def locate_front(u: Field, ws: WaveSolution, R_seed: float = 0.0,
     limit = tpl.max_shift - 2 * ws.grid.dz
     mm = ws.measure(z_ref=R_seed)
     w = quadrature_weights(u.grid, mm)
-    uz = axial_derivative(u.values, u.grid)
+    uz = u_z if u_z is not None else axial_derivative(u.values, u.grid)
     wu = w * u.values
     dz_norm_sq = float(np.sum(w * ws.profile_dz ** 2))
     evals = 0
@@ -264,7 +265,8 @@ def track(model: ReactionModel, ws: WaveSolution, u0: Field, dt: float,
         prev_vals = state.u.values
         try:
             state = stepper.step(state)
-            fs = locate_front(state.u, ws, R_prev)
+            uz = axial_derivative(state.u.values, grid)
+            fs = locate_front(state.u, ws, R_prev, u_z=uz)
         except (TrackerError, RuntimeError) as exc:
             trace = _finalize_trace(rows, ws, dt, calls, aborted=True)
             raise TrackingLossError("tracking lost at t=%.6g: %s" % (state.t, exc), trace)
@@ -273,7 +275,6 @@ def track(model: ReactionModel, ws: WaveSolution, u0: Field, dt: float,
         mm = fs.measure.shifted(fs.position)
         wq = quadrature_weights(grid, mm)
         tdz = tpl.dz_at(fs.position)
-        uz = axial_derivative(state.u.values, grid)
         denom = float(np.sum(wq * uz * tdz))
         quotient = -float(np.sum(wq * ut * tdz)) / denom if denom != 0 else np.nan
         wflow = flow_weights(grid, mm)

@@ -16,7 +16,6 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.interpolate import CubicSpline, PchipInterpolator
 from scipy.linalg import solve_banded
 
 from .evolve import EvolutionState, Stepper, dt_max, flow_weights
@@ -25,7 +24,8 @@ from .grids import (CrossSectionField, CylinderGrid, Field, WINDOW_MARGIN,
                     axial_derivative, transport_operator)
 from .reactions import ReactionModel, ShiftedModel, eval_f, eval_f_u
 from .sections import CriticalPoint, SectionSolverError, find_critical_point
-from .weighted import WeightedMeasure, translate
+from .weighted import (WeightedMeasure, hermite, pchip_slopes, shifted_hermite,
+                       spline_slopes, translate)
 
 NEWTON_TOL = 1e-11
 RESIDUAL_LIMIT = 1e-8
@@ -60,10 +60,13 @@ class WaveSolution:
 
 
 class Template:
-    """Interpolated wave profile and its derivative.
+    """Interpolated wave profile ``T_R profile`` and its axial derivative.
 
-    A C^2 spline keeps the interpolation floor of the mismatch at O(dz^4)
+    The not-a-knot C^2 cubic spline (slopes from ``spline_slopes``, solved
+    once here) keeps the interpolation floor of the mismatch at O(dz^4)
     squared, well below the decay-fit window's floating-point cutoff.
+    Beyond the window the translate takes the end values and its derivative
+    is zero.
 
     ``at`` and ``dz_at`` each remember their last translation: the tracker
     asks for the same R several times in a row (h and h' at one iterate, then
@@ -73,28 +76,23 @@ class Template:
 
     def __init__(self, ws: WaveSolution):
         self.ws = ws
-        g = ws.grid
-        self._interp = CubicSpline(g.z, ws.profile.values, axis=1)
-        self._dinterp = self._interp.derivative()
-        self.max_shift = 0.5 * g.window_length
+        self._slopes = spline_slopes(ws.profile.values, ws.grid.dz)
+        self.max_shift = 0.5 * ws.grid.window_length
         self._at = self._dz_at = (None, None)
+
+    def _eval(self, R: float, nu: int) -> np.ndarray:
+        vals = shifted_hermite(self.ws.profile.values, self._slopes, self.ws.grid.dz, R, nu)
+        vals.flags.writeable = False
+        return vals
 
     def at(self, R: float) -> np.ndarray:
         if self._at[0] != R:
-            g = self.ws.grid
-            vals = self._interp(np.clip(g.z - R, g.z_min, g.z_max))
-            vals.flags.writeable = False
-            self._at = (R, vals)
+            self._at = (R, self._eval(R, 0))
         return self._at[1]
 
     def dz_at(self, R: float) -> np.ndarray:
         if self._dz_at[0] != R:
-            g = self.ws.grid
-            zq = g.z - R
-            vals = self._dinterp(np.clip(zq, g.z_min, g.z_max))
-            vals[:, (zq < g.z_min) | (zq > g.z_max)] = 0.0
-            vals.flags.writeable = False
-            self._dz_at = (R, vals)
+            self._dz_at = (R, self._eval(R, 1))
         return self._dz_at[1]
 
 
@@ -289,17 +287,28 @@ def _newton_polish(model, grid, values, c, ref_values, max_iter=40,
 
 
 def _mid_level_position(grid: CylinderGrid, values: np.ndarray) -> float:
-    """z where the cross-section sup equals half its global maximum."""
-    from scipy.optimize import brentq
+    """z where the cross-section sup equals half its global maximum.
 
+    The sup is interpolated by a monotone (PCHIP) cubic; the crossing is
+    found by bisection, to 1e-13, on the first interval where the sup falls
+    below half its maximum.
+    """
     s = np.max(np.abs(values), axis=0)
     target = 0.5 * float(s.max())
     j = np.nonzero(s < target)[0]
     if j.size == 0 or j[0] == 0:
         raise WaveSolverError("profile has no mid-level crossing inside the window")
-    interp = PchipInterpolator(grid.z, s - target)
-    lo, hi = grid.z[j[0] - 1], grid.z[j[0]]
-    return float(brentq(lambda z: float(interp(z)), lo, hi, xtol=1e-13))
+    j = j[0]
+    cell = slice(j - 1, j + 1)
+    z, r, d = grid.z[cell], s[cell] - target, pchip_slopes(s, grid.dz)[cell]
+    lo, hi = float(z[0]), float(z[1])   # r >= 0 at lo, r < 0 at hi
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        if hermite(z, r, d, mid) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _centered_solution(model: ReactionModel, grid: CylinderGrid, values: np.ndarray,
@@ -352,19 +361,23 @@ def refine_solution(ws: WaveSolution, grid: CylinderGrid,
                     model: ReactionModel) -> WaveSolution:
     """Transfer a solved wave to a finer grid by Newton polish alone.
 
-    The interpolated coarse profile is already in the Newton basin, so the
-    expensive freezing phase is skipped; the same grid-refinement studies run
-    in seconds.  The window must match; only resolutions may differ.
+    The coarse profile is interpolated by monotone (PCHIP) cubics, along the
+    axis and then across the section; it is already in the Newton basin, so
+    the expensive freezing phase is skipped and the same grid-refinement
+    studies run in seconds.  The window must match; only resolutions may
+    differ.
     """
     if (grid.z_min, grid.z_max, grid.y_min, grid.y_max) != (
             ws.grid.z_min, ws.grid.z_max, ws.grid.y_min, ws.grid.y_max):
         raise WaveSolverError("refinement grid must keep the same window")
-    vals = PchipInterpolator(ws.grid.z, ws.profile.values, axis=1)(grid.z)
+    coarse = ws.profile.values
+    vals = hermite(ws.grid.z, coarse, pchip_slopes(coarse, ws.grid.dz), grid.z)
     if grid.n_y > 1:
         if ws.grid.n_y == 1:
             vals = np.tile(vals[:1], (grid.n_y, 1))
         else:
-            vals = PchipInterpolator(ws.grid.y, vals, axis=0)(grid.y)
+            rows = vals.T
+            vals = hermite(ws.grid.y, rows, pchip_slopes(rows, ws.grid.dy), grid.y).T
     vals = apply_boundary(Field(grid, vals)).values
     return _centered_solution(model, grid, vals, ws.speed)
 

@@ -182,6 +182,44 @@ class TestCli:
         assert "both write to" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
+    def test_nonempty_output_dir_is_refused_untouched(self, tmp_path, capsys):
+        cfg = tmp_path / "wave.cfg"
+        cfg.write_text(WAVE_SMALL)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.txt").write_text("earlier results\n")
+        code = main(["wave", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "config error: output directory %s is not empty\n" % out
+        assert os.listdir(out) == ["manifest.txt"]
+        assert (out / "manifest.txt").read_text() == "earlier results\n"
+
+    @pytest.mark.parametrize("state", ["missing", "empty"])
+    def test_missing_or_empty_output_dir_is_accepted(self, tmp_path, state):
+        cfg = tmp_path / "wave.cfg"
+        cfg.write_text(WAVE_SMALL)
+        out = tmp_path / "out"
+        if state == "empty":
+            out.mkdir()
+        code = main(["wave", "--config", str(cfg), "--out", str(out)])
+        assert code == 0
+        assert (out / "manifest.txt").exists()
+
+    def test_sweep_refuses_nonempty_config_dir_before_running(self, tmp_path, capsys):
+        c1 = tmp_path / "one.cfg"
+        c2 = tmp_path / "two.cfg"
+        c1.write_text(WAVE_SMALL)
+        c2.write_text(WAVE_SMALL)
+        taken = tmp_path / "sweep" / "two"
+        taken.mkdir(parents=True)
+        (taken / "wave.txt").write_text("kept\n")
+        code = main(["sweep", str(c1), str(c2), "--out", str(tmp_path / "sweep")])
+        assert code == 2
+        assert "%s is not empty" % taken in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path / "sweep")) == ["two"]
+        assert os.listdir(taken) == ["wave.txt"]
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_sweep_rejects_nonpositive_jobs(self, tmp_path, capsys, jobs):
         with pytest.raises(SystemExit) as exc:

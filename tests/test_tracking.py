@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cylwave.grids import Field, GridConfig, build_grid
+from cylwave.grids import Field, GridConfig, axial_derivative, build_grid
 from cylwave.reactions import CubicBistable
 from cylwave.tracking import (BracketError, ConvexityError, FitError,
                               FrontTrace, default_fit_window,
@@ -168,6 +168,14 @@ class TestLocateFront:
         full = locate_front(u, ws, 0.0)
         assert not full.capped
         assert full.position == pytest.approx(1.5, abs=1e-6)
+
+    def test_precomputed_u_z_gives_the_same_state(self, wave):
+        _, ws = wave
+        u = Field(ws.grid, translate(ws.profile, 0.7).values
+                  + 1e-3 * np.exp(-ws.grid.z ** 2)[None, :])
+        plain = locate_front(u, ws, 0.0)
+        given = locate_front(u, ws, 0.0, u_z=axial_derivative(u.values, u.grid))
+        assert given == plain
 
     def test_far_state_error(self, wave):
         _, ws = wave

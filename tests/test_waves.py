@@ -8,7 +8,7 @@ from cylwave.grids import (CrossSectionField, Field, GridConfig, build_grid,
 from cylwave.reactions import (CubicBistable, HeterogeneousCubic, ShiftedModel,
                                StackedBistable, eval_f_u)
 from cylwave.sections import find_critical_point
-from cylwave.waves import (SeedBasinError, front_position, front_seed,
+from cylwave.waves import (SeedBasinError, Template, front_position, front_seed,
                            load_solution, refine_solution, save_solution,
                            secondary_speed, solve_wave, spectral_gap,
                            translation_profile)
@@ -127,27 +127,36 @@ class TestSolveWave:
 class TestTemplate:
     def test_memo_matches_fresh_spline(self, cubic_wave):
         _, ws = cubic_wave
-        g = ws.grid
-        spline = CubicSpline(g.z, ws.profile.values, axis=1)
-        dspline = spline.derivative()
-
-        def fresh(R):
-            zq = g.z - R
-            dz = dspline(np.clip(zq, g.z_min, g.z_max))
-            dz[:, (zq < g.z_min) | (zq > g.z_max)] = 0.0
-            return spline(np.clip(zq, g.z_min, g.z_max)), dz
-
         tpl = ws.template
         # R = 25 runs part of the window past z_min, where dz_at is zero
         for R in (0.3, 25.0, 0.3):
-            at, dz = fresh(R)
-            np.testing.assert_array_equal(tpl.at(R), at)
-            np.testing.assert_array_equal(tpl.dz_at(R), dz)
+            fresh = Template(ws)
+            np.testing.assert_array_equal(tpl.at(R), fresh.at(R))
+            np.testing.assert_array_equal(tpl.dz_at(R), fresh.dz_at(R))
         assert tpl.at(0.3) is tpl.at(0.3)
         with pytest.raises(ValueError):
             tpl.at(0.3)[0, 0] = 1.0
         with pytest.raises(ValueError):
             tpl.dz_at(0.3)[0, 0] = 1.0
+
+    def test_matches_scipy_cubic_spline(self, cubic_wave):
+        # oracle: scipy's not-a-knot spline, clipped to the window, with a
+        # zero derivative beyond it (a node moved onto an end to within
+        # rounding counts as inside); values to 1e-14, dz_at to 1e-12 of its max
+        _, ws = cubic_wave
+        g = ws.grid
+        spline = CubicSpline(g.z, ws.profile.values, axis=1)
+        dspline = spline.derivative()
+        tpl = Template(ws)
+        dz_scale = np.max(np.abs(dspline(g.z)))
+        for R in (0.0, 1e-12, -1e-12, 0.3, -0.3, 20 * g.dz, -7 * g.dz, 25.0, -25.0):
+            zq = g.z - R
+            at = spline(np.clip(zq, g.z_min, g.z_max))
+            dz = dspline(np.clip(zq, g.z_min, g.z_max))
+            tol = 1e-12 * g.dz
+            dz[:, (zq < g.z_min - tol) | (zq > g.z_max + tol)] = 0.0
+            assert np.max(np.abs(tpl.at(R) - at)) <= 1e-14
+            assert np.max(np.abs(tpl.dz_at(R) - dz)) <= 1e-12 * dz_scale
 
 
 class TestSpectralGap:

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from cylwave.grids import Field, GridConfig, build_grid
-from cylwave.weighted import (WeightedMeasure, WeightOverflowError, translate,
-                              weighted_inner, weighted_norm_h1,
+from cylwave.weighted import (WeightedMeasure, WeightOverflowError, hermite,
+                              pchip_slopes, shifted_hermite, spline_slopes,
+                              translate, weighted_inner, weighted_norm_h1,
                               weighted_norm_l2, weighted_norm_h2)
 
 
@@ -137,3 +139,109 @@ class TestTranslate:
         for eta in (0.5, -0.5, 1.0, -1.0):
             n1 = weighted_norm_l2(translate(u, eta), m)
             assert n1 / n0 == pytest.approx(np.exp(0.3 * eta), rel=1e-6)
+
+
+class TestHermiteOracle:
+    """The NumPy Hermite helpers against scipy.interpolate.
+
+    Node positions differ by rounding (``linspace`` nodes against a shift
+    counted in cells of ``dz``), so values agree to ``16 eps`` times the
+    value scale plus the slope scale times the coordinate scale, and
+    derivatives to the same bound divided by ``dz``.
+    """
+
+    Z = (-10.0, 5.0)
+    N = 301
+
+    @classmethod
+    def rows(cls):
+        g = grid_1d(n_z=cls.N, z=cls.Z)
+        rng = np.random.default_rng(7)
+        y = np.vstack([
+            0.5 * (1.0 - np.tanh(g.z)),                 # monotone front
+            rng.normal(size=g.n_z),                     # non-monotone
+            np.round(2.0 * rng.normal(size=g.n_z)),     # many flat segments
+            np.sin(g.z) * np.exp(-0.1 * g.z ** 2),      # smooth, both signs
+        ])
+        return g, y
+
+    @staticmethod
+    def tolerances(g, y, d):
+        eps = np.finfo(float).eps
+        tol0 = 16 * eps * (np.max(np.abs(y)) + np.max(np.abs(g.z)) * np.max(np.abs(d)))
+        return tol0, tol0 / g.dz
+
+    @pytest.mark.parametrize("kind", ["pchip", "spline"])
+    def test_slopes(self, kind):
+        g, y = self.rows()
+        ours = (pchip_slopes if kind == "pchip" else spline_slopes)(y, g.dz)
+        ref = (PchipInterpolator if kind == "pchip" else CubicSpline)(g.z, y, axis=1)
+        scale = np.max(np.abs(ref.derivative()(g.z)), axis=1, keepdims=True)
+        assert np.all(np.abs(ours - ref.derivative()(g.z)) <= 1e-12 * scale)
+        # 1D input gives the same slopes as the matching row of 2D input
+        np.testing.assert_allclose(
+            (pchip_slopes if kind == "pchip" else spline_slopes)(y[1], g.dz), ours[1],
+            rtol=0, atol=1e-13 * scale[1, 0])
+
+    def test_pchip_two_nodes_is_linear(self):
+        y = np.array([[1.0, 3.0], [2.0, 2.0]])
+        ref = PchipInterpolator([0.0, 0.5], y, axis=1)
+        np.testing.assert_array_equal(pchip_slopes(y, 0.5), ref.derivative()([0.0, 0.5]))
+        xq = np.linspace(0.0, 0.5, 7)
+        np.testing.assert_allclose(hermite(np.array([0.0, 0.5]), y, pchip_slopes(y, 0.5), xq),
+                                   ref(xq), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["pchip", "spline"])
+    @pytest.mark.parametrize("cells", [0.0, 1e-12 / 0.05, -1e-12 / 0.05, 3.0, -17.0,
+                                       7.4, -0.6, 150.0, -250.0, 301.0, -400.5])
+    def test_shifted_hermite(self, kind, cells):
+        g, y = self.rows()
+        R = cells * g.dz
+        if kind == "pchip":
+            d, ref = pchip_slopes(y, g.dz), PchipInterpolator(g.z, y, axis=1)
+        else:
+            d, ref = spline_slopes(y, g.dz), CubicSpline(g.z, y, axis=1)
+        tol0, tol1 = self.tolerances(g, y, d)
+        zq = g.z - R
+        inside = np.clip(zq, g.z_min, g.z_max)
+        at, dz = ref(inside), ref.derivative()(inside)
+        # beyond either end the derivative is zero; a node moved onto an end
+        # to within rounding counts as inside
+        edge = 1e-12 * g.dz
+        dz[:, (zq < g.z_min - edge) | (zq > g.z_max + edge)] = 0.0
+        assert np.max(np.abs(shifted_hermite(y, d, g.dz, R) - at)) <= tol0
+        assert np.max(np.abs(shifted_hermite(y, d, g.dz, R, nu=1) - dz)) <= tol1
+
+    def test_shift_by_whole_cells_reads_nodes(self):
+        g, y = self.rows()
+        d = spline_slopes(y, g.dz)
+        out = shifted_hermite(y, d, g.dz, 5 * g.dz)
+        np.testing.assert_array_equal(out[:, 5:], y[:, :-5])
+        np.testing.assert_array_equal(out[:, :5], np.repeat(y[:, :1], 5, axis=1))
+        np.testing.assert_array_equal(shifted_hermite(y, d, g.dz, 0.0, nu=1), d)
+
+    @pytest.mark.parametrize("kind", ["pchip", "spline"])
+    def test_hermite_at_other_points(self, kind):
+        g, y = self.rows()
+        if kind == "pchip":
+            d, ref = pchip_slopes(y, g.dz), PchipInterpolator(g.z, y, axis=1)
+        else:
+            d, ref = spline_slopes(y, g.dz), CubicSpline(g.z, y, axis=1)
+        tol0, _ = self.tolerances(g, y, d)
+        xq = np.concatenate([[g.z_min, g.z_max], g.z[::7],
+                             np.random.default_rng(3).uniform(g.z_min, g.z_max, 200)])
+        assert np.max(np.abs(hermite(g.z, y, d, xq) - ref(xq))) <= tol0
+        # across rows: the same interpolant along the first axis
+        cols = y[:, ::50]
+        yq = np.linspace(0.0, 3.0, 13)
+        ref_y = PchipInterpolator(np.arange(4.0), cols, axis=0)(yq)
+        ours = hermite(np.arange(4.0), cols.T, pchip_slopes(cols.T, 1.0), yq).T
+        assert np.max(np.abs(ours - ref_y)) <= 1e-13 * np.max(np.abs(cols))
+
+    def test_translate_is_shifted_pchip(self):
+        g, y = self.rows()
+        u = Field(build_grid(GridConfig(n_y=4, n_z=self.N, z_min=self.Z[0], z_max=self.Z[1],
+                                        bc_axial_right="neumann")), y)
+        np.testing.assert_array_equal(
+            translate(u, 0.37).values,
+            shifted_hermite(y, pchip_slopes(y, g.dz), g.dz, 0.37))
