@@ -40,11 +40,16 @@ An output directory must be missing or empty; a non-empty one is refused.
 
 
 def _output_taken(out_dir: str) -> bool:
-    """Report (one line, as a config error) an output directory that holds files."""
+    """Report (one line, as a config error) an output path that is not a
+    missing or empty directory."""
     if os.path.isdir(out_dir) and os.listdir(out_dir):
-        print("config error: output directory %s is not empty" % out_dir, file=sys.stderr)
-        return True
-    return False
+        problem = "is not empty"
+    elif os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        problem = "is not a directory"
+    else:
+        return False
+    print("config error: output directory %s %s" % (out_dir, problem), file=sys.stderr)
+    return True
 
 
 def _run_one(config_path: str, out_dir: str, expected_scenario: str | None) -> int:
@@ -107,6 +112,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.verb == "sweep":
+        if not os.path.isdir(args.out) and _output_taken(args.out):  # names a file
+            return 2
         jobs, seen = [], {}
         for path in args.configs:
             out = os.path.join(args.out, os.path.splitext(os.path.basename(path))[0])

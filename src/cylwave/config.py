@@ -219,6 +219,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
                           "(0.5 / sup|f_u|)" % (cfg.dt, cap))
     if cfg.sample_every < 1:
         raise ConfigError("sample_every must be >= 1")
+    if not cfg.c_trial > 0:
+        raise ConfigError("c_trial must be positive, got %g" % cfg.c_trial)
+    if not cfg.delta > 0:
+        raise ConfigError("delta must be positive, got %g" % cfg.delta)
+    sep = cfg.initial_params["separation"]
+    if cfg.scenario == "comparison" and not 0 <= sep < 0.5 * grid.window_length:
+        raise ConfigError("separation = %g must lie in [0, %g), half the axial window"
+                          % (sep, 0.5 * grid.window_length))
 
 
 def output_digits() -> int:

@@ -15,6 +15,7 @@ preserves ordering).
 from __future__ import annotations
 
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -224,26 +225,25 @@ class OrderingReport:
     times: np.ndarray
 
 
-def compare_evolutions(u0_low: Field, u0_high: Field, model: ReactionModel,
+def compare_evolutions(fields: Sequence[Field], model: ReactionModel,
                        horizon: float, dt: float, frame_speed: float = 0.0,
                        tol: float = 1e-10) -> OrderingReport:
-    """Integrate an ordered pair and check order preservation at each step."""
-    if np.any(u0_low.values > u0_high.values + 1e-14):
+    """Integrate ordered data ``fields[0] <= fields[1] <= ...`` and check that
+    every neighbouring pair stays ordered at each step."""
+    if any(np.any(lo.values > hi.values + 1e-14) for lo, hi in zip(fields, fields[1:])):
         raise ValueError("initial data are not ordered")
-    grid = u0_low.grid
-    stepper = Stepper(model, grid, dt, frame_speed)
-    lo = EvolutionState(0.0, apply_boundary(u0_low), frame_speed)
-    hi = EvolutionState(0.0, apply_boundary(u0_high), frame_speed)
+    stepper = Stepper(model, fields[0].grid, dt, frame_speed)
+    states = [EvolutionState(0.0, apply_boundary(u), frame_speed) for u in fields]
     n = int(round(horizon / dt))
     times, worst, first_bad = [], 0.0, None
     for _ in range(n):
-        lo = stepper.step(lo)
-        hi = stepper.step(hi)
-        times.append(lo.t)
-        gap = float(np.max(lo.u.values - hi.u.values))
+        states = [stepper.step(s) for s in states]
+        times.append(states[0].t)
+        gap = max(float(np.max(lo.u.values - hi.u.values))
+                  for lo, hi in zip(states, states[1:]))
         worst = max(worst, gap)
         if gap > tol and first_bad is None:
-            first_bad = lo.t
+            first_bad = states[0].t
     return OrderingReport(ordered=first_bad is None,
                           first_violation_time=first_bad,
                           max_violation=worst,

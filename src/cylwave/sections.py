@@ -2,8 +2,11 @@
 
 The reduced energy ``E[v] = int (|v'|^2 / 2 + V(v, y)) dy`` lives on the
 cross-section alone; its local minimizers are the plateaus axial fronts
-connect to.  The principal eigenvalue of ``-d2/dy2 - f_u(v, y)`` at ``v = 0``
-or at a critical point controls admissibility and non-degeneracy.
+connect to.  find_critical_point reaches them by pseudo-transient
+continuation of the energy's gradient flow, which starts as implicit flow
+steps and ends as Newton's method.  The principal eigenvalue of
+``-d2/dy2 - f_u(v, y)`` at ``v = 0`` or at a critical point controls
+admissibility and non-degeneracy.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .grids import (CrossSectionField, CylinderGrid, _section_operator,
 from .reactions import ReactionModel
 
 NEWTON_GRAD_TOL = 1e-10
+PTC_MAX_ITER = 100
 
 
 class SectionSolverError(RuntimeError):
@@ -80,6 +84,7 @@ class CriticalPoint:
     energy: float
     gradient_norm: float
     hessian_floor: float
+    iterations: int
     collapsed_to_trivial: bool = False
 
 
@@ -90,69 +95,47 @@ def _section_residual(model, grid, v):
     return r
 
 
-def section_flow(model: ReactionModel, grid: CylinderGrid, v0: CrossSectionField,
-                 tau: float, steps: int) -> list[CrossSectionField]:
-    """Explicit gradient flow of the cross-section energy (fallback relaxer)."""
-    out = [v0.copy()]
-    v = v0.values.copy()
-    for _ in range(steps):
-        v = v + tau * _section_residual(model, grid, v)
-        out.append(CrossSectionField(grid, v.copy()))
-        v = out[-1].values
-    return out
-
-
 def find_critical_point(model: ReactionModel, grid: CylinderGrid,
-                        seed: CrossSectionField, max_newton: int = 60) -> CriticalPoint:
+                        seed: CrossSectionField) -> CriticalPoint:
     """Critical point of the cross-section energy near ``seed``.
 
-    Explicit gradient-flow sweeps bring the seed near a solution of the
-    discrete Euler-Lagrange system ``A_y v + f(v, y) = 0`` (pinned ends held at
-    zero); damped Newton with the Jacobian ``A_y + diag(f_u)`` then converges
-    to ``|grad| <= NEWTON_GRAD_TOL``.  Reports the energy and the smallest
-    eigenvalue of the linearization at the solution (principal_eigenpair).
+    Pseudo-transient continuation of the gradient flow ``v_t = A_y v + f(v, y)``:
+    each step solves ``(I/tau - J) dv = r`` for the residual ``r = A_y v + f``
+    and its Jacobian ``J = A_y + diag(f_u)``, pinned rows held as identity rows
+    so pinned values stay zero.  ``tau`` starts at ``1/max(1, sup|f_u|)``, where
+    the step is a stable implicit flow step, and grows by switched evolution
+    relaxation ``tau <- tau |r_old| / |r_new|`` into Newton as the residual
+    falls (Mulder & van Leer 1985; Kelley & Keyes 1998).  Stops at
+    ``|grad| <= NEWTON_GRAD_TOL``; ``PTC_MAX_ITER`` steps without getting there
+    raise.  Reports the energy, the step count and the smallest eigenvalue of
+    the linearization at the solution (principal_eigenpair).
     """
     y = grid.y
     pinned = grid.dirichlet_mask()[:, 0]
+    A = _section_operator(grid).toarray()
     v = seed.values.copy()
     nontrivial_seed = float(np.max(np.abs(v))) > 1e-8
-
-    def grad_norm(vv):
-        return float(np.max(np.abs(_section_residual(model, grid, vv))))
-
-    # relaxation sweeps pull rough seeds into the Newton basin
-    tau = 0.2 * min(grid.dy ** 2 if grid.n_y > 1 else 1.0, 1.0) / max(1.0, model.max_slope(grid))
-    for _ in range(3000):
-        if grad_norm(v) < 1e-2:
-            break
-        v = v + tau * _section_residual(model, grid, v)
-        v = CrossSectionField(grid, v).values
-
-    converged = False
-    for _ in range(max_newton):
-        r = _section_residual(model, grid, v)
-        gn = float(np.max(np.abs(r)))
-        if gn <= NEWTON_GRAD_TOL:
-            converged = True
-            break
+    tau = 1.0 / max(1.0, model.max_slope(grid))
+    r = _section_residual(model, grid, v)
+    gn = float(np.max(np.abs(r)))
+    iterations = 0
+    while gn > NEWTON_GRAD_TOL:
+        if iterations == PTC_MAX_ITER:
+            raise SectionSolverError("cross-section solver reached %d steps at |grad| = %.3g"
+                                     % (PTC_MAX_ITER, gn))
         fu = np.broadcast_to(np.asarray(model.f_u(v, y), dtype=float), v.shape)
-        # pinned rows of A_y are zero; unit diagonal entries make them identity rows
-        J = _section_operator(grid).toarray() + np.diag(np.where(pinned, 1.0, fu))
+        # pinned rows of A_y are zero, so a unit diagonal makes them identity rows
+        M = np.diag(np.where(pinned, 1.0, 1.0 / tau - fu)) - A
         try:
-            dv = np.linalg.solve(J, -r)
+            v = v + np.linalg.solve(M, r)
         except np.linalg.LinAlgError:
-            raise SectionSolverError("singular Jacobian in cross-section Newton")
-        step = 1.0
-        for _ in range(10):
-            trial = CrossSectionField(grid, v + step * dv).values
-            if grad_norm(trial) < gn or step < 1e-3:
-                break
-            step *= 0.5
-        v = CrossSectionField(grid, v + step * dv).values
+            raise SectionSolverError("singular matrix in the cross-section solver")
         if not np.all(np.isfinite(v)) or np.max(np.abs(v)) > 10.0:
-            raise SectionSolverError("cross-section Newton diverged")
-    if not converged and grad_norm(v) > NEWTON_GRAD_TOL:
-        raise SectionSolverError("cross-section Newton stalled at |grad| = %.3g" % grad_norm(v))
+            raise SectionSolverError("cross-section solver diverged")
+        r = _section_residual(model, grid, v)
+        gn_old, gn = gn, float(np.max(np.abs(r)))
+        tau *= gn_old / max(gn, NEWTON_GRAD_TOL)  # the floor only guards the last step
+        iterations += 1
 
     sol = CrossSectionField(grid, v)
     collapsed = nontrivial_seed and float(np.max(np.abs(v))) < 1e-6
@@ -160,8 +143,9 @@ def find_critical_point(model: ReactionModel, grid: CylinderGrid,
     return CriticalPoint(
         v=sol,
         energy=section_energy(sol, model),
-        gradient_norm=grad_norm(v),
+        gradient_norm=gn,
         hessian_floor=eig.value,
+        iterations=iterations,
         collapsed_to_trivial=collapsed,
     )
 

@@ -93,6 +93,18 @@ class TestValidation:
         assert cfg.initial_family == "sandwich"
         assert cfg.initial_params["separation"] == 4.0
 
+    @pytest.mark.parametrize("key", ["c_trial", "delta"])
+    def test_nonpositive_run_parameter(self, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(MINIMAL + "%s = 0\n" % key)
+
+    @pytest.mark.parametrize("separation", [-1.0, 20.0, 40.0])
+    def test_separation_outside_half_window(self, separation):
+        # the window is 40 long; a barrier translate must stay inside half of it
+        with pytest.raises(ConfigError, match="separation"):
+            parse_config(MINIMAL.replace("scenario = wave", "scenario = comparison")
+                         + "\n[initial]\nfamily = sandwich\nseparation = %g\n" % separation)
+
     def test_defaults_text_covers_sections(self):
         text = config_defaults_text()
         for sec in ("[grid]", "[model]", "[run]", "[initial]"):

@@ -177,14 +177,14 @@ class TestComparison:
         g = front_grid(n_z=201, z=(-8.0, 8.0))
         vals = 0.5 * (1 - np.tanh(g.z))
         u = Field(g, vals[None, :])
-        rep = compare_evolutions(u, u.copy(), MODEL, horizon=1.0, dt=0.1)
+        rep = compare_evolutions([u, u.copy()], MODEL, horizon=1.0, dt=0.1)
         assert rep.ordered
 
     def test_shifted_down_pair_stays_ordered(self):
         g = front_grid(n_z=201, z=(-8.0, 8.0))
         hi = 0.5 * (1 - np.tanh(g.z))
         lo = np.maximum(hi - 0.1, 0.0)
-        rep = compare_evolutions(Field(g, lo[None, :]), Field(g, hi[None, :]),
+        rep = compare_evolutions([Field(g, lo[None, :]), Field(g, hi[None, :])],
                                  MODEL, horizon=2.0, dt=0.1)
         assert rep.ordered
         assert rep.max_violation <= 1e-10
@@ -195,7 +195,7 @@ class TestComparison:
         for _ in range(10):
             hi = np.clip(rng.uniform(0, 1, g.shape), 0, 1)
             lo = np.clip(hi - np.abs(rng.uniform(0, 0.3, g.shape)), 0, 1)
-            rep = compare_evolutions(Field(g, lo), Field(g, hi), MODEL,
+            rep = compare_evolutions([Field(g, lo), Field(g, hi)], MODEL,
                                      horizon=0.5, dt=0.05, frame_speed=0.2)
             assert rep.ordered
 
@@ -204,4 +204,10 @@ class TestComparison:
         lo = Field(g, np.full(g.shape, 0.5))
         hi = Field(g, np.full(g.shape, 0.4))
         with pytest.raises(ValueError):
-            compare_evolutions(lo, hi, MODEL, horizon=0.5, dt=0.05)
+            compare_evolutions([lo, hi], MODEL, horizon=0.5, dt=0.05)
+
+    def test_unordered_middle_pair_rejected(self):
+        g = front_grid(n_z=101, z=(-4.0, 4.0))
+        lo, mid, hi = (Field(g, np.full(g.shape, c)) for c in (0.2, 0.6, 0.5))
+        with pytest.raises(ValueError):
+            compare_evolutions([lo, mid, hi], MODEL, horizon=0.5, dt=0.05)

@@ -195,6 +195,24 @@ class TestCli:
         assert os.listdir(out) == ["manifest.txt"]
         assert (out / "manifest.txt").read_text() == "earlier results\n"
 
+    def test_output_path_naming_a_file_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "wave.cfg"
+        cfg.write_text(WAVE_SMALL)
+        out = tmp_path / "out"
+        out.write_text("not a directory\n")
+        code = main(["wave", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: output directory %s is not a directory\n" % out
+        assert out.read_text() == "not a directory\n"
+
+    def test_sweep_output_path_naming_a_file_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "wave.cfg"
+        cfg.write_text(WAVE_SMALL)
+        out = tmp_path / "out"
+        out.write_text("not a directory\n")
+        assert main(["sweep", str(cfg), "--out", str(out)]) == 2
+        assert "is not a directory" in capsys.readouterr().err
+
     @pytest.mark.parametrize("state", ["missing", "empty"])
     def test_missing_or_empty_output_dir_is_accepted(self, tmp_path, state):
         cfg = tmp_path / "wave.cfg"

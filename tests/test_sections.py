@@ -1,10 +1,18 @@
+import os
+
 import numpy as np
 import pytest
 
+from cylwave import sections
+from cylwave.config import parse_config_file
 from cylwave.grids import CrossSectionField, GridConfig, build_grid
-from cylwave.reactions import CubicBistable, LinearModel
-from cylwave.sections import (check_speed_admissible, find_critical_point,
-                              principal_eigenpair, section_energy, section_flow)
+from cylwave.reactions import CubicBistable, HeterogeneousCubic, LinearModel
+from cylwave.scenarios import _plateau_state
+from cylwave.sections import (SectionSolverError, check_speed_admissible,
+                              find_critical_point, principal_eigenpair, section_energy)
+
+STACKED_CFG = os.path.join(os.path.dirname(__file__), "..", "configs",
+                           "secondary_stacked_dirichlet.cfg")
 
 
 def grid_1d():
@@ -20,6 +28,19 @@ def interval(n_y, bc="dirichlet", bc_right=None, y_max=1.0):
 
 def neumann_interval(n_y=33):
     return interval(n_y, bc="neumann")
+
+
+def stacked_plateau():
+    """Model, grid and plateau of the shipped stacked-front config."""
+    cfg = parse_config_file(STACKED_CFG)
+    g, m = cfg.make_grid(), cfg.make_model()
+    return m, g, _plateau_state(m, g, cfg.plateau_seed)
+
+
+def stacked_upper_seed(plateau):
+    """The seed secondary_speed uses for the critical point above the plateau."""
+    v = plateau.v.values
+    return CrossSectionField(plateau.v.grid, v + 0.95 * (1.0 - v))
 
 
 class TestSectionEnergy:
@@ -150,13 +171,46 @@ class TestCriticalPoints:
         assert cp.gradient_norm <= 1e-10
         assert cp.hessian_floor == principal_eigenpair(m, g, linearize_at=cp.v).value
 
-    def test_flow_decreases_energy(self):
+    def test_flow_decreases_energy(self, monkeypatch):
+        # the solver evaluates the residual once per iterate, seed included
         g = neumann_interval()
-        m = CubicBistable(0.25)
-        tau = 0.2 * g.dy ** 2
-        states = section_flow(m, g, CrossSectionField(g, np.full(g.n_y, 0.6)), tau, 50)
-        energies = [section_energy(s, m) for s in states]
-        assert np.all(np.diff(energies) <= 1e-14)
+        m, gs, plateau = stacked_plateau()
+        residual = sections._section_residual
+        for model, seed in ((CubicBistable(0.25), CrossSectionField(g, np.full(g.n_y, 0.6))),
+                            (m, stacked_upper_seed(plateau))):
+            iterates = []
+
+            def spy(model_, grid_, v):
+                iterates.append(CrossSectionField(grid_, v.copy()))
+                return residual(model_, grid_, v)
+
+            monkeypatch.setattr(sections, "_section_residual", spy)
+            cp = find_critical_point(model, seed.grid, seed)
+            energies = [section_energy(s, model) for s in iterates]
+            assert len(iterates) == cp.iterations + 1
+            assert np.all(np.diff(energies) <= 0.0)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        g = neumann_interval()
+        monkeypatch.setattr(sections, "PTC_MAX_ITER", 1)
+        with pytest.raises(SectionSolverError, match="grad"):
+            find_critical_point(CubicBistable(0.25), g, CrossSectionField(g, np.full(g.n_y, 0.6)))
+
+    def test_few_iterations_on_shipped_sections(self):
+        m, g, plateau = stacked_plateau()
+        upper = find_critical_point(m, g, stacked_upper_seed(plateau))
+        gc = build_grid(GridConfig(n_y=17, n_z=451, y_min=0.0, y_max=1.0,
+                                   z_min=-30.0, z_max=15.0))
+        cyl = find_critical_point(HeterogeneousCubic(a0=0.25, a1=0.1), gc,
+                                  CrossSectionField(gc, np.full(17, 0.9)))
+        for cp in (plateau, upper, cyl):
+            assert cp.gradient_norm <= sections.NEWTON_GRAD_TOL
+            assert 1 <= cp.iterations <= 15
+
+    def test_1d_plateau_closed_form(self):
+        g = grid_1d()
+        cp = find_critical_point(CubicBistable(0.25), g, CrossSectionField(g, np.array([0.9])))
+        assert abs(cp.v.values[0] - 1.0) <= 1e-15
 
 
 class TestAdmissibility:

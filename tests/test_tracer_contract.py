@@ -12,9 +12,9 @@ SCRIPT = textwrap.dedent("""
     import dataclasses
     from tracer import Tracer
     Tracer().install()
-    from cylwave.sections import EigenResult
+    from cylwave.sections import CriticalPoint, EigenResult
     from cylwave.waves import GapResult
-    for cls in (EigenResult, GapResult):
+    for cls in (CriticalPoint, EigenResult, GapResult):
         assert "iterations" in {f.name for f in dataclasses.fields(cls)}, cls
     print("ok")
 """)
