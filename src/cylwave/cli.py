@@ -41,11 +41,16 @@ An output directory must be missing or empty; a non-empty one is refused.
 
 def _output_taken(out_dir: str) -> bool:
     """Report (one line, as a config error) an output path that is not a
-    missing or empty directory."""
+    missing or empty directory, or that lies below an existing file."""
+    above = os.path.dirname(os.path.abspath(out_dir))
+    while not os.path.exists(above):
+        above = os.path.dirname(above)
     if os.path.isdir(out_dir) and os.listdir(out_dir):
         problem = "is not empty"
     elif os.path.exists(out_dir) and not os.path.isdir(out_dir):
         problem = "is not a directory"
+    elif not os.path.isdir(above):
+        problem = "lies below the file %s" % above
     else:
         return False
     print("config error: output directory %s %s" % (out_dir, problem), file=sys.stderr)
@@ -112,7 +117,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.verb == "sweep":
-        if not os.path.isdir(args.out) and _output_taken(args.out):  # names a file
+        if not os.path.isdir(args.out) and _output_taken(args.out):  # a file, or below one
             return 2
         jobs, seen = [], {}
         for path in args.configs:

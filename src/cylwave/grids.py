@@ -301,8 +301,9 @@ def transport_operator(grid: CylinderGrid, c: float) -> sp.csr_matrix:
     to zero, matching apply_boundary).  Acts on row-major raveled fields.
     Cached per (grid, c); callers must not modify the result.
     """
-    # the Newton polish factors at the speed its line search just accepted,
-    # and dG/dc differences only the axial operator, so one entry gives every
+    # the Newton polish factors at the speed of the residual it just
+    # evaluated, dG/dc differences only the axial operator, and nearly every
+    # other call comes at a new trial speed, so one entry keeps nearly every
     # hit a larger cache would; each 2D operator is megabytes
     A = _axial_operator(grid, c)
     if grid.n_y > 1:

@@ -213,6 +213,19 @@ class TestCli:
         assert main(["sweep", str(cfg), "--out", str(out)]) == 2
         assert "is not a directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["wave", "sweep"])
+    def test_output_path_below_a_file_is_refused(self, tmp_path, capsys, verb):
+        cfg = tmp_path / "wave.cfg"
+        cfg.write_text(WAVE_SMALL)
+        blocker = tmp_path / "somefile"
+        blocker.write_text("a file\n")
+        out = blocker / "sub"
+        head = ["wave", "--config", str(cfg)] if verb == "wave" else ["sweep", str(cfg)]
+        assert main(head + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: output directory %s lies below the file %s\n" % (out, blocker))
+        assert blocker.read_text() == "a file\n"
+
     @pytest.mark.parametrize("state", ["missing", "empty"])
     def test_missing_or_empty_output_dir_is_accepted(self, tmp_path, state):
         cfg = tmp_path / "wave.cfg"

@@ -13,9 +13,11 @@ SCRIPT = textwrap.dedent("""
     from tracer import Tracer
     Tracer().install()
     from cylwave.sections import CriticalPoint, EigenResult
-    from cylwave.waves import GapResult
+    from cylwave.waves import GapResult, WaveSolution
     for cls in (CriticalPoint, EigenResult, GapResult):
         assert "iterations" in {f.name for f in dataclasses.fields(cls)}, cls
+    polish = {"newton_iterations", "factorizations"}
+    assert polish <= {f.name for f in dataclasses.fields(WaveSolution)}
     print("ok")
 """)
 

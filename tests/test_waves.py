@@ -8,11 +8,12 @@ from cylwave.grids import (CrossSectionField, Field, GridConfig, build_grid,
 from cylwave.reactions import (CubicBistable, HeterogeneousCubic, ShiftedModel,
                                StackedBistable, eval_f_u)
 from cylwave.sections import find_critical_point
+from cylwave import waves
 from cylwave.waves import (SeedBasinError, Template, front_position, front_seed,
                            load_solution, refine_solution, save_solution,
                            secondary_speed, solve_wave, spectral_gap,
                            translation_profile)
-from cylwave.weighted import WeightedMeasure, weighted_norm_l2
+from cylwave.weighted import WeightedMeasure, translate, weighted_norm_l2
 
 
 def wave_grid(n_z=1201, z=(-40.0, 20.0)):
@@ -272,6 +273,70 @@ class TestHeterogeneous2D:
         assert lo < ws.speed < hi
         gap = spectral_gap(ws, model)
         assert gap.gap_positive and gap.alignment >= 0.999
+        # the first factorization serves the whole polish and its re-polishes
+        assert ws.factorizations == 1
+        assert ws.newton_iterations >= 2
+
+
+class TestNewtonPolish:
+    def test_best_iterate_at_the_roundoff_floor(self, cubic_wave, monkeypatch):
+        # tol = 1e-14 lies below the ~2e-13 rounding floor of sup|G| on this
+        # grid: the polish must stop there with the best iterate it saw
+        # instead of wandering on to max_iter (the phase stays at the 1e-16
+        # rounding level, so sup|G| is the merit)
+        model, ws = cubic_wave
+        g = ws.grid
+        true_residual = waves._wave_residual
+        seen = []
+
+        def spy(*args):
+            r = true_residual(*args)
+            seen.append(float(np.max(np.abs(r))))
+            return r
+
+        monkeypatch.setattr(waves, "_wave_residual", spy)
+        work = waves._NewtonWork()
+        u, c = waves._newton_polish(model, g, ws.profile.values, ws.speed,
+                                    ws.profile.values, tol=1e-14, work=work)
+        merit = float(np.max(np.abs(true_residual(model, g, u, c))))
+        assert merit == min(seen)
+        assert work.iterations <= 10 and len(seen) <= 100
+
+    def test_stale_factorization_is_replaced(self):
+        # a factorization kept from a wave 6 units away makes chord steps
+        # that do not halve the merit; the polish must re-factor and land
+        # where a fresh polish from the same start lands
+        g = build_grid(GridConfig(n_y=17, n_z=451, y_min=0.0, y_max=1.0,
+                                  z_min=-30.0, z_max=15.0))
+        model = HeterogeneousCubic(a0=0.25, a1=0.1)
+        cp = find_critical_point(model, g, CrossSectionField(g, np.full(17, 0.9)))
+        ws = solve_wave(model, g, front_seed(g, cp.v), c_seed=0.2)
+        far = translate(ws.profile, 6.0).values
+        stale = waves._NewtonWork()
+        waves._newton_polish(model, g, far, ws.speed, far, work=stale)
+        assert stale.factorizations == 1
+        start, c0 = translate(ws.profile, 0.3).values, 1.02 * ws.speed
+        u_clean, c_clean = waves._newton_polish(model, g, start, c0, start)
+        u, c = waves._newton_polish(model, g, start, c0, start, work=stale)
+        assert stale.factorizations >= 2
+        assert c == pytest.approx(c_clean, rel=1e-10)
+        assert np.max(np.abs(u - u_clean)) <= 1e-10
+
+    def test_stacked_config_speeds_unchanged(self, tmp_path):
+        # values of the shipped stacked config with one factorization per
+        # Newton iteration; the chord polish stops within NEWTON_TOL of them
+        import os
+
+        from cylwave.config import parse_config_file
+        from cylwave.scenarios import read_manifest, run_scenario
+
+        cfg = os.path.join(os.path.dirname(__file__), "..", "configs",
+                           "secondary_stacked_dirichlet.cfg")
+        assert run_scenario(parse_config_file(cfg), str(tmp_path)).passed()
+        results = read_manifest(tmp_path / "manifest.txt")["results"]
+        assert float(results["speed"]) == pytest.approx(0.66245342726189937, rel=1e-9)
+        assert float(results["secondary_speed"]) == pytest.approx(
+            0.079826484056131686, rel=1e-9)
 
 
 class TestSerialization:
