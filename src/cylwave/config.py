@@ -9,7 +9,7 @@ model/grid (the time-step cap depends on both).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 
 from .evolve import dt_max
 from .grids import CylinderGrid, GridConfig, GridError, build_grid
@@ -21,20 +21,11 @@ FLOAT_DIGITS_ENV = "CYLWAVE_PRECISION"
 SCENARIOS = ("wave", "converge", "gap", "secondary_speed", "comparison", "hypotheses")
 INITIAL_FAMILIES = ("shifted_tanh", "plateau_noise", "sandwich")
 
-# section -> key -> (type, default); None default means required
+# section -> key -> (type, default); None default means required.  The [grid]
+# keys are GridConfig's fields; the axial window and its resolution are required.
 _SCHEMA = {
-    "grid": {
-        "n_y": (int, 1),
-        "n_z": (int, None),
-        "y_min": (float, 0.0),
-        "y_max": (float, 1.0),
-        "z_min": (float, None),
-        "z_max": (float, None),
-        "bc_left": (str, "neumann"),
-        "bc_right": (str, "neumann"),
-        "bc_axial_left": (str, "neumann"),
-        "bc_axial_right": (str, "dirichlet"),
-    },
+    "grid": {f.name: (type(f.default), None if f.name in ("n_z", "z_min", "z_max")
+                      else f.default) for f in fields(GridConfig)},
     "model": {
         "name": (str, None),
         "a": (float, None),
@@ -168,41 +159,25 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError("missing required key %r in section [%s]" % (key, sec))
         values[sec] = out
 
-    g = values["grid"]
-    grid_config = GridConfig(
-        n_y=g["n_y"], n_z=g["n_z"], y_min=g["y_min"], y_max=g["y_max"],
-        z_min=g["z_min"], z_max=g["z_max"], bc_left=g["bc_left"],
-        bc_right=g["bc_right"], bc_axial_left=g["bc_axial_left"],
-        bc_axial_right=g["bc_axial_right"])
-
     r = values["run"]
     if r["scenario"] not in SCENARIOS:
         raise ConfigError("unknown scenario %r (known: %s)"
                           % (r["scenario"], ", ".join(SCENARIOS)))
-    ini = values["initial"]
-    if ini["family"] not in INITIAL_FAMILIES:
+    ini = dict(values["initial"])
+    family = ini.pop("family")
+    if family not in INITIAL_FAMILIES:
         raise ConfigError("unknown initial family %r (known: %s)"
-                          % (ini["family"], ", ".join(INITIAL_FAMILIES)))
+                          % (family, ", ".join(INITIAL_FAMILIES)))
 
-    model_params = {k: v for k, v in values["model"].items() if k in _MODEL_PARAM_KEYS}
+    model_params = dict(values["model"])
     cfg = ExperimentConfig(
-        grid_config=grid_config,
-        model_name=values["model"]["name"],
+        grid_config=GridConfig(**values["grid"]),
+        model_name=model_params.pop("name"),
         model_params=model_params,
-        scenario=r["scenario"],
-        dt=r["dt"],
-        horizon=r["horizon"],
-        seed=r["seed"],
-        c_seed=r["c_seed"],
-        c_trial=r["c_trial"],
-        plateau_seed=r["plateau_seed"],
-        alpha=r["alpha"],
-        delta=r["delta"],
-        sample_every=r["sample_every"],
-        initial_family=ini["family"],
-        initial_params={k: ini[k] for k in ("amplitude", "steepness", "offset",
-                                            "noise", "separation")},
-        raw={s: {k: v for k, v in d.items()} for s, d in values.items()},
+        initial_family=family,
+        initial_params=ini,
+        raw=values,
+        **r,
     )
     validate_config(cfg)
     return cfg

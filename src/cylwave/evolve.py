@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .grids import (DIRICHLET, CylinderGrid, Field, GridError, apply_boundary,
+from .grids import (CylinderGrid, Field, GridError, apply_boundary,
                     axial_bands, symmetrized_section_operator)
 from .reactions import ReactionModel, eval_f
 from .weighted import WeightedMeasure, weight_values
@@ -100,11 +100,11 @@ class Stepper:
         self.dt = dt
         self.frame_speed = frame_speed
         self.max_clip = 0.0
-        # pinned nodes hold zero, so only the free block is solved; the pinned
-        # axial node is read from the axial tag, since a Dirichlet section
-        # wall pins its row at every axial node
+        # pinned nodes hold zero, so only the free block is solved; the axial
+        # right end is pinned when its whole column is, since a Dirichlet
+        # section wall pins its row at every axial node
         rows, lam, self._to_modes, self._from_modes = _section_modes(grid)
-        n_z = grid.n_z - int(grid.bc_axial_right == DIRICHLET)
+        n_z = grid.n_z - int(grid.dirichlet_mask[:, -1].all())
         self._free = (rows, slice(0, n_z))
         lower, diag, upper = axial_bands(grid, frame_speed)
         d = 1.0 - dt * (diag[:n_z] + lam[:, None])
@@ -137,8 +137,8 @@ class Stepper:
             self.max_clip = max(self.max_clip, viol)
             log.debug("clipped state violation %.3g at t=%.6g", viol, state.t)
             new = np.clip(new, 0.0, 1.0)
-        out = apply_boundary(Field(self.grid, new))
-        return EvolutionState(t=state.t + self.dt, u=out,
+        # only the free block was written, so the pinned nodes hold zero
+        return EvolutionState(t=state.t + self.dt, u=Field(self.grid, new),
                               frame_speed=state.frame_speed,
                               window_shift=state.window_shift)
 

@@ -10,7 +10,7 @@ weighted inner product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -45,35 +45,34 @@ class GridConfig:
 
 
 @dataclass(frozen=True)
-class CylinderGrid:
-    """Immutable tensor grid for the truncated cylinder.
+class CylinderGrid(GridConfig):
+    """Immutable tensor grid for the truncated cylinder, built by ``build_grid``.
 
     ``n_y == 1`` selects pure-1D mode: the cross-section collapses to a point
-    with unit measure and both cross-section tags are Neumann.
+    with unit measure and both cross-section tags are Neumann.  The derived
+    geometry is computed once per grid; its arrays are shared, hence
+    read-only, and stay out of equality and hashing.
     """
 
-    n_y: int
-    n_z: int
-    y_min: float
-    y_max: float
-    z_min: float
-    z_max: float
-    bc_left: str
-    bc_right: str
-    bc_axial_left: str
-    bc_axial_right: str
-    dy: float
-    dz: float
+    @cached_property
+    def dz(self) -> float:
+        return (self.z_max - self.z_min) / (self.n_z - 1)
 
-    @property
+    @cached_property
+    def dy(self) -> float:
+        return 0.0 if self.n_y == 1 else (self.y_max - self.y_min) / (self.n_y - 1)
+
+    @cached_property
     def y(self) -> np.ndarray:
         if self.n_y == 1:
-            return np.array([0.5 * (self.y_min + self.y_max)])
-        return np.linspace(self.y_min, self.y_max, self.n_y)
+            y = np.array([0.5 * (self.y_min + self.y_max)])
+        else:
+            y = np.linspace(self.y_min, self.y_max, self.n_y)
+        y.flags.writeable = False
+        return y
 
     @cached_property
     def z(self) -> np.ndarray:
-        """Axial nodes, built once per grid and shared, hence read-only."""
         z = np.linspace(self.z_min, self.z_max, self.n_z)
         z.flags.writeable = False
         return z
@@ -86,8 +85,10 @@ class CylinderGrid:
     def window_length(self) -> float:
         return self.z_max - self.z_min
 
+    @cached_property
     def dirichlet_mask(self) -> np.ndarray:
-        """Boolean (n_y, n_z) mask of nodes pinned to zero."""
+        """Boolean (n_y, n_z) mask of nodes pinned to zero: the one place the
+        boundary tags decide which nodes are pinned."""
         mask = np.zeros(self.shape, dtype=bool)
         if self.n_y > 1:
             if self.bc_left == DIRICHLET:
@@ -96,6 +97,7 @@ class CylinderGrid:
                 mask[-1, :] = True
         if self.bc_axial_right == DIRICHLET:
             mask[:, -1] = True
+        mask.flags.writeable = False
         return mask
 
     def section_weights(self) -> np.ndarray:
@@ -108,7 +110,7 @@ class CylinderGrid:
 
 
 def build_grid(config: GridConfig) -> CylinderGrid:
-    """Validate a configuration and derive spacings."""
+    """Validate a configuration; the grid derives its own geometry."""
     if config.n_z < 16:
         raise GridError("axial resolution too small: n_z = %d < 16" % config.n_z)
     if config.n_y < 1:
@@ -121,32 +123,15 @@ def build_grid(config: GridConfig) -> CylinderGrid:
     if config.bc_axial_left != NEUMANN:
         raise GridError("axial left end supports only %r, got %r" % (NEUMANN, config.bc_axial_left))
 
-    dz = (config.z_max - config.z_min) / (config.n_z - 1)
     if config.n_y == 1:
         if DIRICHLET in (config.bc_left, config.bc_right):
             raise GridError("pure-1D mode requires Neumann cross-section tags")
-        dy = 0.0
     else:
         if not config.y_min < config.y_max:
             raise GridError("cross-section interval is empty: [%g, %g]" % (config.y_min, config.y_max))
         if config.n_y == 2 and config.bc_left == config.bc_right == DIRICHLET:
             raise GridError("n_y = 2 with two Dirichlet ends leaves no free cross-section node")
-        dy = (config.y_max - config.y_min) / (config.n_y - 1)
-
-    return CylinderGrid(
-        n_y=config.n_y,
-        n_z=config.n_z,
-        y_min=config.y_min,
-        y_max=config.y_max,
-        z_min=config.z_min,
-        z_max=config.z_max,
-        bc_left=config.bc_left,
-        bc_right=config.bc_right,
-        bc_axial_left=config.bc_axial_left,
-        bc_axial_right=config.bc_axial_right,
-        dy=dy,
-        dz=dz,
-    )
+    return CylinderGrid(**asdict(config))
 
 
 @dataclass
@@ -183,12 +168,8 @@ class CrossSectionField:
                             % (self.values.size, self.grid.n_y))
         if not np.all(np.isfinite(self.values)):
             raise GridError("cross-section field contains non-finite entries")
-        # pinned ends hold zero exactly
-        if self.grid.n_y > 1:
-            if self.grid.bc_left == DIRICHLET:
-                self.values[0] = 0.0
-            if self.grid.bc_right == DIRICHLET:
-                self.values[-1] = 0.0
+        # pinned ends hold zero exactly (the axial left end is never pinned)
+        self.values = np.where(self.grid.dirichlet_mask[:, 0], 0.0, self.values)
 
     def copy(self) -> "CrossSectionField":
         return CrossSectionField(self.grid, self.values.copy())
@@ -200,16 +181,7 @@ def apply_boundary(u: Field) -> Field:
     Neumann ends are a stencil convention (mirror reflection inside the
     operator) and leave values untouched.  Idempotent by construction.
     """
-    v = u.values.copy()
-    g = u.grid
-    if g.n_y > 1:
-        if g.bc_left == DIRICHLET:
-            v[0, :] = 0.0
-        if g.bc_right == DIRICHLET:
-            v[-1, :] = 0.0
-    if g.bc_axial_right == DIRICHLET:
-        v[:, -1] = 0.0
-    return Field(g, v)
+    return Field(u.grid, np.where(u.grid.dirichlet_mask, 0.0, u.values))
 
 
 def _axial_flux_coeffs(grid: CylinderGrid, c: float) -> tuple[np.ndarray, float]:
@@ -243,7 +215,7 @@ def axial_bands(grid: CylinderGrid, c: float) -> tuple[np.ndarray, np.ndarray, n
     diag = -(lower + upper)
     lower[0] = 0.0
     diag[0] = -up / dz2  # zero-flux left end: drop the F_{-1/2} contribution
-    if grid.bc_axial_right == DIRICHLET:
+    if grid.dirichlet_mask[:, -1].all():  # the axial right end is pinned
         lower[-1] = diag[-1] = 0.0
     else:
         diag[-1] = -lo / dz2
@@ -268,15 +240,9 @@ def _section_operator(grid: CylinderGrid) -> sp.csr_matrix:
     lower = np.full(n, 1.0 / dy2)
     upper = np.full(n, 1.0 / dy2)
     diag = np.full(n, -2.0 / dy2)
-    lower[0] = upper[-1] = 0.0
-    if grid.bc_left == NEUMANN:
-        upper[0] = 2.0 / dy2  # mirror ghost
-    else:
-        upper[0] = diag[0] = 0.0
-    if grid.bc_right == NEUMANN:
-        lower[-1] = 2.0 / dy2
-    else:
-        lower[-1] = diag[-1] = 0.0
+    upper[0] = lower[-1] = 2.0 / dy2  # mirror ghosts
+    pinned = grid.dirichlet_mask[:, 0]
+    lower[pinned] = diag[pinned] = upper[pinned] = 0.0
     return sp.diags([lower[1:], diag, upper[:-1]], offsets=[-1, 0, 1], format="csr")
 
 
@@ -286,7 +252,7 @@ def symmetrized_section_operator(grid: CylinderGrid) -> tuple[slice, np.ndarray,
     them.  The weights make ``S`` symmetric (the Neumann mirror rows included)
     up to rounding; Dirichlet rows hold zero and drop out.
     """
-    pinned = grid.dirichlet_mask()[:, 0]  # the axial left end is never pinned
+    pinned = grid.dirichlet_mask[:, 0]  # the axial left end is never pinned
     rows = slice(int(pinned[0]), grid.n_y - int(pinned[-1]))
     w = np.sqrt(grid.section_weights()[rows])
     Ay = _section_operator(grid).toarray()[rows, rows]
@@ -309,7 +275,7 @@ def transport_operator(grid: CylinderGrid, c: float) -> sp.csr_matrix:
     if grid.n_y > 1:
         A = sp.kron(sp.identity(grid.n_y, format="csr"), A, format="csr") + sp.kron(
             _section_operator(grid), sp.identity(grid.n_z, format="csr"), format="csr")
-    mask = grid.dirichlet_mask().ravel()
+    mask = grid.dirichlet_mask.ravel()
     if mask.any():
         A = sp.diags((~mask).astype(float)) @ A
     return A.tocsr()

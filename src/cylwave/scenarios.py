@@ -12,22 +12,21 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, output_digits
 from .evolve import compare_evolutions
-from .grids import CylinderGrid, Field, apply_boundary
+from .grids import CrossSectionField, CylinderGrid, Field, apply_boundary, build_grid
 from .reactions import ReactionModel, check_hypotheses
 from .sections import (CriticalPoint, check_speed_admissible, find_critical_point,
                        principal_eigenpair)
-from .grids import CrossSectionField
 from .tracking import (fit_decay, fit_position_tail, fit_rate,
                        trace_to_csv, track)
-from .waves import (WaveSolution, front_seed, save_solution, secondary_speed,
-                    solve_wave, spectral_gap, translation_profile)
+from .waves import (WaveSolution, front_seed, refine_solution, save_solution,
+                    secondary_speed, solve_wave, spectral_gap, translation_profile)
 from .weighted import translate, weighted_norm_l2
 
 
@@ -111,14 +110,13 @@ def read_manifest(path) -> dict:
 # initial data families
 
 
-def build_initial(cfg: ExperimentConfig, grid: CylinderGrid, ws: WaveSolution | None,
+def build_initial(cfg: ExperimentConfig, grid: CylinderGrid,
                   plateau: CrossSectionField | None) -> Field:
     """Construct the configured initial datum (single-field families)."""
     p = cfg.initial_params
     rng = np.random.default_rng(cfg.seed)
-    plat = plateau.values if plateau is not None else np.ones(grid.n_y)
-    prof = 0.5 * (1.0 - np.tanh(p["steepness"] * (grid.z - p["offset"])))
-    vals = p["amplitude"] * plat[:, None] * prof[None, :]
+    plat = plateau.values if plateau is not None else 1.0
+    vals = front_seed(grid, p["amplitude"] * plat, p["offset"], p["steepness"]).values
     if cfg.initial_family == "plateau_noise" and p["noise"] > 0:
         vals = vals + p["noise"] * rng.uniform(-1.0, 1.0, size=vals.shape)
     vals = np.clip(vals, 0.0, 1.0)
@@ -143,15 +141,13 @@ def _plateau_state(model: ReactionModel, grid: CylinderGrid,
     Dirichlet sections get a wall-tapered seed at the requested level;
     Neumann sections a constant one.
     """
-    vals = np.full(grid.n_y, level)
-    if grid.n_y > 1:
-        from .grids import DIRICHLET
-        dist = np.full(grid.n_y, np.inf)
-        if grid.bc_left == DIRICHLET:
-            dist = np.minimum(dist, grid.y - grid.y_min)
-        if grid.bc_right == DIRICHLET:
-            dist = np.minimum(dist, grid.y_max - grid.y)
-        vals = level * np.minimum(1.0, dist / 2.0)
+    pinned = grid.dirichlet_mask[:, 0]  # the axial left end is never pinned
+    dist = np.full(grid.n_y, np.inf)
+    if pinned[0]:
+        dist = np.minimum(dist, grid.y - grid.y_min)
+    if pinned[-1]:
+        dist = np.minimum(dist, grid.y_max - grid.y)
+    vals = level * np.minimum(1.0, dist / 2.0)
     return find_critical_point(model, grid, CrossSectionField(grid, vals))
 
 
@@ -216,7 +212,7 @@ def _run_wave(cfg, out_dir, manifest):
 def _run_converge(cfg, out_dir, manifest):
     grid, model = cfg.make_grid(), cfg.make_model()
     plateau, ws = _solve_configured_wave(cfg, grid, model)
-    u0 = build_initial(cfg, grid, ws, plateau.v)
+    u0 = build_initial(cfg, grid, plateau.v)
 
     # left-plateau admissibility of the datum: min over the left edge >= v - alpha
     left = u0.values[:, grid.z <= grid.z_min + 5.0]
@@ -289,18 +285,11 @@ def _run_converge(cfg, out_dir, manifest):
 
 
 def _run_gap(cfg, out_dir, manifest):
-    from .grids import GridConfig, build_grid
-    from .waves import refine_solution
-
     grid, model = cfg.make_grid(), cfg.make_model()
     plateau, ws = _solve_configured_wave(cfg, grid, model)
     gap = spectral_gap(ws, model)
-    fine_grid = build_grid(GridConfig(
-        n_y=grid.n_y if grid.n_y == 1 else 2 * grid.n_y - 1,
-        n_z=2 * grid.n_z - 1, y_min=grid.y_min, y_max=grid.y_max,
-        z_min=grid.z_min, z_max=grid.z_max, bc_left=grid.bc_left,
-        bc_right=grid.bc_right, bc_axial_left=grid.bc_axial_left,
-        bc_axial_right=grid.bc_axial_right))
+    n_y = grid.n_y if grid.n_y == 1 else 2 * grid.n_y - 1
+    fine_grid = build_grid(replace(cfg.grid_config, n_y=n_y, n_z=2 * grid.n_z - 1))
     gap_fine = spectral_gap(refine_solution(ws, fine_grid, model), model)
     drift = abs(gap.gap - gap_fine.gap) / abs(gap_fine.gap)
     manifest.results.update({
@@ -321,9 +310,8 @@ def _run_gap(cfg, out_dir, manifest):
 
 def _run_secondary(cfg, out_dir, manifest):
     grid, model = cfg.make_grid(), cfg.make_model()
-    plateau = _plateau_state(model, grid, cfg.plateau_seed)
+    plateau, ws = _solve_configured_wave(cfg, grid, model)
     manifest.results["plateau_max"] = float(np.max(plateau.v.values))
-    ws = solve_wave(model, grid, front_seed(grid, plateau.v), cfg.c_seed, dt=cfg.dt)
     manifest.results["speed"] = ws.speed
     sec = secondary_speed(model, grid, plateau, c_seed=cfg.c_seed, dt=cfg.dt)
     if not sec.applicable:
@@ -341,7 +329,7 @@ def _run_secondary(cfg, out_dir, manifest):
 def _run_comparison(cfg, out_dir, manifest):
     grid, model = cfg.make_grid(), cfg.make_model()
     plateau, ws = _solve_configured_wave(cfg, grid, model)
-    u0 = build_initial(cfg, grid, ws, plateau.v)
+    u0 = build_initial(cfg, grid, plateau.v)
     lo, hi = sandwich_pair(u0, ws, cfg.initial_params["separation"])
     rep = compare_evolutions([lo, u0, hi], model, cfg.horizon, cfg.dt, ws.speed)
     manifest.results["max_ordering_violation"] = rep.max_violation

@@ -91,7 +91,7 @@ class CriticalPoint:
 def _section_residual(model, grid, v):
     """Strong-form residual v'' + f(v, y) with the grid's end conventions."""
     r = _section_operator(grid) @ v + np.asarray(model.f(v, grid.y), dtype=float)
-    r[grid.dirichlet_mask()[:, 0]] = 0.0
+    r[grid.dirichlet_mask[:, 0]] = 0.0
     return r
 
 
@@ -111,7 +111,7 @@ def find_critical_point(model: ReactionModel, grid: CylinderGrid,
     the linearization at the solution (principal_eigenpair).
     """
     y = grid.y
-    pinned = grid.dirichlet_mask()[:, 0]
+    pinned = grid.dirichlet_mask[:, 0]
     A = _section_operator(grid).toarray()
     v = seed.values.copy()
     nontrivial_seed = float(np.max(np.abs(v))) > 1e-8

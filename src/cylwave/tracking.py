@@ -163,8 +163,8 @@ def locate_front(u: Field, ws: WaveSolution, R_seed: float = 0.0,
                       capped=bool(abs(h1) > stop))
 
 
-def _find_bracket(deriv, R0, limit, width0=0.5):
-    width = width0
+def _find_bracket(deriv, R0, limit):
+    width = 0.5
     while width <= 2 * limit:
         lo = max(R0 - width, -limit)
         hi = min(R0 + width, limit)

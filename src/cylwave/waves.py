@@ -14,7 +14,7 @@ factorizations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -23,9 +23,9 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import solve_banded
 
 from .evolve import EvolutionState, Stepper, dt_max, flow_weights
-from .grids import (CrossSectionField, CylinderGrid, Field, WINDOW_MARGIN,
+from .grids import (CrossSectionField, CylinderGrid, Field, GridConfig, WINDOW_MARGIN,
                     _axial_operator, apply_boundary, axial_bands,
-                    axial_derivative, transport_operator)
+                    axial_derivative, build_grid, transport_operator)
 from .reactions import ReactionModel, ShiftedModel, eval_f, eval_f_u
 from .sections import CriticalPoint, SectionSolverError, find_critical_point
 from .weighted import (WeightedMeasure, hermite, pchip_slopes, shifted_hermite,
@@ -33,6 +33,10 @@ from .weighted import (WeightedMeasure, hermite, pchip_slopes, shifted_hermite,
 
 NEWTON_TOL = 1e-11
 RESIDUAL_LIMIT = 1e-8
+# freezing steps before the front counts as failed to freeze
+FREEZE_MAX_STEPS = 40000
+# inverse-iteration steps before the spectral gap counts as not converged
+EIGEN_MAX_ITER = 1000
 
 
 class WaveSolverError(RuntimeError):
@@ -113,13 +117,13 @@ def front_seed(grid: CylinderGrid, plateau, offset: float = 0.0,
     return apply_boundary(Field(grid, plat[:, None] * prof[None, :]))
 
 
-def front_position(u: Field, level_frac: float = 0.5) -> float:
-    """Axial coordinate where the cross-section sup crosses level_frac of its max."""
+def front_position(u: Field) -> float:
+    """Axial coordinate where the cross-section sup crosses half its max."""
     s = np.max(np.abs(u.values), axis=0)
     smax = float(s.max())
     if smax <= 0.0:
         raise SeedBasinError("state vanished; no front to locate")
-    level = level_frac * smax
+    level = 0.5 * smax
     below = np.nonzero(s < level)[0]
     if below.size == 0:
         raise SeedBasinError("state has no decaying edge inside the window")
@@ -159,19 +163,19 @@ def _rewindow(state: EvolutionState, pos: float) -> tuple[EvolutionState, bool]:
 
 
 def freeze_frame(model: ReactionModel, grid: CylinderGrid, seed: Field,
-                 c_seed: float, dt: float | None = None, tol: float | None = None,
-                 max_steps: int = 40000, gain: float = 0.5) -> tuple[float, Field, int]:
+                 c_seed: float, dt: float | None = None,
+                 gain: float = 0.5) -> tuple[float, Field, int]:
     """Phase 1: adapt the frame speed until the tracked front stops drifting.
 
     The speed relaxes by ``c += gain * drift`` with the gain halved whenever
-    the drift changes sign.  Returns (speed, frozen state, steps used).
+    the drift changes sign.  Returns (speed, frozen state, steps used);
+    ``FREEZE_MAX_STEPS`` steps without freezing raise.
     """
     if dt is None:
         dt = 0.4 * dt_max(model, grid)
-    if tol is None:
-        # on 2D grids the Newton phase (speed included among its unknowns)
-        # carries the final tolerance; freezing only has to reach its basin
-        tol = 1e-8 if grid.n_y == 1 else 1e-5
+    # on 2D grids the Newton phase (speed included among its unknowns)
+    # carries the final tolerance; freezing only has to reach its basin
+    tol = 1e-8 if grid.n_y == 1 else 1e-5
     c = max(float(c_seed), 1e-6)
     kappa = gain
     stepper = Stepper(model, grid, dt, c)
@@ -180,7 +184,7 @@ def freeze_frame(model: ReactionModel, grid: CylinderGrid, seed: Field,
     pos_prev = front_position(state.u)
     drift_prev = None
     pending = 0.0
-    for k in range(1, max_steps + 1):
+    for k in range(1, FREEZE_MAX_STEPS + 1):
         state = stepper.step(state)
         smax = float(np.max(state.u.values))
         if smax < 0.25 * plateau0:
@@ -205,13 +209,13 @@ def freeze_frame(model: ReactionModel, grid: CylinderGrid, seed: Field,
             state = replace(state, frame_speed=c)
             stepper = Stepper(model, grid, dt, c)
     raise WaveSolverError("front failed to freeze in %d steps (last drift %.3g)"
-                          % (max_steps, drift))
+                          % (FREEZE_MAX_STEPS, drift))
 
 
 def _wave_residual(model, grid, values, c):
     A = transport_operator(grid, c)
     r = (A @ values.ravel()).reshape(grid.shape) + eval_f(model, Field(grid, values)).values
-    r[grid.dirichlet_mask()] = 0.0
+    r[grid.dirichlet_mask] = 0.0
     return r
 
 
@@ -246,7 +250,7 @@ def _newton_polish(model, grid, values, c, ref_values, max_iter=40,
     """
     if work is None:
         work = _NewtonWork()
-    pinned = grid.dirichlet_mask().ravel()
+    pinned = grid.dirichlet_mask.ravel()
     ref_dz = axial_derivative(ref_values, grid).ravel()
     ref_dz[pinned] = 0.0
     w = flow_weights(grid, WeightedMeasure(max(c, 1e-6), z_ref=0.0)).ravel()
@@ -398,12 +402,9 @@ def _centered_solution(model: ReactionModel, grid: CylinderGrid, values: np.ndar
 
 
 def solve_wave(model: ReactionModel, grid: CylinderGrid, seed: Field,
-               c_seed: float, dt: float | None = None,
-               freeze_tol: float | None = None,
-               max_freeze_steps: int = 40000) -> WaveSolution:
+               c_seed: float, dt: float | None = None) -> WaveSolution:
     """Compute the selected speed and the centered minimizing profile."""
-    c1, frozen, _ = freeze_frame(model, grid, seed, c_seed, dt=dt,
-                                 tol=freeze_tol, max_steps=max_freeze_steps)
+    c1, frozen, _ = freeze_frame(model, grid, seed, c_seed, dt=dt)
     ws = _centered_solution(model, grid, frozen.values, c1)
     if not ws.monotone:
         raise WaveSolverError("computed profile is not monotone along the axis")
@@ -452,8 +453,7 @@ class GapResult:
     iterations: int
 
 
-def _inverse_iteration(Asym: sp.spmatrix, shift: float, deflate: np.ndarray | None,
-                       max_iter: int = 1000):
+def _inverse_iteration(Asym: sp.spmatrix, shift: float, deflate: np.ndarray | None):
     """Shifted inverse power iteration with optional rank-one deflation.
 
     Deflation shifts the unwanted direction up the spectrum (A + beta phi
@@ -491,7 +491,7 @@ def _inverse_iteration(Asym: sp.spmatrix, shift: float, deflate: np.ndarray | No
     x /= np.linalg.norm(x)
     res = np.inf
     theta = float(x @ apply(x))
-    for it in range(1, max_iter + 1):
+    for it in range(1, EIGEN_MAX_ITER + 1):
         x = solve(lu, t, x)
         x /= np.linalg.norm(x)
         ax = apply(x)
@@ -524,7 +524,7 @@ def spectral_gap(ws: WaveSolution, model: ReactionModel) -> GapResult:
     against the profile's axial derivative (weighted Gram-Schmidt).
     """
     grid = ws.grid
-    free = ~grid.dirichlet_mask().ravel()
+    free = ~grid.dirichlet_mask.ravel()
     A = transport_operator(grid, ws.speed)
     fu = eval_f_u(model, ws.profile).values.ravel()
     w = flow_weights(grid, ws.measure(z_ref=0.0)).ravel()
@@ -572,8 +572,7 @@ class SecondaryResult:
 
 
 def secondary_speed(model: ReactionModel, grid: CylinderGrid, v: CriticalPoint,
-                    c_seed: float = 0.05, dt: float | None = None,
-                    max_freeze_steps: int = 40000) -> SecondaryResult:
+                    c_seed: float = 0.05, dt: float | None = None) -> SecondaryResult:
     """Selected speed of a front invading the plateau v from above.
 
     Works on the shifted unknown h = u - v with the shifted reaction; returns
@@ -603,8 +602,7 @@ def secondary_speed(model: ReactionModel, grid: CylinderGrid, v: CriticalPoint,
                            y_nodes=tuple(grid.y))
     upper = CrossSectionField(grid, np.maximum(h_star, 0.0))
     try:
-        ws = solve_wave(shifted, grid, front_seed(grid, upper), c_seed,
-                        dt=dt, max_freeze_steps=max_freeze_steps)
+        ws = solve_wave(shifted, grid, front_seed(grid, upper), c_seed, dt=dt)
     except (WaveSolverError, SectionSolverError) as exc:
         return SecondaryResult(False, "not applicable: secondary wave solve failed (%s)" % exc)
     return SecondaryResult(True, "secondary wave found", speed=ws.speed,
@@ -676,12 +674,10 @@ def save_solution(ws: WaveSolution, path) -> None:
     lines.append("residual = %.17g" % ws.residual)
     lines.append("normalization_shift = %.17g" % ws.normalization_shift)
     lines.append("monotone = %s" % ("true" if ws.monotone else "false"))
-    lines.append("n_y = %d" % g.n_y)
-    lines.append("n_z = %d" % g.n_z)
-    for k in ("y_min", "y_max", "z_min", "z_max"):
-        lines.append("%s = %.17g" % (k, getattr(g, k)))
-    for k in ("bc_left", "bc_right", "bc_axial_left", "bc_axial_right"):
-        lines.append("%s = %s" % (k, getattr(g, k)))
+    for f in fields(GridConfig):
+        value = getattr(g, f.name)
+        text = "%.17g" % value if isinstance(f.default, float) else str(value)
+        lines.append("%s = %s" % (f.name, text))
     lines.append("plateau = " + " ".join("%.17g" % x for x in ws.plateau.values))
     lines.append("values:")
     for row in ws.profile.values:
@@ -691,8 +687,6 @@ def save_solution(ws: WaveSolution, path) -> None:
 
 
 def load_solution(path) -> WaveSolution:
-    from .grids import GridConfig, build_grid
-
     head: dict[str, str] = {}
     rows: list[np.ndarray] = []
     in_values = False
@@ -709,12 +703,8 @@ def load_solution(path) -> WaveSolution:
             else:
                 k, _, val = line.partition("=")
                 head[k.strip()] = val.strip()
-    grid = build_grid(GridConfig(
-        n_y=int(head["n_y"]), n_z=int(head["n_z"]),
-        y_min=float(head["y_min"]), y_max=float(head["y_max"]),
-        z_min=float(head["z_min"]), z_max=float(head["z_max"]),
-        bc_left=head["bc_left"], bc_right=head["bc_right"],
-        bc_axial_left=head["bc_axial_left"], bc_axial_right=head["bc_axial_right"]))
+    grid = build_grid(GridConfig(**{f.name: type(f.default)(head[f.name])
+                                    for f in fields(GridConfig)}))
     values = np.vstack(rows)
     profile = Field(grid, values)
     return WaveSolution(

@@ -67,6 +67,21 @@ class TestBuildGrid:
         fresh = grid_1d()
         assert g == fresh and hash(g) == hash(fresh)
 
+    def test_section_nodes_and_pinned_mask_built_once_and_read_only(self):
+        g = grid_2d(n_y=5, bc=DIRICHLET)
+        assert g.y is g.y and g.dirichlet_mask is g.dirichlet_mask
+        np.testing.assert_array_equal(g.y, np.linspace(0.0, 1.0, 5))
+        assert g.dirichlet_mask[[0, -1]].all() and not g.dirichlet_mask[1:-1].any()
+        with pytest.raises(ValueError):
+            g.y[0] = 1.0
+        with pytest.raises(ValueError):
+            g.dirichlet_mask[2, 0] = True
+        # a field built from the shared nodes zeroes its pinned ends in a copy
+        v = CrossSectionField(g, g.y)
+        assert v.values[0] == v.values[-1] == 0.0 and g.y[-1] == 1.0
+        fresh = grid_2d(n_y=5, bc=DIRICHLET)
+        assert g == fresh and hash(g) == hash(fresh)
+
 
 class TestFields:
     def test_shape_mismatch(self):

@@ -5,9 +5,11 @@ import os
 import numpy as np
 import pytest
 
+from cylwave import scenarios
 from cylwave.cli import main
 from cylwave.config import parse_config
 from cylwave.scenarios import read_manifest, run_scenario
+from cylwave.waves import refine_solution
 
 FAST_CONVERGE = """
 [grid]
@@ -60,6 +62,25 @@ a = 0.25
 
 [run]
 scenario = secondary_speed
+dt = 0.1
+c_seed = 0.2
+"""
+
+# a small Neumann cylinder: the refined grid doubles both directions
+GAP_CYLINDER = """
+[grid]
+n_y = 5
+n_z = 161
+z_min = -24.0
+z_max = 12.0
+
+[model]
+name = cubic_y
+a0 = 0.25
+a1 = 0.1
+
+[run]
+scenario = gap
 dt = 0.1
 c_seed = 0.2
 """
@@ -137,6 +158,28 @@ class TestSecondaryWaiver:
         parsed = read_manifest(tmp_path / "manifest.txt")
         assert "not applicable" in parsed["run"]["note"]
         assert parsed["results"]["secondary_speed"] == "nan"
+
+
+class TestGapScenario:
+    def test_cylinder_refines_both_directions(self, tmp_path, monkeypatch):
+        refined = []
+
+        def spy(ws, grid, model):
+            refined.append(grid)
+            return refine_solution(ws, grid, model)
+
+        monkeypatch.setattr(scenarios, "refine_solution", spy)
+        cfg = parse_config(GAP_CYLINDER)
+        manifest = run_scenario(cfg, str(tmp_path))
+        assert [(n, ok) for n, ok, _ in manifest.assertions] == [
+            ("zero_mode_small", True), ("zero_mode_aligned", True), ("gap_positive", True),
+            ("gap_refinement_stable", True), ("constraint_orthogonal", True)]
+        [fine] = refined
+        assert fine.shape == (9, 321)
+        coarse = cfg.make_grid()
+        assert (fine.y_min, fine.y_max, fine.z_min, fine.z_max) == (
+            coarse.y_min, coarse.y_max, coarse.z_min, coarse.z_max)
+        assert fine.dy == coarse.dy / 2 and fine.dz == coarse.dz / 2
 
 
 class TestCli:

@@ -110,7 +110,7 @@ class TestSolveWave:
             A = transport_operator(g, ws.speed)
             fu = eval_f_u(model, ws.profile).values.ravel()
             img = (A @ ws.profile_dz.ravel() + fu * ws.profile_dz.ravel())
-            img[g.dirichlet_mask().ravel()] = 0.0
+            img[g.dirichlet_mask.ravel()] = 0.0
             m = ws.measure(0.0)
             return (weighted_norm_l2(Field(g, img.reshape(g.shape)), m)
                     / weighted_norm_l2(Field(g, ws.profile_dz), m))
@@ -184,7 +184,7 @@ class TestSpectralGap:
         model = CubicBistable(a=0.25)
         g = wave_grid(n_z=401)
         ws = solve_wave(model, g, front_seed(g, 1.0), 0.2)
-        free = ~g.dirichlet_mask().ravel()
+        free = ~g.dirichlet_mask.ravel()
         A = transport_operator(g, ws.speed)
         fu = eval_f_u(model, ws.profile).values.ravel()
         w = flow_weights(g, ws.measure(0.0)).ravel()
@@ -351,6 +351,44 @@ class TestSerialization:
         assert np.array_equal(back.plateau.values, ws.plateau.values)
         assert back.grid == ws.grid
         assert back.monotone == ws.monotone
+
+    def test_round_trip_2d_dirichlet_section(self, tmp_path):
+        g = build_grid(GridConfig(n_y=5, n_z=40, y_min=-0.3, y_max=2.7, z_min=-12.5,
+                                  z_max=7.25, bc_left="dirichlet", bc_right="dirichlet",
+                                  bc_axial_right="neumann"))
+        plateau = CrossSectionField(g, np.sin(np.pi * (g.y - g.y_min) / 3.0))
+        profile = front_seed(g, plateau, steepness=0.7)
+        ws = waves.WaveSolution(grid=g, speed=0.3, profile=profile,
+                                profile_dz=np.gradient(profile.values, g.dz, axis=1),
+                                residual=1e-12, normalization_shift=-0.1,
+                                plateau=plateau, monotone=True)
+        path = tmp_path / "wave.txt"
+        save_solution(ws, path)
+        header = path.read_text().splitlines()[:15]
+        assert header == [
+            "# cylwave wave solution v1",
+            "speed = 0.29999999999999999",
+            "residual = 9.9999999999999998e-13",
+            "normalization_shift = -0.10000000000000001",
+            "monotone = true",
+            "n_y = 5",
+            "n_z = 40",
+            "y_min = -0.29999999999999999",
+            "y_max = 2.7000000000000002",
+            "z_min = -12.5",
+            "z_max = 7.25",
+            "bc_left = dirichlet",
+            "bc_right = dirichlet",
+            "bc_axial_left = neumann",
+            "bc_axial_right = neumann",
+        ]
+        back = load_solution(path)
+        assert back.grid == g
+        assert (back.speed, back.residual, back.normalization_shift) == (0.3, 1e-12, -0.1)
+        assert np.array_equal(back.profile.values, profile.values)
+        assert np.array_equal(back.plateau.values, plateau.values)
+        assert back.profile.values[[0, -1]].max() == 0.0
+        assert back.profile.values[1:-1, -1].min() > 0.0  # the axial end is free
 
 
 class TestFrontPosition:
