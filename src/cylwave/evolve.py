@@ -24,7 +24,7 @@ from scipy.linalg import eigh
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .grids import (CylinderGrid, Field, GridError, apply_boundary,
-                    axial_bands, symmetrized_section_operator)
+                    axial_bands, fitting_factor, symmetrized_section_operator)
 from .reactions import ReactionModel, eval_f
 from .weighted import WeightedMeasure, weight_values
 
@@ -128,9 +128,10 @@ class Stepper:
         x, _ = dgttrs(*self._lu, modes.reshape(-1, 1), overwrite_b=True)
         new = np.zeros(self.grid.shape)
         new[self._free] = self._from_modes @ x.reshape(modes.shape)
-        if not np.all(np.isfinite(new)):
+        lo, hi = float(new.min()), float(new.max())  # NaN and inf reach these
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise EvolutionError("non-finite state after implicit solve")
-        viol = max(float(-(new.min())), float(new.max() - 1.0), 0.0)
+        viol = max(-lo, hi - 1.0, 0.0)
         if viol > CLIP_FAIL:
             raise EvolutionError("state left [0,1] by %.3g (> %g)" % (viol, CLIP_FAIL))
         if viol > 0.0:
@@ -159,8 +160,7 @@ def weighted_energy(u: Field, model: ReactionModel, m: WeightedMeasure) -> float
     wy = g.section_weights()
     vals = u.values
 
-    a = 0.5 * m.c * g.dz
-    kappa = 1.0 if abs(a) < 1e-12 else float(a / np.sinh(a))
+    kappa = fitting_factor(g, m.c)
     wz_mid = kappa * np.sqrt(wexp[:-1] * wexp[1:])  # e^{c(z_{j+1/2}-ref)}, fitted
     dz_sq = (np.diff(vals, axis=1) / g.dz) ** 2
     total = 0.5 * np.sum(wy[:, None] * wz_mid[None, :] * dz_sq) * g.dz

@@ -184,32 +184,27 @@ def apply_boundary(u: Field) -> Field:
     return Field(u.grid, np.where(u.grid.dirichlet_mask, 0.0, u.values))
 
 
-def _axial_flux_coeffs(grid: CylinderGrid, c: float) -> tuple[np.ndarray, float]:
-    """Flux coefficients F_{j+1/2} (relative to e^{c z_j}) for d2/dz2 + c d/dz.
-
-    Returns the n_z-1 ratios F_{j+1/2}/W_j and W_{j+1}/W_j so that the row of
-    node j reads [F_{j-1/2} u_{j-1} - (F_{j-1/2}+F_{j+1/2}) u_j + F_{j+1/2} u_{j+1}]
-    / (dz^2 W_j).
-    """
-    dz = grid.dz
-    a = 0.5 * c * dz
-    if abs(a) < 1e-12:
-        kappa = 1.0
-    else:
-        kappa = a / np.sinh(a)
-    # F_{j+1/2}/W_j = kappa*e^{a};  F_{j+1/2}/W_{j+1} = kappa*e^{-a}
-    return kappa * np.exp(a), kappa * np.exp(-a)
+def fitting_factor(grid: CylinderGrid, c: float) -> float:
+    """``kappa = a / sinh(a)``, ``a = c dz / 2``: the one copy, shared by the axial
+    fluxes and ``weighted_energy`` so that the step descends the energy."""
+    a = 0.5 * c * grid.dz
+    return 1.0 if abs(a) < 1e-12 else float(a / np.sinh(a))
 
 
 def axial_bands(grid: CylinderGrid, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lower, diag, upper) diagonals of the axial operator with BC patches.
 
+    In flux form the row of node j reads [F_{j-1/2} u_{j-1} - (F_{j-1/2} +
+    F_{j+1/2}) u_j + F_{j+1/2} u_{j+1}] / (dz^2 W_j), with W_j = e^{c z_j}.
     ``lower[j]`` couples node j to j-1, ``upper[j]`` to j+1; pinned rows come
     out as zero rows.
     """
     n = grid.n_z
     dz2 = grid.dz ** 2
-    up, lo = _axial_flux_coeffs(grid, c)  # F/W of left node, F/W of right node
+    a = 0.5 * c * grid.dz
+    kappa = fitting_factor(grid, c)
+    # F_{j+1/2}/W_j = kappa e^{a} (left node);  F_{j+1/2}/W_{j+1} = kappa e^{-a}
+    up, lo = kappa * np.exp(a), kappa * np.exp(-a)
     lower = np.full(n, lo / dz2)
     upper = np.full(n, up / dz2)
     diag = -(lower + upper)
@@ -221,11 +216,6 @@ def axial_bands(grid: CylinderGrid, c: float) -> tuple[np.ndarray, np.ndarray, n
         diag[-1] = -lo / dz2
     upper[-1] = 0.0
     return lower, diag, upper
-
-
-def _axial_operator(grid: CylinderGrid, c: float) -> sp.csr_matrix:
-    lower, diag, upper = axial_bands(grid, c)
-    return sp.diags([lower[1:], diag, upper[:-1]], offsets=[-1, 0, 1], format="csr")
 
 
 @lru_cache(maxsize=16)
@@ -259,19 +249,15 @@ def symmetrized_section_operator(grid: CylinderGrid) -> tuple[slice, np.ndarray,
     return rows, w, w[:, None] * Ay / w[None, :]
 
 
-@lru_cache(maxsize=1)
 def transport_operator(grid: CylinderGrid, c: float) -> sp.csr_matrix:
     """Sparse discrete ``Delta + c d/dz`` with the grid's boundary conventions.
 
     Rows at Dirichlet-pinned nodes are zero (the operator maps pinned values
     to zero, matching apply_boundary).  Acts on row-major raveled fields.
-    Cached per (grid, c); callers must not modify the result.
+    Assembled afresh, for factoring; products use ``_apply_transport``.
     """
-    # the Newton polish factors at the speed of the residual it just
-    # evaluated, dG/dc differences only the axial operator, and nearly every
-    # other call comes at a new trial speed, so one entry keeps nearly every
-    # hit a larger cache would; each 2D operator is megabytes
-    A = _axial_operator(grid, c)
+    lower, diag, upper = axial_bands(grid, c)
+    A = sp.diags([lower[1:], diag, upper[:-1]], offsets=[-1, 0, 1], format="csr")
     if grid.n_y > 1:
         A = sp.kron(sp.identity(grid.n_y, format="csr"), A, format="csr") + sp.kron(
             _section_operator(grid), sp.identity(grid.n_z, format="csr"), format="csr")
@@ -281,12 +267,24 @@ def transport_operator(grid: CylinderGrid, c: float) -> sp.csr_matrix:
     return A.tocsr()
 
 
+def _apply_transport(grid: CylinderGrid, values: np.ndarray, c: float) -> np.ndarray:
+    """``transport_operator(grid, c) @ values`` from the axial bands (rows) and
+    ``_section_operator`` (columns), assembling nothing; any ``c`` is taken."""
+    lower, diag, upper = axial_bands(grid, c)
+    out = diag * values
+    out[:, 1:] += lower[1:] * values[:, :-1]
+    out[:, :-1] += upper[:-1] * values[:, 1:]
+    if grid.n_y > 1:
+        out += _section_operator(grid) @ values
+    out[grid.dirichlet_mask] = 0.0
+    return out
+
+
 def laplacian_advection(u: Field, c: float) -> Field:
-    """Second-order discrete ``Delta u + c u_z`` (interior); zero at pinned nodes."""
+    """Second-order discrete ``Delta u + c u_z``, matrix-free; zero at pinned nodes."""
     if c < 0:
         raise GridError("frame speed must be >= 0, got %g" % c)
-    A = transport_operator(u.grid, c)
-    return Field(u.grid, (A @ u.values.ravel()).reshape(u.grid.shape))
+    return Field(u.grid, _apply_transport(u.grid, u.values, c))
 
 
 def axial_derivative(values: np.ndarray, grid: CylinderGrid) -> np.ndarray:

@@ -8,7 +8,7 @@ two-step ("stacked") quintic with an intermediate stable state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -235,24 +235,24 @@ class ShiftedModel(ReactionModel):
         return float(np.max(np.abs(self.base.f_u(u_eff, grid.y[None, :]))))
 
 
-_BUILTINS = {
-    "cubic": lambda p: CubicBistable(a=p.get("a", 0.25)),
-    "cubic_y": lambda p: HeterogeneousCubic(
-        a0=p.get("a0", 0.25), a1=p.get("a1", 0.1),
-        y_min=p.get("y_min", 0.0), y_max=p.get("y_max", 1.0)),
-    "stacked": lambda p: StackedBistable(
-        a1=p.get("a1", 0.05), a2=p.get("a2", 0.5), a3=p.get("a3", 0.8),
-        scale=p.get("scale", 1.0)),
-    "linear": lambda p: LinearModel(mu=p.get("mu", 0.0)),
-}
+_BUILTINS = {cls.label: cls for cls in
+             (CubicBistable, HeterogeneousCubic, StackedBistable, LinearModel)}
 
 
 def make_model(name: str, params: dict | None = None) -> ReactionModel:
+    """Built-in model ``name`` with ``params`` over its defaults; a parameter
+    the model does not take is an error."""
     try:
-        factory = _BUILTINS[name]
+        cls = _BUILTINS[name]
     except KeyError:
         raise ReactionError("unknown model %r (known: %s)" % (name, ", ".join(sorted(_BUILTINS))))
-    return factory(params or {})
+    params = params or {}
+    taken = {f.name for f in fields(cls)} - {"label"}
+    unknown = sorted(set(params) - taken)
+    if unknown:
+        raise ReactionError("model %r does not take %s (takes: %s)"
+                            % (name, ", ".join(unknown), ", ".join(sorted(taken))))
+    return cls(**params)
 
 
 @dataclass

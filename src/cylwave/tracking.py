@@ -31,7 +31,7 @@ class TrackerError(RuntimeError):
 
 
 class ConvexityError(TrackerError):
-    """Candidate translation lies outside the convexity regime (h'' <= 0)."""
+    """Candidate translation lies outside the convexity regime (h'' <= c stop)."""
 
 
 class BracketError(TrackerError):
@@ -109,8 +109,9 @@ def locate_front(u: Field, ws: WaveSolution, R_seed: float = 0.0,
     An iterate where neither holds after ``max_iter`` Newton or bisection
     steps is returned with ``capped`` set, so the caller can count it.
     ``u_z`` may carry ``axial_derivative(u.values, u.grid)`` precomputed.
-    Raises ConvexityError when the curvature at the result is non-positive
-    and BracketError when no sign change exists in range.
+    Raises ConvexityError when the curvature at the result is not above the
+    rounding ``c stop`` that the stopping test leaves in it, and BracketError
+    when no sign change exists in range.
     """
     tpl = ws.template
     limit = tpl.max_shift - 2 * ws.grid.dz
@@ -156,8 +157,10 @@ def locate_front(u: Field, ws: WaveSolution, R_seed: float = 0.0,
             R_new = 0.5 * (bracket[0] + bracket[1])
         R = float(R_new)
         h1, h2 = deriv(R)
-    if h2 <= 0.0:
-        raise ConvexityError("h'' = %.3g <= 0 at R = %.4g" % (h2, R))
+    # |h'| <= stop leaves the term c h' of h'' undetermined up to c stop; a
+    # state with no front (u_z = 0) has no other term
+    if h2 <= mm.c * stop:
+        raise ConvexityError("h'' = %.3g <= c stop at R = %.4g" % (h2, R))
     return FrontState(position=R, deviation_sq=2.0 * hval, curvature=h2,
                       ortho_residual=abs(h1), measure=mm, iterations=evals,
                       capped=bool(abs(h1) > stop))

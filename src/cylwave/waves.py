@@ -6,9 +6,10 @@ with an adaptive frame speed until the front freezes; phase 2 is a bordered
 Newton polish of the coupled system {discrete wave equation = 0, weighted
 phase condition = 0} with the speed as an extra unknown.  The profile is
 then translated so the mid-level of the front sits at z = 0 and re-polished.
-On 2D grids the polish and its re-polishes share one sparse factorization of
-the Jacobian block (chord steps), factored again only when a chord step
-fails to halve the residual; ``WaveSolution`` counts the iterations and
+1D and 2D grids take the same path: the residual is applied matrix-free, and
+the polish and its re-polishes share one sparse factorization of the
+Jacobian block (chord steps), factored again only when a chord step fails to
+halve the residual; ``WaveSolution`` counts the iterations and
 factorizations.
 """
 
@@ -20,12 +21,11 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import solve_banded
 
 from .evolve import EvolutionState, Stepper, dt_max, flow_weights
 from .grids import (CrossSectionField, CylinderGrid, Field, GridConfig, WINDOW_MARGIN,
-                    _axial_operator, apply_boundary, axial_bands,
-                    axial_derivative, build_grid, transport_operator)
+                    _apply_transport, apply_boundary, axial_derivative, build_grid,
+                    transport_operator)
 from .reactions import ReactionModel, ShiftedModel, eval_f, eval_f_u
 from .sections import CriticalPoint, SectionSolverError, find_critical_point
 from .weighted import (WeightedMeasure, hermite, pchip_slopes, shifted_hermite,
@@ -213,15 +213,14 @@ def freeze_frame(model: ReactionModel, grid: CylinderGrid, seed: Field,
 
 
 def _wave_residual(model, grid, values, c):
-    A = transport_operator(grid, c)
-    r = (A @ values.ravel()).reshape(grid.shape) + eval_f(model, Field(grid, values)).values
+    r = _apply_transport(grid, values, c) + eval_f(model, Field(grid, values)).values
     r[grid.dirichlet_mask] = 0.0
     return r
 
 
 @dataclass
 class _NewtonWork:
-    """What the polishes of one wave share: the 2D chord factorization and the
+    """What the polishes of one wave share: the chord factorization and the
     work counted so far (Newton iterations, Jacobian factorizations)."""
     lu: spla.SuperLU | None = None
     iterations: int = 0
@@ -238,15 +237,16 @@ def _newton_polish(model, grid, values, c, ref_values, max_iter=40,
     phase and ``dG/dc`` exactly at the current iterate, and their merit
     ``max(sup|G|, |phase|)`` alone decides convergence.
 
-    In 1D each iteration factors the banded Jacobian afresh.  In 2D the
-    ``splu`` factorization is kept in ``work`` and reused (the chord method,
-    Kelley, *Solving Nonlinear Equations with Newton's Method*, SIAM 2003,
-    ch. 2), across iterations and across the calls that share ``work``.  A
-    chord step is taken whole when it at least halves the merit; otherwise
-    it is dropped, the Jacobian is factored at the current iterate, and that
-    Newton step is damped by halving until the merit falls.  When no damped
-    step lowers a merit already within ``100 tol`` (the roundoff floor), the
-    current, best iterate is returned; above it the polish raises.
+    The residual and ``dG/dc`` (a central difference in ``c``) are applied
+    matrix-free; ``transport_operator`` is assembled only to be factored.  On
+    every grid the ``splu`` factorization is kept in ``work`` and reused (the
+    chord method, Kelley, *Solving Nonlinear Equations with Newton's Method*,
+    SIAM 2003, ch. 2), across iterations and across the calls that share
+    ``work``.  A chord step is taken whole when it at least halves the merit;
+    otherwise it is dropped, the Jacobian is factored at the current iterate,
+    and that Newton step is damped by halving until the merit falls.  When no
+    damped step lowers a merit already within ``100 tol`` (the roundoff
+    floor), the current, best iterate is returned; above it the polish raises.
     """
     if work is None:
         work = _NewtonWork()
@@ -281,11 +281,9 @@ def _newton_polish(model, grid, values, c, ref_values, max_iter=40,
         if merit <= tol:
             break
         work.iterations += 1
-        # only the axial operator depends on c: difference it alone and apply
-        # it to every axial line (row) of u
-        dA = _axial_operator(grid, c + hc) - _axial_operator(grid, c - hc)
-        Gc = (dA @ u.reshape(grid.shape).T).T.ravel() / (2 * hc)
-        Gc[pinned] = 0.0
+        U = u.reshape(grid.shape)
+        Gc = (_apply_transport(grid, U, c + hc)
+              - _apply_transport(grid, U, c - hc)).ravel() / (2 * hc)
         rhs = np.column_stack([G, Gc])
         if work.lu is not None:
             du, dc = bordered(*work.lu.solve(rhs).T)
@@ -294,22 +292,14 @@ def _newton_polish(model, grid, values, c, ref_values, max_iter=40,
         if work.lu is None or not m_try <= 0.5 * merit:
             # Pinned rows of the operator are zero, so unit diagonal entries
             # there make identity rows enforcing the pinned values.
-            fu = eval_f_u(model, Field(grid, u.reshape(grid.shape))).values.ravel()
+            fu = eval_f_u(model, Field(grid, U)).values.ravel()
             jac_diag = np.where(pinned, 1.0, fu)
+            work.lu = None  # free the stale factors first
             try:
-                if grid.n_y == 1:
-                    lower, diag, upper = axial_bands(grid, c)
-                    band = np.zeros((3, grid.n_z))
-                    band[0, 1:] = upper[:-1]
-                    band[1, :] = diag + jac_diag
-                    band[2, :-1] = lower[1:]
-                    s1, s2 = solve_banded((1, 1), band, rhs).T
-                else:
-                    work.lu = None  # free the stale factors first
-                    J = transport_operator(grid, c) + sp.diags(jac_diag)
-                    work.lu = spla.splu(J.tocsc())
-                    s1, s2 = work.lu.solve(rhs).T
-            except (RuntimeError, np.linalg.LinAlgError) as exc:
+                J = transport_operator(grid, c) + sp.diags(jac_diag)
+                work.lu = spla.splu(J.tocsc())
+                s1, s2 = work.lu.solve(rhs).T
+            except RuntimeError as exc:
                 raise WaveSolverError("bordered Newton solve failed: %s" % exc)
             work.factorizations += 1
             du, dc = bordered(s1, s2)
@@ -364,8 +354,8 @@ def _centered_solution(model: ReactionModel, grid: CylinderGrid, values: np.ndar
 
     The translations shrink fast (0.149, 2.4e-6, 5.2e-10 on the stacked
     config), so every re-polish starts close to the previous solution: the
-    polishes share one ``_NewtonWork``, and in 2D they keep stepping with the
-    first factorization for as long as it halves the merit.  The returned
+    polishes share one ``_NewtonWork``, and they keep stepping with the first
+    factorization for as long as it halves the merit.  The returned
     solution counts their Newton iterations and factorizations.
 
     Raises when the final residual of the discrete wave equation exceeds

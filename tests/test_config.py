@@ -103,6 +103,11 @@ class TestValidation:
         with pytest.raises(ConfigError):
             parse_config(MINIMAL.replace("a = 0.25", "a = 0.9"))
 
+    def test_parameter_of_another_model(self):
+        # the cubic takes only a; a1 belongs to cubic_y and stacked
+        with pytest.raises(ConfigError, match="does not take a1"):
+            parse_config(MINIMAL.replace("a = 0.25", "a1 = 0.3"))
+
     def test_sandwich_family_accepted(self):
         cfg = parse_config(MINIMAL.replace("scenario = wave", "scenario = comparison")
                            + "\n[initial]\nfamily = sandwich\nseparation = 4.0\n")

@@ -86,6 +86,19 @@ class TestStep:
         with pytest.raises(EvolutionError):
             stepper.step(EvolutionState(0.0, Field(g, np.zeros(g.shape)), frame_speed=0.1))
 
+    def test_non_finite_solve_fails_the_step(self, monkeypatch):
+        from cylwave import evolve
+
+        def nan_solve(*args, **kwargs):
+            b = args[-1]
+            return np.full_like(b, np.nan), 0
+
+        g = all_neumann_1d()
+        stepper = Stepper(MODEL, g, 0.1)
+        monkeypatch.setattr(evolve, "dgttrs", nan_solve)
+        with pytest.raises(EvolutionError, match="non-finite"):
+            stepper.step(EvolutionState(0.0, Field(g, np.full(g.shape, 0.5))))
+
     def test_escape_from_unit_interval_fails_the_run(self):
         # a growing reaction pushes the state past 1 by far more than the
         # rounding allowance

@@ -1,11 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cylwave.grids import (DIRICHLET, NEUMANN, CrossSectionField, Field,
-                           GridConfig, GridError, apply_boundary, build_grid,
-                           laplacian_advection, transport_operator)
+                           GridConfig, GridError, _apply_transport, apply_boundary,
+                           build_grid, laplacian_advection, transport_operator)
 
 
 def grid_1d(n_z=401, z=(-20.0, 20.0), axial_right=DIRICHLET):
@@ -177,6 +179,25 @@ class TestLaplacianAdvection:
         rhs = (alpha * laplacian_advection(Field(g, u), 0.4).values
                + beta * laplacian_advection(Field(g, v), 0.4).values)
         np.testing.assert_allclose(lhs, rhs, atol=1e-8 * (1 + abs(alpha) + abs(beta)))
+
+    @pytest.mark.parametrize("n_y, bc_left, bc_right, bc_axial_right", [
+        (1, NEUMANN, NEUMANN, NEUMANN),
+        (1, NEUMANN, NEUMANN, DIRICHLET),
+    ] + [(7,) + tags for tags in itertools.product((NEUMANN, DIRICHLET), repeat=3)])
+    def test_matrix_free_apply_matches_assembled_operator(self, n_y, bc_left, bc_right,
+                                                          bc_axial_right):
+        # the residual applies the operator from its bands; the Newton polish
+        # factors the assembled matrix, so the two must agree; the random
+        # values are nonzero on pinned nodes too, which both must map to zero
+        g = build_grid(GridConfig(n_y=n_y, n_z=33, y_max=2.0, z_min=-3.0, z_max=2.0,
+                                  bc_left=bc_left, bc_right=bc_right,
+                                  bc_axial_right=bc_axial_right))
+        u = np.random.default_rng(7).uniform(-1.0, 1.0, g.shape)
+        for c in (0.0, 0.37, -0.2):
+            want = (transport_operator(g, c) @ u.ravel()).reshape(g.shape)
+            got = _apply_transport(g, u, c)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            assert not got[g.dirichlet_mask].any()
 
     def test_negative_speed_rejected(self):
         g = grid_1d(n_z=32)

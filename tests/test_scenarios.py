@@ -198,6 +198,13 @@ class TestCli:
         assert code == 2
         assert "dt_max" in capsys.readouterr().err
 
+    def test_foreign_model_parameter_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(WAVE_SMALL.replace("name = cubic", "name = cubic\na1 = 0.3"))
+        code = main(["wave", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "a1" in capsys.readouterr().err
+
     def test_verb_scenario_mismatch(self, tmp_path, capsys):
         cfg = tmp_path / "wave.cfg"
         cfg.write_text(WAVE_SMALL)

@@ -177,9 +177,11 @@ class TestLocateFront:
         given = locate_front(u, ws, 0.0, u_z=axial_derivative(u.values, u.grid))
         assert given == plain
 
-    def test_far_state_error(self, wave):
+    @pytest.mark.parametrize("level", [0.3, 0.4, 0.5, 0.6, 0.7, 0.8])
+    def test_far_state_error(self, wave, level):
+        # a constant state has no front: u_z = 0, so h'' = c h' is rounding
         _, ws = wave
-        u = Field(ws.grid, np.full(ws.grid.shape, 0.5))
+        u = Field(ws.grid, np.full(ws.grid.shape, level))
         with pytest.raises((ConvexityError, BracketError)):
             locate_front(u, ws, 0.0)
 

@@ -43,6 +43,12 @@ class TestSolveWave:
         _, ws = cubic_wave
         assert ws.residual <= 1e-8
 
+    def test_one_factorization(self, cubic_wave):
+        # 1D shares the chord polish: the first factorization serves the
+        # polish and its re-polishes
+        _, ws = cubic_wave
+        assert ws.factorizations == 1
+
     def test_profile_monotone(self, cubic_wave):
         _, ws = cubic_wave
         assert ws.monotone
@@ -259,12 +265,21 @@ class TestSecondarySpeed:
 
 
 class TestHeterogeneous2D:
-    def test_wave_on_cylinder(self):
+    def test_wave_on_cylinder(self, monkeypatch):
         g = build_grid(GridConfig(n_y=17, n_z=451, y_min=0.0, y_max=1.0,
                                   z_min=-30.0, z_max=15.0))
         model = HeterogeneousCubic(a0=0.25, a1=0.1)
         cp = find_critical_point(model, g, CrossSectionField(g, np.full(17, 0.9)))
+        assembled = []
+
+        def spy(*args):
+            assembled.append(args)
+            return transport_operator(*args)
+
+        # residuals are matrix-free: the operator is assembled only to be factored
+        monkeypatch.setattr(waves, "transport_operator", spy)
         ws = solve_wave(model, g, front_seed(g, cp.v), c_seed=0.2)
+        assert len(assembled) == ws.factorizations
         assert ws.monotone
         assert ws.residual <= 1e-8
         # speed sits inside the range of the frozen-coefficient extremes
