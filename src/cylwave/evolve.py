@@ -172,7 +172,7 @@ def weighted_energy(u: Field, model: ReactionModel, m: WeightedMeasure) -> float
 
     Vv = np.asarray(model.V(vals, g.y[:, None]), dtype=float)
     Vv = np.broadcast_to(Vv, g.shape)
-    total += np.sum(flow_weights(g, m) * Vv)
+    total += np.sum(wy[:, None] * (wexp * g.dz)[None, :] * Vv)  # flow_weights * V
     return float(total)
 
 

@@ -13,6 +13,7 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -57,7 +58,7 @@ class RunManifest:
 
     def add_file(self, out_dir: str, name: str) -> None:
         path = os.path.join(out_dir, name)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         self.files.append((name, len(blob), hashlib.sha256(blob).hexdigest()))
 
 
@@ -93,8 +94,7 @@ def read_manifest(path) -> dict:
     """Parse a manifest back into {section: {key: value-string}} (+ notes)."""
     out: dict[str, dict] = {}
     section = None
-    for raw in open(path):
-        line = raw.rstrip("\n")
+    for line in Path(path).read_text().split("\n"):
         if not line.strip():
             continue
         if line.startswith("[") and line.endswith("]"):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import output_digits
-from .evolve import EvolutionState, Stepper, flow_weights, weighted_energy
+from .evolve import EvolutionState, Stepper, weighted_energy
 from .grids import Field, axial_derivative
 from .reactions import ReactionModel
 from .waves import WaveSolution
@@ -39,9 +39,7 @@ class BracketError(TrackerError):
 
 
 class TrackingLossError(TrackerError):
-    def __init__(self, message, trace):
-        super().__init__(message)
-        self.trace = trace
+    """A step or a tracker call failed after the initial front was found."""
 
 
 class FitError(ValueError):
@@ -49,34 +47,27 @@ class FitError(ValueError):
 
 
 def mismatch(u: Field, ws: WaveSolution, R: float,
-             m: WeightedMeasure | None = None, *,
-             weights: np.ndarray | None = None) -> float:
-    """h(u, R) = 0.5 ||u - T_R profile||^2 in the weighted norm.
-
-    ``weights`` may carry ``quadrature_weights(u.grid, m)`` precomputed.
-    """
+             m: WeightedMeasure | None = None) -> float:
+    """h(u, R) = 0.5 ||u - T_R profile||^2 in the weighted norm."""
     tpl = ws.template
     if abs(R) >= tpl.max_shift:
         raise ValueError("translation %g out of range" % R)
-    mm = m if m is not None else ws.measure(z_ref=R)
-    w = weights if weights is not None else quadrature_weights(u.grid, mm)
+    w = quadrature_weights(u.grid, m if m is not None else ws.measure(z_ref=R))
     diff = u.values - tpl.at(R)
     return 0.5 * float(np.sum(w * diff * diff))
 
 
 def mismatch_derivatives(u: Field, ws: WaveSolution, R: float,
                          m: WeightedMeasure | None = None, *,
-                         weights: np.ndarray | None = None,
                          u_z: np.ndarray | None = None) -> tuple[float, float]:
     """(h', h''): first derivative exactly, second via the transported identity
     ``h'' = c h' + <u_z, T_R profile_dz>`` with centered u_z.
 
-    ``weights`` and ``u_z`` may carry ``quadrature_weights(u.grid, m)`` and
-    ``axial_derivative(u.values, u.grid)`` precomputed.
+    ``u_z`` may carry ``axial_derivative(u.values, u.grid)`` precomputed.
     """
     tpl = ws.template
     mm = m if m is not None else ws.measure(z_ref=R)
-    w = weights if weights is not None else quadrature_weights(u.grid, mm)
+    w = quadrature_weights(u.grid, mm)
     tdz = tpl.dz_at(R)
     diff = u.values - tpl.at(R)
     h1 = float(np.sum(w * diff * tdz))
@@ -125,14 +116,14 @@ def locate_front(u: Field, ws: WaveSolution, R_seed: float = 0.0,
     def deriv(R):
         nonlocal evals
         evals += 1
-        return mismatch_derivatives(u, ws, R, m=mm, weights=w, u_z=uz)
+        return mismatch_derivatives(u, ws, R, m=mm, u_z=uz)
 
     R = float(np.clip(R_seed, -limit, limit))
     h1, h2 = deriv(R)
     bracket = None
     steps = 0
     while True:
-        hval = mismatch(u, ws, R, m=mm, weights=w)
+        hval = mismatch(u, ws, R, m=mm)
         tol = 1e-12 * max(np.sqrt(2 * hval) * np.sqrt(dz_norm_sq), 1e-30)
         floor = _EPS * float(np.sum(np.abs(wu * tpl.dz_at(R))))
         stop = max(tol, floor)
@@ -209,21 +200,19 @@ class FrontTrace:
     fit_quality: float | None = None
     fit_window: tuple[float, float] | None = None
     R_infinity: float | None = None
-    aborted: bool = False
     tracker_iters_max: int = 0    # over every locate_front call, sampled or not
     tracker_cap_hits: int = 0     # calls that returned with ``capped`` set
 
     FIELDS = [("t", float), ("R", float), ("m", float), ("phi", float),
               ("dRdt_fd", float), ("dRdt_quotient", float),
               ("h2c_norm", float), ("z_delta", float),
-              ("ortho_residual", float), ("curvature", float),
-              ("dissipation", float), ("tracker_iters", int)]
+              ("ortho_residual", float), ("tracker_iters", int)]
 
     def rebased(self, col: str) -> np.ndarray:
         """Samples of a weighted column re-referenced to z_ref = R(0)."""
         R0 = self.samples["R"][0]
         factor = np.exp(self.speed * (self.samples["R"] - R0))
-        if col in ("m", "phi", "dissipation"):
+        if col in ("m", "phi"):
             return self.samples[col] * factor
         if col == "h2c_norm":
             return self.samples[col] * np.sqrt(factor)
@@ -236,63 +225,55 @@ def track(model: ReactionModel, ws: WaveSolution, u0: Field, dt: float,
     """Integrate in the frame moving at the selected speed and track the front.
 
     Each accepted step re-minimizes the mismatch from the previous optimum
-    (warm-started Newton); the explicit translation-rate quotient is recorded
-    alongside the finite difference of the tracked position as a consistency
-    diagnostic.  Every tracker call is counted: a row holds the (h', h'')
-    evaluations of its own call, and the trace the maximum and the cap hits
-    over all calls.
+    (warm-started Newton).  A kept row (every ``sample_every``-th step and the
+    last) takes its weighted columns at its own R from one weight vector, and
+    the explicit translation-rate quotient beside the finite difference of R
+    as a consistency diagnostic.  A row holds the (h', h'') evaluations of its
+    own tracker call; the trace holds their maximum and cap hits over all calls.
     """
     grid = ws.grid
+    tpl = ws.template
     stepper = Stepper(model, grid, dt, ws.speed)
     state = EvolutionState(0.0, u0, ws.speed)
-    fs = locate_front(state.u, ws, 0.0)
     rows = []
-    tpl = ws.template
-    calls = [(fs.iterations, fs.capped)]  # every tracker call, sampled or not
 
-    def record(t, state_u, fs, dRdt_fd, dRdt_q, diss):
-        mm = fs.measure.shifted(fs.position)
-        w = Field(grid, state_u.values - tpl.at(fs.position))
-        phi = weighted_energy(state_u, model, mm)
-        # deviation norm at the row's own reference
-        wq = quadrature_weights(grid, mm)
-        m_here = float(np.sum(wq * w.values ** 2))
-        rows.append((t, fs.position, m_here, phi, dRdt_fd, dRdt_q,
-                     weighted_norm_h2(w, mm), z_delta(state_u, ws, fs.position, delta),
-                     fs.ortho_residual, fs.curvature, diss, fs.iterations))
+    def record(fs, prev=None):
+        """Append the row of ``state``; a kept step passes ``prev = (values, R)``
+        of the step before and has the state's ``uz``."""
+        R, u = fs.position, state.u
+        mm = fs.measure.shifted(R)
+        w = quadrature_weights(grid, mm)
+        dev = Field(grid, u.values - tpl.at(R))
+        dRdt_fd = quotient = np.nan
+        if prev is not None:
+            dRdt_fd = (R - prev[1]) / dt
+            ut = (u.values - prev[0]) / dt
+            tdz = tpl.dz_at(R)
+            denom = float(np.sum(w * uz * tdz))
+            quotient = -float(np.sum(w * ut * tdz)) / denom if denom != 0 else np.nan
+        rows.append((state.t, R, float(np.sum(w * dev.values ** 2)),
+                     weighted_energy(u, model, mm), dRdt_fd, quotient,
+                     weighted_norm_h2(dev, mm), z_delta(u, ws, R, delta),
+                     fs.ortho_residual, fs.iterations))
 
-    record(0.0, state.u, fs, np.nan, np.nan, np.nan)
+    fs = locate_front(state.u, ws, 0.0)
+    iters_max, cap_hits = fs.iterations, int(fs.capped)
+    record(fs)
     n_steps = int(round(horizon / dt))
-    R_prev = fs.position
     for k in range(1, n_steps + 1):
-        prev_vals = state.u.values
+        prev = (state.u.values, fs.position)
         try:
             state = stepper.step(state)
             uz = axial_derivative(state.u.values, grid)
-            fs = locate_front(state.u, ws, R_prev, u_z=uz)
+            fs = locate_front(state.u, ws, fs.position, u_z=uz)
         except (TrackerError, RuntimeError) as exc:
-            trace = _finalize_trace(rows, ws, dt, calls, aborted=True)
-            raise TrackingLossError("tracking lost at t=%.6g: %s" % (state.t, exc), trace)
-        calls.append((fs.iterations, fs.capped))
-        ut = (state.u.values - prev_vals) / dt
-        mm = fs.measure.shifted(fs.position)
-        wq = quadrature_weights(grid, mm)
-        tdz = tpl.dz_at(fs.position)
-        denom = float(np.sum(wq * uz * tdz))
-        quotient = -float(np.sum(wq * ut * tdz)) / denom if denom != 0 else np.nan
-        wflow = flow_weights(grid, mm)
-        diss = float(np.sum(wflow * ut ** 2))
+            raise TrackingLossError("tracking lost at t=%.6g: %s" % (state.t, exc))
+        iters_max = max(iters_max, fs.iterations)
+        cap_hits += fs.capped
         if k % sample_every == 0 or k == n_steps:
-            record(state.t, state.u, fs, (fs.position - R_prev) / dt, quotient, diss)
-        R_prev = fs.position
-    return _finalize_trace(rows, ws, dt, calls, aborted=False)
-
-
-def _finalize_trace(rows, ws, dt, calls, aborted):
-    samples = np.array(rows, dtype=FrontTrace.FIELDS)
-    iters, capped = zip(*calls)
-    return FrontTrace(speed=ws.speed, samples=samples, dt=dt, aborted=aborted,
-                      tracker_iters_max=max(iters), tracker_cap_hits=sum(capped))
+            record(fs, prev)
+    return FrontTrace(speed=ws.speed, samples=np.array(rows, dtype=FrontTrace.FIELDS),
+                      dt=dt, tracker_iters_max=iters_max, tracker_cap_hits=cap_hits)
 
 
 def default_fit_window(trace: FrontTrace) -> tuple[float, float]:

@@ -35,6 +35,11 @@ NEWTON_TOL = 1e-11
 RESIDUAL_LIMIT = 1e-8
 # freezing steps before the front counts as failed to freeze
 FREEZE_MAX_STEPS = 40000
+# drift at which the front counts as frozen: the Newton polish, with the speed
+# among its unknowns, carries the final tolerance
+FREEZE_TOL = 1e-5
+# mid-level translations before centering counts as failed
+CENTER_MAX_SHIFTS = 10
 # inverse-iteration steps before the spectral gap counts as not converged
 EIGEN_MAX_ITER = 1000
 
@@ -173,9 +178,6 @@ def freeze_frame(model: ReactionModel, grid: CylinderGrid, seed: Field,
     """
     if dt is None:
         dt = 0.4 * dt_max(model, grid)
-    # on 2D grids the Newton phase (speed included among its unknowns)
-    # carries the final tolerance; freezing only has to reach its basin
-    tol = 1e-8 if grid.n_y == 1 else 1e-5
     c = max(float(c_seed), 1e-6)
     kappa = gain
     stepper = Stepper(model, grid, dt, c)
@@ -197,7 +199,7 @@ def freeze_frame(model: ReactionModel, grid: CylinderGrid, seed: Field,
             pos = front_position(state.u)
         drift = (pos - pos_prev) / dt if not shifted else 0.0
         pos_prev = pos
-        if not shifted and abs(drift) < tol and k > 10:
+        if not shifted and abs(drift) < FREEZE_TOL and k > 10:
             return c, state.u, k
         if drift_prev is not None and drift * drift_prev < 0:
             kappa = max(0.5 * kappa, 0.05)
@@ -350,27 +352,36 @@ def _mid_level_position(grid: CylinderGrid, values: np.ndarray) -> float:
 
 def _centered_solution(model: ReactionModel, grid: CylinderGrid, values: np.ndarray,
                        c: float) -> WaveSolution:
-    """Newton-polish ``values``, translate its mid-level to z = 0, re-polish.
+    """Newton-polish ``values``, then translate its mid-level to z = 0 and
+    re-polish until the mid-level sits within 1e-10 of z = 0.
 
-    The translations shrink fast (0.149, 2.4e-6, 5.2e-10 on the stacked
-    config), so every re-polish starts close to the previous solution: the
-    polishes share one ``_NewtonWork``, and they keep stepping with the first
-    factorization for as long as it halves the merit.  The returned
+    A re-polish moves the mid-level by a fixed fraction of the translation,
+    so each translation after the first (``-zmid``) is a secant step on the
+    total translation.  Every re-polish starts close to the previous
+    solution: the polishes share one ``_NewtonWork`` and keep stepping with
+    the first factorization while it halves the merit.  The returned
     solution counts their Newton iterations and factorizations.
 
-    Raises when the final residual of the discrete wave equation exceeds
-    RESIDUAL_LIMIT; the returned solution records (but does not enforce)
-    axial monotonicity.
+    Raises when ``CENTER_MAX_SHIFTS`` translations leave the mid-level off
+    centre or the final wave residual exceeds RESIDUAL_LIMIT; the returned
+    solution records (but does not enforce) axial monotonicity.
     """
     work = _NewtonWork()
     values, c = _newton_polish(model, grid, values, c, values, work=work)
-    total_shift = 0.0
-    for _ in range(6):
+    total_shift, last = 0.0, None  # last: (mid-level, translation) of the previous pass
+    for shifts in range(CENTER_MAX_SHIFTS + 1):
         zmid = _mid_level_position(grid, values)
         if abs(zmid) < 1e-10:
             break
-        shifted = translate(Field(grid, values), -zmid)
-        total_shift += -zmid
+        if shifts == CENTER_MAX_SHIFTS:
+            raise WaveSolverError("mid-level still at |z| = %.3g after %d translations"
+                                  % (abs(zmid), shifts))
+        step = -zmid
+        if last is not None and zmid != last[0]:
+            step = -zmid * last[1] / (zmid - last[0])
+        last = (zmid, step)
+        shifted = translate(Field(grid, values), step)
+        total_shift += step
         values, c = _newton_polish(model, grid, shifted.values, c, shifted.values,
                                    work=work)
 

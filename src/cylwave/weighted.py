@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -55,12 +56,16 @@ def weight_values(grid: CylinderGrid, m: WeightedMeasure) -> np.ndarray:
     return np.exp(expo)
 
 
+@lru_cache(maxsize=4)
 def quadrature_weights(grid: CylinderGrid, m: WeightedMeasure) -> np.ndarray:
-    """Trapezoidal (n_y, n_z) quadrature weights including the exponential."""
+    """Trapezoidal (n_y, n_z) quadrature weights including the exponential,
+    cached per (grid, measure) and read-only."""
     wz = np.full(grid.n_z, grid.dz)
     wz[0] = wz[-1] = 0.5 * grid.dz
     wz *= weight_values(grid, m)
-    return grid.section_weights()[:, None] * wz[None, :]
+    w = grid.section_weights()[:, None] * wz[None, :]
+    w.flags.writeable = False
+    return w
 
 
 def weighted_inner(u: Field, v: Field, m: WeightedMeasure) -> float:

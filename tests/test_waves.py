@@ -49,6 +49,13 @@ class TestSolveWave:
         _, ws = cubic_wave
         assert ws.factorizations == 1
 
+    def test_centering_that_never_converges_raises(self, monkeypatch):
+        # a mid-level that no translation moves must not be returned as centred
+        g = wave_grid(n_z=401, z=(-20.0, 20.0))
+        monkeypatch.setattr(waves, "_mid_level_position", lambda grid, values: 0.05)
+        with pytest.raises(waves.WaveSolverError, match="mid-level"):
+            solve_wave(CubicBistable(a=0.25), g, front_seed(g, 1.0), c_seed=0.2)
+
     def test_profile_monotone(self, cubic_wave):
         _, ws = cubic_wave
         assert ws.monotone
@@ -262,6 +269,9 @@ class TestSecondarySpeed:
         # regression values from this configuration's oracle runs
         assert ws.speed == pytest.approx(0.14633, abs=2e-4)
         assert res.speed == pytest.approx(0.07922, abs=2e-4)
+        # both fronts come back centred
+        assert abs(waves._mid_level_position(g, ws.profile.values)) < 1e-10
+        assert abs(waves._mid_level_position(g, res.wave.values)) < 1e-10
 
 
 class TestHeterogeneous2D:

@@ -6,8 +6,8 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from cylwave.grids import Field, GridConfig, build_grid
 from cylwave.weighted import (WeightedMeasure, WeightOverflowError, hermite,
-                              pchip_slopes, shifted_hermite, spline_slopes,
-                              translate, weighted_inner, weighted_norm_h1,
+                              pchip_slopes, quadrature_weights, shifted_hermite,
+                              spline_slopes, translate, weighted_inner, weighted_norm_h1,
                               weighted_norm_l2, weighted_norm_h2)
 
 
@@ -65,6 +65,14 @@ class TestNorms:
         r0 = weighted_norm_l2(u, WeightedMeasure(0.8, 0.0)) / weighted_norm_l2(v, WeightedMeasure(0.8, 0.0))
         r1 = weighted_norm_l2(u, WeightedMeasure(0.8, 2.5)) / weighted_norm_l2(v, WeightedMeasure(0.8, 2.5))
         assert r0 == pytest.approx(r1, rel=1e-13)
+
+    def test_quadrature_weights_cached_read_only(self):
+        # equal (grid, measure) keys share one array, so no caller may write it
+        w = quadrature_weights(grid_1d(), WeightedMeasure(0.8, 1.5))
+        assert quadrature_weights(grid_1d(), WeightedMeasure(0.8, 1.5)) is w
+        assert quadrature_weights(grid_1d(), WeightedMeasure(0.8, 2.5)) is not w
+        with pytest.raises(ValueError, match="read-only"):
+            w *= 2.0
 
     def test_norm_factor_conversion(self):
         g = grid_1d(n_z=201, z=(-5.0, 5.0))
