@@ -42,7 +42,6 @@ class EvolutionState:
     t: float
     u: Field
     frame_speed: float = 0.0
-    window_shift: int = 0
 
 
 @lru_cache(maxsize=64)
@@ -140,8 +139,7 @@ class Stepper:
             new = np.clip(new, 0.0, 1.0)
         # only the free block was written, so the pinned nodes hold zero
         return EvolutionState(t=state.t + self.dt, u=Field(self.grid, new),
-                              frame_speed=state.frame_speed,
-                              window_shift=state.window_shift)
+                              frame_speed=state.frame_speed)
 
 
 def step(state: EvolutionState, model: ReactionModel, dt: float) -> EvolutionState:

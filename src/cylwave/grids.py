@@ -19,9 +19,6 @@ import scipy.sparse as sp
 NEUMANN = "neumann"
 DIRICHLET = "dirichlet"
 
-# front must stay this far from either axial end (re-window otherwise)
-WINDOW_MARGIN = 10.0
-
 
 class GridError(ValueError):
     """Invalid grid configuration or mismatched field."""

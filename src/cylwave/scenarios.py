@@ -180,7 +180,7 @@ def run_scenario(cfg: ExperimentConfig, out_dir: str) -> RunManifest:
 def _solve_configured_wave(cfg: ExperimentConfig, grid, model):
     plateau = _plateau_state(model, grid, cfg.plateau_seed)
     seed = front_seed(grid, plateau.v)
-    ws = solve_wave(model, grid, seed, cfg.c_seed, dt=cfg.dt)
+    ws = solve_wave(model, grid, seed, cfg.c_seed)
     return plateau, ws
 
 
@@ -313,7 +313,7 @@ def _run_secondary(cfg, out_dir, manifest):
     plateau, ws = _solve_configured_wave(cfg, grid, model)
     manifest.results["plateau_max"] = float(np.max(plateau.v.values))
     manifest.results["speed"] = ws.speed
-    sec = secondary_speed(model, grid, plateau, c_seed=cfg.c_seed, dt=cfg.dt)
+    sec = secondary_speed(model, grid, plateau, c_seed=cfg.c_seed)
     if not sec.applicable:
         manifest.note = sec.note
         manifest.results["secondary_speed"] = float("nan")

@@ -230,6 +230,7 @@ def track(model: ReactionModel, ws: WaveSolution, u0: Field, dt: float,
     the explicit translation-rate quotient beside the finite difference of R
     as a consistency diagnostic.  A row holds the (h', h'') evaluations of its
     own tracker call; the trace holds their maximum and cap hits over all calls.
+    A datum below the ignition level of f dies out and raises TrackerError.
     """
     grid = ws.grid
     tpl = ws.template
@@ -256,6 +257,10 @@ def track(model: ReactionModel, ws: WaveSolution, u0: Field, dt: float,
                      weighted_norm_h2(dev, mm), z_delta(u, ws, R, delta),
                      fs.ortho_residual, fs.iterations))
 
+    top, level = float(np.max(u0.values)), model.ignition_level(grid)
+    if top < level:
+        raise TrackerError("the front dies out: the datum's sup %.3g is below the "
+                           "ignition level %.3g of f" % (top, level))
     fs = locate_front(state.u, ws, 0.0)
     iters_max, cap_hits = fs.iterations, int(fs.capped)
     record(fs)

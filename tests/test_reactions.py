@@ -55,6 +55,12 @@ class TestOtherModels:
         m = HeterogeneousCubic(a0=0.25, a1=0.1)
         assert m.f(0.5, 0.0) != m.f(0.5, 1.0)
 
+    def test_ignition_level_is_the_lowest_unstable_zero(self):
+        assert CubicBistable(a=0.3).ignition_level(grid_1d()) == pytest.approx(0.3, abs=1 / 256)
+        g = build_grid(GridConfig(n_y=9, n_z=16, y_min=0.0, y_max=1.0))
+        m = HeterogeneousCubic(a0=0.25, a1=0.1, y_min=0.0, y_max=1.0)
+        assert m.ignition_level(g) == pytest.approx(0.15, abs=1 / 256)
+
     def test_stacked_roots(self):
         m = StackedBistable(a1=0.05, a2=0.5, a3=0.7)
         for r in (0.0, 0.05, 0.5, 0.7, 1.0):

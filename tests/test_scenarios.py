@@ -191,6 +191,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "residual_below_tolerance" in out and "pass" in out
 
+    def test_sub_threshold_datum_names_extinction(self, tmp_path, capsys):
+        # sup 0.2 lies below the cubic's ignition level a = 0.25: no front survives
+        cfg = tmp_path / "converge.cfg"
+        cfg.write_text(FAST_CONVERGE.replace("family = plateau_noise",
+                                             "family = shifted_tanh\namplitude = 0.2")
+                       .replace("noise = 0.02\n", ""))
+        code = main(["converge", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("scenario failed: TrackerError: the front dies out")
+        assert "ignition level 0.25" in err
+
     def test_config_error_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(WAVE_SMALL.replace("dt = 0.1", "dt = 99.0"))

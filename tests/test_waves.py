@@ -9,7 +9,7 @@ from cylwave.reactions import (CubicBistable, HeterogeneousCubic, ShiftedModel,
                                StackedBistable, eval_f_u)
 from cylwave.sections import find_critical_point
 from cylwave import waves
-from cylwave.waves import (SeedBasinError, Template, front_position, front_seed,
+from cylwave.waves import (SeedBasinError, Template, front_seed,
                            load_solution, refine_solution, save_solution,
                            secondary_speed, solve_wave, spectral_gap,
                            translation_profile)
@@ -44,10 +44,34 @@ class TestSolveWave:
         assert ws.residual <= 1e-8
 
     def test_one_factorization(self, cubic_wave):
-        # 1D shares the chord polish: the first factorization serves the
-        # polish and its re-polishes
+        # 1D shares the chord: the first factorization serves the
+        # continuation, the polish and its re-polishes
         _, ws = cubic_wave
         assert ws.factorizations == 1
+
+    def test_continuation_counted(self, cubic_wave):
+        _, ws = cubic_wave
+        assert ws.continuation_steps > 0
+        assert ws.newton_iterations > 0
+        assert 0 < ws.factorizations <= 2
+
+    def test_continuation_cap_raises(self, monkeypatch):
+        g = wave_grid(n_z=401, z=(-20.0, 20.0))
+        monkeypatch.setattr(waves, "CONTINUATION_MAX_STEPS", 3)
+        with pytest.raises(waves.WaveSolverError, match="in 3 steps: merit [0-9.e-]+$"):
+            solve_wave(CubicBistable(a=0.25), g, front_seed(g, 1.0), c_seed=0.2)
+
+    def test_freeze_from_slow_off_centre_seed(self):
+        # a seed speed far below the wave's and a front off the window's
+        # centre: the continuation finds the speed, and the phase condition
+        # holds the front where the seed put it
+        model = CubicBistable(a=0.1)
+        g = wave_grid(n_z=601, z=(-20.0, 20.0))
+        seed = front_seed(g, 1.0, offset=8.0)
+        c, wave, steps = waves.freeze_frame(model, g, seed, c_seed=0.01)
+        assert c == pytest.approx(model.exact_speed(), abs=5e-3)
+        assert steps > 0
+        assert waves._mid_level_position(g, wave.values) == pytest.approx(8.0, abs=1.0)
 
     def test_centering_that_never_converges_raises(self, monkeypatch):
         # a mid-level that no translation moves must not be returned as centred
@@ -85,17 +109,11 @@ class TestSolveWave:
     def test_seed_independence(self, cubic_wave):
         model, ws = cubic_wave
         g = ws.grid
-        ws2 = solve_wave(model, g, front_seed(g, 1.0, offset=-3.0, steepness=0.6),
-                         c_seed=0.45)
-        assert abs(ws2.speed - ws.speed) < 1e-6
-        assert np.max(np.abs(ws2.profile.values - ws.profile.values)) < 1e-6
-
-    def test_speed_independent_of_time_step(self, cubic_wave):
-        # the step size steers only the freezing phase; Newton owns the result
-        model, ws = cubic_wave
-        g = ws.grid
-        ws2 = solve_wave(model, g, front_seed(g, 1.0), c_seed=0.2, dt=0.25)
-        assert ws2.speed == pytest.approx(ws.speed, abs=1e-9)
+        for offset, steepness, c_seed in [(-3.0, 0.6, 0.45), (5.0, 2.0, 0.05)]:
+            ws2 = solve_wave(model, g, front_seed(g, 1.0, offset=offset, steepness=steepness),
+                             c_seed=c_seed)
+            assert abs(ws2.speed - ws.speed) < 1e-6
+            assert np.max(np.abs(ws2.profile.values - ws.profile.values)) < 1e-6
 
     def test_speed_refinement_second_order(self):
         model = CubicBistable(a=0.25)
@@ -414,56 +432,3 @@ class TestSerialization:
         assert np.array_equal(back.plateau.values, plateau.values)
         assert back.profile.values[[0, -1]].max() == 0.0
         assert back.profile.values[1:-1, -1].min() > 0.0  # the axial end is free
-
-
-class TestFrontPosition:
-    def test_mid_level_crossing(self):
-        g = wave_grid(n_z=401, z=(-20.0, 20.0))
-        vals = 0.5 * (1 - np.tanh(g.z - 3.0))
-        pos = front_position(Field(g, vals[None, :]))
-        assert pos == pytest.approx(3.0, abs=0.05)
-
-    def test_vanished_state_raises(self):
-        g = wave_grid(n_z=401, z=(-20.0, 20.0))
-        with pytest.raises(SeedBasinError):
-            front_position(Field(g, np.zeros(g.shape)))
-
-
-class TestRewindowing:
-    def test_shift_cells_fills_plateau_and_zero(self):
-        from cylwave.waves import _shift_cells
-
-        vals = np.vstack([np.linspace(1.0, 0.0, 11)])
-        left = _shift_cells(vals, 2)   # data moves left, zero fill on the right
-        assert np.array_equal(left[0, :9], vals[0, 2:])
-        assert np.all(left[0, 9:] == 0.0)
-        right = _shift_cells(vals, -2)  # plateau fill on the left
-        assert np.array_equal(right[0, 2:], vals[0, :9])
-        assert np.all(right[0, :2] == vals[0, 0])
-
-    def test_rewindow_recentres_and_counts_cells(self):
-        from cylwave.evolve import EvolutionState
-        from cylwave.waves import _rewindow, front_position
-
-        g = wave_grid(n_z=401, z=(-20.0, 20.0))
-        vals = 0.5 * (1 - np.tanh(g.z - 15.0))  # front well inside the margin band
-        state = EvolutionState(0.0, Field(g, vals[None, :]), 0.3)
-        pos = front_position(state.u)
-        out, shifted = _rewindow(state, pos)
-        assert shifted
-        assert out.window_shift > 0
-        assert abs(front_position(out.u)) < 2.0  # recentred
-        inside, unchanged = _rewindow(out, front_position(out.u))
-        assert not unchanged
-
-    def test_freeze_rewindows_runaway_front(self):
-        # a sluggish speed adaptation lets the front run into the margin; the
-        # solver must re-center it and still find the right speed
-        from cylwave.waves import freeze_frame
-
-        model = CubicBistable(a=0.1)
-        g = wave_grid(n_z=601, z=(-20.0, 20.0))
-        seed = front_seed(g, 1.0, offset=8.0)
-        c, frozen, _ = freeze_frame(model, g, seed, c_seed=0.01, gain=0.02)
-        assert c == pytest.approx(model.exact_speed(), abs=5e-3)
-        assert front_position(Field(g, frozen.values)) < g.z_max - 9.0
