@@ -55,13 +55,14 @@ class ReactionModel:
         ys = grid.y
         return float(np.max(np.abs(self.f_u(us[:, None], ys[None, :]))))
 
-    def ignition_level(self, grid: CylinderGrid, samples: int = 257) -> float:
-        """Smallest sampled level s in (0, 1] where f(s, y) >= 0 at some node.
+    def ignition_level(self, grid: CylinderGrid) -> float:
+        """Smallest level s in (0, 1], sampled in steps of 1/256, where
+        f(s, y) >= 0 at some node.
 
         f < 0 below it, so a datum under it dies out: it stays below the
         spatially uniform solution of ``U' = max_y f(U, y)``, which decays.
         """
-        us = np.linspace(0.0, 1.0, samples)[1:]
+        us = np.linspace(0.0, 1.0, 257)[1:]
         fs = np.broadcast_to(self.f(us[:, None], grid.y[None, :]), (us.size, grid.n_y))
         igniting = np.max(fs, axis=1) >= 0.0
         return float(us[np.argmax(igniting)]) if igniting.any() else 1.0
