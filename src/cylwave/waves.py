@@ -158,7 +158,7 @@ def freeze_frame(model: ReactionModel, grid: CylinderGrid, seed: Field,
 
     ``tau`` starts at ``TAU0 = 100`` on every grid and model.  The rule: the
     first step is a Newton step whose block is shifted by ``1/tau = 0.01``,
-    far below the spectral gaps of the shipped waves (about 0.3), so one
+    far below the spectral gaps of the shipped waves (0.19 to 0.29), so one
     factorization serves as a chord from the seed on.  A flow-like start
     costs factorizations: ``1/max(1, sup|f_u|)``, the cross-section solver's
     rule, takes 29 and 21 steps with 6 and 7 factorizations for the stacked
