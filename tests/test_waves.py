@@ -133,6 +133,27 @@ class TestSolveWave:
         with pytest.raises(SeedBasinError):
             solve_wave(model, g, Field(g, vals[None, :]), c_seed=0.1)
 
+    def test_non_front_like_seed_rejected_before_any_step(self):
+        # a plateau of 0.5 barely above the threshold 0.45 has positive
+        # section energy: the seed is no front, and no step is taken
+        g = wave_grid(n_z=401, z=(-20.0, 20.0))
+        work = waves._NewtonWork()
+        with pytest.raises(SeedBasinError, match="not front-like"):
+            waves.freeze_frame(CubicBistable(a=0.45), g, front_seed(g, 0.5),
+                               c_seed=0.1, work=work)
+        assert work.iterations == 0
+        assert work.factorizations == 0
+
+    def test_collapse_inside_continuation_raises(self):
+        # a front-like seed driven at a speed far above the wave's is swept
+        # out of the window; the in-loop check names the collapse
+        g = wave_grid(n_z=401, z=(-20.0, 20.0))
+        work = waves._NewtonWork()
+        with pytest.raises(SeedBasinError, match="collapsed toward zero"):
+            waves.freeze_frame(CubicBistable(a=0.45), g, front_seed(g, 1.0),
+                               c_seed=5.0, work=work)
+        assert work.iterations > 0
+
     def test_zero_mode_defect_shrinks_second_order(self, cubic_wave):
         model, base = cubic_wave
 
