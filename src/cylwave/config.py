@@ -20,6 +20,8 @@ FLOAT_DIGITS_ENV = "CYLWAVE_PRECISION"
 
 SCENARIOS = ("wave", "converge", "gap", "secondary_speed", "comparison", "hypotheses")
 INITIAL_FAMILIES = ("shifted_tanh", "plateau_noise", "sandwich")
+# the scenarios that take time steps, hence read dt and horizon
+TIME_STEPPING = ("converge", "comparison")
 
 # section -> key -> (type, default); None default means required.  The [grid]
 # keys are GridConfig's fields; the axial window and its resolution are required.
@@ -186,12 +188,13 @@ def parse_config(text: str) -> ExperimentConfig:
 def validate_config(cfg: ExperimentConfig) -> None:
     grid = cfg.make_grid()
     model = cfg.make_model()
-    if cfg.horizon <= 0:
-        raise ConfigError("horizon must be positive, got %g" % cfg.horizon)
-    cap = dt_max(model, grid)
-    if not 0 < cfg.dt <= cap * (1 + 1e-12):
-        raise ConfigError("dt = %g violates the stability bound dt_max = %g "
-                          "(0.5 / sup|f_u|)" % (cfg.dt, cap))
+    if cfg.scenario in TIME_STEPPING:
+        if cfg.horizon <= 0:
+            raise ConfigError("horizon must be positive, got %g" % cfg.horizon)
+        cap = dt_max(model, grid)
+        if not 0 < cfg.dt <= cap * (1 + 1e-12):
+            raise ConfigError("dt = %g violates the stability bound dt_max = %g "
+                              "(0.5 / sup|f_u|)" % (cfg.dt, cap))
     if cfg.sample_every < 1:
         raise ConfigError("sample_every must be >= 1")
     if not cfg.c_trial > 0:

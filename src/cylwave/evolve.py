@@ -15,6 +15,7 @@ preserves ordering).
 from __future__ import annotations
 
 import logging
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -117,7 +118,7 @@ class Stepper:
         self._lu = lu
 
     def step(self, state: EvolutionState) -> EvolutionState:
-        if state.u.grid != self.grid:
+        if state.u.grid is not self.grid and state.u.grid != self.grid:
             raise GridError("state grid does not match stepper grid")
         if state.frame_speed != self.frame_speed:
             raise EvolutionError("state frame speed %g != stepper %g"
@@ -128,7 +129,7 @@ class Stepper:
         new = np.zeros(self.grid.shape)
         new[self._free] = self._from_modes @ x.reshape(modes.shape)
         lo, hi = float(new.min()), float(new.max())  # NaN and inf reach these
-        if not (np.isfinite(lo) and np.isfinite(hi)):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise EvolutionError("non-finite state after implicit solve")
         viol = max(-lo, hi - 1.0, 0.0)
         if viol > CLIP_FAIL:
@@ -160,17 +161,16 @@ def weighted_energy(u: Field, model: ReactionModel, m: WeightedMeasure) -> float
 
     kappa = fitting_factor(g, m.c)
     wz_mid = kappa * np.sqrt(wexp[:-1] * wexp[1:])  # e^{c(z_{j+1/2}-ref)}, fitted
-    dz_sq = (np.diff(vals, axis=1) / g.dz) ** 2
-    total = 0.5 * np.sum(wy[:, None] * wz_mid[None, :] * dz_sq) * g.dz
+    dz_sq = ((vals[:, 1:] - vals[:, :-1]) / g.dz) ** 2
+    total = 0.5 * (wy[:, None] * wz_mid[None, :] * dz_sq).sum() * g.dz
 
     if g.n_y > 1:
         wy_mid = np.full(g.n_y - 1, g.dy)
-        dy_sq = (np.diff(vals, axis=0) / g.dy) ** 2
-        total += 0.5 * np.sum(wy_mid[:, None] * (wexp * g.dz)[None, :] * dy_sq)
+        dy_sq = ((vals[1:] - vals[:-1]) / g.dy) ** 2
+        total += 0.5 * (wy_mid[:, None] * (wexp * g.dz)[None, :] * dy_sq).sum()
 
     Vv = np.asarray(model.V(vals, g.y[:, None]), dtype=float)
-    Vv = np.broadcast_to(Vv, g.shape)
-    total += np.sum(wy[:, None] * (wexp * g.dz)[None, :] * Vv)  # flow_weights * V
+    total += (wy[:, None] * (wexp * g.dz)[None, :] * Vv).sum()  # flow_weights * V
     return float(total)
 
 

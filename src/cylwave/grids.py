@@ -126,8 +126,9 @@ def build_grid(config: GridConfig) -> CylinderGrid:
     else:
         if not config.y_min < config.y_max:
             raise GridError("cross-section interval is empty: [%g, %g]" % (config.y_min, config.y_max))
-        if config.n_y == 2 and config.bc_left == config.bc_right == DIRICHLET:
-            raise GridError("n_y = 2 with two Dirichlet ends leaves no free cross-section node")
+        if config.n_y == 2:
+            # the second-order one-sided d/dy at the section ends needs three nodes
+            raise GridError("n_y = 2 is too few cross-section nodes: need 1 or >= 3")
     return CylinderGrid(**asdict(config))
 
 
@@ -144,7 +145,7 @@ class Field:
             raise GridError(
                 "field shape %s does not match grid %s" % (self.values.shape, self.grid.shape)
             )
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise GridError("field contains non-finite entries")
 
     def copy(self) -> "Field":
@@ -284,13 +285,26 @@ def laplacian_advection(u: Field, c: float) -> Field:
     return Field(u.grid, _apply_transport(u.grid, u.values, c))
 
 
+def _gradient_last_axis(f: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+    """Write ``np.gradient(f, h, axis=-1, edge_order=2)`` into ``out``, bit for
+    bit: the same operations as NumPy's uniform-spacing branch, as slices."""
+    out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * h)
+    out[..., 0] = (-1.5 / h) * f[..., 0] + (2.0 / h) * f[..., 1] + (-0.5 / h) * f[..., 2]
+    out[..., -1] = (0.5 / h) * f[..., -3] + (-2.0 / h) * f[..., -2] + (1.5 / h) * f[..., -1]
+    return out
+
+
 def axial_derivative(values: np.ndarray, grid: CylinderGrid) -> np.ndarray:
-    """Centered d/dz (second-order one-sided at the window ends)."""
-    return np.gradient(values, grid.dz, axis=1, edge_order=2)
+    """Centered d/dz (second-order one-sided at the window ends); reproduces
+    ``np.gradient(values, grid.dz, axis=1, edge_order=2)`` bit for bit."""
+    return _gradient_last_axis(values, grid.dz, np.empty(np.shape(values)))
 
 
 def section_derivative(values: np.ndarray, grid: CylinderGrid) -> np.ndarray:
-    """Centered d/dy; zero in pure-1D mode."""
+    """Centered d/dy; zero in pure-1D mode.  Otherwise reproduces
+    ``np.gradient(values, grid.dy, axis=0, edge_order=2)`` bit for bit."""
     if grid.n_y == 1:
         return np.zeros_like(values)
-    return np.gradient(values, grid.dy, axis=0, edge_order=2)
+    out = np.empty(np.shape(values))
+    _gradient_last_axis(values.T, grid.dy, out.T)
+    return out

@@ -72,22 +72,38 @@ def eval_f(model: ReactionModel, u: Field) -> Field:
     """Pointwise reaction term on the grid; fails fast on non-finite output."""
     y = u.grid.y[:, None]
     vals = model.f(u.values, y)
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise ReactionError("reaction produced non-finite values")
-    return Field(u.grid, np.broadcast_to(vals, u.grid.shape).copy())
+    if np.shape(vals) != u.grid.shape:  # a model constant in y
+        vals = np.broadcast_to(vals, u.grid.shape).copy()
+    return Field(u.grid, vals)
 
 
 def eval_f_u(model: ReactionModel, u: Field) -> Field:
     y = u.grid.y[:, None]
     vals = model.f_u(u.values, y)
-    return Field(u.grid, np.broadcast_to(vals, u.grid.shape).copy())
+    if np.shape(vals) != u.grid.shape:
+        vals = np.broadcast_to(vals, u.grid.shape).copy()
+    return Field(u.grid, vals)
 
 
-def _poly_V(coeffs_desc: np.ndarray, u) -> np.ndarray:
-    """-antiderivative of a polynomial f (highest degree first), cutoff to [0,1]."""
-    anti = np.polyint(coeffs_desc)  # 0 constant term
-    uu = np.clip(u, 0.0, 1.0)
-    return -np.polyval(anti, uu)
+def _polyval(p: np.ndarray, x) -> np.ndarray:
+    """The polynomial with coefficients ``p`` (highest degree first) at ``x``;
+    reproduces ``np.polyval(p, x)`` bit for bit: the same Horner recurrence
+    from zero, run in place."""
+    y = np.zeros(np.shape(x))
+    for pv in p:
+        y *= x
+        y += pv
+    return y if y.ndim else y[()]
+
+
+def _poly_V(anti_desc: np.ndarray, u) -> np.ndarray:
+    """-antiderivative of a polynomial f, cutoff to [0,1]: ``anti_desc`` is
+    ``np.polyint`` of f's coefficients (highest degree first), computed once
+    per model.  Reproduces ``-np.polyval(anti_desc, np.clip(u, 0, 1))`` bit
+    for bit."""
+    return -_polyval(anti_desc, np.clip(u, 0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -100,6 +116,7 @@ class CubicBistable(ReactionModel):
     def __post_init__(self):
         if not 0.0 < self.a < 0.5:
             raise ReactionError("cubic parameter a must lie in (0, 1/2), got %g" % self.a)
+        object.__setattr__(self, "_anti", np.polyint([-1.0, 1.0 + self.a, -self.a, 0.0]))
 
     def f(self, u, y=None):
         return u * (1.0 - u) * (u - self.a)
@@ -108,7 +125,7 @@ class CubicBistable(ReactionModel):
         return -3.0 * u ** 2 + 2.0 * (1.0 + self.a) * u - self.a
 
     def V(self, u, y=None):
-        return _poly_V(np.array([-1.0, 1.0 + self.a, -self.a, 0.0]), u)
+        return _poly_V(self._anti, u)
 
     def exact_speed(self) -> float:
         """Selected speed of the 1D wave (closed form for this family)."""
@@ -171,19 +188,19 @@ class StackedBistable(ReactionModel):
         if not 0.0 < self.a1 < self.a2 < self.a3 < 1.0:
             raise ReactionError("need 0 < a1 < a2 < a3 < 1")
         roots = np.array([0.0, self.a1, self.a2, self.a3, 1.0])
-        object.__setattr__(self, "_poly", -self.scale * np.poly(roots))
-
-    def _coeffs(self) -> np.ndarray:
-        return self._poly
+        poly = -self.scale * np.poly(roots)
+        object.__setattr__(self, "_poly", poly)
+        object.__setattr__(self, "_dpoly", np.polyder(poly))
+        object.__setattr__(self, "_anti", np.polyint(poly))
 
     def f(self, u, y=None):
-        return np.polyval(self._coeffs(), u)
+        return _polyval(self._poly, u)
 
     def f_u(self, u, y=None):
-        return np.polyval(np.polyder(self._coeffs()), u)
+        return _polyval(self._dpoly, u)
 
     def V(self, u, y=None):
-        return _poly_V(self._coeffs(), u)
+        return _poly_V(self._anti, u)
 
 
 @dataclass(frozen=True)

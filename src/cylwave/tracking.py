@@ -8,6 +8,7 @@ what drives the exponential decay of the squared mismatch m(t).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,7 @@ def mismatch(u: Field, ws: WaveSolution, R: float,
         raise ValueError("translation %g out of range" % R)
     w = quadrature_weights(u.grid, m if m is not None else ws.measure(z_ref=R))
     diff = u.values - tpl.at(R)
-    return 0.5 * float(np.sum(w * diff * diff))
+    return 0.5 * float((w * diff * diff).sum())
 
 
 def mismatch_derivatives(u: Field, ws: WaveSolution, R: float,
@@ -70,9 +71,9 @@ def mismatch_derivatives(u: Field, ws: WaveSolution, R: float,
     w = quadrature_weights(u.grid, mm)
     tdz = tpl.dz_at(R)
     diff = u.values - tpl.at(R)
-    h1 = float(np.sum(w * diff * tdz))
+    h1 = float((w * diff * tdz).sum())
     uz = u_z if u_z is not None else axial_derivative(u.values, u.grid)
-    h2 = mm.c * h1 + float(np.sum(w * uz * tdz))
+    h2 = mm.c * h1 + float((w * uz * tdz).sum())
     return h1, h2
 
 
@@ -110,7 +111,7 @@ def locate_front(u: Field, ws: WaveSolution, R_seed: float = 0.0,
     w = quadrature_weights(u.grid, mm)
     uz = u_z if u_z is not None else axial_derivative(u.values, u.grid)
     wu = w * u.values
-    dz_norm_sq = float(np.sum(w * ws.profile_dz ** 2))
+    dz_norm = math.sqrt((w * ws.profile_dz ** 2).sum())
     evals = 0
 
     def deriv(R):
@@ -118,21 +119,21 @@ def locate_front(u: Field, ws: WaveSolution, R_seed: float = 0.0,
         evals += 1
         return mismatch_derivatives(u, ws, R, m=mm, u_z=uz)
 
-    R = float(np.clip(R_seed, -limit, limit))
+    R = float(min(max(R_seed, -limit), limit))
     h1, h2 = deriv(R)
     bracket = None
     steps = 0
     while True:
         hval = mismatch(u, ws, R, m=mm)
-        tol = 1e-12 * max(np.sqrt(2 * hval) * np.sqrt(dz_norm_sq), 1e-30)
-        floor = _EPS * float(np.sum(np.abs(wu * tpl.dz_at(R))))
+        tol = 1e-12 * max(math.sqrt(2 * hval) * dz_norm, 1e-30)
+        floor = _EPS * float(abs(wu * tpl.dz_at(R)).sum())
         stop = max(tol, floor)
         if abs(h1) <= stop or steps == max_iter:
             break
         steps += 1
         if h2 > 0:
             step = -h1 / h2
-            R_new = R + np.clip(step, -1.0, 1.0)
+            R_new = R + min(max(step, -1.0), 1.0)
         else:
             R_new = None
         if R_new is None or not -limit <= R_new <= limit:
@@ -178,8 +179,8 @@ def z_delta(u: Field, ws: WaveSolution, R: float,
     if delta <= 0:
         raise ValueError("delta must be positive")
     tpl = ws.template
-    err = np.max(np.abs(u.values - tpl.at(R)), axis=0)
-    exceeding = np.nonzero(err > delta)[0]
+    err = abs(u.values - tpl.at(R)).max(axis=0)
+    exceeding = (err > delta).nonzero()[0]
     if exceeding.size == 0:
         return float("-inf")
     return float(u.grid.z[exceeding[-1]])
@@ -250,9 +251,9 @@ def track(model: ReactionModel, ws: WaveSolution, u0: Field, dt: float,
             dRdt_fd = (R - prev[1]) / dt
             ut = (u.values - prev[0]) / dt
             tdz = tpl.dz_at(R)
-            denom = float(np.sum(w * uz * tdz))
-            quotient = -float(np.sum(w * ut * tdz)) / denom if denom != 0 else np.nan
-        rows.append((state.t, R, float(np.sum(w * dev.values ** 2)),
+            denom = float((w * uz * tdz).sum())
+            quotient = -float((w * ut * tdz).sum()) / denom if denom != 0 else np.nan
+        rows.append((state.t, R, float((w * dev.values ** 2).sum()),
                      weighted_energy(u, model, mm), dRdt_fd, quotient,
                      weighted_norm_h2(dev, mm), z_delta(u, ws, R, delta),
                      fs.ortho_residual, fs.iterations))

@@ -23,6 +23,7 @@ from .grids import CylinderGrid, Field, axial_derivative, section_derivative
 
 # e^x overflows double precision just above x ~ 709
 MAX_EXPONENT = 700.0
+_EPS = float(np.finfo(float).eps)
 
 
 class WeightOverflowError(OverflowError):
@@ -73,22 +74,22 @@ def weighted_inner(u: Field, v: Field, m: WeightedMeasure) -> float:
     if u.grid is not v.grid and u.grid != v.grid:
         raise ValueError("fields live on different grids")
     w = quadrature_weights(u.grid, m)
-    return float(np.sum(w * u.values * v.values))
+    return float((w * u.values * v.values).sum())
 
 
 def weighted_norm_l2(u: Field, m: WeightedMeasure) -> float:
     w = quadrature_weights(u.grid, m)
-    return float(np.sqrt(np.sum(w * u.values ** 2)))
+    return math.sqrt((w * u.values ** 2).sum())
 
 
 def weighted_norm_h1(u: Field, m: WeightedMeasure) -> float:
     """L2 norm of u and of its discrete gradient, root-sum-square."""
     w = quadrature_weights(u.grid, m)
-    total = np.sum(w * u.values ** 2)
-    total += np.sum(w * axial_derivative(u.values, u.grid) ** 2)
+    total = (w * u.values ** 2).sum()
+    total += (w * axial_derivative(u.values, u.grid) ** 2).sum()
     if u.grid.n_y > 1:
-        total += np.sum(w * section_derivative(u.values, u.grid) ** 2)
-    return float(np.sqrt(total))
+        total += (w * section_derivative(u.values, u.grid) ** 2).sum()
+    return math.sqrt(total)
 
 
 def weighted_norm_h2(u: Field, m: WeightedMeasure) -> float:
@@ -97,13 +98,13 @@ def weighted_norm_h2(u: Field, m: WeightedMeasure) -> float:
     w = quadrature_weights(g, m)
     uz = axial_derivative(u.values, g)
     uzz = axial_derivative(uz, g)
-    total = np.sum(w * u.values ** 2) + np.sum(w * uz ** 2) + np.sum(w * uzz ** 2)
+    total = (w * u.values ** 2).sum() + (w * uz ** 2).sum() + (w * uzz ** 2).sum()
     if g.n_y > 1:
         uy = section_derivative(u.values, g)
         uyy = section_derivative(uy, g)
         uyz = axial_derivative(uy, g)
-        total += np.sum(w * uy ** 2) + np.sum(w * uyy ** 2) + np.sum(w * uyz ** 2)
-    return float(np.sqrt(total))
+        total += (w * uy ** 2).sum() + (w * uyy ** 2).sum() + (w * uyz ** 2).sum()
+    return math.sqrt(total)
 
 
 def _pchip_end(m0, m1):
@@ -183,7 +184,7 @@ def shifted_hermite(y: np.ndarray, d: np.ndarray, h: float, R: float,
     n = y.shape[-1]
     s = -R / h
     k = round(s)
-    if abs(s - k) <= 4 * np.finfo(float).eps * abs(s):
+    if abs(s - k) <= 4 * _EPS * abs(s):
         t = 0.0                     # a whole number of cells, up to rounding
     else:
         k = math.floor(s)

@@ -92,8 +92,18 @@ class TestParse:
 
 class TestValidation:
     def test_dt_above_cap_cites_bound(self):
-        with pytest.raises(ConfigError, match="dt_max"):
-            parse_config(MINIMAL.replace("dt = 0.1", "dt = 5.0"))
+        too_large = MINIMAL.replace("dt = 0.1", "dt = 5.0")
+        for scenario in ("converge", "comparison"):
+            with pytest.raises(ConfigError, match="dt_max"):
+                parse_config(too_large.replace("scenario = wave", "scenario = " + scenario))
+        # the scenarios that take no time step do not read dt
+        assert parse_config(too_large).dt == 5.0
+
+    def test_horizon_checked_only_where_used(self):
+        with pytest.raises(ConfigError, match="horizon"):
+            parse_config(MINIMAL.replace("scenario = wave", "scenario = converge")
+                         + "horizon = 0\n")
+        assert parse_config(MINIMAL + "horizon = 0\n").horizon == 0.0
 
     def test_bad_grid_propagates(self):
         with pytest.raises(ConfigError, match="axial resolution"):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from cylwave.grids import (DIRICHLET, NEUMANN, CrossSectionField, Field,
                            GridConfig, GridError, _apply_transport, apply_boundary,
-                           build_grid, laplacian_advection, transport_operator)
+                           axial_derivative, build_grid, laplacian_advection,
+                           section_derivative, transport_operator)
 
 
 def grid_1d(n_z=401, z=(-20.0, 20.0), axial_right=DIRICHLET):
@@ -47,8 +48,11 @@ class TestBuildGrid:
             build_grid(GridConfig(n_y=1, n_z=32, z_min=0, z_max=1, bc_left=DIRICHLET))
 
     def test_no_free_section_node_rejected(self):
-        with pytest.raises(GridError, match="no free cross-section node"):
-            build_grid(GridConfig(n_y=2, bc_left="dirichlet", bc_right="dirichlet"))
+        # two cross-section nodes are too few for the one-sided d/dy at the
+        # section ends, whatever the boundary tags
+        for bc_left, bc_right in itertools.product((NEUMANN, DIRICHLET), repeat=2):
+            with pytest.raises(GridError, match="n_y = 2"):
+                build_grid(GridConfig(n_y=2, bc_left=bc_left, bc_right=bc_right))
 
     def test_deterministic(self):
         cfg = GridConfig(n_y=5, n_z=32, z_min=0.0, z_max=1.0)
@@ -203,3 +207,22 @@ class TestLaplacianAdvection:
         g = grid_1d(n_z=32)
         with pytest.raises(GridError):
             laplacian_advection(Field(g, np.zeros(g.shape)), -0.1)
+
+
+class TestDerivatives:
+    """The slice kernels reproduce ``np.gradient(..., edge_order=2)`` bit for
+    bit, so the weighted norms and the tracker's h'' keep their values."""
+
+    @pytest.mark.parametrize("n_y, n_z", itertools.product((1, 3, 7, 65), (16, 371, 1201)))
+    def test_match_numpy_gradient_bitwise(self, n_y, n_z):
+        g = build_grid(GridConfig(n_y=n_y, n_z=n_z, y_min=-0.3, y_max=1.7,
+                                  z_min=-33.0, z_max=17.0))
+        rng = np.random.default_rng(n_y * 10_000 + n_z)
+        for scale in (1e-3, 1.0, 1e3):
+            values = scale * rng.standard_normal(g.shape)
+            assert np.array_equal(axial_derivative(values, g),
+                                  np.gradient(values, g.dz, axis=1, edge_order=2))
+            expect = (np.zeros(g.shape) if n_y == 1
+                      else np.gradient(values, g.dy, axis=0, edge_order=2))
+            assert np.array_equal(section_derivative(values, g), expect)
+

@@ -4,8 +4,8 @@ import pytest
 from cylwave.grids import Field, GridConfig, build_grid
 from cylwave.reactions import (CubicBistable, HeterogeneousCubic, LinearModel,
                                ReactionError, ReactionModel, ShiftedModel,
-                               StackedBistable, check_hypotheses, eval_f,
-                               make_model)
+                               StackedBistable, _poly_V, check_hypotheses,
+                               eval_f, make_model)
 
 
 def grid_1d(n_z=64):
@@ -44,6 +44,26 @@ class TestCubic:
         g = grid_1d()
         out = eval_f(CubicBistable(a=0.25), Field(g, np.full(g.shape, 0.5)))
         np.testing.assert_allclose(out.values, 1.0 / 16.0)
+
+
+class TestPolynomials:
+    @pytest.mark.parametrize("model, coeffs", [
+        (CubicBistable(a=0.3), np.array([-1.0, 1.3, -0.3, 0.0])),
+        (StackedBistable(), -np.poly([0.0, 0.05, 0.5, 0.8, 1.0])),
+    ], ids=["cubic", "stacked"])
+    def test_polynomials_match_numpy_polyval_bitwise(self, model, coeffs):
+        anti = np.polyint(coeffs)
+        u = np.random.default_rng(5).uniform(-0.5, 1.5, (3, 257))
+        u[0, :4] = [0.0, 1.0, -0.0, 0.5]
+        want = -np.polyval(anti, np.clip(u, 0.0, 1.0))
+        assert np.array_equal(_poly_V(anti, u), want)
+        assert np.array_equal(model.V(u), want)
+        for x in (0.37, -2.0, 3.0):            # a 0-d input still gives a scalar
+            got = model.V(x)
+            assert np.ndim(got) == 0 and got == -np.polyval(anti, np.clip(x, 0.0, 1.0))
+        if isinstance(model, StackedBistable):  # f and f_u are polynomials too
+            assert np.array_equal(model.f(u), np.polyval(coeffs, u))
+            assert np.array_equal(model.f_u(u), np.polyval(np.polyder(coeffs), u))
 
 
 class TestOtherModels:

@@ -205,10 +205,24 @@ class TestCli:
 
     def test_config_error_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(WAVE_SMALL.replace("dt = 0.1", "dt = 99.0"))
-        code = main(["wave", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        cfg.write_text(FAST_CONVERGE.replace("dt = 0.1", "dt = 99.0"))
+        code = main(["converge", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "dt_max" in capsys.readouterr().err
+
+    def test_wave_ignores_time_step(self, tmp_path):
+        # the continuation wave solver takes no time step, so dt is not checked
+        cfg = tmp_path / "wave.cfg"
+        cfg.write_text(WAVE_SMALL.replace("dt = 0.1", "dt = 99.0"))
+        assert main(["wave", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+    def test_two_node_section_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(FAST_CONVERGE.replace("[grid]", "[grid]\nn_y = 2"))
+        code = main(["converge", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "n_y = 2" in err and "Traceback" not in err
 
     def test_foreign_model_parameter_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

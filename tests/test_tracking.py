@@ -244,6 +244,22 @@ class TestTrack:
         assert quality >= 0.99
         assert sigma == pytest.approx(0.308, abs=0.02)
 
+    def test_step_path_calls_neither_gradient_nor_polyval(self, monkeypatch):
+        # on 401-node arrays NumPy's general routines cost more in call
+        # overhead than in arithmetic; the step path uses its own kernels
+        grid = build_grid(GridConfig(n_y=1, n_z=401, z_min=-25.0, z_max=15.0))
+        model = CubicBistable(a=0.25)
+        ws = solve_wave(model, grid, front_seed(grid, 1.0), c_seed=0.2)
+        u0 = front_seed(grid, 1.0, offset=1.0, steepness=0.8)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a NumPy routine was called on the step path")
+
+        monkeypatch.setattr(np, "gradient", refuse)
+        monkeypatch.setattr(np, "polyval", refuse)
+        trace = track(model, ws, u0, dt=0.1, horizon=1.0)
+        assert trace.samples.size == 11
+
     def test_quotient_matches_position_rate_at_first_order(self, wave):
         # the explicit translation-rate quotient and the finite difference of
         # the tracked position agree to O(dt)
