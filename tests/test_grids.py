@@ -225,4 +225,3 @@ class TestDerivatives:
             expect = (np.zeros(g.shape) if n_y == 1
                       else np.gradient(values, g.dy, axis=0, edge_order=2))
             assert np.array_equal(section_derivative(values, g), expect)
-
