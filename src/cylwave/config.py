@@ -9,7 +9,7 @@ model/grid (the time-step cap depends on both).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import dataclass, field as dc_field, fields, replace
 
 from .evolve import dt_max
 from .grids import CylinderGrid, GridConfig, GridError, build_grid
@@ -88,9 +88,12 @@ class ExperimentConfig:
 
     def make_model(self) -> ReactionModel:
         try:
-            return make_model(self.model_name, self.model_params)
+            model = make_model(self.model_name, self.model_params)
         except ReactionError as exc:
             raise ConfigError(str(exc))
+        if {"y_min", "y_max"} <= {f.name for f in fields(model)}:  # a(y) spans the section
+            model = replace(model, y_min=self.grid_config.y_min, y_max=self.grid_config.y_max)
+        return model
 
     def make_grid(self) -> CylinderGrid:
         try:

@@ -2,23 +2,23 @@
 solver, spectral gap, secondary (stacked-front) speed, and translation-distance
 diagnostics.
 
-The solver is one loop from the seed to the wave: implicit Euler in
-pseudo-time on the freezing system {discrete wave equation = 0, weighted
-phase condition = 0} with the speed as an extra unknown (Beyn & Thuemmler,
-SIAM J. Appl. Dyn. Syst. 3 (2004)), whose pseudo-time step grows by switched
+The solver is one loop from the seed to the centred wave: implicit Euler in
+pseudo-time on the freezing system {discrete wave equation = 0, phase
+condition = 0} with the speed as an extra unknown (Beyn & Thuemmler, SIAM J.
+Appl. Dyn. Syst. 3 (2004)), whose pseudo-time step grows by switched
 evolution relaxation until the steps are Newton steps (Kelley & Keyes, SIAM
-J. Numer. Anal. 35 (1998)).  The profile is then translated so the mid-level
-of the front sits at z = 0 and re-polished by the same loop without the
-pseudo-time term.  1D and 2D grids take the same path: the residual is
-applied matrix-free, and the whole solve shares one sparse factorization of
-the Jacobian block (chord steps), factored again only when a chord step
-fails to halve the residual; ``WaveSolution`` counts the steps and
-factorizations.
+J. Numer. Anal. 35 (1998)).  The phase condition pins the front's mid-level
+at z = 0, where the seed's own mid-level is moved first, so the loop returns
+the speed and the centred profile together.  1D and 2D grids take the same
+path: the residual is applied matrix-free, and the whole solve shares one
+sparse factorization of the Jacobian block (chord steps), factored again
+only when a chord step fails to halve the residual; ``WaveSolution`` counts
+the steps and factorizations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -41,8 +41,6 @@ RESIDUAL_LIMIT = 1e-8
 TAU0 = 100.0
 # pseudo-time steps before the continuation counts as failed
 CONTINUATION_MAX_STEPS = 200
-# mid-level translations before centering counts as failed
-CENTER_MAX_SHIFTS = 10
 # inverse-iteration steps before the spectral gap counts as not converged
 EIGEN_MAX_ITER = 1000
 
@@ -63,10 +61,10 @@ class WaveSolution:
     profile: Field
     profile_dz: np.ndarray          # centered d/dz of the profile
     residual: float                 # sup-norm of the discrete wave equation
-    normalization_shift: float      # translation applied to center the front
+    normalization_shift: float      # translation that centred the seed's mid-level
     plateau: CrossSectionField      # left-edge cross-section state
     monotone: bool
-    newton_iterations: int = 0      # over the polish and its re-polishes
+    newton_iterations: int = 0      # polish iterations at tau = inf (refine_solution)
     factorizations: int = 0         # Jacobian factorizations, continuation included
     continuation_steps: int = 0     # pseudo-time steps from the seed
 
@@ -144,57 +142,90 @@ class _NewtonWork:
 
 def freeze_frame(model: ReactionModel, grid: CylinderGrid, seed: Field,
                  c_seed: float, work: _NewtonWork | None = None
-                 ) -> tuple[float, Field, int]:
-    """Pseudo-transient continuation from a front-like seed to the wave.
+                 ) -> tuple[float, Field, int, float]:
+    """Pseudo-transient continuation from a front-like seed to the centred wave.
 
     Implicit Euler in pseudo-time on the freezing system of Beyn & Thuemmler
-    (2004): the wave equation ``G(u, c) = 0`` and a weighted phase condition
-    pinned to the seed, with the speed as an extra unknown.  Each step is one
-    bordered solve of ``J - I/tau`` on the free nodes, i.e. ``_newton_polish``
-    with ``-1/tau`` on the free diagonal, and ``tau`` grows by switched
-    evolution relaxation, ``tau <- tau merit_old / merit_new`` (Kelley & Keyes
-    1998), until the steps are Newton steps.  The chord rule holds throughout:
-    the block is factored again only when a step does not halve the merit.
+    (2004): the wave equation ``G(u, c) = 0`` and a phase condition that
+    pins the front's mid-level at z = 0, with the speed as an extra unknown.
+    Each step is one bordered solve of ``J - I/tau`` on the free nodes, i.e.
+    ``_newton_polish`` with ``-1/tau`` on the free diagonal, and ``tau`` grows
+    by switched evolution relaxation, ``tau <- tau merit_old / merit_new``
+    (Kelley & Keyes 1998), until the steps are Newton steps.  The chord rule
+    holds throughout: the block is factored again only when a step does not
+    halve the merit.
 
     ``tau`` starts at ``TAU0 = 100`` on every grid and model.  The rule: the
     first step is a Newton step whose block is shifted by ``1/tau = 0.01``,
     far below the spectral gaps of the shipped waves (0.19 to 0.29), so one
     factorization serves as a chord from the seed on.  A flow-like start
     costs factorizations: ``1/max(1, sup|f_u|)``, the cross-section solver's
-    rule, takes 29 and 21 steps with 6 and 7 factorizations for the stacked
-    config's two waves, against 8 and 18 steps with 2 and 3 here, and a
-    larger ``TAU0`` saves at most one step.
+    rule, takes 27 and 21 steps with 6 and 8 factorizations for the stacked
+    config's two waves, against 15 and 31 steps with 3 and 2 here.
 
     A seed whose left section does not have negative energy is not
     front-like and raises SeedBasinError before any step, as does a step
-    that collapses toward zero or fills the window.  ``CONTINUATION_MAX_STEPS``
-    steps without reaching ``NEWTON_TOL`` raise WaveSolverError.  Returns
-    (speed, wave, steps); the factorizations are counted in ``work``.
+    that collapses toward zero or fills the window; a front-like seed is
+    first translated by ``shift`` to put its mid-level at z = 0.
+    ``CONTINUATION_MAX_STEPS`` steps without reaching ``NEWTON_TOL`` raise
+    WaveSolverError.  Returns (speed, wave, steps, shift); the
+    factorizations are counted in ``work``.
     """
     seed = apply_boundary(seed)
     left = section_energy(CrossSectionField(grid, seed.values[:, 0].copy()), model)
     if not left < 0.0:
         raise SeedBasinError("seed is not front-like: its left section has energy "
                              "%.3g >= 0" % left)
+    shift = 0.0 - _mid_level(grid, seed.values)  # 0.0, never -0.0
+    if shift != 0.0:
+        seed = translate(seed, shift)
     work = _NewtonWork() if work is None else work
     start = work.iterations
-    values, c = _newton_polish(model, grid, seed.values, float(c_seed), seed.values,
+    values, c = _newton_polish(model, grid, seed.values, float(c_seed),
                                max_iter=CONTINUATION_MAX_STEPS, work=work, tau=TAU0)
-    return c, Field(grid, values), work.iterations - start
+    return c, Field(grid, values), work.iterations - start, shift
 
 
-def _newton_polish(model, grid, values, c, ref_values, max_iter=40,
-                   tol=NEWTON_TOL, work=None, tau=np.inf):
-    """Bordered Newton on (profile, speed) with a weighted phase condition.
+def _mid_level(grid: CylinderGrid, values: np.ndarray) -> float:
+    """z where the linearly interpolated cross-section sup first falls to
+    half its maximum."""
+    s = np.max(values, axis=0)
+    target = 0.5 * float(s.max())
+    j = int(np.argmax(s < target))  # 0 when no node, or the first, is below
+    if j == 0:
+        raise WaveSolverError("profile has no mid-level crossing inside the window")
+    return float(grid.z[j - 1] + grid.dz * (s[j - 1] - target) / (s[j - 1] - s[j]))
 
-    The phase condition pins the weighted projection of the update on the
-    reference profile's axial derivative, weighted at the speed the call
-    starts from.  Every iteration evaluates the wave residual ``G``, the
-    phase and ``dG/dc`` exactly at the current iterate, and their merit
-    ``max(sup|G|, |phase|)`` alone decides convergence.  A finite ``tau``
-    makes each iteration an implicit Euler step of pseudo-time ``tau`` (the
-    factored block is ``J - I/tau`` on the free nodes), and ``tau`` grows by
-    ``merit_old / merit_new`` after every step (freeze_frame).
+
+def _phase_vector(grid: CylinderGrid, u: np.ndarray) -> np.ndarray:
+    """``p`` with ``p.u`` = the cross-section sup at z = 0, linear between
+    the two nodes around it, minus half the global sup; each sup is read at
+    ``u``'s argmax node, so ``p`` is the phase's gradient at ``u``."""
+    if not grid.z_min <= 0.0 <= grid.z_max:
+        raise WaveSolverError("the window [%g, %g] does not contain z = 0, where "
+                              "the mid-level is pinned" % (grid.z_min, grid.z_max))
+    j = min(int(np.searchsorted(grid.z, 0.0, side="right")) - 1, grid.n_z - 2)
+    theta = -float(grid.z[j]) / grid.dz
+    U = u.reshape(grid.shape)
+    p = np.zeros(grid.shape)
+    p[np.argmax(U[:, j]), j] += 1.0 - theta
+    p[np.argmax(U[:, j + 1]), j + 1] += theta
+    p.flat[np.argmax(U)] -= 0.5
+    return p.ravel()
+
+
+def _newton_polish(model, grid, values, c, max_iter=40, tol=NEWTON_TOL,
+                   work=None, tau=np.inf):
+    """Bordered Newton on (profile, speed) with the mid-level phase condition.
+
+    The phase ``p.u`` (``_phase_vector``) pins the front's mid-level at
+    z = 0; ``p`` is rebuilt at each accepted iterate.  Every iteration
+    evaluates the wave residual ``G``, the phase and ``dG/dc`` exactly at the
+    current iterate, and their merit ``max(sup|G|, |phase|)`` alone decides
+    convergence.  A finite ``tau`` makes each iteration an implicit Euler
+    step of pseudo-time ``tau`` (the factored block is ``J - I/tau`` on the
+    free nodes), and ``tau`` grows by ``merit_old / merit_new`` after every
+    step (freeze_frame).
 
     The residual and ``dG/dc`` (a central difference in ``c``) are applied
     matrix-free; ``transport_operator`` is assembled only to be factored.  On
@@ -213,22 +244,15 @@ def _newton_polish(model, grid, values, c, ref_values, max_iter=40,
     if work is None:
         work = _NewtonWork()
     pinned = grid.dirichlet_mask.ravel()
-    ref_dz = axial_derivative(ref_values, grid).ravel()
-    ref_dz[pinned] = 0.0
-    w = flow_weights(grid, WeightedMeasure(max(c, 1e-6), z_ref=0.0)).ravel()
-    p = w * ref_dz
-    p /= float(p @ ref_dz)  # now p.(u - ref) has units of translation
-    p[pinned] = 0.0
-
     u = values.ravel().copy()
     u[pinned] = 0.0
-    ref = ref_values.ravel()
+    p = _phase_vector(grid, u)
     top = float(np.max(u))
     hc = 1e-7 * (1.0 + abs(c))
 
     def residual(uv, cv):
         G = _wave_residual(model, grid, uv.reshape(grid.shape), cv).ravel()
-        phase = float(p @ (uv - ref))
+        phase = float(p @ uv)
         return G, phase, max(float(np.max(np.abs(G))), abs(phase))
 
     def bordered(s1, s2):
@@ -251,7 +275,7 @@ def _newton_polish(model, grid, values, c, ref_values, max_iter=40,
         if work.lu is not None:
             du, dc = bordered(*work.lu.solve(rhs).T)
             u_try, c_try = u + du, c + dc
-            G_try, phase_try, m_try = residual(u_try, c_try)
+            G_try, _, m_try = residual(u_try, c_try)
         if work.lu is None or not m_try <= 0.5 * merit:
             # Pinned rows of the operator are zero, so unit diagonal entries
             # there make identity rows enforcing the pinned values.
@@ -276,7 +300,7 @@ def _newton_polish(model, grid, values, c, ref_values, max_iter=40,
             for _ in range(10):
                 u_try = u + stepsize * du
                 c_try = c + stepsize * dc
-                G_try, phase_try, m_try = residual(u_try, c_try)
+                G_try, _, m_try = residual(u_try, c_try)
                 if m_try < merit:
                     break
                 stepsize *= 0.5
@@ -285,7 +309,10 @@ def _newton_polish(model, grid, values, c, ref_values, max_iter=40,
                     raise WaveSolverError("Newton stalled at residual %.3g" % merit)
                 break  # at the roundoff floor: keep the best iterate
         tau *= merit / max(m_try, tol)  # the floor only guards the last step
-        u, c, G, phase, merit = u_try, c_try, G_try, phase_try, m_try
+        u, c, G = u_try, c_try, G_try
+        p = _phase_vector(grid, u)
+        phase = float(p @ u)
+        merit = max(float(np.max(np.abs(G))), abs(phase))
         if not np.isfinite(merit) or abs(c) > 1e3:
             raise WaveSolverError("Newton diverged")
         if float(np.max(u)) < 0.25 * top:
@@ -297,68 +324,10 @@ def _newton_polish(model, grid, values, c, ref_values, max_iter=40,
     return u.reshape(grid.shape), c
 
 
-def _mid_level_position(grid: CylinderGrid, values: np.ndarray) -> float:
-    """z where the cross-section sup equals half its global maximum.
-
-    The sup is interpolated by a monotone (PCHIP) cubic; the crossing is
-    found by bisection, to 1e-13, on the first interval where the sup falls
-    below half its maximum.
-    """
-    s = np.max(np.abs(values), axis=0)
-    target = 0.5 * float(s.max())
-    j = np.nonzero(s < target)[0]
-    if j.size == 0 or j[0] == 0:
-        raise WaveSolverError("profile has no mid-level crossing inside the window")
-    j = j[0]
-    cell = slice(j - 1, j + 1)
-    z, r, d = grid.z[cell], s[cell] - target, pchip_slopes(s, grid.dz)[cell]
-    lo, hi = float(z[0]), float(z[1])   # r >= 0 at lo, r < 0 at hi
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        if hermite(z, r, d, mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _centered_solution(model: ReactionModel, grid: CylinderGrid, values: np.ndarray,
-                       c: float, work: _NewtonWork | None = None) -> WaveSolution:
-    """Newton-polish ``values``, then translate its mid-level to z = 0 and
-    re-polish until the mid-level sits within 1e-10 of z = 0.
-
-    A re-polish moves the mid-level by a fixed fraction of the translation,
-    so each translation after the first (``-zmid``) is a secant step on the
-    total translation.  Every re-polish starts close to the previous
-    solution: the polishes share one ``_NewtonWork`` (``work``, when the
-    continuation passes its own) and keep stepping with its factorization
-    while it halves the merit.  The returned solution counts the polishes'
-    Newton iterations and every factorization in ``work``.
-
-    Raises when ``CENTER_MAX_SHIFTS`` translations leave the mid-level off
-    centre or the final wave residual exceeds RESIDUAL_LIMIT; the returned
-    solution records (but does not enforce) axial monotonicity.
-    """
-    work = _NewtonWork() if work is None else work
-    start = work.iterations
-    values, c = _newton_polish(model, grid, values, c, values, work=work)
-    total_shift, last = 0.0, None  # last: (mid-level, translation) of the previous pass
-    for shifts in range(CENTER_MAX_SHIFTS + 1):
-        zmid = _mid_level_position(grid, values)
-        if abs(zmid) < 1e-10:
-            break
-        if shifts == CENTER_MAX_SHIFTS:
-            raise WaveSolverError("mid-level still at |z| = %.3g after %d translations"
-                                  % (abs(zmid), shifts))
-        step = -zmid
-        if last is not None and zmid != last[0]:
-            step = -zmid * last[1] / (zmid - last[0])
-        last = (zmid, step)
-        shifted = translate(Field(grid, values), step)
-        total_shift += step
-        values, c = _newton_polish(model, grid, shifted.values, c, shifted.values,
-                                   work=work)
-
+def _wave_solution(model: ReactionModel, grid: CylinderGrid, values: np.ndarray,
+                   c: float, work: _NewtonWork, **counts) -> WaveSolution:
+    """The solved wave, once its residual is checked against RESIDUAL_LIMIT;
+    it records (but does not enforce) axial monotonicity."""
     res = float(np.max(np.abs(_wave_residual(model, grid, values, c))))
     if res > RESIDUAL_LIMIT:
         raise WaveSolverError("wave residual %.3g exceeds %.1g" % (res, RESIDUAL_LIMIT))
@@ -368,11 +337,10 @@ def _centered_solution(model: ReactionModel, grid: CylinderGrid, values: np.ndar
         profile=Field(grid, values),
         profile_dz=axial_derivative(values, grid),
         residual=res,
-        normalization_shift=float(total_shift),
         plateau=CrossSectionField(grid, values[:, 0].copy()),
         monotone=bool(np.all(np.diff(values, axis=1) <= 1e-12)),
-        newton_iterations=work.iterations - start,
         factorizations=work.factorizations,
+        **counts,
     )
 
 
@@ -380,11 +348,12 @@ def solve_wave(model: ReactionModel, grid: CylinderGrid, seed: Field,
                c_seed: float) -> WaveSolution:
     """Compute the selected speed and the centered minimizing profile."""
     work = _NewtonWork()
-    c1, wave, steps = freeze_frame(model, grid, seed, c_seed, work=work)
-    ws = _centered_solution(model, grid, wave.values, c1, work=work)
+    c, wave, steps, shift = freeze_frame(model, grid, seed, c_seed, work=work)
+    ws = _wave_solution(model, grid, wave.values, c, work, normalization_shift=shift,
+                        continuation_steps=steps)
     if not ws.monotone:
         raise WaveSolverError("computed profile is not monotone along the axis")
-    return replace(ws, continuation_steps=steps)
+    return ws
 
 
 def refine_solution(ws: WaveSolution, grid: CylinderGrid,
@@ -409,7 +378,10 @@ def refine_solution(ws: WaveSolution, grid: CylinderGrid,
             rows = vals.T
             vals = hermite(ws.grid.y, rows, pchip_slopes(rows, ws.grid.dy), grid.y).T
     vals = apply_boundary(Field(grid, vals)).values
-    return _centered_solution(model, grid, vals, ws.speed)
+    work = _NewtonWork()
+    vals, c = _newton_polish(model, grid, vals, ws.speed, work=work)
+    return _wave_solution(model, grid, vals, c, work, normalization_shift=0.0,
+                          newton_iterations=work.iterations)
 
 
 # ---------------------------------------------------------------------------

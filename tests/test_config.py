@@ -118,6 +118,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="does not take a1"):
             parse_config(MINIMAL.replace("a = 0.25", "a1 = 0.3"))
 
+    def test_cubic_y_follows_the_grid_section(self):
+        # a(y) = a0 + a1 cos(pi s) runs half a period over the section,
+        # whatever its extent
+        text = (MINIMAL.replace("n_z = 401", "n_y = 9\ny_min = 0.0\ny_max = 2.0\nn_z = 401")
+                .replace("name = cubic\na = 0.25", "name = cubic_y\na0 = 0.25\na1 = 0.1"))
+        model = parse_config(text).make_model()
+        assert model.a_of_y(0.0) == pytest.approx(0.35)
+        assert model.a_of_y(1.0) == pytest.approx(0.25)
+        assert model.a_of_y(2.0) == pytest.approx(0.15)
+
     def test_sandwich_family_accepted(self):
         cfg = parse_config(MINIMAL.replace("scenario = wave", "scenario = comparison")
                            + "\n[initial]\nfamily = sandwich\nseparation = 4.0\n")

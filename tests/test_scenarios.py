@@ -191,6 +191,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "residual_below_tolerance" in out and "pass" in out
 
+    @pytest.mark.parametrize("c_seed", [5.0, 50.0])
+    def test_shipped_wave_from_a_fast_seed(self, tmp_path, c_seed):
+        # seed speeds far above the wave's 0.354: the mid-level phase holds
+        # the front in the window, and no e^{cz} weight enters the solve
+        shipped = os.path.join(os.path.dirname(__file__), "..", "configs",
+                               "wave_cubic_a25.cfg")
+        with open(shipped) as fh:
+            text = fh.read()
+        cfg = tmp_path / "wave.cfg"
+        cfg.write_text(text.replace("c_seed = 0.2", "c_seed = %r" % c_seed))
+        assert main(["wave", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        results = read_manifest(tmp_path / "out" / "manifest.txt")["results"]
+        assert float(results["speed"]) == pytest.approx(0.35355799106416952, rel=1e-9)
+
     def test_sub_threshold_datum_names_extinction(self, tmp_path, capsys):
         # sup 0.2 lies below the cubic's ignition level a = 0.25: no front survives
         cfg = tmp_path / "converge.cfg"

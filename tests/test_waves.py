@@ -5,8 +5,8 @@ from scipy.interpolate import CubicSpline
 from cylwave.evolve import flow_weights
 from cylwave.grids import (CrossSectionField, Field, GridConfig, build_grid,
                            transport_operator)
-from cylwave.reactions import (CubicBistable, HeterogeneousCubic, ShiftedModel,
-                               StackedBistable, eval_f_u)
+from cylwave.reactions import (CubicBistable, HeterogeneousCubic, LinearModel,
+                               ShiftedModel, StackedBistable, eval_f_u)
 from cylwave.sections import find_critical_point
 from cylwave import waves
 from cylwave.waves import (SeedBasinError, Template, front_seed,
@@ -44,15 +44,16 @@ class TestSolveWave:
         assert ws.residual <= 1e-8
 
     def test_one_factorization(self, cubic_wave):
-        # 1D shares the chord: the first factorization serves the
-        # continuation, the polish and its re-polishes
+        # 1D keeps the chord: the first factorization serves the whole
+        # continuation
         _, ws = cubic_wave
         assert ws.factorizations == 1
 
     def test_continuation_counted(self, cubic_wave):
+        # the continuation centres the wave itself: no polish follows it
         _, ws = cubic_wave
         assert ws.continuation_steps > 0
-        assert ws.newton_iterations > 0
+        assert ws.newton_iterations == 0
         assert 0 < ws.factorizations <= 2
 
     def test_continuation_cap_raises(self, monkeypatch):
@@ -61,24 +62,31 @@ class TestSolveWave:
         with pytest.raises(waves.WaveSolverError, match="in 3 steps: merit [0-9.e-]+$"):
             solve_wave(CubicBistable(a=0.25), g, front_seed(g, 1.0), c_seed=0.2)
 
-    def test_freeze_from_slow_off_centre_seed(self):
-        # a seed speed far below the wave's and a front off the window's
-        # centre: the continuation finds the speed, and the phase condition
-        # holds the front where the seed put it
+    def test_slow_off_centre_seed_comes_back_centred(self):
+        # a seed speed far below the wave's and a front 8 units right of the
+        # window's centre: the seed is moved to z = 0 once, and the
+        # continuation finds the speed with the mid-level pinned there
         model = CubicBistable(a=0.1)
         g = wave_grid(n_z=601, z=(-20.0, 20.0))
-        seed = front_seed(g, 1.0, offset=8.0)
-        c, wave, steps = waves.freeze_frame(model, g, seed, c_seed=0.01)
-        assert c == pytest.approx(model.exact_speed(), abs=5e-3)
-        assert steps > 0
-        assert waves._mid_level_position(g, wave.values) == pytest.approx(8.0, abs=1.0)
+        ws = solve_wave(model, g, front_seed(g, 1.0, offset=8.0), c_seed=0.01)
+        assert ws.speed == pytest.approx(model.exact_speed(), abs=5e-3)
+        assert ws.continuation_steps > 0
+        assert ws.normalization_shift == pytest.approx(-8.0, abs=1e-9)
+        assert abs(waves._mid_level(g, ws.profile.values)) < 1e-9
 
-    def test_centering_that_never_converges_raises(self, monkeypatch):
-        # a mid-level that no translation moves must not be returned as centred
-        g = wave_grid(n_z=401, z=(-20.0, 20.0))
-        monkeypatch.setattr(waves, "_mid_level_position", lambda grid, values: 0.05)
-        with pytest.raises(waves.WaveSolverError, match="mid-level"):
-            solve_wave(CubicBistable(a=0.25), g, front_seed(g, 1.0), c_seed=0.2)
+    def test_centred_between_nodes(self):
+        # z = 0 is not a node of this grid: the linear crossing still lands there
+        g = wave_grid(n_z=401)
+        ws = solve_wave(CubicBistable(a=0.25), g, front_seed(g, 1.0), c_seed=0.2)
+        assert 0.0 not in g.z
+        assert abs(waves._mid_level(g, ws.profile.values)) < 1e-9
+
+    def test_window_without_origin_raises(self):
+        # the phase condition pins the mid-level at z = 0, which must lie in the window
+        g = wave_grid(n_z=401, z=(5.0, 45.0))
+        with pytest.raises(waves.WaveSolverError, match="does not contain z = 0"):
+            solve_wave(CubicBistable(a=0.25), g, front_seed(g, 1.0, offset=15.0),
+                       c_seed=0.2)
 
     def test_profile_monotone(self, cubic_wave):
         _, ws = cubic_wave
@@ -128,9 +136,10 @@ class TestSolveWave:
     def test_collapse_detected_for_subcritical_seed(self):
         g = wave_grid(n_z=401, z=(-20.0, 20.0))
         model = CubicBistable(a=0.45)
-        # a narrow low bump dies; there is no front to freeze
+        # a narrow low bump dies; there is no front to freeze, and the check
+        # says so before the seed's mid-level is looked for
         vals = 0.3 * np.exp(-((g.z) / 0.5) ** 2)
-        with pytest.raises(SeedBasinError):
+        with pytest.raises(SeedBasinError, match="not front-like"):
             solve_wave(model, g, Field(g, vals[None, :]), c_seed=0.1)
 
     def test_non_front_like_seed_rejected_before_any_step(self):
@@ -145,13 +154,13 @@ class TestSolveWave:
         assert work.factorizations == 0
 
     def test_collapse_inside_continuation_raises(self):
-        # a front-like seed driven at a speed far above the wave's is swept
-        # out of the window; the in-loop check names the collapse
+        # a decaying reaction pulls a unit front toward zero; the in-loop
+        # check names the collapse
         g = wave_grid(n_z=401, z=(-20.0, 20.0))
         work = waves._NewtonWork()
         with pytest.raises(SeedBasinError, match="collapsed toward zero"):
-            waves.freeze_frame(CubicBistable(a=0.45), g, front_seed(g, 1.0),
-                               c_seed=5.0, work=work)
+            waves._newton_polish(LinearModel(mu=-1.0), g, front_seed(g, 1.0).values,
+                                 0.2, work=work, tau=waves.TAU0)
         assert work.iterations > 0
 
     def test_zero_mode_defect_shrinks_second_order(self, cubic_wave):
@@ -309,8 +318,8 @@ class TestSecondarySpeed:
         assert ws.speed == pytest.approx(0.14633, abs=2e-4)
         assert res.speed == pytest.approx(0.07922, abs=2e-4)
         # both fronts come back centred
-        assert abs(waves._mid_level_position(g, ws.profile.values)) < 1e-10
-        assert abs(waves._mid_level_position(g, res.wave.values)) < 1e-10
+        assert abs(waves._mid_level(g, ws.profile.values)) < 1e-10
+        assert abs(waves._mid_level(g, res.wave.values)) < 1e-10
 
 
 class TestHeterogeneous2D:
@@ -337,9 +346,9 @@ class TestHeterogeneous2D:
         assert lo < ws.speed < hi
         gap = spectral_gap(ws, model)
         assert gap.gap_positive and gap.alignment >= 0.999
-        # the first factorization serves the whole polish and its re-polishes
+        # the first factorization serves the whole continuation
         assert ws.factorizations == 1
-        assert ws.newton_iterations >= 2
+        assert ws.continuation_steps >= 2
 
 
 class TestNewtonPolish:
@@ -361,27 +370,33 @@ class TestNewtonPolish:
         monkeypatch.setattr(waves, "_wave_residual", spy)
         work = waves._NewtonWork()
         u, c = waves._newton_polish(model, g, ws.profile.values, ws.speed,
-                                    ws.profile.values, tol=1e-14, work=work)
+                                    tol=1e-14, work=work)
         merit = float(np.max(np.abs(true_residual(model, g, u, c))))
         assert merit == min(seen)
         assert work.iterations <= 10 and len(seen) <= 100
 
     def test_stale_factorization_is_replaced(self):
-        # a factorization kept from a wave 6 units away makes chord steps
-        # that do not halve the merit; the polish must re-factor and land
-        # where a fresh polish from the same start lands
+        # a factorization kept from the wave of a faster model (speed 0.54
+        # against 0.35) makes chord steps that do not halve the merit; the
+        # polish must re-factor and land where a fresh polish from the same
+        # start lands
         g = build_grid(GridConfig(n_y=17, n_z=451, y_min=0.0, y_max=1.0,
                                   z_min=-30.0, z_max=15.0))
         model = HeterogeneousCubic(a0=0.25, a1=0.1)
         cp = find_critical_point(model, g, CrossSectionField(g, np.full(17, 0.9)))
         ws = solve_wave(model, g, front_seed(g, cp.v), c_seed=0.2)
-        far = translate(ws.profile, 6.0).values
+        # the phase pins the mid-level: a polish from the wave moved by 6
+        # re-centres it
+        u, c = waves._newton_polish(model, g, translate(ws.profile, 6.0).values, ws.speed)
+        assert c == pytest.approx(ws.speed, rel=1e-10)
+        assert np.max(np.abs(u - ws.profile.values)) <= 1e-10
         stale = waves._NewtonWork()
-        waves._newton_polish(model, g, far, ws.speed, far, work=stale)
+        waves._newton_polish(HeterogeneousCubic(a0=0.12, a1=0.1), g, ws.profile.values,
+                             ws.speed, work=stale)
         assert stale.factorizations == 1
         start, c0 = translate(ws.profile, 0.3).values, 1.02 * ws.speed
-        u_clean, c_clean = waves._newton_polish(model, g, start, c0, start)
-        u, c = waves._newton_polish(model, g, start, c0, start, work=stale)
+        u_clean, c_clean = waves._newton_polish(model, g, start, c0)
+        u, c = waves._newton_polish(model, g, start, c0, work=stale)
         assert stale.factorizations >= 2
         assert c == pytest.approx(c_clean, rel=1e-10)
         assert np.max(np.abs(u - u_clean)) <= 1e-10
