@@ -325,7 +325,7 @@ def _newton_polish(model, grid, values, c, max_iter=40, tol=NEWTON_TOL,
 
 
 def _wave_solution(model: ReactionModel, grid: CylinderGrid, values: np.ndarray,
-                   c: float, work: _NewtonWork, **counts) -> WaveSolution:
+                   c: float, work: _NewtonWork, **extra) -> WaveSolution:
     """The solved wave, once its residual is checked against RESIDUAL_LIMIT;
     it records (but does not enforce) axial monotonicity."""
     res = float(np.max(np.abs(_wave_residual(model, grid, values, c))))
@@ -340,7 +340,7 @@ def _wave_solution(model: ReactionModel, grid: CylinderGrid, values: np.ndarray,
         plateau=CrossSectionField(grid, values[:, 0].copy()),
         monotone=bool(np.all(np.diff(values, axis=1) <= 1e-12)),
         factorizations=work.factorizations,
-        **counts,
+        **extra,
     )
 
 
