@@ -9,7 +9,9 @@ explicit note).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -308,12 +310,77 @@ def _run_gap(cfg, out_dir, manifest):
     manifest.check("constraint_orthogonal", gap.constraint_residual <= 1e-10)
 
 
+def _send_outcome(send, fn, args, kwargs):
+    try:
+        outcome = (True, fn(*args, **kwargs))
+    except BaseException as exc:
+        outcome = (False, exc)
+    send.send(outcome)
+
+
+@contextlib.contextmanager
+def _started(fn, *args, **kwargs):
+    """Start ``fn(*args, **kwargs)`` beside the caller's own work and yield a
+    function that returns its result.
+
+    When this process may use two or more CPUs, the call runs in a forked
+    child process.  The child inherits ``fn`` and its arguments, so nothing
+    is pickled on the way in, and it sends back its result or its exception
+    over a one-way pipe; the exception is raised here with its own type and
+    message.  The child is joined before the context exits.  A caller that
+    leaves without the result kills the child first: a result larger than
+    the pipe's buffer would otherwise block the child in ``send``, and the
+    join would never return.  With one CPU, ``fn`` runs in-process when its
+    result is asked for.
+    """
+    if len(os.sched_getaffinity(0)) < 2:
+        yield lambda: fn(*args, **kwargs)
+        return
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_send_outcome, args=(send, fn, args, kwargs))
+    proc.start()
+    send.close()
+    received = False
+
+    def result():
+        nonlocal received
+        try:
+            ok, value = recv.recv()
+        except EOFError:
+            proc.join()
+            raise RuntimeError("worker process exited with code %s before sending "
+                               "its result" % proc.exitcode) from None
+        received = True
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield result
+    finally:
+        if not received:
+            proc.kill()
+        proc.join()
+        recv.close()
+
+
 def _run_secondary(cfg, out_dir, manifest):
+    """Primary and secondary speeds over the configured plateau.
+
+    Both waves depend only on the plateau, so the secondary one
+    (``secondary_speed``) is solved in a forked worker process while this
+    process solves the primary one, when it may use two or more CPUs (see
+    ``_started``); with one CPU both run here, one after the other.  Spans
+    and profilers of this process do not see the worker.
+    """
     grid, model = cfg.make_grid(), cfg.make_model()
-    plateau, ws = _solve_configured_wave(cfg, grid, model)
+    plateau = _plateau_state(model, grid, cfg.plateau_seed)
+    with _started(secondary_speed, model, grid, plateau, c_seed=cfg.c_seed) as secondary:
+        ws = solve_wave(model, grid, front_seed(grid, plateau.v), cfg.c_seed)
+        sec = secondary()
     manifest.results["plateau_max"] = float(np.max(plateau.v.values))
     manifest.results["speed"] = ws.speed
-    sec = secondary_speed(model, grid, plateau, c_seed=cfg.c_seed)
     if not sec.applicable:
         manifest.note = sec.note
         manifest.results["secondary_speed"] = float("nan")

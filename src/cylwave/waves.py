@@ -166,7 +166,8 @@ def freeze_frame(model: ReactionModel, grid: CylinderGrid, seed: Field,
     A seed whose left section does not have negative energy is not
     front-like and raises SeedBasinError before any step, as does a step
     that collapses toward zero or fills the window; a front-like seed is
-    first translated by ``shift`` to put its mid-level at z = 0.
+    first translated by ``shift`` to put its mid-level at z = 0, and a shift
+    of half the window length or more raises SeedBasinError as well.
     ``CONTINUATION_MAX_STEPS`` steps without reaching ``NEWTON_TOL`` raise
     WaveSolverError.  Returns (speed, wave, steps, shift); the
     factorizations are counted in ``work``.
@@ -177,6 +178,10 @@ def freeze_frame(model: ReactionModel, grid: CylinderGrid, seed: Field,
         raise SeedBasinError("seed is not front-like: its left section has energy "
                              "%.3g >= 0" % left)
     shift = 0.0 - _mid_level(grid, seed.values)  # 0.0, never -0.0
+    if abs(shift) >= 0.5 * grid.window_length:
+        raise SeedBasinError("seed's mid-level needs a shift of %g to reach z = 0, "
+                             "not less than half the window length %g"
+                             % (shift, 0.5 * grid.window_length))
     if shift != 0.0:
         seed = translate(seed, shift)
     work = _NewtonWork() if work is None else work

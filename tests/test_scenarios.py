@@ -1,15 +1,21 @@
 import concurrent.futures
 import hashlib
+import multiprocessing
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
 from cylwave import scenarios
 from cylwave.cli import main
-from cylwave.config import parse_config
+from cylwave.config import parse_config, parse_config_file
 from cylwave.scenarios import read_manifest, run_scenario
-from cylwave.waves import refine_solution
+from cylwave.waves import WaveSolverError, refine_solution
+
+STACKED = os.path.join(os.path.dirname(__file__), "..", "configs",
+                       "secondary_stacked_dirichlet.cfg")
 
 FAST_CONVERGE = """
 [grid]
@@ -160,6 +166,89 @@ class TestSecondaryWaiver:
         assert parsed["results"]["secondary_speed"] == "nan"
 
 
+def _allow_cpus(monkeypatch, n):
+    """Let the scenarios see ``n`` usable CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+class TestSecondaryWorker:
+    """The secondary wave runs in a forked worker when two CPUs are usable."""
+
+    def test_one_cpu_gives_the_worker_results(self, tmp_path, monkeypatch):
+        # each run records the process that solved the secondary wave
+        pids = tmp_path / "pids.txt"
+        inner = scenarios.secondary_speed
+
+        def recorded(*args, **kwargs):
+            with open(pids, "a") as fh:
+                fh.write("%d\n" % os.getpid())
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "secondary_speed", recorded)
+        sections = []
+        for cpus in (2, 1):
+            _allow_cpus(monkeypatch, cpus)
+            out = tmp_path / ("cpus%d" % cpus)
+            assert run_scenario(parse_config_file(STACKED), str(out)).passed()
+            parsed = read_manifest(out / "manifest.txt")
+            sections.append((parsed["results"], parsed.get("files")))
+        assert sections[0] == sections[1]
+        worker, here = map(int, pids.read_text().split())
+        assert worker != os.getpid() and here == os.getpid()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("exc", [WaveSolverError("Newton stalled at residual 1e-3"),
+                                     KeyError("speed")])
+    def test_worker_exception_reaches_the_caller(self, tmp_path, monkeypatch, exc):
+        def failing(*args, **kwargs):
+            raise exc
+
+        _allow_cpus(monkeypatch, 2)
+        monkeypatch.setattr(scenarios, "secondary_speed", failing)
+        with pytest.raises(type(exc)) as info:
+            run_scenario(parse_config(SECONDARY_NEUMANN), str(tmp_path))
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+        assert info.value is not exc  # it came through the pipe
+        assert multiprocessing.active_children() == []
+
+    def test_primary_failure_does_not_wait_on_a_blocked_worker(self, tmp_path, monkeypatch):
+        # the worker's result (1 MB) does not fit in the pipe's buffer, so the
+        # worker blocks in send until it is read; the primary solve fails
+        # instead of reading it, and the scenario must still return
+        ready = tmp_path / "worker_done"
+
+        def large_result(*args, **kwargs):
+            ready.touch()
+            return np.zeros(1 << 17)
+
+        def failing_primary(*args, **kwargs):
+            deadline = time.monotonic() + 30.0
+            while not ready.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.2)  # let the worker reach its send
+            raise WaveSolverError("primary failed")
+
+        def hung(signum, frame):
+            pytest.fail("the scenario hung on its worker")
+
+        _allow_cpus(monkeypatch, 2)
+        monkeypatch.setattr(scenarios, "secondary_speed", large_result)
+        monkeypatch.setattr(scenarios, "solve_wave", failing_primary)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            with pytest.raises(WaveSolverError, match="^primary failed$"):
+                run_scenario(parse_config(SECONDARY_NEUMANN), str(tmp_path / "out"))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            for proc in multiprocessing.active_children():
+                proc.kill()
+                proc.join()
+        assert ready.exists()
+        assert multiprocessing.active_children() == []
+
+
 class TestGapScenario:
     def test_cylinder_refines_both_directions(self, tmp_path, monkeypatch):
         refined = []
@@ -261,6 +350,21 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "sweep" / "one" / "manifest.txt").exists()
         assert (tmp_path / "sweep" / "two" / "manifest.txt").exists()
+
+    def test_sweep_forks_the_secondary_worker_from_a_pool_process(self, tmp_path,
+                                                                  monkeypatch):
+        # the pool's processes inherit the two usable CPUs, so the stacked
+        # config forks its worker from inside one of them
+        _allow_cpus(monkeypatch, 2)
+        one = tmp_path / "one.cfg"
+        one.write_text(WAVE_SMALL)
+        code = main(["sweep", STACKED, str(one), "--out", str(tmp_path / "sweep"),
+                     "--jobs", "2"])
+        assert code == 0
+        for name in ("secondary_stacked_dirichlet", "one"):
+            parsed = read_manifest(tmp_path / "sweep" / name / "manifest.txt")
+            assert parsed["run"]["passed"] == "true"
+        assert multiprocessing.active_children() == []
 
     def test_sweep_rejects_colliding_output_dirs(self, tmp_path, capsys):
         for sub in ("a", "b"):

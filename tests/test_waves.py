@@ -88,6 +88,14 @@ class TestSolveWave:
             solve_wave(CubicBistable(a=0.25), g, front_seed(g, 1.0, offset=15.0),
                        c_seed=0.2)
 
+    def test_seed_beyond_half_window_raises_basin_error(self):
+        # the mid-level at z = -35 on [-40, 20] is 35 from z = 0, beyond the
+        # half-window 30 that a translate can reach
+        g = wave_grid(n_z=601)
+        with pytest.raises(SeedBasinError, match="shift of 35 .* half the window length 30$"):
+            solve_wave(CubicBistable(a=0.25), g, front_seed(g, 1.0, offset=-35.0),
+                       c_seed=0.2)
+
     def test_profile_monotone(self, cubic_wave):
         _, ws = cubic_wave
         assert ws.monotone
@@ -320,6 +328,22 @@ class TestSecondarySpeed:
         # both fronts come back centred
         assert abs(waves._mid_level(g, ws.profile.values)) < 1e-10
         assert abs(waves._mid_level(g, res.wave.values)) < 1e-10
+
+
+    def test_far_off_seed_is_not_applicable(self, monkeypatch):
+        # the secondary wave's seed placed as far off as in
+        # test_seed_beyond_half_window_raises_basin_error: a waiver, not a
+        # bare ValueError
+        model = StackedBistable(a1=0.05, a2=0.5, a3=0.7)
+        g = wave_grid(n_z=601)
+        v = find_critical_point(model, g, CrossSectionField(g, np.array([0.55])))
+        seed = waves.front_seed
+        monkeypatch.setattr(waves, "front_seed",
+                            lambda grid, plateau: seed(grid, plateau, offset=-35.0))
+        res = secondary_speed(model, g, v, c_seed=0.03)
+        assert not res.applicable
+        assert res.note.startswith("not applicable: secondary wave solve failed")
+        assert "half the window length 30" in res.note
 
 
 class TestHeterogeneous2D:
