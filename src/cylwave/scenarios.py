@@ -313,7 +313,7 @@ def _run_gap(cfg, out_dir, manifest):
 def _send_outcome(send, fn, args, kwargs):
     try:
         outcome = (True, fn(*args, **kwargs))
-    except BaseException as exc:
+    except Exception as exc:
         outcome = (False, exc)
     send.send(outcome)
 
@@ -325,12 +325,14 @@ def _started(fn, *args, **kwargs):
 
     When this process may use two or more CPUs, the call runs in a forked
     child process.  The child inherits ``fn`` and its arguments, so nothing
-    is pickled on the way in, and it sends back its result or its exception
-    over a one-way pipe; the exception is raised here with its own type and
-    message.  The child is joined before the context exits.  A caller that
-    leaves without the result kills the child first: a result larger than
-    the pipe's buffer would otherwise block the child in ``send``, and the
-    join would never return.  With one CPU, ``fn`` runs in-process when its
+    is pickled on the way in (a callable wrapped at run time, such as a
+    profiler's timing wrapper, cannot be pickled), and it sends back its
+    result or its exception over a one-way pipe; the exception is raised
+    here with its own type and message.  The child is joined before the
+    context exits.  A caller that leaves without the result kills the child
+    first: a result larger than the pipe's buffer would otherwise block the
+    child in ``send``, and the join would never return.  With one CPU the
+    two processes could only take turns, so ``fn`` runs in-process when its
     result is asked for.
     """
     if len(os.sched_getaffinity(0)) < 2:

@@ -329,7 +329,6 @@ class TestSecondarySpeed:
         assert abs(waves._mid_level(g, ws.profile.values)) < 1e-10
         assert abs(waves._mid_level(g, res.wave.values)) < 1e-10
 
-
     def test_far_off_seed_is_not_applicable(self, monkeypatch):
         # the secondary wave's seed placed as far off as in
         # test_seed_beyond_half_window_raises_basin_error: a waiver, not a
