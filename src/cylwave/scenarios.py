@@ -13,7 +13,9 @@ import contextlib
 import hashlib
 import multiprocessing
 import os
+import pickle
 import time
+import traceback
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -310,37 +312,65 @@ def _run_gap(cfg, out_dir, manifest):
     manifest.check("constraint_orthogonal", gap.constraint_residual <= 1e-10)
 
 
-def _send_outcome(send, fn, args, kwargs):
+# OpenBLAS takes its thread count from the first of these that holds a
+# positive integer when it loads, and starts one thread per CPU when none does
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_threads():
+    """OpenBLAS's thread count as its environment sets it, or None if unset."""
+    for name in _BLAS_THREAD_VARIABLES:
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return None
+
+
+def _send_secondary(send, args, kwargs):
     try:
-        outcome = (True, fn(*args, **kwargs))
+        outcome = (True, secondary_speed(*args, **kwargs), None)
     except Exception as exc:
-        outcome = (False, exc)
+        detail = traceback.format_exc()
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:  # it could not cross the pipe
+            exc = RuntimeError("the worker process raised %r, which does not pickle" % exc)
+        outcome = (False, exc, detail)
     send.send(outcome)
 
 
 @contextlib.contextmanager
-def _started(fn, *args, **kwargs):
-    """Start ``fn(*args, **kwargs)`` beside the caller's own work and yield a
-    function that returns its result.
+def _started_secondary(*args, **kwargs):
+    """Start ``secondary_speed(*args, **kwargs)`` beside the caller's own work
+    and yield a function that returns its result.
 
-    When this process may use two or more CPUs, the call runs in a forked
-    child process.  The child inherits ``fn`` and its arguments, so nothing
-    is pickled on the way in (a callable wrapped at run time, such as a
+    The call runs in a forked worker process only where that process finds
+    a CPU left idle: this process may use two or more CPUs, it was not
+    itself started by ``multiprocessing`` (a ``sweep`` pool process, whose
+    siblings take the other CPUs), and OpenBLAS runs one thread (unpinned,
+    this process's BLAS threads already use every CPU).  Otherwise
+    ``secondary_speed`` runs in-process when its result is asked for.
+
+    The child inherits the function and its arguments, so nothing is
+    pickled on the way in (a callable wrapped at run time, such as a
     profiler's timing wrapper, cannot be pickled), and it sends back its
-    result or its exception over a one-way pipe; the exception is raised
-    here with its own type and message.  The child is joined before the
-    context exits.  A caller that leaves without the result kills the child
-    first: a result larger than the pipe's buffer would otherwise block the
-    child in ``send``, and the join would never return.  With one CPU the
-    two processes could only take turns, so ``fn`` runs in-process when its
-    result is asked for.
+    result or its exception over a one-way pipe.  The exception is raised
+    here with its own type and message, chained to the child's traceback;
+    one that does not pickle comes back as a ``RuntimeError`` naming it.
+    The fork start method copies only the forking thread, which is safe in
+    the processes that call this (the CLI and ``sweep``'s pool processes
+    start no Python threads).  The child is joined before the context
+    exits.  A caller that leaves without the result kills the child first:
+    a result larger than the pipe's buffer would otherwise block the child
+    in ``send``, and the join would never return.
     """
-    if len(os.sched_getaffinity(0)) < 2:
-        yield lambda: fn(*args, **kwargs)
+    if (len(os.sched_getaffinity(0)) < 2 or multiprocessing.parent_process() is not None
+            or _blas_threads() != 1):
+        yield lambda: secondary_speed(*args, **kwargs)
         return
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_send_outcome, args=(send, fn, args, kwargs))
+    proc = ctx.Process(target=_send_secondary, args=(send, args, kwargs))
     proc.start()
     send.close()
     received = False
@@ -348,14 +378,14 @@ def _started(fn, *args, **kwargs):
     def result():
         nonlocal received
         try:
-            ok, value = recv.recv()
+            ok, value, detail = recv.recv()
         except EOFError:
             proc.join()
             raise RuntimeError("worker process exited with code %s before sending "
                                "its result" % proc.exitcode) from None
         received = True
         if not ok:
-            raise value
+            raise value from RuntimeError("in the worker process:\n" + detail)
         return value
 
     try:
@@ -372,13 +402,13 @@ def _run_secondary(cfg, out_dir, manifest):
 
     Both waves depend only on the plateau, so the secondary one
     (``secondary_speed``) is solved in a forked worker process while this
-    process solves the primary one, when it may use two or more CPUs (see
-    ``_started``); with one CPU both run here, one after the other.  Spans
-    and profilers of this process do not see the worker.
+    process solves the primary one, where the worker finds an idle CPU (see
+    ``_started_secondary``); elsewhere both run here, one after the other.
+    Spans and profilers of this process do not see the worker.
     """
     grid, model = cfg.make_grid(), cfg.make_model()
     plateau = _plateau_state(model, grid, cfg.plateau_seed)
-    with _started(secondary_speed, model, grid, plateau, c_seed=cfg.c_seed) as secondary:
+    with _started_secondary(model, grid, plateau, c_seed=cfg.c_seed) as secondary:
         ws = solve_wave(model, grid, front_seed(grid, plateau.v), cfg.c_seed)
         sec = secondary()
     manifest.results["plateau_max"] = float(np.max(plateau.v.values))

@@ -166,13 +166,26 @@ class TestSecondaryWaiver:
         assert parsed["results"]["secondary_speed"] == "nan"
 
 
-def _allow_cpus(monkeypatch, n):
-    """Let the scenarios see ``n`` usable CPUs, whatever the machine has."""
+def _allow_cpus(monkeypatch, n, **blas_env):
+    """Let the scenarios see ``n`` usable CPUs and only the BLAS thread
+    variables given (OpenBLAS pinned to one thread by default), whatever the
+    machine and the environment have."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    for name in scenarios._BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in (blas_env or {"OPENBLAS_NUM_THREADS": "1"}).items():
+        monkeypatch.setenv(name, value)
+
+
+class UnpicklableError(Exception):
+    """Pickles, but does not unpickle: its one argument is not its message."""
+
+    def __init__(self, what, where):
+        super().__init__("%s at %s" % (what, where))
 
 
 class TestSecondaryWorker:
-    """The secondary wave runs in a forked worker when two CPUs are usable."""
+    """The secondary wave runs in a forked worker where it finds an idle CPU."""
 
     def test_one_cpu_gives_the_worker_results(self, tmp_path, monkeypatch):
         # each run records the process that solved the secondary wave
@@ -209,6 +222,42 @@ class TestSecondaryWorker:
             run_scenario(parse_config(SECONDARY_NEUMANN), str(tmp_path))
         assert type(info.value) is type(exc) and str(info.value) == str(exc)
         assert info.value is not exc  # it came through the pipe
+        # chained to the worker's own traceback
+        assert "in failing\n" in str(info.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+    def test_unpicklable_worker_exception_keeps_its_message(self, tmp_path, monkeypatch):
+        def failing(*args, **kwargs):
+            raise UnpicklableError("Newton stalled", "step 7")
+
+        _allow_cpus(monkeypatch, 2)
+        monkeypatch.setattr(scenarios, "secondary_speed", failing)
+        with pytest.raises(RuntimeError, match="UnpicklableError.'Newton stalled at step 7'"
+                                               ".*does not pickle") as info:
+            run_scenario(parse_config(SECONDARY_NEUMANN), str(tmp_path))
+        assert "in failing\n" in str(info.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus, blas_env, forked", [
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, True),
+        (2, {"OMP_NUM_THREADS": "1"}, True),
+        (2, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, False),
+        (2, {"OMP_NUM_THREADS": ""}, False),  # unpinned: one BLAS thread per CPU
+        (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+        (2, {"GOTO_NUM_THREADS": "4"}, False),
+    ])
+    def test_worker_forked_only_beside_an_idle_cpu(self, tmp_path, monkeypatch, cpus,
+                                                   blas_env, forked):
+        def report_pid(*args, **kwargs):
+            raise WaveSolverError(str(os.getpid()))
+
+        _allow_cpus(monkeypatch, cpus, **blas_env)
+        monkeypatch.setattr(scenarios, "solve_wave", lambda *args, **kwargs: None)
+        monkeypatch.setattr(scenarios, "secondary_speed", report_pid)
+        with pytest.raises(WaveSolverError) as info:
+            run_scenario(parse_config(SECONDARY_NEUMANN), str(tmp_path))
+        assert (int(str(info.value)) != os.getpid()) == forked
         assert multiprocessing.active_children() == []
 
     def test_primary_failure_does_not_wait_on_a_blocked_worker(self, tmp_path, monkeypatch):
@@ -351,11 +400,20 @@ class TestCli:
         assert (tmp_path / "sweep" / "one" / "manifest.txt").exists()
         assert (tmp_path / "sweep" / "two" / "manifest.txt").exists()
 
-    def test_sweep_forks_the_secondary_worker_from_a_pool_process(self, tmp_path,
-                                                                  monkeypatch):
-        # the pool's processes inherit the two usable CPUs, so the stacked
-        # config forks its worker from inside one of them
+    def test_sweep_solves_the_secondary_wave_in_its_pool_process(self, tmp_path,
+                                                                 monkeypatch):
+        # the pool's other process takes the second CPU, so the stacked
+        # config forks no worker from inside a pool process
+        parents = tmp_path / "parents.txt"
+        inner = scenarios.secondary_speed
+
+        def recorded(*args, **kwargs):
+            with open(parents, "a") as fh:
+                fh.write("%d\n" % os.getppid())
+            return inner(*args, **kwargs)
+
         _allow_cpus(monkeypatch, 2)
+        monkeypatch.setattr(scenarios, "secondary_speed", recorded)
         one = tmp_path / "one.cfg"
         one.write_text(WAVE_SMALL)
         code = main(["sweep", STACKED, str(one), "--out", str(tmp_path / "sweep"),
@@ -364,6 +422,8 @@ class TestCli:
         for name in ("secondary_stacked_dirichlet", "one"):
             parsed = read_manifest(tmp_path / "sweep" / name / "manifest.txt")
             assert parsed["run"]["passed"] == "true"
+        # solved by a pool process, a child of this one
+        assert parents.read_text().split() == [str(os.getpid())]
         assert multiprocessing.active_children() == []
 
     def test_sweep_rejects_colliding_output_dirs(self, tmp_path, capsys):
