@@ -18,7 +18,8 @@ from .evolve import EvolutionState, Stepper, weighted_energy
 from .grids import Field, axial_derivative
 from .reactions import ReactionModel
 from .waves import WaveSolution
-from .weighted import WeightedMeasure, quadrature_weights, weighted_norm_h2
+from .weighted import (WeightedMeasure, cell_fraction, quadrature_weights,
+                       weighted_norm_h2)
 
 DEFAULT_DELTA = 0.05
 _EPS = np.finfo(float).eps
@@ -58,22 +59,95 @@ def mismatch(u: Field, ws: WaveSolution, R: float,
     return 0.5 * float((w * diff * diff).sum())
 
 
+class CellSums:
+    """h, h', h'' and the rounding floor of h' for one u and one measure,
+    as polynomials in the cell fraction t of the translation.
+
+    In cell k every node of ``T_R profile`` is ``a0 + t a1 + t^2 a2 + t^3 a3``
+    (``Template.cell``), so with ``p = (t, t^2, t^3)``, ``p' = (1, 2t, 3t^2)``
+    and, over the cell, the dot products ``E_j = <u - a0, a_j>``,
+    ``F_j = <u_z, a_j>``, ``M_ij = <a_i, a_j>``, ``S = <u - a0, u - a0>`` and
+    ``B_j = sum |w u| |a_j|`` (j = 1..3, weights w):
+
+    - ``h = (S - 2 p.E + p.M.p) / 2``;
+    - ``h' = p'.(E - M p) / dz``, which is ``<u - T_R profile, d_z T_R profile>``;
+    - ``h'' = c h' + p'.F / dz``;
+    - the floor ``eps p'.B / dz``, the rounding bound of h' as computed here,
+      which is at least ``eps sum |w u d_z T_R profile|``.
+
+    The sums are taken once per cell; every R after that is scalar work.
+    A translation by a whole number of cells (t = 0) reads the arrays of
+    ``at`` and ``dz_at`` instead, because ``dz_at`` keeps the end slope at a
+    node moved exactly onto the right end.  Calling the object with R gives
+    ``(h, h', h'', floor)`` and remembers the last R.
+    """
+
+    def __init__(self, u: Field, ws: WaveSolution, m: WeightedMeasure, u_z: np.ndarray):
+        self.tpl, self.c, self.dz = ws.template, m.c, ws.grid.dz
+        self.w = quadrature_weights(u.grid, m).reshape(-1)
+        self.u = u.values.reshape(-1)
+        self.wuz = self.w * u_z.reshape(-1)
+        self.awu = abs(self.w * self.u)
+        self._cells: dict = {}
+        self._last = (None, None)
+
+    def _sums(self, k: int):
+        sums = self._cells.get(k)
+        if sums is None:
+            a = self.tpl.cell(k).reshape(4, -1)
+            r = self.u - a[0]
+            wr = self.w * r
+            a = a[1:]
+            sums = self._cells[k] = (float(wr @ r), (a @ wr).tolist(),
+                                     (a @ self.wuz).tolist(),
+                                     ((a * self.w) @ a.T).tolist(),
+                                     (abs(a) @ self.awu).tolist())
+        return sums
+
+    def _at_node(self, R: float):
+        tz = self.tpl.dz_at(R).reshape(-1)
+        r = self.u - self.tpl.at(R).reshape(-1)
+        wr = self.w * r
+        h1 = float(wr @ tz)
+        return (0.5 * float(wr @ r), h1, self.c * h1 + float(self.wuz @ tz),
+                _EPS * float(self.awu @ abs(tz)))
+
+    def __call__(self, R: float) -> tuple[float, float, float, float]:
+        if self._last[0] == R:
+            return self._last[1]
+        k, t = cell_fraction(R, self.dz)
+        if t == 0.0:
+            value = self._at_node(R)
+        else:
+            S, E, F, M, B = self._sums(k)
+            t2 = t * t
+            t3 = t2 * t
+            q = [E[j] - t * M[0][j] - t2 * M[1][j] - t3 * M[2][j] for j in range(3)]
+            h1 = (q[0] + 2 * t * q[1] + 3 * t2 * q[2]) / self.dz
+            hval = 0.5 * (S - t * (E[0] + q[0]) - t2 * (E[1] + q[1]) - t3 * (E[2] + q[2]))
+            value = (max(hval, 0.0), h1,
+                     self.c * h1 + (F[0] + 2 * t * F[1] + 3 * t2 * F[2]) / self.dz,
+                     _EPS * (B[0] + 2 * t * B[1] + 3 * t2 * B[2]) / self.dz)
+        self._last = (R, value)
+        return value
+
+
 def mismatch_derivatives(u: Field, ws: WaveSolution, R: float,
                          m: WeightedMeasure | None = None, *,
-                         u_z: np.ndarray | None = None) -> tuple[float, float]:
+                         u_z: np.ndarray | None = None,
+                         sums: CellSums | None = None) -> tuple[float, float]:
     """(h', h''): first derivative exactly, second via the transported identity
     ``h'' = c h' + <u_z, T_R profile_dz>`` with centered u_z.
 
-    ``u_z`` may carry ``axial_derivative(u.values, u.grid)`` precomputed.
+    Both come from the per-cell dot products of ``CellSums``; ``sums`` may
+    carry them for this u, in which case ``m`` and ``u_z`` are not read.
+    Otherwise ``u_z`` may carry ``axial_derivative(u.values, u.grid)``
+    precomputed.
     """
-    tpl = ws.template
-    mm = m if m is not None else ws.measure(z_ref=R)
-    w = quadrature_weights(u.grid, mm)
-    tdz = tpl.dz_at(R)
-    diff = u.values - tpl.at(R)
-    h1 = float((w * diff * tdz).sum())
-    uz = u_z if u_z is not None else axial_derivative(u.values, u.grid)
-    h2 = mm.c * h1 + float((w * uz * tdz).sum())
+    if sums is None:
+        uz = u_z if u_z is not None else axial_derivative(u.values, u.grid)
+        sums = CellSums(u, ws, m if m is not None else ws.measure(z_ref=R), uz)
+    _, h1, h2, _ = sums(R)
     return h1, h2
 
 
@@ -92,11 +166,15 @@ def locate_front(u: Field, ws: WaveSolution, R_seed: float = 0.0,
                  max_iter: int = 80, *, u_z: np.ndarray | None = None) -> FrontState:
     """Safeguarded Newton on h' with a bisection fallback bracket.
 
-    Stops at the first iterate where ``|h'|`` meets either test:
+    Every evaluation of (h', h'') goes through ``mismatch_derivatives`` with
+    the call's ``CellSums``, so after the dot products of a cell each iterate
+    is scalar work.  Stops at the first iterate where ``|h'|`` meets either
+    test:
 
     - the relative test ``|h'| <= 1e-12 * sqrt(2 h) * ||profile_dz||_w``;
-    - the roundoff floor ``|h'| <= eps * sum |w u T_R profile_dz|``: h' is a
-      sum of terms that cancel, and below this bound its value is rounding.
+    - the roundoff floor ``|h'| <= eps * sum_j j t^(j-1) B_j / dz``, the
+      rounding bound of h' as ``CellSums`` computes it: below it the value
+      of h' is rounding.
 
     An iterate where neither holds after ``max_iter`` Newton or bisection
     steps is returned with ``capped`` set, so the caller can count it.
@@ -105,28 +183,26 @@ def locate_front(u: Field, ws: WaveSolution, R_seed: float = 0.0,
     rounding ``c stop`` that the stopping test leaves in it, and BracketError
     when no sign change exists in range.
     """
-    tpl = ws.template
-    limit = tpl.max_shift - 2 * ws.grid.dz
+    limit = ws.template.max_shift - 2 * ws.grid.dz
     mm = ws.measure(z_ref=R_seed)
     w = quadrature_weights(u.grid, mm)
     uz = u_z if u_z is not None else axial_derivative(u.values, u.grid)
-    wu = w * u.values
+    sums = CellSums(u, ws, mm, uz)
     dz_norm = math.sqrt((w * ws.profile_dz ** 2).sum())
     evals = 0
 
     def deriv(R):
         nonlocal evals
         evals += 1
-        return mismatch_derivatives(u, ws, R, m=mm, u_z=uz)
+        return mismatch_derivatives(u, ws, R, sums=sums)
 
     R = float(min(max(R_seed, -limit), limit))
     h1, h2 = deriv(R)
     bracket = None
     steps = 0
     while True:
-        hval = mismatch(u, ws, R, m=mm)
+        hval, _, _, floor = sums(R)
         tol = 1e-12 * max(math.sqrt(2 * hval) * dz_norm, 1e-30)
-        floor = _EPS * float(abs(wu * tpl.dz_at(R)).sum())
         stop = max(tol, floor)
         if abs(h1) <= stop or steps == max_iter:
             break

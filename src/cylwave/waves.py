@@ -32,7 +32,7 @@ from .grids import (CrossSectionField, CylinderGrid, Field, GridConfig,
 from .reactions import ReactionModel, ShiftedModel, eval_f, eval_f_u
 from .sections import (CriticalPoint, SectionSolverError, find_critical_point,
                        section_energy)
-from .weighted import (WeightedMeasure, hermite, pchip_slopes, shifted_hermite,
+from .weighted import (WeightedMeasure, cell_fraction, hermite, pchip_slopes,
                        spline_slopes, translate)
 
 NEWTON_TOL = 1e-11
@@ -43,6 +43,8 @@ TAU0 = 100.0
 CONTINUATION_MAX_STEPS = 200
 # inverse-iteration steps before the spectral gap counts as not converged
 EIGEN_MAX_ITER = 1000
+# template cells whose polynomial arrays are kept (``Template.cell``)
+CELL_CACHE = 8
 
 
 class WaveSolverError(RuntimeError):
@@ -86,31 +88,81 @@ class Template:
     Beyond the window the translate takes the end values and its derivative
     is zero.
 
+    A shift R moves every node by the same ``-R/dz = k + t`` cells
+    (``cell_fraction``), so every node of the translate is one cubic
+    ``a0 + t a1 + t^2 a2 + t^3 a3`` in t whose arrays depend on the cell k
+    alone: the Hermite terms regrouped, with the end values in ``a0`` and
+    zeros in ``a1..a3`` where a node moved past an end.  ``cell(k)`` keeps
+    the arrays of the last ``CELL_CACHE`` cells, read-only; ``at`` and
+    ``dz_at`` evaluate them by Horner, and the tracker takes its dot
+    products with them.  A node moved exactly onto the right end (t = 0)
+    is inside, so ``dz_at`` gives it the end slope.
+
     ``at`` and ``dz_at`` each remember their last translation: the tracker
-    asks for the same R several times in a row (h and h' at one iterate, then
-    the recorded row), so the spline runs once per R.  The returned arrays
+    asks for the same R several times in a row (the recorded row, its
+    ``z_delta``), so the polynomial runs once per R.  The returned arrays
     are shared and therefore read-only.
     """
 
     def __init__(self, ws: WaveSolution):
         self.ws = ws
-        self._slopes = spline_slopes(ws.profile.values, ws.grid.dz)
+        y, h = ws.profile.values, ws.grid.dz
+        self._slopes = spline_slopes(y, h)
+        hd, delta = h * self._slopes, np.diff(y, axis=-1)
+        hd0, hd1 = hd[..., :-1], hd[..., 1:]
+        # the Hermite cubic of each interval as a polynomial in its fraction t
+        self._coef = np.stack([y[..., :-1], hd0, 3 * delta - 2 * hd0 - hd1,
+                               -2 * delta + hd0 + hd1])
+        self._cells: dict[int, np.ndarray] = {}
         self.max_shift = 0.5 * ws.grid.window_length
         self._at = self._dz_at = (None, None)
 
-    def _eval(self, R: float, nu: int) -> np.ndarray:
-        vals = shifted_hermite(self.ws.profile.values, self._slopes, self.ws.grid.dz, R, nu)
-        vals.flags.writeable = False
-        return vals
+    def cell(self, k: int) -> np.ndarray:
+        """Arrays ``(a0, a1, a2, a3)`` of cell k, stacked on a first axis."""
+        a = self._cells.get(k)
+        if a is None:
+            y = self.ws.profile.values
+            n = y.shape[-1]
+            lo = min(max(-k, 0), n)
+            hi = min(max(n - 1 - k, lo), n)
+            a = np.zeros((4,) + y.shape)
+            a[0, ..., :lo] = y[..., :1]
+            a[0, ..., hi:] = y[..., -1:]
+            a[..., lo:hi] = self._coef[..., lo + k:hi + k]
+            a.flags.writeable = False
+            if len(self._cells) == CELL_CACHE:
+                del self._cells[next(iter(self._cells))]
+            self._cells[k] = a
+        return a
 
     def at(self, R: float) -> np.ndarray:
         if self._at[0] != R:
-            self._at = (R, self._eval(R, 0))
+            k, t = cell_fraction(R, self.ws.grid.dz)
+            a = self.cell(k)
+            v = a[3] * t
+            v += a[2]
+            v *= t
+            v += a[1]
+            v *= t
+            v += a[0]
+            v.flags.writeable = False
+            self._at = (R, v)
         return self._at[1]
 
     def dz_at(self, R: float) -> np.ndarray:
         if self._dz_at[0] != R:
-            self._dz_at = (R, self._eval(R, 1))
+            k, t = cell_fraction(R, self.ws.grid.dz)
+            a = self.cell(k)
+            v = a[3] * (1.5 * t)
+            v += a[2]
+            v *= 2 * t
+            v += a[1]
+            v /= self.ws.grid.dz
+            end = v.shape[-1] - 1 - k
+            if t == 0.0 and 0 <= end < v.shape[-1]:
+                v[..., end] = self._slopes[..., -1]
+            v.flags.writeable = False
+            self._dz_at = (R, v)
         return self._dz_at[1]
 
 

@@ -171,6 +171,18 @@ def hermite(x: np.ndarray, y: np.ndarray, d: np.ndarray, xq) -> np.ndarray:
     return _cubic((xq - x[i]) / h, h, y[..., i], y[..., i + 1], d[..., i], d[..., i + 1])
 
 
+def cell_fraction(R: float, h: float) -> tuple[int, float]:
+    """``(k, t)`` with ``-R / h = k + t``, ``0 <= t < 1``: moved by ``-R``,
+    node j lies in interval ``j + k`` at fraction t.  A shift within rounding
+    of a whole number of cells gives ``t = 0``."""
+    s = -R / h
+    k = round(s)
+    if abs(s - k) <= 4 * _EPS * abs(s):
+        return k, 0.0
+    k = math.floor(s)
+    return k, s - k
+
+
 def shifted_hermite(y: np.ndarray, d: np.ndarray, h: float, R: float,
                     nu: int = 0) -> np.ndarray:
     """Hermite cubic through node values ``y`` with slopes ``d`` (last axis,
@@ -182,13 +194,7 @@ def shifted_hermite(y: np.ndarray, d: np.ndarray, h: float, R: float,
     that end's value (``nu=0``) or zero (``nu=1``).
     """
     n = y.shape[-1]
-    s = -R / h
-    k = round(s)
-    if abs(s - k) <= 4 * _EPS * abs(s):
-        t = 0.0                     # a whole number of cells, up to rounding
-    else:
-        k = math.floor(s)
-        t = s - k
+    k, t = cell_fraction(R, h)
     # node j reads interval j + k at fraction t (node j + k itself when t = 0)
     lo = min(max(-k, 0), n)
     hi = min(max(n - 1 - k + (t == 0.0), lo), n)

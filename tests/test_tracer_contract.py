@@ -48,6 +48,32 @@ DERIV_SCRIPT = textwrap.dedent("""
     print("ok")
 """)
 
+# the same over a short track run: each row holds its own call's count, and
+# every (h', h'') evaluation of every call is one span
+TRACK_SCRIPT = textwrap.dedent("""
+    from tracer import Tracer
+    tracer = Tracer()
+    tracer.install()
+    from cylwave import tracking
+    from cylwave.grids import GridConfig, build_grid
+    from cylwave.reactions import CubicBistable
+    from cylwave.waves import front_seed, solve_wave
+
+    grid = build_grid(GridConfig(n_y=1, n_z=401, z_min=-25.0, z_max=15.0))
+    model = CubicBistable(a=0.25)
+    ws = solve_wave(model, grid, front_seed(grid, 1.0), c_seed=0.2)
+    u0 = front_seed(grid, 1.0, offset=1.0, steepness=0.8)
+    start = len(tracer.spans)
+    trace = tracking.track(model, ws, u0, dt=0.1, horizon=2.0)
+    spans = tracer.spans[start:]
+    derivs = sum(1 for s in spans if s[1] == "tracking.deriv")
+    locates = sum(1 for s in spans if s[1] == "tracking.locate")
+    iters = trace.samples["tracker_iters"]
+    assert locates == iters.size == 21, (locates, iters.size)
+    assert derivs == int(iters.sum()) > iters.size, (derivs, iters)
+    print("ok")
+""")
+
 
 def _run_with_tracer(script):
     env = dict(os.environ)
@@ -65,3 +91,7 @@ def test_tracer_installs_on_current_package():
 
 def test_tracer_counts_every_tracker_evaluation():
     _run_with_tracer(DERIV_SCRIPT)
+
+
+def test_tracer_counts_every_evaluation_of_a_track_run():
+    _run_with_tracer(TRACK_SCRIPT)

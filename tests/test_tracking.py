@@ -3,13 +3,14 @@ import pytest
 
 from cylwave.grids import Field, GridConfig, axial_derivative, build_grid
 from cylwave.reactions import CubicBistable
-from cylwave.tracking import (BracketError, ConvexityError, FitError,
+from cylwave.tracking import (BracketError, CellSums, ConvexityError, FitError,
                               FrontTrace, default_fit_window,
                               fit_decay, fit_rate, locate_front, mismatch,
                               mismatch_derivatives, track, trace_to_csv,
                               z_delta)
 from cylwave.waves import front_seed, solve_wave
-from cylwave.weighted import translate, weighted_norm_l2
+from cylwave.weighted import (quadrature_weights, shifted_hermite, spline_slopes,
+                              translate, weighted_norm_l2)
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +118,70 @@ class TestMismatchDerivatives:
                 u = Field(g, np.clip(ws.profile.values + pert, 0, 1))
                 _, h2 = mismatch_derivatives(u, ws, R, m=m)
                 assert h2 >= 0.5 * dzn_sq
+
+
+def array_derivatives(u, ws, R, m):
+    """(h', h'', term scale) from whole-grid arrays: the spline translate and
+    its derivative by ``shifted_hermite``, independent of the template's cells."""
+    g = ws.grid
+    y = ws.profile.values
+    d = spline_slopes(y, g.dz)
+    w = quadrature_weights(g, m)
+    T, Tz = shifted_hermite(y, d, g.dz, R), shifted_hermite(y, d, g.dz, R, nu=1)
+    uz = axial_derivative(u.values, g)
+    h1 = float((w * (u.values - T) * Tz).sum())
+    h2 = m.c * h1 + float((w * uz * Tz).sum())
+    return h1, h2, float(np.abs(w * u.values * Tz).sum())
+
+
+class TestCellSums:
+    """The per-cell polynomial form of h, h', h'' against the array formulas."""
+
+    def check(self, u, ws, R, m):
+        h1, h2, scale = array_derivatives(u, ws, R, m)
+        c1, c2 = mismatch_derivatives(u, ws, R, m=m)
+        assert abs(c1 - h1) <= 1e-12 * abs(h1)
+        assert abs(c2 - h2) <= 1e-12 * abs(h2)
+        hval, s1, s2, floor = CellSums(u, ws, m, axial_derivative(u.values, u.grid))(R)
+        assert (s1, s2) == (c1, c2)
+        assert hval == pytest.approx(mismatch(u, ws, R, m=m), rel=1e-12)
+        # the rounding bound of the cell form is at least the old floor
+        assert floor >= np.finfo(float).eps * scale * (1 - 1e-12)
+
+    def perturbed(self, ws, rng, amplitude=0.05):
+        g = ws.grid
+        pert = amplitude * rng.standard_normal(g.shape)
+        pert *= np.exp(-((g.z - rng.uniform(-3, 3)) / 4) ** 2)[None, :]
+        return Field(g, np.clip(ws.profile.values + pert, 0.0, 1.0))
+
+    def test_random_perturbations(self, wave):
+        _, ws = wave
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            self.check(self.perturbed(ws, rng), ws, rng.uniform(-1, 1),
+                       ws.measure(rng.uniform(-0.5, 0.5)))
+
+    def test_translation_on_a_node(self, wave):
+        # t = 0: a node moved exactly onto the right end keeps the end slope
+        _, ws = wave
+        rng = np.random.default_rng(22)
+        for R in (0.0, 7 * ws.grid.dz, -3 * ws.grid.dz):
+            self.check(self.perturbed(ws, rng), ws, R, ws.measure(0.0))
+
+    def test_nodes_past_the_window_ends(self, wave):
+        # |R| = 25 of the half window 30 moves 500 nodes past one end
+        _, ws = wave
+        rng = np.random.default_rng(23)
+        for R in (25.013, -25.013, 25.0, -25.0):
+            self.check(self.perturbed(ws, rng), ws, R, ws.measure(0.0))
+
+    def test_two_dimensional_grid(self):
+        g = build_grid(GridConfig(n_y=5, n_z=301, y_min=0.0, y_max=1.0,
+                                  z_min=-20.0, z_max=10.0))
+        ws = solve_wave(CubicBistable(a=0.25), g, front_seed(g, 1.0), c_seed=0.2)
+        rng = np.random.default_rng(24)
+        for R in (0.37, -0.81, 4 * g.dz, 12.04):
+            self.check(self.perturbed(ws, rng), ws, R, ws.measure(0.2))
 
 
 class TestLocateFront:

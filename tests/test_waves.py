@@ -209,6 +209,20 @@ class TestTemplate:
         with pytest.raises(ValueError):
             tpl.dz_at(0.3)[0, 0] = 1.0
 
+    def test_cell_cache_is_bounded_and_read_only(self, cubic_wave):
+        _, ws = cubic_wave
+        tpl = Template(ws)
+        g = ws.grid
+        for R in np.linspace(-3.0, 3.0, 241):
+            tpl.at(R)
+            tpl.dz_at(R)
+        assert len(tpl._cells) <= waves.CELL_CACHE
+        for k, cell in tpl._cells.items():
+            assert cell.shape == (4,) + g.shape
+            with pytest.raises(ValueError):
+                cell[1, 0, 0] = 1.0
+        assert tpl.cell(-7) is tpl.cell(-7)
+
     def test_matches_scipy_cubic_spline(self, cubic_wave):
         # oracle: scipy's not-a-knot spline, clipped to the window, with a
         # zero derivative beyond it (a node moved onto an end to within
