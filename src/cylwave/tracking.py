@@ -50,7 +50,8 @@ class FitError(ValueError):
 
 def mismatch(u: Field, ws: WaveSolution, R: float,
              m: WeightedMeasure | None = None) -> float:
-    """h(u, R) = 0.5 ||u - T_R profile||^2 in the weighted norm."""
+    """h(u, R) = 0.5 ||u - T_R profile||^2 in the weighted norm, summed over
+    the whole-grid translate: the reference for the cell form of ``CellSums``."""
     tpl = ws.template
     if abs(R) >= tpl.max_shift:
         raise ValueError("translation %g out of range" % R)
