@@ -121,8 +121,9 @@ class TestMismatchDerivatives:
 
 
 def array_derivatives(u, ws, R, m):
-    """(h', h'', term scale) from whole-grid arrays: the spline translate and
-    its derivative by ``shifted_hermite``, independent of the template's cells."""
+    """(h', h'', sum |w u d_z T_R profile|) from whole-grid arrays: the spline
+    translate and its derivative by ``shifted_hermite``, independent of the
+    template's cells."""
     g = ws.grid
     y = ws.profile.values
     d = spline_slopes(y, g.dz)
