@@ -62,25 +62,27 @@ def mismatch(u: Field, ws: WaveSolution, R: float,
 
 class CellSums:
     """h, h', h'' and the rounding floor of h' for one u and one measure,
-    as polynomials in the cell fraction t of the translation.
+    as polynomials in the offset s = t dz of the translation in its cell.
 
-    In cell k every node of ``T_R profile`` is ``a0 + t a1 + t^2 a2 + t^3 a3``
-    (``Template.cell``), so with ``p = (t, t^2, t^3)``, ``p' = (1, 2t, 3t^2)``
+    In cell k every node of ``T_R profile`` is ``a0 + s a1 + s^2 a2 + s^3 a3``
+    (``Template.cell``), so with ``p = (s, s^2, s^3)``, ``p' = (1, 2s, 3s^2)``
     and, over the cell, the dot products ``E_j = <u - a0, a_j>``,
     ``F_j = <u_z, a_j>``, ``M_ij = <a_i, a_j>``, ``S = <u - a0, u - a0>`` and
     ``B_j = sum |w u| |a_j|`` (j = 1..3, weights w):
 
     - ``h = (S - 2 p.E + p.M.p) / 2``;
-    - ``h' = p'.(E - M p) / dz``, which is ``<u - T_R profile, d_z T_R profile>``;
-    - ``h'' = c h' + p'.F / dz``;
-    - the floor ``eps p'.B / dz``, the rounding bound of h' as computed here,
+    - ``h' = p'.(E - M p)``, which is ``<u - T_R profile, d_z T_R profile>``;
+    - ``h'' = c h' + p'.F``;
+    - the floor ``eps p'.B``, the rounding bound of h' as computed here,
       which is at least ``eps sum |w u d_z T_R profile|``.
 
-    The sums are taken once per cell; every R after that is scalar work.
-    A translation by a whole number of cells (t = 0) reads the arrays of
-    ``at`` and ``dz_at`` instead, because ``dz_at`` keeps the end slope at a
-    node moved exactly onto the right end.  Calling the object with R gives
-    ``(h, h', h'', floor)`` and remembers the last R.
+    The sums are taken once per cell; every R after that is scalar work.  A
+    translation by a whole number of cells (s = 0) takes the cell with
+    ``node`` set, where h = S / 2 and h' = E_1 are direct sums.  Near a
+    translate of the profile h cancels to an absolute error of order
+    ``eps S``; the tracker reads it only in its relative stopping test.
+    Calling the object with R gives ``(h, h', h'', floor)`` and remembers
+    the last R.
     """
 
     def __init__(self, u: Field, ws: WaveSolution, m: WeightedMeasure, u_z: np.ndarray):
@@ -92,62 +94,49 @@ class CellSums:
         self._cells: dict = {}
         self._last = (None, None)
 
-    def _sums(self, k: int):
-        sums = self._cells.get(k)
+    def _sums(self, key):
+        sums = self._cells.get(key)
         if sums is None:
-            a = self.tpl.cell(k).reshape(4, -1)
+            a = self.tpl.cell(*key).reshape(4, -1)
             r = self.u - a[0]
             wr = self.w * r
             a = a[1:]
-            sums = self._cells[k] = (float(wr @ r), (a @ wr).tolist(),
-                                     (a @ self.wuz).tolist(),
-                                     ((a * self.w) @ a.T).tolist(),
-                                     (abs(a) @ self.awu).tolist())
+            sums = self._cells[key] = (float(wr @ r), (a @ wr).tolist(),
+                                       (a @ self.wuz).tolist(),
+                                       ((a * self.w) @ a.T).tolist(),
+                                       (abs(a) @ self.awu).tolist())
         return sums
-
-    def _at_node(self, R: float):
-        tz = self.tpl.dz_at(R).reshape(-1)
-        r = self.u - self.tpl.at(R).reshape(-1)
-        wr = self.w * r
-        h1 = float(wr @ tz)
-        return (0.5 * float(wr @ r), h1, self.c * h1 + float(self.wuz @ tz),
-                _EPS * float(self.awu @ abs(tz)))
 
     def __call__(self, R: float) -> tuple[float, float, float, float]:
         if self._last[0] == R:
             return self._last[1]
         k, t = cell_fraction(R, self.dz)
-        if t == 0.0:
-            value = self._at_node(R)
-        else:
-            S, E, F, M, B = self._sums(k)
-            t2 = t * t
-            t3 = t2 * t
-            q = [E[j] - t * M[0][j] - t2 * M[1][j] - t3 * M[2][j] for j in range(3)]
-            h1 = (q[0] + 2 * t * q[1] + 3 * t2 * q[2]) / self.dz
-            hval = 0.5 * (S - t * (E[0] + q[0]) - t2 * (E[1] + q[1]) - t3 * (E[2] + q[2]))
-            value = (max(hval, 0.0), h1,
-                     self.c * h1 + (F[0] + 2 * t * F[1] + 3 * t2 * F[2]) / self.dz,
-                     _EPS * (B[0] + 2 * t * B[1] + 3 * t2 * B[2]) / self.dz)
+        S, E, F, M, B = self._sums((k, t == 0.0))
+        s = t * self.dz
+        s2 = s * s
+        s3 = s2 * s
+        q = [E[j] - s * M[0][j] - s2 * M[1][j] - s3 * M[2][j] for j in range(3)]
+        h1 = q[0] + 2 * s * q[1] + 3 * s2 * q[2]
+        hval = 0.5 * (S - s * (E[0] + q[0]) - s2 * (E[1] + q[1]) - s3 * (E[2] + q[2]))
+        value = (max(hval, 0.0), h1, self.c * h1 + F[0] + 2 * s * F[1] + 3 * s2 * F[2],
+                 _EPS * (B[0] + 2 * s * B[1] + 3 * s2 * B[2]))
         self._last = (R, value)
         return value
 
 
 def mismatch_derivatives(u: Field, ws: WaveSolution, R: float,
                          m: WeightedMeasure | None = None, *,
-                         u_z: np.ndarray | None = None,
                          sums: CellSums | None = None) -> tuple[float, float]:
     """(h', h''): first derivative exactly, second via the transported identity
     ``h'' = c h' + <u_z, T_R profile_dz>`` with centered u_z.
 
-    Both come from the per-cell dot products of ``CellSums``; ``sums`` may
-    carry them for this u, in which case ``m`` and ``u_z`` are not read.
-    Otherwise ``u_z`` may carry ``axial_derivative(u.values, u.grid)``
-    precomputed.
+    Both come from the per-cell dot products of ``CellSums``.  ``sums`` may
+    carry them, built for this u and measure; otherwise they are built here
+    for u, with m defaulting to the measure referenced at R.
     """
     if sums is None:
-        uz = u_z if u_z is not None else axial_derivative(u.values, u.grid)
-        sums = CellSums(u, ws, m if m is not None else ws.measure(z_ref=R), uz)
+        sums = CellSums(u, ws, m if m is not None else ws.measure(z_ref=R),
+                        axial_derivative(u.values, u.grid))
     _, h1, h2, _ = sums(R)
     return h1, h2
 
@@ -173,9 +162,14 @@ def locate_front(u: Field, ws: WaveSolution, R_seed: float = 0.0,
     test:
 
     - the relative test ``|h'| <= 1e-12 * sqrt(2 h) * ||profile_dz||_w``;
-    - the roundoff floor ``|h'| <= eps * sum_j j t^(j-1) B_j / dz``, the
+    - the roundoff floor ``|h'| <= eps * sum_j j s^(j-1) B_j``, the
       rounding bound of h' as ``CellSums`` computes it: below it the value
       of h' is rounding.
+
+    h in the relative test comes from the sums too.  Its cancellation error
+    is of order ``eps S`` and matters only where h is that small, far
+    below where the relative test rises above the floor.  The returned
+    ``deviation_sq`` is summed over the grid at the final R instead.
 
     An iterate where neither holds after ``max_iter`` Newton or bisection
     steps is returned with ``capped`` set, so the caller can count it.
@@ -230,7 +224,8 @@ def locate_front(u: Field, ws: WaveSolution, R_seed: float = 0.0,
     # state with no front (u_z = 0) has no other term
     if h2 <= mm.c * stop:
         raise ConvexityError("h'' = %.3g <= c stop at R = %.4g" % (h2, R))
-    return FrontState(position=R, deviation_sq=2.0 * hval, curvature=h2,
+    return FrontState(position=R, deviation_sq=2.0 * mismatch(u, ws, R, m=mm),
+                      curvature=h2,
                       ortho_residual=abs(h1), measure=mm, iterations=evals,
                       capped=bool(abs(h1) > stop))
 

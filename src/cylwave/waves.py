@@ -32,8 +32,8 @@ from .grids import (CrossSectionField, CylinderGrid, Field, GridConfig,
 from .reactions import ReactionModel, ShiftedModel, eval_f, eval_f_u
 from .sections import (CriticalPoint, SectionSolverError, find_critical_point,
                        section_energy)
-from .weighted import (WeightedMeasure, cell_fraction, hermite, pchip_slopes,
-                       spline_slopes, translate)
+from .weighted import (WeightedMeasure, cell_fraction, cell_slope, cell_value,
+                       hermite, pchip_slopes, shifted_cell, spline_slopes, translate)
 
 NEWTON_TOL = 1e-11
 RESIDUAL_LIMIT = 1e-8
@@ -43,8 +43,6 @@ TAU0 = 100.0
 CONTINUATION_MAX_STEPS = 200
 # inverse-iteration steps before the spectral gap counts as not converged
 EIGEN_MAX_ITER = 1000
-# template cells whose polynomial arrays are kept (``Template.cell``)
-CELL_CACHE = 8
 
 
 class WaveSolverError(RuntimeError):
@@ -89,14 +87,14 @@ class Template:
     is zero.
 
     A shift R moves every node by the same ``-R/dz = k + t`` cells
-    (``cell_fraction``), so every node of the translate is one cubic
-    ``a0 + t a1 + t^2 a2 + t^3 a3`` in t whose arrays depend on the cell k
-    alone: the Hermite terms regrouped, with the end values in ``a0`` and
-    zeros in ``a1..a3`` where a node moved past an end.  ``cell(k)`` keeps
-    the arrays of the last ``CELL_CACHE`` cells, read-only; ``at`` and
-    ``dz_at`` evaluate them by Horner, and the tracker takes its dot
-    products with them.  A node moved exactly onto the right end (t = 0)
-    is inside, so ``dz_at`` gives it the end slope.
+    (``cell_fraction``), so every node of the translate is one cubic in the
+    offset ``t dz`` whose arrays depend on the cell k alone
+    (``weighted.shifted_cell``, which owns the clipping and end rules).
+    ``cell`` remembers the arrays of the last cell asked for, read-only;
+    ``at`` and ``dz_at`` evaluate them by Horner, and the tracker takes its
+    dot products with them.  A shift by a whole number of cells asks for
+    the cell with ``node`` set, in which a node moved exactly onto the
+    right end keeps the end slope.
 
     ``at`` and ``dz_at`` each remember their last translation: the tracker
     asks for the same R several times in a row (the recorded row, its
@@ -106,63 +104,34 @@ class Template:
 
     def __init__(self, ws: WaveSolution):
         self.ws = ws
-        y, h = ws.profile.values, ws.grid.dz
-        self._slopes = spline_slopes(y, h)
-        hd, delta = h * self._slopes, np.diff(y, axis=-1)
-        hd0, hd1 = hd[..., :-1], hd[..., 1:]
-        # the Hermite cubic of each interval as a polynomial in its fraction t
-        self._coef = np.stack([y[..., :-1], hd0, 3 * delta - 2 * hd0 - hd1,
-                               -2 * delta + hd0 + hd1])
-        self._cells: dict[int, np.ndarray] = {}
+        self._slopes = spline_slopes(ws.profile.values, ws.grid.dz)
         self.max_shift = 0.5 * ws.grid.window_length
-        self._at = self._dz_at = (None, None)
+        self._cell = self._at = self._dz_at = (None, None)
 
-    def cell(self, k: int) -> np.ndarray:
-        """Arrays ``(a0, a1, a2, a3)`` of cell k, stacked on a first axis."""
-        a = self._cells.get(k)
-        if a is None:
-            y = self.ws.profile.values
-            n = y.shape[-1]
-            lo = min(max(-k, 0), n)
-            hi = min(max(n - 1 - k, lo), n)
-            a = np.zeros((4,) + y.shape)
-            a[0, ..., :lo] = y[..., :1]
-            a[0, ..., hi:] = y[..., -1:]
-            a[..., lo:hi] = self._coef[..., lo + k:hi + k]
+    def cell(self, k: int, node: bool = False) -> np.ndarray:
+        """``shifted_cell`` arrays of the profile for cell k, read-only."""
+        if self._cell[0] != (k, node):
+            a = shifted_cell(self.ws.profile.values, self._slopes, self.ws.grid.dz,
+                             k, node)
             a.flags.writeable = False
-            if len(self._cells) == CELL_CACHE:
-                del self._cells[next(iter(self._cells))]
-            self._cells[k] = a
-        return a
+            self._cell = ((k, node), a)
+        return self._cell[1]
+
+    def _evaluate(self, R: float, fn) -> np.ndarray:
+        dz = self.ws.grid.dz
+        k, t = cell_fraction(R, dz)
+        v = fn(self.cell(k, t == 0.0), t * dz)
+        v.flags.writeable = False
+        return v
 
     def at(self, R: float) -> np.ndarray:
         if self._at[0] != R:
-            k, t = cell_fraction(R, self.ws.grid.dz)
-            a = self.cell(k)
-            v = a[3] * t
-            v += a[2]
-            v *= t
-            v += a[1]
-            v *= t
-            v += a[0]
-            v.flags.writeable = False
-            self._at = (R, v)
+            self._at = (R, self._evaluate(R, cell_value))
         return self._at[1]
 
     def dz_at(self, R: float) -> np.ndarray:
         if self._dz_at[0] != R:
-            k, t = cell_fraction(R, self.ws.grid.dz)
-            a = self.cell(k)
-            v = a[3] * (1.5 * t)
-            v += a[2]
-            v *= 2 * t
-            v += a[1]
-            v /= self.ws.grid.dz
-            end = v.shape[-1] - 1 - k
-            if t == 0.0 and 0 <= end < v.shape[-1]:
-                v[..., end] = self._slopes[..., -1]
-            v.flags.writeable = False
-            self._dz_at = (R, v)
+            self._dz_at = (R, self._evaluate(R, cell_slope))
         return self._dz_at[1]
 
 

@@ -183,35 +183,74 @@ def cell_fraction(R: float, h: float) -> tuple[int, float]:
     return k, s - k
 
 
+def shifted_cell(y: np.ndarray, d: np.ndarray, h: float, k: int,
+                 node: bool = False) -> np.ndarray:
+    """Arrays ``(a0, a1, a2, a3)``, stacked on a first axis, of the Hermite
+    cubic through node values ``y`` with slopes ``d`` (last axis, spacing
+    ``h``) at every node moved by ``-R`` with ``-R / h = k + t``
+    (``cell_fraction``).  Node j then reads interval ``j + k`` at offset
+    ``s = t h``, where the cubic is ``a0 + s a1 + s^2 a2 + s^3 a3``: the
+    arrays depend on the cell k alone.
+
+    A node moved past an end takes that end's value in ``a0`` and zeros in
+    ``a1..a3``.  With ``node`` (a shift by a whole number of cells, t = 0)
+    the node moved exactly onto the right end is inside: it keeps the end
+    slope in ``a1``.
+    """
+    n = y.shape[-1]
+    # node j reads interval j + k (nodes lo..hi-1 fall inside the window)
+    lo = min(max(-k, 0), n)
+    hi = min(max(n - 1 - k, lo), n)
+    a = np.zeros((4,) + np.shape(y))
+    a[0, ..., :lo] = y[..., :1]
+    a[0, ..., hi:] = y[..., -1:]
+    y0, d0 = y[..., lo + k:hi + k], d[..., lo + k:hi + k]
+    d1 = d[..., lo + k + 1:hi + k + 1]
+    secant = (y[..., lo + k + 1:hi + k + 1] - y0) / h
+    a[0, ..., lo:hi] = y0
+    a[1, ..., lo:hi] = d0
+    a[2, ..., lo:hi] = (3 * secant - 2 * d0 - d1) / h
+    a[3, ..., lo:hi] = (d0 + d1 - 2 * secant) / (h * h)
+    if node and 0 <= k < n:
+        a[1, ..., n - 1 - k] = d[..., -1]
+    return a
+
+
+def cell_value(a: np.ndarray, s: float) -> np.ndarray:
+    """The cubic of ``shifted_cell`` arrays at offset s, by Horner: exactly
+    ``a0`` at s = 0."""
+    v = a[3] * s
+    v += a[2]
+    v *= s
+    v += a[1]
+    v *= s
+    v += a[0]
+    return v
+
+
+def cell_slope(a: np.ndarray, s: float) -> np.ndarray:
+    """Derivative of the cubic of ``shifted_cell`` arrays at offset s:
+    exactly ``a1`` at s = 0."""
+    v = a[3] * (1.5 * s)
+    v += a[2]
+    v *= 2 * s
+    v += a[1]
+    return v
+
+
 def shifted_hermite(y: np.ndarray, d: np.ndarray, h: float, R: float,
                     nu: int = 0) -> np.ndarray:
     """Hermite cubic through node values ``y`` with slopes ``d`` (last axis,
     spacing ``h``) at every node moved by ``-R``; ``nu=1`` gives its derivative.
 
-    Every moved node sits at the same fraction t of its interval, so the
-    evaluation is a few scaled slices.  A shift within rounding of a whole
-    number of cells reads the nodes themselves.  Nodes moved past an end take
-    that end's value (``nu=0``) or zero (``nu=1``).
+    Every moved node sits at the same fraction t of its interval, so this is
+    one ``shifted_cell`` and a Horner evaluation.  A shift within rounding
+    of a whole number of cells reads the nodes themselves.  Nodes moved past
+    an end take that end's value (``nu=0``) or zero (``nu=1``).
     """
-    n = y.shape[-1]
     k, t = cell_fraction(R, h)
-    # node j reads interval j + k at fraction t (node j + k itself when t = 0)
-    lo = min(max(-k, 0), n)
-    hi = min(max(n - 1 - k + (t == 0.0), lo), n)
-    out = np.empty(np.shape(y))
-    out[..., :lo] = y[..., :1] if nu == 0 else 0.0
-    out[..., hi:] = y[..., -1:] if nu == 0 else 0.0
-    y0, d0 = y[..., lo + k:hi + k], d[..., lo + k:hi + k]
-    if t == 0.0:
-        out[..., lo:hi] = y0 if nu == 0 else d0
-        return out
-    y1, d1 = y[..., lo + k + 1:hi + k + 1], d[..., lo + k + 1:hi + k + 1]
-    if nu == 0:
-        out[..., lo:hi] = _cubic(t, h, y0, y1, d0, d1)
-    else:
-        out[..., lo:hi] = (6 * t * (1 - t) / h * (y1 - y0) + (1 - t) * (1 - 3 * t) * d0
-                           + t * (3 * t - 2) * d1)
-    return out
+    a = shifted_cell(y, d, h, k, node=t == 0.0)
+    return (cell_slope if nu else cell_value)(a, t * h)
 
 
 def translate(u: Field, R: float) -> Field:

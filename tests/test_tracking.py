@@ -9,8 +9,8 @@ from cylwave.tracking import (BracketError, CellSums, ConvexityError, FitError,
                               mismatch_derivatives, track, trace_to_csv,
                               z_delta)
 from cylwave.waves import front_seed, solve_wave
-from cylwave.weighted import (quadrature_weights, shifted_hermite, spline_slopes,
-                              translate, weighted_norm_l2)
+from cylwave.weighted import (cell_fraction, quadrature_weights, shifted_hermite,
+                              spline_slopes, translate, weighted_norm_l2)
 
 
 @pytest.fixture(scope="module")
@@ -122,8 +122,8 @@ class TestMismatchDerivatives:
 
 def array_derivatives(u, ws, R, m):
     """(h', h'', sum |w u d_z T_R profile|) from whole-grid arrays: the spline
-    translate and its derivative by ``shifted_hermite``, independent of the
-    template's cells."""
+    translate and its derivative by ``shifted_hermite``, summed over the grid
+    rather than regrouped into per-cell dot products."""
     g = ws.grid
     y = ws.profile.values
     d = spline_slopes(y, g.dz)
@@ -175,6 +175,28 @@ class TestCellSums:
         rng = np.random.default_rng(23)
         for R in (25.013, -25.013, 25.0, -25.0):
             self.check(self.perturbed(ws, rng), ws, R, ws.measure(0.0))
+
+    def test_near_a_translate(self, wave):
+        # u within 1e-6 of T_R profile at a non-node R: h cancels in the
+        # cell form to an error of order eps S, h' stays within its floor,
+        # and the tracker returns h summed over the grid
+        _, ws = wave
+        g = ws.grid
+        rng = np.random.default_rng(25)
+        R = 0.4321
+        m = ws.measure(R)
+        pert = 1e-6 * rng.standard_normal(g.shape) * np.exp(-(g.z / 4.0) ** 2)[None, :]
+        u = Field(g, ws.template.at(R) + pert)
+        sums = CellSums(u, ws, m, axial_derivative(u.values, g))
+        hval, c1, _, floor = sums(R)
+        k, t = cell_fraction(R, g.dz)
+        assert t != 0.0
+        S = sums._sums((k, False))[0]
+        eps = np.finfo(float).eps
+        assert abs(hval - mismatch(u, ws, R, m=m)) <= 16 * eps * S
+        assert abs(c1 - array_derivatives(u, ws, R, m)[0]) <= floor
+        fs = locate_front(u, ws, 0.0)
+        assert fs.deviation_sq == 2 * mismatch(u, ws, fs.position, m=fs.measure)
 
     def test_two_dimensional_grid(self):
         g = build_grid(GridConfig(n_y=5, n_z=301, y_min=0.0, y_max=1.0,

@@ -13,7 +13,8 @@ from cylwave.waves import (SeedBasinError, Template, front_seed,
                            load_solution, refine_solution, save_solution,
                            secondary_speed, solve_wave, spectral_gap,
                            translation_profile)
-from cylwave.weighted import WeightedMeasure, translate, weighted_norm_l2
+from cylwave.weighted import (WeightedMeasure, cell_fraction, translate,
+                              weighted_norm_l2)
 
 
 def wave_grid(n_z=1201, z=(-40.0, 20.0)):
@@ -216,12 +217,15 @@ class TestTemplate:
         for R in np.linspace(-3.0, 3.0, 241):
             tpl.at(R)
             tpl.dz_at(R)
-        assert len(tpl._cells) <= waves.CELL_CACHE
-        for k, cell in tpl._cells.items():
-            assert cell.shape == (4,) + g.shape
-            with pytest.raises(ValueError):
-                cell[1, 0, 0] = 1.0
-        assert tpl.cell(-7) is tpl.cell(-7)
+        # one cell is kept: the last one asked for
+        k, t = cell_fraction(3.0, g.dz)
+        assert tpl._cell[0] == (k, t == 0.0)
+        cell = tpl.cell(-7)
+        assert tpl.cell(-7) is cell
+        assert cell.shape == (4,) + g.shape
+        with pytest.raises(ValueError):
+            cell[1, 0, 0] = 1.0
+        assert tpl.cell(-7, node=True) is not cell
 
     def test_matches_scipy_cubic_spline(self, cubic_wave):
         # oracle: scipy's not-a-knot spline, clipped to the window, with a
