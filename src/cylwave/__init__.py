@@ -14,7 +14,7 @@ from .reactions import (CubicBistable, HeterogeneousCubic, ReactionModel,
 from .sections import (CriticalPoint, EigenResult, check_speed_admissible,
                        find_critical_point, principal_eigenpair, section_energy)
 from .evolve import (EvolutionState, Stepper, check_dissipation,
-                     compare_evolutions, dt_max, step, weighted_energy)
+                     compare_evolutions, dt_max, weighted_energy)
 from .waves import (GapResult, WaveSolution, front_seed, secondary_speed,
                     solve_wave, spectral_gap, translation_profile)
 from .tracking import (FrontState, FrontTrace, fit_decay, locate_front,

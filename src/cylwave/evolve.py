@@ -5,11 +5,12 @@ reaction.  The implicit solve is separable (fast diagonalization; Lynch, Rice
 & Thomas, Numer. Math. 6 (1964)): the operator is the Kronecker sum
 ``I (x) A_z(c) + A_y (x) I``, so diagonalizing the small cross-section
 operator ``A_y`` once per grid leaves one tridiagonal system per
-cross-section mode.  Because the operator is self-adjoint in the discrete
-weighted inner product, each step is exactly a forward-backward descent step
-of the discrete weighted energy, so the energy decreases monotonically for
-``dt <= 2 / sup|f_u|`` (the default cap is 0.5 / sup|f_u|, which also
-preserves ordering).
+cross-section mode.  The operator is self-adjoint in the discrete weighted
+inner product (``flow_weights``), and the discrete weighted energy is the
+potential minus half the operator's quadratic form in those weights, so each
+step is exactly a forward-backward descent step of that energy: it decreases
+monotonically for ``dt <= 2 / sup|f_u|`` (the default cap is 0.5 / sup|f_u|,
+which also preserves ordering).
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .grids import (CylinderGrid, Field, GridError, apply_boundary,
-                    axial_bands, fitting_factor, symmetrized_section_operator)
+from .grids import (CylinderGrid, Field, GridError, _apply_transport, apply_boundary,
+                    axial_bands, symmetrized_section_operator)
 from .reactions import ReactionModel, eval_f
 from .weighted import WeightedMeasure, weight_values
 
@@ -143,35 +144,16 @@ class Stepper:
                               frame_speed=state.frame_speed)
 
 
-def step(state: EvolutionState, model: ReactionModel, dt: float) -> EvolutionState:
-    """One IMEX step (convenience wrapper constructing a Stepper)."""
-    return Stepper(model, state.u.grid, dt, state.frame_speed).step(state)
-
-
 def weighted_energy(u: Field, model: ReactionModel, m: WeightedMeasure) -> float:
     """Weighted energy: int e^{c(z-z_ref)} (|grad u|^2 / 2 + V(u, y)).
 
-    The gradient term pairs squared differences with midpoint flux weights so
-    that the IMEX step is exactly a descent step of this functional.
+    The gradient term is minus half the transport operator's quadratic form
+    in ``flow_weights``; ``u`` must be zero at its pinned nodes.
     """
     g = u.grid
-    wexp = weight_values(g, m)
-    wy = g.section_weights()
-    vals = u.values
-
-    kappa = fitting_factor(g, m.c)
-    wz_mid = kappa * np.sqrt(wexp[:-1] * wexp[1:])  # e^{c(z_{j+1/2}-ref)}, fitted
-    dz_sq = ((vals[:, 1:] - vals[:, :-1]) / g.dz) ** 2
-    total = 0.5 * (wy[:, None] * wz_mid[None, :] * dz_sq).sum() * g.dz
-
-    if g.n_y > 1:
-        wy_mid = np.full(g.n_y - 1, g.dy)
-        dy_sq = ((vals[1:] - vals[:-1]) / g.dy) ** 2
-        total += 0.5 * (wy_mid[:, None] * (wexp * g.dz)[None, :] * dy_sq).sum()
-
-    Vv = np.asarray(model.V(vals, g.y[:, None]), dtype=float)
-    total += (wy[:, None] * (wexp * g.dz)[None, :] * Vv).sum()  # flow_weights * V
-    return float(total)
+    Vv = np.asarray(model.V(u.values, g.y[:, None]), dtype=float)
+    Au = _apply_transport(g, u.values, m.c)
+    return float((flow_weights(g, m) * (Vv - 0.5 * u.values * Au)).sum())
 
 
 @dataclass

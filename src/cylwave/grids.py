@@ -182,25 +182,19 @@ def apply_boundary(u: Field) -> Field:
     return Field(u.grid, np.where(u.grid.dirichlet_mask, 0.0, u.values))
 
 
-def fitting_factor(grid: CylinderGrid, c: float) -> float:
-    """``kappa = a / sinh(a)``, ``a = c dz / 2``: the one copy, shared by the axial
-    fluxes and ``weighted_energy`` so that the step descends the energy."""
-    a = 0.5 * c * grid.dz
-    return 1.0 if abs(a) < 1e-12 else float(a / np.sinh(a))
-
-
 def axial_bands(grid: CylinderGrid, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lower, diag, upper) diagonals of the axial operator with BC patches.
 
     In flux form the row of node j reads [F_{j-1/2} u_{j-1} - (F_{j-1/2} +
-    F_{j+1/2}) u_j + F_{j+1/2} u_{j+1}] / (dz^2 W_j), with W_j = e^{c z_j}.
-    ``lower[j]`` couples node j to j-1, ``upper[j]`` to j+1; pinned rows come
-    out as zero rows.
+    F_{j+1/2}) u_j + F_{j+1/2} u_{j+1}] / (dz^2 W_j), W_j = e^{c z_j}, with
+    fitted fluxes F_{j+1/2} = kappa (W_j W_{j+1})^{1/2}, kappa = a / sinh(a),
+    a = c dz / 2.  ``lower[j]`` couples node j to j-1, ``upper[j]`` to j+1;
+    pinned rows come out as zero rows.
     """
     n = grid.n_z
     dz2 = grid.dz ** 2
     a = 0.5 * c * grid.dz
-    kappa = fitting_factor(grid, c)
+    kappa = 1.0 if abs(a) < 1e-12 else float(a / np.sinh(a))
     # F_{j+1/2}/W_j = kappa e^{a} (left node);  F_{j+1/2}/W_{j+1} = kappa e^{-a}
     up, lo = kappa * np.exp(a), kappa * np.exp(-a)
     lower = np.full(n, lo / dz2)

@@ -52,13 +52,14 @@ class RunManifest:
     files: list = field(default_factory=list)       # (name, bytes, sha256)
     wall_time: float = 0.0
     note: str = ""
+    error: str = ""  # "<Type>: <message>" of the exception that ended the run
 
     def check(self, name: str, ok: bool, detail: str = "") -> bool:
         self.assertions.append((name, bool(ok), detail))
         return bool(ok)
 
     def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.assertions)
+        return not self.error and all(ok for _, ok, _ in self.assertions)
 
     def add_file(self, out_dir: str, name: str) -> None:
         path = os.path.join(out_dir, name)
@@ -72,6 +73,8 @@ def write_manifest(manifest: RunManifest, out_dir: str) -> str:
     lines.append("code_version = %s" % __version__)
     lines.append("wall_time_s = %.3f" % manifest.wall_time)
     lines.append("passed = %s" % _fmt(manifest.passed()))
+    if manifest.error:
+        lines.append("error = %s" % manifest.error)
     if manifest.note:
         lines.append("note = %s" % manifest.note)
     lines.append("[config]")
@@ -173,6 +176,9 @@ def run_scenario(cfg: ExperimentConfig, out_dir: str) -> RunManifest:
     }[cfg.scenario]
     try:
         runner(cfg, out_dir, manifest)
+    except BaseException as exc:  # an interrupted run did not pass either
+        manifest.error = "%s: %s" % (type(exc).__name__, str(exc).replace("\n", " "))
+        raise
     finally:
         # the manifest lists every emitted file except itself (its own digest
         # cannot appear in its own content)

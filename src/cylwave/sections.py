@@ -1,8 +1,9 @@
 """Cross-section energy, its critical points, and principal eigenvalues.
 
 The reduced energy ``E[v] = int (|v'|^2 / 2 + V(v, y)) dy`` lives on the
-cross-section alone; its local minimizers are the plateaus axial fronts
-connect to.  find_critical_point reaches them by pseudo-transient
+cross-section alone; its discrete form is the trapezoidal V minus half the
+quadratic form of ``A_y``, which the trapezoid weights make self-adjoint.  Its
+local minimizers are the plateaus axial fronts connect to.  find_critical_point reaches them by pseudo-transient
 continuation of the energy's gradient flow, which starts as implicit flow
 steps and ends as Newton's method.  The principal eigenvalue of
 ``-d2/dy2 - f_u(v, y)`` at ``v = 0`` or at a critical point controls
@@ -29,15 +30,12 @@ class SectionSolverError(RuntimeError):
 
 
 def section_energy(v: CrossSectionField, model: ReactionModel) -> float:
-    """Trapezoidal quadrature of |v'|^2/2 + V(v, y) over the cross-section."""
+    """Trapezoidal quadrature of V(v, y) - v (A_y v) / 2: by summation by
+    parts, the P1 integral of |v'|^2/2 + V for v zero at pinned ends."""
     g = v.grid
-    y = g.y
-    Vv = np.asarray(model.V(v.values, y), dtype=float)
-    if g.n_y == 1:
-        return float(Vv[0])
-    w = g.section_weights()
-    grad_sq = np.sum((np.diff(v.values) / g.dy) ** 2) * g.dy  # midpoint-exact for P1
-    return float(0.5 * grad_sq + np.sum(w * Vv))
+    Vv = np.asarray(model.V(v.values, g.y), dtype=float)
+    Av = _section_operator(g) @ v.values
+    return float(np.sum(g.section_weights() * (Vv - 0.5 * v.values * Av)))
 
 
 @dataclass
@@ -169,7 +167,7 @@ def check_speed_admissible(model: ReactionModel, grid: CylinderGrid, c_trial: fl
     the smallest energy value encountered.  Report-only.
     """
     from .evolve import EvolutionState, Stepper, weighted_energy
-    from .grids import Field
+    from .grids import Field, apply_boundary
     from .weighted import WeightedMeasure, weighted_norm_l2
 
     if not c_trial > 0:
@@ -179,7 +177,7 @@ def check_speed_admissible(model: ReactionModel, grid: CylinderGrid, c_trial: fl
 
     z = grid.z
     prof = 0.5 * (1.0 - np.tanh(z - 0.25 * (grid.z_min + grid.z_max)))
-    u0 = Field(grid, np.tile(prof, (grid.n_y, 1)))
+    u0 = apply_boundary(Field(grid, np.tile(prof, (grid.n_y, 1))))
     m = WeightedMeasure(c_trial, z_ref=0.25 * (grid.z_min + grid.z_max))
     stepper = Stepper(model, grid, dt=0.4 / max(1.0, model.max_slope(grid)), frame_speed=c_trial)
     state = EvolutionState(t=0.0, u=u0, frame_speed=c_trial)

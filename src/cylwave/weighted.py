@@ -42,10 +42,6 @@ class WeightedMeasure:
     def shifted(self, z_ref: float) -> "WeightedMeasure":
         return WeightedMeasure(self.c, z_ref)
 
-    def norm_factor(self, other_ref: float) -> float:
-        """Factor converting norms at this offset to norms at ``other_ref``."""
-        return float(np.exp(0.5 * self.c * (self.z_ref - other_ref)))
-
 
 def weight_values(grid: CylinderGrid, m: WeightedMeasure) -> np.ndarray:
     """Pointwise weight ``e^{c (z - z_ref)}`` along the axis."""

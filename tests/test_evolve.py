@@ -8,11 +8,11 @@ from scipy.sparse.linalg import spsolve
 
 from cylwave.evolve import (EvolutionState, EvolutionError, Stepper,
                             check_dissipation, compare_evolutions, dt_max,
-                            step, weighted_energy)
+                            flow_weights, weighted_energy)
 from cylwave.grids import (Field, GridConfig, build_grid, apply_boundary,
                            transport_operator)
 from cylwave.reactions import CubicBistable, eval_f
-from cylwave.weighted import WeightedMeasure
+from cylwave.weighted import WeightedMeasure, weight_values
 
 
 def all_neumann_1d(n_z=201, z=(-10.0, 10.0)):
@@ -38,14 +38,14 @@ class TestStep:
     def test_zero_equilibrium(self):
         g = all_neumann_1d()
         s = EvolutionState(0.0, Field(g, np.zeros(g.shape)))
-        out = step(s, MODEL, 0.1)
+        out = Stepper(MODEL, g, 0.1).step(s)
         np.testing.assert_allclose(out.u.values, 0.0, atol=1e-15)
         assert out.t == pytest.approx(0.1)
 
     def test_unit_equilibrium_neumann(self):
         g = all_neumann_1d()
         s = EvolutionState(0.0, Field(g, np.ones(g.shape)))
-        out = step(s, MODEL, 0.1)
+        out = Stepper(MODEL, g, 0.1).step(s)
         np.testing.assert_allclose(out.u.values, 1.0, atol=1e-13)
 
     def test_unstable_zero_drifts_upward(self):
@@ -150,6 +150,63 @@ class TestEnergy:
             e = weighted_energy(s.u, MODEL, m)
             assert e <= e_prev + 1e-10 * max(1.0, abs(e_prev))
             e_prev = e
+
+
+# 1D, then 2D with Neumann and with Dirichlet sections, each with the axial
+# right end pinned and with it Neumann
+STRUCTURE_GRIDS = [(1, "neumann", axial) for axial in ("dirichlet", "neumann")] + [
+    (7, bc, axial) for bc in ("neumann", "dirichlet") for axial in ("dirichlet", "neumann")]
+
+
+def structure_grid(n_y, bc, axial_right):
+    return build_grid(GridConfig(n_y=n_y, n_z=41, y_max=2.0, z_min=-3.0, z_max=5.0,
+                                 bc_left=bc, bc_right=bc, bc_axial_right=axial_right))
+
+
+def midpoint_flux_energy(u, model, m):
+    """The weighted energy as a sum over grid edges: squared differences with
+    the fitted flux weights kappa (W_j W_{j+1})^{1/2} along z and plain
+    midpoint weights along y, plus ``flow_weights * V``."""
+    g = u.grid
+    wexp = weight_values(g, m)
+    wy = g.section_weights()
+    vals = u.values
+    a = 0.5 * m.c * g.dz
+    kappa = a / np.sinh(a)
+    wz_mid = kappa * np.sqrt(wexp[:-1] * wexp[1:])
+    dz_sq = ((vals[:, 1:] - vals[:, :-1]) / g.dz) ** 2
+    total = 0.5 * (wy[:, None] * wz_mid[None, :] * dz_sq).sum() * g.dz
+    if g.n_y > 1:
+        dy_sq = ((vals[1:] - vals[:-1]) / g.dy) ** 2
+        total += 0.5 * (g.dy * (wexp * g.dz)[None, :] * dy_sq).sum()
+    Vv = np.asarray(model.V(vals, g.y[:, None]), dtype=float)
+    return float(total + (flow_weights(g, m) * Vv).sum())
+
+
+class TestGradientStructure:
+    """The energy is the potential minus half the quadratic form of the
+    transport operator, which ``flow_weights`` make self-adjoint."""
+
+    @pytest.mark.parametrize("n_y, bc, axial_right", STRUCTURE_GRIDS)
+    def test_weighted_operator_symmetric_on_free_nodes(self, n_y, bc, axial_right):
+        g = structure_grid(n_y, bc, axial_right)
+        c = 0.37
+        free = ~g.dirichlet_mask.ravel()
+        WA = flow_weights(g, WeightedMeasure(c, 1.0)).ravel()[:, None] \
+            * transport_operator(g, c).toarray()
+        WA = WA[np.ix_(free, free)]
+        assert np.max(np.abs(WA - WA.T)) <= 1e-14 * np.max(np.abs(WA))
+
+    @pytest.mark.parametrize("n_y, bc, axial_right", STRUCTURE_GRIDS)
+    def test_energy_matches_the_edge_sum(self, n_y, bc, axial_right):
+        g = structure_grid(n_y, bc, axial_right)
+        rng = np.random.default_rng(11)
+        for c, z_ref in ((0.37, 0.0), (1.2, 2.0)):
+            m = WeightedMeasure(c, z_ref)
+            for _ in range(5):
+                u = apply_boundary(Field(g, rng.uniform(0.0, 1.0, g.shape)))
+                want = midpoint_flux_energy(u, MODEL, m)
+                assert weighted_energy(u, MODEL, m) == pytest.approx(want, rel=1e-12)
 
 
 class TestDissipation:

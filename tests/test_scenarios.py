@@ -571,6 +571,35 @@ class TestCli:
         assert "[grid]" in out and "CYLWAVE_PRECISION" in out
 
 
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
+class TestRaisingRunManifest:
+    """A run that raises writes ``passed = false`` and names the exception."""
+
+    @pytest.mark.parametrize("verb, config, first_call", [
+        ("wave", "wave_cubic_a25.cfg", "_plateau_state"),
+        ("converge", "converge_cubic_a25.cfg", "_plateau_state"),
+        ("gap", "gap_cubic_a25.cfg", "_plateau_state"),
+        ("secondary-speed", "secondary_stacked_dirichlet.cfg", "_plateau_state"),
+        ("compare", "compare_sandwich_a25.cfg", "_plateau_state"),
+        ("check-hypotheses", "hypotheses_cubic_a25.cfg", "check_hypotheses"),
+    ])
+    def test_raising_runner_fails_the_manifest(self, tmp_path, capsys, monkeypatch,
+                                               verb, config, first_call):
+        def stalled(*args, **kwargs):
+            raise WaveSolverError("Newton stalled at residual 0.00944")
+
+        monkeypatch.setattr(scenarios, first_call, stalled)
+        out = tmp_path / "out"
+        code = main([verb, "--config", os.path.join(CONFIGS, config), "--out", str(out)])
+        assert code == 1
+        assert "scenario failed: WaveSolverError" in capsys.readouterr().err
+        run = read_manifest(out / "manifest.txt")["run"]
+        assert run["passed"] == "false"
+        assert run["error"] == "WaveSolverError: Newton stalled at residual 0.00944"
+
+
 class TestPartialOutputs:
     def test_failed_run_keeps_manifest(self, tmp_path):
         # a plateau seed in the trivial basin gives a zero seed profile, so

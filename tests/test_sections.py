@@ -43,6 +43,17 @@ def stacked_upper_seed(plateau):
     return CrossSectionField(plateau.v.grid, v + 0.95 * (1.0 - v))
 
 
+def p1_section_energy(v, model):
+    """Trapezoidal V plus the exact integral of |v'|^2/2 for the piecewise
+    linear interpolant of the nodes."""
+    g = v.grid
+    Vv = np.asarray(model.V(v.values, g.y), dtype=float)
+    if g.n_y == 1:
+        return float(Vv[0])
+    grad_sq = np.sum((np.diff(v.values) / g.dy) ** 2) * g.dy
+    return float(0.5 * grad_sq + np.sum(g.section_weights() * Vv))
+
+
 class TestSectionEnergy:
     def test_zero_state(self):
         g = neumann_interval()
@@ -63,6 +74,18 @@ class TestSectionEnergy:
         assert nu >= 0.0
         e1 = section_energy(CrossSectionField(g, np.ones(g.n_y)), m)
         assert e1 < 0.0
+
+    @pytest.mark.parametrize("n_y, bc, bc_right", [
+        (1, "neumann", None), (9, "neumann", None), (9, "dirichlet", None),
+        (9, "dirichlet", "neumann")])
+    def test_matches_the_p1_gradient(self, n_y, bc, bc_right):
+        g = grid_1d() if n_y == 1 else interval(n_y, bc, bc_right, y_max=2.0)
+        model = HeterogeneousCubic(a0=0.25, a1=0.1, y_max=2.0)
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            v = CrossSectionField(g, rng.uniform(0.0, 1.0, g.n_y))  # pins its ends
+            want = p1_section_energy(v, model)
+            assert section_energy(v, model) == pytest.approx(want, rel=1e-12)
 
     def test_pure_1d_mode(self):
         g = grid_1d()

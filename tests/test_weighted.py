@@ -79,7 +79,8 @@ class TestNorms:
         u = bump(g)
         m0, m1 = WeightedMeasure(0.8, 0.0), WeightedMeasure(0.8, 2.0)
         n0, n1 = weighted_norm_l2(u, m0), weighted_norm_l2(u, m1)
-        assert n1 * m1.norm_factor(m0.z_ref) == pytest.approx(n0, rel=1e-13)
+        # norms at offset ref1 convert to offset ref2 by e^{c (ref1 - ref2) / 2}
+        assert n1 * np.exp(0.5 * m1.c * (m1.z_ref - m0.z_ref)) == pytest.approx(n0, rel=1e-13)
 
 
 class TestInner:
