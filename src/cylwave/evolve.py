@@ -5,12 +5,11 @@ reaction.  The implicit solve is separable (fast diagonalization; Lynch, Rice
 & Thomas, Numer. Math. 6 (1964)): the operator is the Kronecker sum
 ``I (x) A_z(c) + A_y (x) I``, so diagonalizing the small cross-section
 operator ``A_y`` once per grid leaves one tridiagonal system per
-cross-section mode.  The operator is self-adjoint in the discrete weighted
-inner product (``flow_weights``), and the discrete weighted energy is the
-potential minus half the operator's quadratic form in those weights, so each
-step is exactly a forward-backward descent step of that energy: it decreases
-monotonically for ``dt <= 2 / sup|f_u|`` (the default cap is 0.5 / sup|f_u|,
-which also preserves ordering).
+cross-section mode.  The discrete weighted energy is the potential minus half
+the operator's quadratic form in ``flow_weights``, which make the operator
+self-adjoint, so each step is exactly a forward-backward descent step of that
+energy: it decreases monotonically for ``dt <= 2 / sup|f_u|`` (the default
+cap is 0.5 / sup|f_u|, which also preserves ordering).
 """
 
 from __future__ import annotations

@@ -3,11 +3,11 @@
 The reduced energy ``E[v] = int (|v'|^2 / 2 + V(v, y)) dy`` lives on the
 cross-section alone; its discrete form is the trapezoidal V minus half the
 quadratic form of ``A_y``, which the trapezoid weights make self-adjoint.  Its
-local minimizers are the plateaus axial fronts connect to.  find_critical_point reaches them by pseudo-transient
-continuation of the energy's gradient flow, which starts as implicit flow
-steps and ends as Newton's method.  The principal eigenvalue of
-``-d2/dy2 - f_u(v, y)`` at ``v = 0`` or at a critical point controls
-admissibility and non-degeneracy.
+local minimizers are the plateaus axial fronts connect to.
+find_critical_point reaches them by pseudo-transient continuation of the
+energy's gradient flow, which starts as implicit flow steps and ends as
+Newton's method.  The principal eigenvalue of ``-d2/dy2 - f_u(v, y)`` at
+``v = 0`` or at a critical point controls admissibility and non-degeneracy.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ class SectionSolverError(RuntimeError):
 
 
 def section_energy(v: CrossSectionField, model: ReactionModel) -> float:
-    """Trapezoidal quadrature of V(v, y) - v (A_y v) / 2: by summation by
-    parts, the P1 integral of |v'|^2/2 + V for v zero at pinned ends."""
+    """Trapezoidal quadrature of V(v, y) - v (A_y v) / 2: by summation by parts,
+    trapezoidal V plus the P1 integral of |v'|^2/2 for v zero at pinned ends."""
     g = v.grid
     Vv = np.asarray(model.V(v.values, g.y), dtype=float)
     Av = _section_operator(g) @ v.values
