@@ -51,14 +51,17 @@ def dt_max(model: ReactionModel, grid: CylinderGrid) -> float:
     return 0.5 / max(model.max_slope(grid), 1e-12)
 
 
+@lru_cache(maxsize=4)
 def flow_weights(grid: CylinderGrid, m: WeightedMeasure) -> np.ndarray:
     """Quadrature weights making the transport operator exactly self-adjoint.
 
     Uniform in z (the zero-flux end is built into the operator), trapezoidal
-    over the cross-section.
+    over the cross-section.  Cached per (grid, measure) and read-only.
     """
     wz = grid.dz * weight_values(grid, m)
-    return grid.section_weights()[:, None] * wz[None, :]
+    w = grid.section_weights()[:, None] * wz[None, :]
+    w.flags.writeable = False
+    return w
 
 
 @lru_cache(maxsize=16)
@@ -82,8 +85,9 @@ class Stepper:
     diagonalization: the right-hand side is transformed to the eigenbasis of
     the cross-section operator (cached per grid), each mode ``k`` solves the
     tridiagonal ``I - dt (A_z(c) + lam_k)`` over the free axial nodes, and the
-    result is transformed back.  The stacked tridiagonal factorization is
-    O(n_y n_z) per frame speed; reuse the stepper across steps.
+    result is transformed back (on a 1D grid the transforms are identities
+    and are skipped).  The stacked tridiagonal factorization is O(n_y n_z)
+    per frame speed; reuse the stepper across steps.
     """
 
     def __init__(self, model: ReactionModel, grid: CylinderGrid, dt: float,
@@ -124,10 +128,18 @@ class Stepper:
             raise EvolutionError("state frame speed %g != stepper %g"
                                  % (state.frame_speed, self.frame_speed))
         rhs = state.u.values + self.dt * eval_f(self.model, state.u).values
-        modes = self._to_modes @ rhs[self._free]
-        x, _ = dgttrs(*self._lu, modes.reshape(-1, 1), overwrite_b=True)
-        new = np.zeros(self.grid.shape)
-        new[self._free] = self._from_modes @ x.reshape(modes.shape)
+        if self.grid.n_y == 1:
+            # the 1x1 mode transforms are identities: solve in place in rhs
+            # and zero the pinned axial end
+            new, free = rhs, rhs[self._free]
+            x, _ = dgttrs(*self._lu, free.reshape(-1, 1), overwrite_b=True)
+            free[...] = x.reshape(free.shape)
+            new[:, free.shape[1]:] = 0.0
+        else:
+            modes = self._to_modes @ rhs[self._free]
+            x, _ = dgttrs(*self._lu, modes.reshape(-1, 1), overwrite_b=True)
+            new = np.zeros(self.grid.shape)
+            new[self._free] = self._from_modes @ x.reshape(modes.shape)
         lo, hi = float(new.min()), float(new.max())  # NaN and inf reach these
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise EvolutionError("non-finite state after implicit solve")
@@ -138,7 +150,6 @@ class Stepper:
             self.max_clip = max(self.max_clip, viol)
             log.debug("clipped state violation %.3g at t=%.6g", viol, state.t)
             new = np.clip(new, 0.0, 1.0)
-        # only the free block was written, so the pinned nodes hold zero
         return EvolutionState(t=state.t + self.dt, u=Field(self.grid, new),
                               frame_speed=state.frame_speed)
 

@@ -182,8 +182,10 @@ def apply_boundary(u: Field) -> Field:
     return Field(u.grid, np.where(u.grid.dirichlet_mask, 0.0, u.values))
 
 
+@lru_cache(maxsize=16)
 def axial_bands(grid: CylinderGrid, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lower, diag, upper) diagonals of the axial operator with BC patches.
+    """(lower, diag, upper) diagonals of the axial operator with BC patches,
+    cached per (grid, c) and read-only.
 
     In flux form the row of node j reads [F_{j-1/2} u_{j-1} - (F_{j-1/2} +
     F_{j+1/2}) u_j + F_{j+1/2} u_{j+1}] / (dz^2 W_j), W_j = e^{c z_j}, with
@@ -207,6 +209,8 @@ def axial_bands(grid: CylinderGrid, c: float) -> tuple[np.ndarray, np.ndarray, n
     else:
         diag[-1] = -lo / dz2
     upper[-1] = 0.0
+    for band in (lower, diag, upper):
+        band.flags.writeable = False
     return lower, diag, upper
 
 
