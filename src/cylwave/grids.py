@@ -265,14 +265,17 @@ def transport_operator(grid: CylinderGrid, c: float) -> sp.csr_matrix:
 
 def _apply_transport(grid: CylinderGrid, values: np.ndarray, c: float) -> np.ndarray:
     """``transport_operator(grid, c) @ values`` from the axial bands (rows) and
-    ``_section_operator`` (columns), assembling nothing; any ``c`` is taken."""
+    ``_section_operator`` (columns), assembling nothing; any ``c`` is taken.
+    ``values`` may stack fields on leading axes; each is mapped on its own."""
     lower, diag, upper = axial_bands(grid, c)
     out = diag * values
-    out[:, 1:] += lower[1:] * values[:, :-1]
-    out[:, :-1] += upper[:-1] * values[:, 1:]
+    out[..., 1:] += lower[1:] * values[..., :-1]
+    out[..., :-1] += upper[:-1] * values[..., 1:]
     if grid.n_y > 1:
-        out += _section_operator(grid) @ values
-    out[grid.dirichlet_mask] = 0.0
+        cols = np.moveaxis(values, -2, 0)
+        Ay = _section_operator(grid) @ cols.reshape(grid.n_y, -1)
+        out += np.moveaxis(Ay.reshape(cols.shape), 0, -2)
+    out[..., grid.dirichlet_mask] = 0.0
     return out
 
 
@@ -293,16 +296,18 @@ def _gradient_last_axis(f: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
 
 
 def axial_derivative(values: np.ndarray, grid: CylinderGrid) -> np.ndarray:
-    """Centered d/dz (second-order one-sided at the window ends); reproduces
-    ``np.gradient(values, grid.dz, axis=1, edge_order=2)`` bit for bit."""
+    """Centered d/dz along the last axis (second-order one-sided at the
+    window ends); reproduces ``np.gradient(values, grid.dz, axis=-1,
+    edge_order=2)`` bit for bit."""
     return _gradient_last_axis(values, grid.dz, np.empty(np.shape(values)))
 
 
 def section_derivative(values: np.ndarray, grid: CylinderGrid) -> np.ndarray:
-    """Centered d/dy; zero in pure-1D mode.  Otherwise reproduces
-    ``np.gradient(values, grid.dy, axis=0, edge_order=2)`` bit for bit."""
+    """Centered d/dy along the second-to-last axis; zero in pure-1D mode.
+    Otherwise reproduces ``np.gradient(values, grid.dy, axis=-2,
+    edge_order=2)`` bit for bit."""
     if grid.n_y == 1:
         return np.zeros_like(values)
     out = np.empty(np.shape(values))
-    _gradient_last_axis(values.T, grid.dy, out.T)
+    _gradient_last_axis(np.swapaxes(values, -1, -2), grid.dy, np.swapaxes(out, -1, -2))
     return out

@@ -14,16 +14,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import output_digits
-from .evolve import EvolutionState, Stepper, weighted_energy
-from .grids import Field, axial_derivative
+from .evolve import EvolutionState, Stepper, flow_weights
+from .grids import Field, _apply_transport, axial_derivative, section_derivative
 from .reactions import ReactionModel
 from .waves import WaveSolution
-from .weighted import (WeightedMeasure, cell_fraction, quadrature_weights,
-                       weighted_norm_h2)
+from .weighted import (WeightedMeasure, cell_fraction, cell_slope, cell_value,
+                       quadrature_weights)
 
 DEFAULT_DELTA = 0.05
 _EPS = np.finfo(float).eps
 M_FLOOR_FACTOR = 1e3 * _EPS
+
+# states stepped before their rows are analysed together
+BLOCK_ROWS = 16
 
 CSV_COLUMNS = ("t", "R", "m", "phi", "dRdt_fd", "dRdt_quotient", "h2c_norm", "z_delta")
 
@@ -61,8 +64,9 @@ def mismatch(u: Field, ws: WaveSolution, R: float,
 
 
 class CellSums:
-    """h, h', h'' and the rounding floor of h' for one u and one measure,
-    as polynomials in the offset s = t dz of the translation in its cell.
+    """h, h', h'' and the rounding floor of h' for a block of states and one
+    reference measure, as polynomials in the offset s = t dz of the
+    translation in its cell.
 
     In cell k every node of ``T_R profile`` is ``a0 + s a1 + s^2 a2 + s^3 a3``
     (``Template.cell``), so with ``p = (s, s^2, s^3)``, ``p' = (1, 2s, 3s^2)``
@@ -76,63 +80,95 @@ class CellSums:
     - the floor ``eps p'.B``, the rounding bound of h' as computed here,
       which is at least ``eps sum |w u d_z T_R profile|``.
 
-    The sums are taken once per cell; every R after that is scalar work.  A
-    translation by a whole number of cells (s = 0) takes the cell with
+    ``u`` is one state (a Field) or a block of states stacked on a first
+    axis, with ``u_z`` of the same shape.  On the first request for a cell
+    the sums are formed for every row of the block at once, as (rows, nodes)
+    products in the reference measure m; every R after that is scalar work.
+    The sums are linear in the weights, so in the measure referenced at
+    ``z_ref`` a row's h, h', h'' and floor are those of m times
+    ``exp(-c (z_ref - m.z_ref))``: ``row(i, z_ref)`` gives that evaluator,
+    and calling the block evaluates its first row in m itself.
+
+    A translation by a whole number of cells (s = 0) takes the cell with
     ``node`` set, where h = S / 2 and h' = E_1 are direct sums.  Near a
     translate of the profile h cancels to an absolute error of order
     ``eps S``; the tracker reads it only in its relative stopping test.
-    Calling the object with R gives ``(h, h', h'', floor)`` and remembers
-    the last R.
     """
 
-    def __init__(self, u: Field, ws: WaveSolution, m: WeightedMeasure, u_z: np.ndarray):
-        self.tpl, self.c, self.dz = ws.template, m.c, ws.grid.dz
-        self.w = quadrature_weights(u.grid, m).reshape(-1)
-        self.u = u.values.reshape(-1)
-        self.wuz = self.w * u_z.reshape(-1)
+    def __init__(self, u, ws: WaveSolution, m: WeightedMeasure, u_z: np.ndarray):
+        self.tpl, self.c, self.dz, self.z_ref = ws.template, m.c, ws.grid.dz, m.z_ref
+        w = quadrature_weights(ws.grid, m)
+        self.w = w.reshape(-1)
+        self.u = np.reshape(u.values if isinstance(u, Field) else u, (-1, self.w.size))
+        self.wuz = self.w * np.reshape(u_z, self.u.shape)
         self.awu = abs(self.w * self.u)
+        self.dz_norm_sq = float((w * ws.profile_dz ** 2).sum())  # ||profile_dz||^2 in m
         self._cells: dict = {}
-        self._last = (None, None)
 
     def _sums(self, key):
+        """``(S, E, F, M, B)`` of cell ``key = (k, node)`` in m: per row of
+        the block (S an array, the others lists), except M, which is the
+        same for every row."""
         sums = self._cells.get(key)
         if sums is None:
             a = self.tpl.cell(*key).reshape(4, -1)
             r = self.u - a[0]
             wr = self.w * r
             a = a[1:]
-            sums = self._cells[key] = (float(wr @ r), (a @ wr).tolist(),
-                                       (a @ self.wuz).tolist(),
+            sums = self._cells[key] = ((wr[:, None, :] @ r[:, :, None]).ravel(),
+                                       (a @ wr.T).T.tolist(), (a @ self.wuz.T).T.tolist(),
                                        ((a * self.w) @ a.T).tolist(),
-                                       (abs(a) @ self.awu).tolist())
+                                       (abs(a) @ self.awu.T).T.tolist())
         return sums
 
-    def __call__(self, R: float) -> tuple[float, float, float, float]:
-        if self._last[0] == R:
-            return self._last[1]
+    def evaluate(self, i: int, scale: float, R: float) -> tuple[float, float, float, float]:
+        """``(h, h', h'', floor)`` of row i at R, with the sums of m times ``scale``."""
         k, t = cell_fraction(R, self.dz)
         S, E, F, M, B = self._sums((k, t == 0.0))
+        S, E, F, B = float(S[i]), E[i], F[i], B[i]
         s = t * self.dz
         s2 = s * s
         s3 = s2 * s
         q = [E[j] - s * M[0][j] - s2 * M[1][j] - s3 * M[2][j] for j in range(3)]
         h1 = q[0] + 2 * s * q[1] + 3 * s2 * q[2]
         hval = 0.5 * (S - s * (E[0] + q[0]) - s2 * (E[1] + q[1]) - s3 * (E[2] + q[2]))
-        value = (max(hval, 0.0), h1, self.c * h1 + F[0] + 2 * s * F[1] + 3 * s2 * F[2],
-                 _EPS * (B[0] + 2 * s * B[1] + 3 * s2 * B[2]))
-        self._last = (R, value)
-        return value
+        return (scale * max(hval, 0.0), scale * h1,
+                scale * (self.c * h1 + F[0] + 2 * s * F[1] + 3 * s2 * F[2]),
+                scale * _EPS * (B[0] + 2 * s * B[1] + 3 * s2 * B[2]))
+
+    def __call__(self, R: float) -> tuple[float, float, float, float]:
+        return self.evaluate(0, 1.0, R)
+
+    def row(self, i: int, z_ref: float) -> "RowSums":
+        return RowSums(self, i, math.exp(-self.c * (z_ref - self.z_ref)))
+
+
+class RowSums:
+    """Row i of a ``CellSums`` block in the measure whose sums are those of
+    the block's times ``scale``.  Calling it with R gives ``(h, h', h'',
+    floor)`` and remembers the last R."""
+
+    def __init__(self, sums: CellSums, i: int, scale: float):
+        self.sums, self.i, self.scale = sums, i, scale
+        self.dz_norm = math.sqrt(scale * sums.dz_norm_sq)
+        self._last = (None, None)
+
+    def __call__(self, R: float) -> tuple[float, float, float, float]:
+        if self._last[0] != R:
+            self._last = (R, self.sums.evaluate(self.i, self.scale, R))
+        return self._last[1]
 
 
 def mismatch_derivatives(u: Field, ws: WaveSolution, R: float,
                          m: WeightedMeasure | None = None, *,
-                         sums: CellSums | None = None) -> tuple[float, float]:
+                         sums: CellSums | RowSums | None = None) -> tuple[float, float]:
     """(h', h''): first derivative exactly, second via the transported identity
     ``h'' = c h' + <u_z, T_R profile_dz>`` with centered u_z.
 
     Both come from the per-cell dot products of ``CellSums``.  ``sums`` may
-    carry them, built for this u and measure; otherwise they are built here
-    for u, with m defaulting to the measure referenced at R.
+    carry them, as u's row of a block (``CellSums.row``) or a ``CellSums``
+    of u alone; otherwise they are built here for u, with m defaulting to
+    the measure referenced at R.
     """
     if sums is None:
         sums = CellSums(u, ws, m if m is not None else ws.measure(z_ref=R),
@@ -153,13 +189,18 @@ class FrontState:
 
 
 def locate_front(u: Field, ws: WaveSolution, R_seed: float = 0.0,
-                 max_iter: int = 80, *, u_z: np.ndarray | None = None) -> FrontState:
+                 max_iter: int = 80, *, u_z: np.ndarray | None = None,
+                 sums: CellSums | None = None, row: int = 0) -> FrontState:
     """Safeguarded Newton on h' with a bisection fallback bracket.
 
     Every evaluation of (h', h'') goes through ``mismatch_derivatives`` with
-    the call's ``CellSums``, so after the dot products of a cell each iterate
-    is scalar work.  Stops at the first iterate where ``|h'|`` meets either
-    test:
+    u's row of a ``CellSums`` block, in the measure referenced at
+    ``R_seed``, so after the dot products of a cell each iterate is scalar
+    work.  ``sums`` may carry a block whose row ``row`` is u, with any
+    reference measure; otherwise u is a block of one row in the measure at
+    ``R_seed``, whose sums are scaled by exactly 1.  ``u_z`` may carry
+    ``axial_derivative(u.values, u.grid)`` for that block.  Stops at the
+    first iterate where ``|h'|`` meets either test:
 
     - the relative test ``|h'| <= 1e-12 * sqrt(2 h) * ||profile_dz||_w``;
     - the roundoff floor ``|h'| <= eps * sum_j j s^(j-1) B_j``, the
@@ -173,31 +214,30 @@ def locate_front(u: Field, ws: WaveSolution, R_seed: float = 0.0,
 
     An iterate where neither holds after ``max_iter`` Newton or bisection
     steps is returned with ``capped`` set, so the caller can count it.
-    ``u_z`` may carry ``axial_derivative(u.values, u.grid)`` precomputed.
     Raises ConvexityError when the curvature at the result is not above the
     rounding ``c stop`` that the stopping test leaves in it, and BracketError
     when no sign change exists in range.
     """
     limit = ws.template.max_shift - 2 * ws.grid.dz
     mm = ws.measure(z_ref=R_seed)
-    w = quadrature_weights(u.grid, mm)
-    uz = u_z if u_z is not None else axial_derivative(u.values, u.grid)
-    sums = CellSums(u, ws, mm, uz)
-    dz_norm = math.sqrt((w * ws.profile_dz ** 2).sum())
+    if sums is None:
+        uz = u_z if u_z is not None else axial_derivative(u.values, u.grid)
+        sums, row = CellSums(u, ws, mm, uz), 0
+    cells = sums.row(row, R_seed)
     evals = 0
 
     def deriv(R):
         nonlocal evals
         evals += 1
-        return mismatch_derivatives(u, ws, R, sums=sums)
+        return mismatch_derivatives(u, ws, R, sums=cells)
 
     R = float(min(max(R_seed, -limit), limit))
     h1, h2 = deriv(R)
     bracket = None
     steps = 0
     while True:
-        hval, _, _, floor = sums(R)
-        tol = 1e-12 * max(math.sqrt(2 * hval) * dz_norm, 1e-30)
+        hval, _, _, floor = cells(R)
+        tol = 1e-12 * max(math.sqrt(2 * hval) * cells.dz_norm, 1e-30)
         stop = max(tol, floor)
         if abs(h1) <= stop or steps == max_iter:
             break
@@ -292,64 +332,147 @@ class FrontTrace:
         raise ValueError("column %r is not a weighted quantity" % col)
 
 
+def _columns(model: ReactionModel, ws: WaveSolution, u: np.ndarray,
+             u_z: np.ndarray | None, R: np.ndarray, prev, dt: float,
+             delta: float) -> list[np.ndarray]:
+    """The columns m, phi, dRdt_fd, dRdt_quotient, h2c_norm and z_delta of
+    kept rows: states ``u`` stacked on a first axis, their ``u_z`` and
+    positions ``R``, with ``prev = (states, positions)`` of the steps before
+    them, or None for rows without rates.
+
+    ``T_R profile`` and its slope come from the template's cell arrays, and
+    each derivative is taken once for all rows along the last axis.  Every
+    weighted sum is a reduction over one row's own nodes in the measure
+    referenced at 0, times ``exp(-c R)``, so a row's columns do not depend
+    on which other rows are kept (a BLAS product would round a row
+    differently from block to block).
+    """
+    grid, tpl, c = ws.grid, ws.template, ws.speed
+    n = len(R)
+    m0 = ws.measure(z_ref=0.0)
+    w = quadrature_weights(grid, m0)
+    scale = np.array([math.exp(-c * r) for r in R])
+
+    def wsum(x, weights=w):
+        return (weights * x).reshape(n, -1).sum(-1)
+
+    T, T_z = np.empty_like(u), np.empty_like(u)
+    cells: dict = {}
+    for i, r in enumerate(R):
+        k, t = cell_fraction(r, grid.dz)
+        cells.setdefault((k, t == 0.0), []).append((i, t * grid.dz))
+    for key, members in cells.items():
+        idx = [i for i, _ in members]
+        offset = np.array([s for _, s in members])[:, None, None]
+        a = tpl.cell(*key)
+        T[idx] = cell_value(a, offset)
+        T_z[idx] = cell_slope(a, offset)
+
+    dev = u - T
+    dev_z = axial_derivative(dev, grid)
+    m = wsum(dev * dev)
+    h2 = m + wsum(dev_z * dev_z) + wsum(axial_derivative(dev_z, grid) ** 2)
+    if grid.n_y > 1:
+        dev_y = section_derivative(dev, grid)
+        h2 += (wsum(dev_y ** 2) + wsum(section_derivative(dev_y, grid) ** 2)
+               + wsum(axial_derivative(dev_y, grid) ** 2))
+    V = np.asarray(model.V(u, grid.y[:, None]), dtype=float)
+    phi = wsum(V - 0.5 * u * _apply_transport(grid, u, c), flow_weights(grid, m0))
+
+    over = np.abs(dev).max(axis=-2) > delta
+    last = over.shape[-1] - 1 - np.argmax(over[:, ::-1], axis=-1)
+    z_delta = np.where(over.any(axis=-1), grid.z[last], -np.inf)
+
+    if prev is None:
+        fd = quotient = np.full(n, np.nan)
+    else:
+        u_prev, R_prev = prev
+        fd = (R - R_prev) / dt
+        denom = wsum(u_z * T_z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            quotient = np.where(denom != 0, -wsum((u - u_prev) / dt * T_z) / denom, np.nan)
+    return [scale * m, scale * phi, fd, quotient, np.sqrt(scale * h2), z_delta]
+
+
 def track(model: ReactionModel, ws: WaveSolution, u0: Field, dt: float,
           horizon: float, delta: float = DEFAULT_DELTA,
           sample_every: int = 1) -> FrontTrace:
     """Integrate in the frame moving at the selected speed and track the front.
 
-    Each accepted step re-minimizes the mismatch from the previous optimum
-    (warm-started Newton).  A kept row (every ``sample_every``-th step and the
-    last) takes its weighted columns at its own R from one weight vector, and
-    the explicit translation-rate quotient beside the finite difference of R
-    as a consistency diagnostic.  A row holds the (h', h'') evaluations of its
-    own tracker call; the trace holds their maximum and cap hits over all calls.
+    Only the step is sequential: the states are stepped ``BLOCK_ROWS`` at a
+    time, then analysed as a block.  The tracker's cell sums are products
+    of the whole block (``CellSums``), and each row re-minimizes the
+    mismatch from the previous optimum (warm-started Newton, row by row).
+    A kept row (every ``sample_every``-th step and the last) takes its
+    weighted columns at its own R, and the explicit translation-rate
+    quotient beside the finite difference of R as a consistency diagnostic,
+    in one pass over the block's kept rows (``_columns``).  A row holds the
+    (h', h'') evaluations of its own tracker call; the trace holds their
+    maximum and cap hits over all calls.
+
     A datum below the ignition level of f dies out and raises TrackerError.
+    A step or tracker call that fails raises TrackingLossError at the
+    earliest failure: the rows stepped before a failed step are tracked
+    first.
     """
+    if not delta > 0:
+        raise ValueError("delta must be positive, got %r" % delta)
+    if not sample_every >= 1:
+        raise ValueError("sample_every must be at least 1, got %r" % sample_every)
     grid = ws.grid
-    tpl = ws.template
     stepper = Stepper(model, grid, dt, ws.speed)
-    state = EvolutionState(0.0, u0, ws.speed)
-    rows = []
-
-    def record(fs, prev=None):
-        """Append the row of ``state``; a kept step passes ``prev = (values, R)``
-        of the step before and has the state's ``uz``."""
-        R, u = fs.position, state.u
-        mm = fs.measure.shifted(R)
-        w = quadrature_weights(grid, mm)
-        dev = Field(grid, u.values - tpl.at(R))
-        dRdt_fd = quotient = np.nan
-        if prev is not None:
-            dRdt_fd = (R - prev[1]) / dt
-            ut = (u.values - prev[0]) / dt
-            tdz = tpl.dz_at(R)
-            denom = float((w * uz * tdz).sum())
-            quotient = -float((w * ut * tdz).sum()) / denom if denom != 0 else np.nan
-        rows.append((state.t, R, float((w * dev.values ** 2).sum()),
-                     weighted_energy(u, model, mm), dRdt_fd, quotient,
-                     weighted_norm_h2(dev, mm), z_delta(u, ws, R, delta),
-                     fs.ortho_residual, fs.iterations))
-
     top, level = float(np.max(u0.values)), model.ignition_level(grid)
     if top < level:
         raise TrackerError("the front dies out: the datum's sup %.3g is below the "
                            "ignition level %.3g of f" % (top, level))
-    fs = locate_front(state.u, ws, 0.0)
+    fs = locate_front(u0, ws, 0.0)
     iters_max, cap_hits = fs.iterations, int(fs.capped)
-    record(fs)
+    rows = []
+
+    def record(t, fronts, u, u_z=None, prev=None):
+        R = np.array([f.position for f in fronts])
+        cols = _columns(model, ws, u, u_z, R, prev, dt, delta)
+        rows.extend(zip(t, R.tolist(), *(col.tolist() for col in cols),
+                        [f.ortho_residual for f in fronts], [f.iterations for f in fronts]))
+
+    record([0.0], [fs], u0.values[None])
     n_steps = int(round(horizon / dt))
-    for k in range(1, n_steps + 1):
-        prev = (state.u.values, fs.position)
-        try:
-            state = stepper.step(state)
-            uz = axial_derivative(state.u.values, grid)
-            fs = locate_front(state.u, ws, fs.position, u_z=uz)
-        except (TrackerError, RuntimeError) as exc:
-            raise TrackingLossError("tracking lost at t=%.6g: %s" % (state.t, exc))
-        iters_max = max(iters_max, fs.iterations)
-        cap_hits += fs.capped
-        if k % sample_every == 0 or k == n_steps:
-            record(fs, prev)
+    state = EvolutionState(0.0, u0, ws.speed)
+    block = np.empty((BLOCK_ROWS + 1,) + grid.shape)  # row 0: the state before
+    done = 0
+    while done < n_steps:
+        block[0] = state.u.values
+        states, lost = [], None
+        for _ in range(min(BLOCK_ROWS, n_steps - done)):
+            try:
+                state = stepper.step(state)
+            except RuntimeError as exc:
+                lost = exc
+                break
+            states.append(state)
+            block[len(states)] = state.u.values
+        n = len(states)
+        u = block[1:n + 1]
+        u_z = axial_derivative(u, grid)
+        sums = CellSums(u, ws, ws.measure(z_ref=fs.position), u_z)
+        fronts = [fs]
+        for i, st in enumerate(states):
+            try:
+                fs = locate_front(st.u, ws, fs.position, sums=sums, row=i)
+            except (TrackerError, RuntimeError) as exc:
+                raise TrackingLossError("tracking lost at t=%.6g: %s" % (st.t, exc)) from exc
+            fronts.append(fs)
+            iters_max = max(iters_max, fs.iterations)
+            cap_hits += fs.capped
+        if lost is not None:
+            raise TrackingLossError("tracking lost at t=%.6g: %s" % (state.t, lost)) from lost
+        kept = [i for i in range(n)
+                if (done + i + 1) % sample_every == 0 or done + i + 1 == n_steps]
+        if kept:
+            R = np.array([f.position for f in fronts])
+            record([states[i].t for i in kept], [fronts[i + 1] for i in kept],
+                   u[kept], u_z[kept], (block[kept], R[kept]))
+        done += n
     return FrontTrace(speed=ws.speed, samples=np.array(rows, dtype=FrontTrace.FIELDS),
                       dt=dt, tracker_iters_max=iters_max, tracker_cap_hits=cap_hits)
 
