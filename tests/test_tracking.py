@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
 
-from cylwave.grids import Field, GridConfig, axial_derivative, build_grid
+from cylwave import evolve, tracking, weighted
+from cylwave.evolve import EvolutionError, EvolutionState, Stepper, weighted_energy
+from cylwave.grids import (CrossSectionField, Field, GridConfig, axial_derivative,
+                           build_grid)
 from cylwave.reactions import CubicBistable
+from cylwave.sections import find_critical_point
 from cylwave.tracking import (BracketError, CellSums, ConvexityError, FitError,
-                              FrontTrace, default_fit_window,
-                              fit_decay, fit_rate, locate_front, mismatch,
-                              mismatch_derivatives, track, trace_to_csv,
-                              z_delta)
+                              FrontState, FrontTrace, TrackingLossError, _columns,
+                              default_fit_window, fit_decay, fit_rate,
+                              locate_front, mismatch, mismatch_derivatives, track,
+                              trace_to_csv, z_delta)
 from cylwave.waves import front_seed, solve_wave
 from cylwave.weighted import (cell_fraction, quadrature_weights, shifted_hermite,
-                              spline_slopes, translate, weighted_norm_l2)
+                              spline_slopes, translate, weighted_norm_h2,
+                              weighted_norm_l2)
 
 
 @pytest.fixture(scope="module")
@@ -458,3 +463,274 @@ class TestCsv:
         trace_to_csv(trace, p6)
         cell = p6.read_text().splitlines()[1].split(",")[2]
         assert len(cell.replace("-", "").replace(".", "").replace("e", "").lstrip("0")) <= 7
+
+
+# --- the block analysis against the row-by-row references ------------------
+
+MODEL = CubicBistable(a=0.25)
+COLUMNS = ("m", "phi", "dRdt_fd", "dRdt_quotient", "h2c_norm")
+
+
+@pytest.fixture(scope="module", params=["1d", "neumann_5x301", "dirichlet_section"])
+def section_wave(request):
+    """Waves on a 1D grid, a 5 x 301 Neumann cylinder and a Dirichlet section."""
+    if request.param == "1d":
+        g = build_grid(GridConfig(n_y=1, n_z=401, z_min=-25.0, z_max=15.0))
+        plateau = 1.0
+    elif request.param == "neumann_5x301":
+        g = build_grid(GridConfig(n_y=5, n_z=301, z_min=-20.0, z_max=10.0))
+        plateau = 1.0
+    else:
+        g = build_grid(GridConfig(n_y=9, n_z=301, y_max=16.0, z_min=-20.0, z_max=10.0,
+                                  bc_left="dirichlet", bc_right="dirichlet"))
+        plateau = find_critical_point(MODEL, g, CrossSectionField(g, np.full(9, 0.9))).v
+    return solve_wave(MODEL, g, front_seed(g, plateau), c_seed=0.2)
+
+
+def perturbed_states(ws, rng, n):
+    """n perturbed translates of the profile, stacked, zero at pinned nodes."""
+    g = ws.grid
+    out = np.empty((n,) + g.shape)
+    for i in range(n):
+        pert = 0.05 * rng.standard_normal(g.shape)
+        pert *= np.exp(-((g.z - rng.uniform(-3, 3)) / 4) ** 2)[None, :]
+        out[i] = np.clip(ws.template.at(rng.uniform(-0.6, 0.6)) + pert, 0.0, 1.0)
+    out[:, g.dirichlet_mask] = 0.0
+    return out
+
+
+def assert_close_to_scale(got, want, rtol=1e-13):
+    """Equal within rtol of the largest |want|, column by column."""
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    scale = np.abs(want).max(axis=0)
+    assert np.all(np.abs(got - want) <= rtol * scale), np.abs(got - want).max(axis=0) / scale
+
+
+class TestBlockSums:
+    def test_rows_match_one_state_sums(self, section_wave):
+        ws = section_wave
+        g = ws.grid
+        rng = np.random.default_rng(31)
+        u = perturbed_states(ws, rng, 6)
+        uz = axial_derivative(u, g)
+        block = CellSums(u, ws, ws.measure(0.2), uz)
+        got, want = [], []
+        for i in range(u.shape[0]):
+            z_ref = rng.uniform(-0.5, 0.5)
+            alone = CellSums(Field(g, u[i]), ws, ws.measure(z_ref), uz[i])
+            row = block.row(i, z_ref)
+            assert row.dz_norm == pytest.approx(
+                weighted_norm_l2(Field(g, ws.profile_dz), ws.measure(z_ref)), rel=1e-14)
+            for R in (rng.uniform(-1, 1), 5 * g.dz, 0.0):
+                got.append(row(R))
+                want.append(alone(R))
+        assert_close_to_scale(got, want)
+
+    def test_one_row_block_is_scaled_by_exactly_one(self, wave):
+        _, ws = wave
+        g = ws.grid
+        u = Field(g, perturbed_states(ws, np.random.default_rng(32), 1)[0])
+        m = ws.measure(0.37)
+        sums = CellSums(u, ws, m, axial_derivative(u.values, g))
+        row = sums.row(0, 0.37)
+        assert row.scale == 1.0
+        for R in (0.123, -0.77, 3 * g.dz):
+            assert row(R) == sums(R)
+
+    def test_locate_front_on_a_block_row(self, section_wave):
+        ws = section_wave
+        g = ws.grid
+        u = perturbed_states(ws, np.random.default_rng(33), 4)
+        block = CellSums(u, ws, ws.measure(-0.1), axial_derivative(u, g))
+        for i in range(u.shape[0]):
+            alone = locate_front(Field(g, u[i]), ws, 0.05)
+            fs = locate_front(Field(g, u[i]), ws, 0.05, sums=block, row=i)
+            assert fs.position == pytest.approx(alone.position, abs=1e-12)
+            assert fs.deviation_sq == pytest.approx(alone.deviation_sq, rel=1e-10)
+            assert fs.measure == alone.measure
+            assert not fs.capped
+
+
+def reference_row(model, ws, t, u, fs, u_z=None, prev=None, dt=None, delta=0.05):
+    """One trace row from whole-grid references at the row's own R:
+    ``mismatch``, ``weighted_energy``, ``weighted_norm_h2`` and ``z_delta``."""
+    R = fs.position
+    mm = ws.measure(z_ref=R)
+    fd = quotient = np.nan
+    if prev is not None:
+        w = quadrature_weights(ws.grid, mm)
+        tdz = ws.template.dz_at(R)
+        fd = (R - prev[1]) / dt
+        quotient = (-float((w * (u.values - prev[0]) / dt * tdz).sum())
+                    / float((w * u_z * tdz).sum()))
+    dev = Field(ws.grid, u.values - ws.template.at(R))
+    return (t, R, 2 * mismatch(u, ws, R, m=mm), weighted_energy(u, model, mm), fd,
+            quotient, weighted_norm_h2(dev, mm), z_delta(u, ws, R, delta),
+            fs.ortho_residual, fs.iterations)
+
+
+def row_by_row(model, ws, u0, dt, n_steps):
+    """The trace tracked one state at a time: each state's own one-state
+    ``locate_front`` call and the reference columns."""
+    stepper = Stepper(model, ws.grid, dt, ws.speed)
+    state = EvolutionState(0.0, u0, ws.speed)
+    fs = locate_front(u0, ws, 0.0)
+    rows = [reference_row(model, ws, 0.0, u0, fs)]
+    for _ in range(n_steps):
+        prev = (state.u.values, fs.position)
+        state = stepper.step(state)
+        uz = axial_derivative(state.u.values, ws.grid)
+        fs = locate_front(state.u, ws, fs.position, u_z=uz)
+        rows.append(reference_row(model, ws, state.t, state.u, fs, uz, prev, dt))
+    return np.array(rows, dtype=FrontTrace.FIELDS)
+
+
+class TestBlockColumns:
+    def test_rows_match_the_references(self, section_wave):
+        ws = section_wave
+        g = ws.grid
+        rng = np.random.default_rng(41)
+        u, before = perturbed_states(ws, rng, 5), perturbed_states(ws, rng, 5)
+        R = rng.uniform(-0.5, 0.5, 5)
+        R[2] = 4 * g.dz  # a translation by whole cells
+        R_prev = R - rng.uniform(-0.01, 0.01, 5)
+        uz = axial_derivative(u, g)
+        cols = _columns(MODEL, ws, u, uz, R, (before, R_prev), 0.1, 0.05)
+        want = np.array([reference_row(MODEL, ws, 0.0, Field(g, u[i]),
+                                       FrontState(R[i], 0.0, 0.0, 0.0, ws.measure(R[i])),
+                                       uz[i], (before[i], R_prev[i]), 0.1)
+                         for i in range(5)], dtype=FrontTrace.FIELDS)
+        for name, col in zip(COLUMNS, cols):
+            assert_close_to_scale(col, want[name])
+        assert np.array_equal(cols[5], want["z_delta"])
+
+    def test_a_row_does_not_depend_on_the_other_rows(self, section_wave):
+        ws = section_wave
+        g = ws.grid
+        rng = np.random.default_rng(42)
+        u, before = perturbed_states(ws, rng, 6), perturbed_states(ws, rng, 6)
+        R = rng.uniform(-0.5, 0.5, 6)
+        uz = axial_derivative(u, g)
+        full = np.array(_columns(MODEL, ws, u, uz, R, (before, R - 0.01), 0.1, 0.05))
+        for keep in ([0], [5], [1, 3, 4]):
+            part = _columns(MODEL, ws, u[keep], uz[keep], R[keep],
+                            (before[keep], R[keep] - 0.01), 0.1, 0.05)
+            assert np.array(part).tobytes() == full[:, keep].tobytes()
+
+
+class TestTrackBlocks:
+    @pytest.fixture(scope="class")
+    def small_wave(self):
+        grid = build_grid(GridConfig(n_y=1, n_z=401, z_min=-25.0, z_max=15.0))
+        return solve_wave(MODEL, grid, front_seed(grid, 1.0), c_seed=0.2)
+
+    @pytest.mark.parametrize("n_steps", [17, 37])
+    def test_blocks_match_row_by_row(self, small_wave, n_steps):
+        # 17 steps end on a block of one row, 37 on a block of five
+        ws = small_wave
+        u0 = front_seed(ws.grid, 1.0, offset=1.0, steepness=0.8)
+        trace = track(MODEL, ws, u0, dt=0.1, horizon=0.1 * n_steps)
+        want = row_by_row(MODEL, ws, u0, 0.1, n_steps)
+        got = trace.samples
+        assert got.size == n_steps + 1
+        assert np.array_equal(got["t"], want["t"])
+        np.testing.assert_allclose(got["R"], want["R"], rtol=0, atol=1e-12)
+        for name in COLUMNS:
+            fin = np.isfinite(want[name])
+            assert np.array_equal(np.isfinite(got[name]), fin)
+            assert_close_to_scale(got[name][fin], want[name][fin])
+        assert np.array_equal(got["z_delta"], want["z_delta"])
+        assert np.array_equal(got["tracker_iters"], want["tracker_iters"])
+
+    def test_one_row_blocks_are_the_one_state_tracker(self, small_wave, monkeypatch):
+        ws = small_wave
+        u0 = front_seed(ws.grid, 1.0, offset=1.0, steepness=0.8)
+        monkeypatch.setattr(tracking, "BLOCK_ROWS", 1)
+        got = track(MODEL, ws, u0, dt=0.1, horizon=2.0).samples
+        want = row_by_row(MODEL, ws, u0, 0.1, 20)
+        for name in ("R", "ortho_residual", "tracker_iters"):
+            assert got[name].tobytes() == want[name].tobytes()
+
+    def test_columns_skip_the_row_references(self, small_wave, monkeypatch):
+        # the columns are one pass over the block, not per-row calls
+        ws = small_wave
+        u0 = front_seed(ws.grid, 1.0, offset=1.0, steepness=0.8)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a row reference was called by track")
+
+        for module, name in ((evolve, "weighted_energy"), (weighted, "weighted_norm_h2"),
+                             (tracking, "z_delta")):
+            monkeypatch.setattr(module, name, refuse)
+            monkeypatch.setattr(tracking, name, refuse, raising=False)
+        assert track(MODEL, ws, u0, dt=0.1, horizon=2.0).samples.size == 21
+
+
+class TestTrackInputsAndFailures:
+    @pytest.fixture(scope="class")
+    def small_wave(self):
+        grid = build_grid(GridConfig(n_y=1, n_z=401, z_min=-25.0, z_max=15.0))
+        return solve_wave(MODEL, grid, front_seed(grid, 1.0), c_seed=0.2)
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        """Count the steps taken; ``fail_at`` makes that step raise."""
+        log = {"n": 0, "fail_at": None}
+        original = Stepper.step
+
+        def step(self, state):
+            log["n"] += 1
+            if log["n"] == log["fail_at"]:
+                raise EvolutionError("injected step failure")
+            return original(self, state)
+
+        monkeypatch.setattr(Stepper, "step", step)
+        return log
+
+    @pytest.fixture
+    def fronts(self, monkeypatch):
+        """Count the tracker calls; ``fail_at`` makes that call raise (the
+        initial call is number 0)."""
+        log = {"n": -1, "fail_at": None}
+        original = tracking.locate_front
+
+        def locate(*args, **kwargs):
+            log["n"] += 1
+            if log["n"] == log["fail_at"]:
+                raise ConvexityError("injected tracker failure")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tracking, "locate_front", locate)
+        return log
+
+    def test_nonpositive_delta_refused_before_any_step(self, small_wave, steps):
+        ws = small_wave
+        with pytest.raises(ValueError, match="delta"):
+            track(MODEL, ws, ws.profile.copy(), dt=0.1, horizon=2.0, delta=0.0)
+        assert steps["n"] == 0
+
+    def test_zero_sample_every_refused_before_any_step(self, small_wave, steps):
+        ws = small_wave
+        with pytest.raises(ValueError, match="sample_every"):
+            track(MODEL, ws, ws.profile.copy(), dt=0.1, horizon=2.0, sample_every=0)
+        assert steps["n"] == 0
+
+    def test_step_failure_after_tracking_the_rows_before_it(self, small_wave, steps, fronts):
+        ws = small_wave
+        steps["fail_at"] = 21  # the fifth step of the second block
+        with pytest.raises(TrackingLossError, match="t=2: injected step failure"):
+            track(MODEL, ws, ws.profile.copy(), dt=0.1, horizon=4.0)
+        assert fronts["n"] == 20
+
+    def test_earlier_tracker_failure_wins(self, small_wave, steps, fronts):
+        ws = small_wave
+        steps["fail_at"], fronts["fail_at"] = 21, 19
+        with pytest.raises(TrackingLossError, match="t=1.9: injected tracker failure"):
+            track(MODEL, ws, ws.profile.copy(), dt=0.1, horizon=4.0)
+
+    def test_earlier_step_failure_wins(self, small_wave, steps, fronts):
+        ws = small_wave
+        steps["fail_at"], fronts["fail_at"] = 21, 22
+        with pytest.raises(TrackingLossError, match="t=2: injected step failure"):
+            track(MODEL, ws, ws.profile.copy(), dt=0.1, horizon=4.0)
+        assert fronts["n"] == 20
