@@ -459,7 +459,7 @@ def track(model: ReactionModel, ws: WaveSolution, u0: Field, dt: float,
         for i, st in enumerate(states):
             try:
                 fs = locate_front(st.u, ws, fs.position, sums=sums, row=i)
-            except (TrackerError, RuntimeError) as exc:
+            except RuntimeError as exc:  # TrackerError included
                 raise TrackingLossError("tracking lost at t=%.6g: %s" % (st.t, exc)) from exc
             fronts.append(fs)
             iters_max = max(iters_max, fs.iterations)
