@@ -95,7 +95,8 @@ class CellSums:
     ``eps S``; the tracker reads it only in its relative stopping test.
     """
 
-    def __init__(self, u, ws: WaveSolution, m: WeightedMeasure, u_z: np.ndarray):
+    def __init__(self, u: Field | np.ndarray, ws: WaveSolution, m: WeightedMeasure,
+                 u_z: np.ndarray):
         self.tpl, self.c, self.dz, self.z_ref = ws.template, m.c, ws.grid.dz, m.z_ref
         w = quadrature_weights(ws.grid, m)
         self.w = w.reshape(-1)

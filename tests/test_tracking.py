@@ -506,6 +506,12 @@ def assert_close_to_scale(got, want, rtol=1e-13):
     assert np.all(np.abs(got - want) <= rtol * scale), np.abs(got - want).max(axis=0) / scale
 
 
+@pytest.fixture(scope="module")
+def small_wave():
+    grid = build_grid(GridConfig(n_y=1, n_z=401, z_min=-25.0, z_max=15.0))
+    return solve_wave(MODEL, grid, front_seed(grid, 1.0), c_seed=0.2)
+
+
 class TestBlockSums:
     def test_rows_match_one_state_sums(self, section_wave):
         ws = section_wave
@@ -619,11 +625,6 @@ class TestBlockColumns:
 
 
 class TestTrackBlocks:
-    @pytest.fixture(scope="class")
-    def small_wave(self):
-        grid = build_grid(GridConfig(n_y=1, n_z=401, z_min=-25.0, z_max=15.0))
-        return solve_wave(MODEL, grid, front_seed(grid, 1.0), c_seed=0.2)
-
     @pytest.mark.parametrize("n_steps", [17, 37])
     def test_blocks_match_row_by_row(self, small_wave, n_steps):
         # 17 steps end on a block of one row, 37 on a block of five
@@ -667,11 +668,6 @@ class TestTrackBlocks:
 
 
 class TestTrackInputsAndFailures:
-    @pytest.fixture(scope="class")
-    def small_wave(self):
-        grid = build_grid(GridConfig(n_y=1, n_z=401, z_min=-25.0, z_max=15.0))
-        return solve_wave(MODEL, grid, front_seed(grid, 1.0), c_seed=0.2)
-
     @pytest.fixture
     def steps(self, monkeypatch):
         """Count the steps taken; ``fail_at`` makes that step raise."""
