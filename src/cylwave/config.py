@@ -8,6 +8,7 @@ model/grid (the time-step cap depends on both).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field as dc_field, fields, replace
 
@@ -137,14 +138,14 @@ def _parse_sections(text: str) -> dict:
 def _typed(section: str, key: str, entry, want):
     value, lineno = entry
     try:
-        if want is int:
-            return int(value)
-        if want is float:
-            return float(value)
-        return value
+        typed = want(value)
     except ValueError:
         raise ConfigError("line %d: key %r expects %s, got %r"
                           % (lineno, key, want.__name__, value))
+    if want is float and not math.isfinite(typed):
+        raise ConfigError("line %d: key %r in section [%s] must be finite, got %r"
+                          % (lineno, key, section, value))
+    return typed
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -198,6 +199,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if not 0 < cfg.dt <= cap * (1 + 1e-12):
             raise ConfigError("dt = %g violates the stability bound dt_max = %g "
                               "(0.5 / sup|f_u|)" % (cfg.dt, cap))
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0, got %d" % cfg.seed)
     if cfg.sample_every < 1:
         raise ConfigError("sample_every must be >= 1")
     if not cfg.c_trial > 0:

@@ -127,7 +127,7 @@ class Stepper:
         if state.frame_speed != self.frame_speed:
             raise EvolutionError("state frame speed %g != stepper %g"
                                  % (state.frame_speed, self.frame_speed))
-        rhs = state.u.values + self.dt * eval_f(self.model, state.u).values
+        rhs = state.u.values + self.dt * eval_f(self.model, self.grid, state.u.values)
         if self.grid.n_y == 1:
             # the 1x1 mode transforms are identities: solve in place in rhs
             # and zero the pinned axial end

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .grids import CylinderGrid, Field
+from .grids import CylinderGrid
 
 
 class ReactionError(ValueError):
@@ -49,9 +49,9 @@ class ReactionModel:
         out = flat_o.reshape(uu.shape)
         return out if np.ndim(u) else float(out[0])
 
-    def max_slope(self, grid: CylinderGrid, samples: int = 257) -> float:
-        """sup |f_u| over [0,1] x cross-section, sampled."""
-        us = np.linspace(0.0, 1.0, samples)
+    def max_slope(self, grid: CylinderGrid) -> float:
+        """sup |f_u| over [0,1] x cross-section, sampled at 257 levels."""
+        us = np.linspace(0.0, 1.0, 257)
         ys = grid.y
         return float(np.max(np.abs(self.f_u(us[:, None], ys[None, :]))))
 
@@ -68,23 +68,23 @@ class ReactionModel:
         return float(us[np.argmax(igniting)]) if igniting.any() else 1.0
 
 
-def eval_f(model: ReactionModel, u: Field) -> Field:
-    """Pointwise reaction term on the grid; fails fast on non-finite output."""
-    y = u.grid.y[:, None]
-    vals = model.f(u.values, y)
+def eval_f(model: ReactionModel, grid: CylinderGrid, values: np.ndarray) -> np.ndarray:
+    """Pointwise reaction term f(values, y) on the grid; fails fast on
+    non-finite output."""
+    return _on_grid(model.f(values, grid.y[:, None]), grid, "reaction")
+
+
+def eval_f_u(model: ReactionModel, grid: CylinderGrid, values: np.ndarray) -> np.ndarray:
+    """Pointwise f_u(values, y) on the grid; fails fast on non-finite output."""
+    return _on_grid(model.f_u(values, grid.y[:, None]), grid, "reaction derivative")
+
+
+def _on_grid(vals, grid: CylinderGrid, what: str) -> np.ndarray:
     if not np.isfinite(vals).all():
-        raise ReactionError("reaction produced non-finite values")
-    if np.shape(vals) != u.grid.shape:  # a model constant in y
-        vals = np.broadcast_to(vals, u.grid.shape).copy()
-    return Field(u.grid, vals)
-
-
-def eval_f_u(model: ReactionModel, u: Field) -> Field:
-    y = u.grid.y[:, None]
-    vals = model.f_u(u.values, y)
-    if np.shape(vals) != u.grid.shape:
-        vals = np.broadcast_to(vals, u.grid.shape).copy()
-    return Field(u.grid, vals)
+        raise ReactionError("%s produced non-finite values" % what)
+    if np.shape(vals) != grid.shape:  # a model constant in y
+        vals = np.broadcast_to(vals, grid.shape).copy()
+    return vals
 
 
 def _polyval(p: np.ndarray, x) -> np.ndarray:
@@ -256,9 +256,9 @@ class ShiftedModel(ReactionModel):
             + chi * self.base.f(v, y) * h
         )
 
-    def max_slope(self, grid, samples: int = 257) -> float:
+    def max_slope(self, grid) -> float:
         # the perturbation is confined to 0 <= h <= 1 - v(y)
-        frac = np.linspace(0.0, 1.0, samples)[:, None]
+        frac = np.linspace(0.0, 1.0, 257)[:, None]
         v = np.interp(grid.y, self.y_nodes, self.v_values)[None, :]
         u_eff = v + frac * (1.0 - v)
         return float(np.max(np.abs(self.base.f_u(u_eff, grid.y[None, :]))))
@@ -298,14 +298,15 @@ class HypothesesReport:
         return self.zero_state_ok and self.upper_state_ok and self.drive_positive
 
 
-def check_hypotheses(model: ReactionModel, grid: CylinderGrid,
-                     n_u: int = 201, tol: float = 1e-10) -> HypothesesReport:
-    """Sample the structural assumptions on a fine (u, y) lattice.
+def check_hypotheses(model: ReactionModel, grid: CylinderGrid) -> HypothesesReport:
+    """Sample the structural assumptions on a lattice of 201 levels in
+    [0, 1] by the grid's section nodes; f(0) and f(1) may miss their signs
+    by 1e-10.
 
     The regularity quotients are heuristic, report-only figures: pointwise
     sampling cannot certify a smoothness class.
     """
-    ys = grid.y
+    ys, n_u, tol = grid.y, 201, 1e-10
     us = np.linspace(0.0, 1.0, n_u)
     f0 = np.asarray(model.f(np.zeros_like(ys), ys))
     f1 = np.asarray(model.f(np.ones_like(ys), ys))

@@ -81,13 +81,15 @@ class CellSums:
       which is at least ``eps sum |w u d_z T_R profile|``.
 
     ``u`` is one state (a Field) or a block of states stacked on a first
-    axis, with ``u_z`` of the same shape.  On the first request for a cell
-    the sums are formed for every row of the block at once, as (rows, nodes)
-    products in the reference measure m; every R after that is scalar work.
-    The sums are linear in the weights, so in the measure referenced at
-    ``z_ref`` a row's h, h', h'' and floor are those of m times
-    ``exp(-c (z_ref - m.z_ref))``: ``row(i, z_ref)`` gives that evaluator,
-    and calling the block evaluates its first row in m itself.
+    axis; ``u_z``, of the same shape, is ``axial_derivative(u)`` unless the
+    caller has it already.  On the first request for a cell the sums are
+    formed for every row of the block at once, as (rows, nodes) products in
+    the reference measure m; every R after that is scalar work.  The sums
+    are linear in the weights, so in the measure referenced at ``z_ref`` a
+    row's h, h', h'' and floor are those of m times
+    ``exp(-c (z_ref - m.z_ref))``: ``row(i, z_ref)`` evaluates them.  One
+    state in m itself is ``CellSums(u, ws, m).row(0, m.z_ref)``, scaled by
+    exactly 1.
 
     A translation by a whole number of cells (s = 0) takes the cell with
     ``node`` set, where h = S / 2 and h' = E_1 are direct sums.  Near a
@@ -96,11 +98,14 @@ class CellSums:
     """
 
     def __init__(self, u: Field | np.ndarray, ws: WaveSolution, m: WeightedMeasure,
-                 u_z: np.ndarray):
+                 u_z: np.ndarray | None = None):
         self.tpl, self.c, self.dz, self.z_ref = ws.template, m.c, ws.grid.dz, m.z_ref
+        values = u.values if isinstance(u, Field) else u
+        if u_z is None:
+            u_z = axial_derivative(values, ws.grid)
         w = quadrature_weights(ws.grid, m)
         self.w = w.reshape(-1)
-        self.u = np.reshape(u.values if isinstance(u, Field) else u, (-1, self.w.size))
+        self.u = np.reshape(values, (-1, self.w.size))
         self.wuz = self.w * np.reshape(u_z, self.u.shape)
         self.awu = abs(self.w * self.u)
         self.dz_norm_sq = float((w * ws.profile_dz ** 2).sum())  # ||profile_dz||^2 in m
@@ -122,24 +127,6 @@ class CellSums:
                                        (abs(a) @ self.awu.T).T.tolist())
         return sums
 
-    def evaluate(self, i: int, scale: float, R: float) -> tuple[float, float, float, float]:
-        """``(h, h', h'', floor)`` of row i at R, with the sums of m times ``scale``."""
-        k, t = cell_fraction(R, self.dz)
-        S, E, F, M, B = self._sums((k, t == 0.0))
-        S, E, F, B = float(S[i]), E[i], F[i], B[i]
-        s = t * self.dz
-        s2 = s * s
-        s3 = s2 * s
-        q = [E[j] - s * M[0][j] - s2 * M[1][j] - s3 * M[2][j] for j in range(3)]
-        h1 = q[0] + 2 * s * q[1] + 3 * s2 * q[2]
-        hval = 0.5 * (S - s * (E[0] + q[0]) - s2 * (E[1] + q[1]) - s3 * (E[2] + q[2]))
-        return (scale * max(hval, 0.0), scale * h1,
-                scale * (self.c * h1 + F[0] + 2 * s * F[1] + 3 * s2 * F[2]),
-                scale * _EPS * (B[0] + 2 * s * B[1] + 3 * s2 * B[2]))
-
-    def __call__(self, R: float) -> tuple[float, float, float, float]:
-        return self.evaluate(0, 1.0, R)
-
     def row(self, i: int, z_ref: float) -> "RowSums":
         return RowSums(self, i, math.exp(-self.c * (z_ref - self.z_ref)))
 
@@ -155,25 +142,38 @@ class RowSums:
         self._last = (None, None)
 
     def __call__(self, R: float) -> tuple[float, float, float, float]:
-        if self._last[0] != R:
-            self._last = (R, self.sums.evaluate(self.i, self.scale, R))
-        return self._last[1]
+        if self._last[0] == R:
+            return self._last[1]
+        sums, i, scale = self.sums, self.i, self.scale
+        k, t = cell_fraction(R, sums.dz)
+        S, E, F, M, B = sums._sums((k, t == 0.0))
+        S, E, F, B = float(S[i]), E[i], F[i], B[i]
+        s = t * sums.dz
+        s2 = s * s
+        s3 = s2 * s
+        q = [E[j] - s * M[0][j] - s2 * M[1][j] - s3 * M[2][j] for j in range(3)]
+        h1 = q[0] + 2 * s * q[1] + 3 * s2 * q[2]
+        hval = 0.5 * (S - s * (E[0] + q[0]) - s2 * (E[1] + q[1]) - s3 * (E[2] + q[2]))
+        out = (scale * max(hval, 0.0), scale * h1,
+               scale * (sums.c * h1 + F[0] + 2 * s * F[1] + 3 * s2 * F[2]),
+               scale * _EPS * (B[0] + 2 * s * B[1] + 3 * s2 * B[2]))
+        self._last = (R, out)
+        return out
 
 
 def mismatch_derivatives(u: Field, ws: WaveSolution, R: float,
                          m: WeightedMeasure | None = None, *,
-                         sums: CellSums | RowSums | None = None) -> tuple[float, float]:
+                         sums: RowSums | None = None) -> tuple[float, float]:
     """(h', h''): first derivative exactly, second via the transported identity
     ``h'' = c h' + <u_z, T_R profile_dz>`` with centered u_z.
 
     Both come from the per-cell dot products of ``CellSums``.  ``sums`` may
-    carry them, as u's row of a block (``CellSums.row``) or a ``CellSums``
-    of u alone; otherwise they are built here for u, with m defaulting to
-    the measure referenced at R.
+    carry them as u's row of a block (``CellSums.row``); otherwise they are
+    built here for u alone, with m defaulting to the measure referenced at R.
     """
     if sums is None:
-        sums = CellSums(u, ws, m if m is not None else ws.measure(z_ref=R),
-                        axial_derivative(u.values, u.grid))
+        m = m if m is not None else ws.measure(z_ref=R)
+        sums = CellSums(u, ws, m).row(0, m.z_ref)
     _, h1, h2, _ = sums(R)
     return h1, h2
 
@@ -190,8 +190,8 @@ class FrontState:
 
 
 def locate_front(u: Field, ws: WaveSolution, R_seed: float = 0.0,
-                 max_iter: int = 80, *, u_z: np.ndarray | None = None,
-                 sums: CellSums | None = None, row: int = 0) -> FrontState:
+                 max_iter: int = 80, *, sums: CellSums | None = None,
+                 row: int = 0) -> FrontState:
     """Safeguarded Newton on h' with a bisection fallback bracket.
 
     Every evaluation of (h', h'') goes through ``mismatch_derivatives`` with
@@ -199,9 +199,8 @@ def locate_front(u: Field, ws: WaveSolution, R_seed: float = 0.0,
     ``R_seed``, so after the dot products of a cell each iterate is scalar
     work.  ``sums`` may carry a block whose row ``row`` is u, with any
     reference measure; otherwise u is a block of one row in the measure at
-    ``R_seed``, whose sums are scaled by exactly 1.  ``u_z`` may carry
-    ``axial_derivative(u.values, u.grid)`` for that block.  Stops at the
-    first iterate where ``|h'|`` meets either test:
+    ``R_seed``, whose sums are scaled by exactly 1.  Stops at the first
+    iterate where ``|h'|`` meets either test:
 
     - the relative test ``|h'| <= 1e-12 * sqrt(2 h) * ||profile_dz||_w``;
     - the roundoff floor ``|h'| <= eps * sum_j j s^(j-1) B_j``, the
@@ -222,8 +221,7 @@ def locate_front(u: Field, ws: WaveSolution, R_seed: float = 0.0,
     limit = ws.template.max_shift - 2 * ws.grid.dz
     mm = ws.measure(z_ref=R_seed)
     if sums is None:
-        uz = u_z if u_z is not None else axial_derivative(u.values, u.grid)
-        sums, row = CellSums(u, ws, mm, uz), 0
+        sums, row = CellSums(u, ws, mm), 0
     cells = sums.row(row, R_seed)
     evals = 0
 
@@ -291,8 +289,7 @@ def z_delta(u: Field, ws: WaveSolution, R: float,
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    tpl = ws.template
-    err = abs(u.values - tpl.at(R)).max(axis=0)
+    err = abs(u.values - ws.template.at(R)).max(axis=0)
     exceeding = (err > delta).nonzero()[0]
     if exceeding.size == 0:
         return float("-inf")
@@ -537,16 +534,15 @@ def fit_decay(trace: FrontTrace, window: tuple[float, float] | None = None
     return sigma, quality
 
 
-def fit_position_tail(trace: FrontTrace, window: tuple[float, float] | None = None
-                      ) -> tuple[float, float]:
-    """Exponential-class fit of |R(t) - R_end| over the tail half of the window.
+def fit_position_tail(trace: FrontTrace) -> tuple[float, float]:
+    """Exponential-class fit of |R(t) - R_end| over the tail half of the
+    decay window (``fit_decay``'s, or else the default one).
 
     The position can overshoot its limit once (a sign change in R - R_inf
     puts a cusp in the log plot), so only the asymptotic half of the decay
     window is fitted.  Returns (rate, quality).
     """
-    if window is None:
-        window = trace.fit_window if trace.fit_window else default_fit_window(trace)
+    window = trace.fit_window or default_fit_window(trace)
     t = trace.samples["t"]
     R = trace.samples["R"]
     R_ref = float(R[-1])
@@ -559,11 +555,10 @@ def fit_position_tail(trace: FrontTrace, window: tuple[float, float] | None = No
     return -slope, quality
 
 
-def trace_to_csv(trace: FrontTrace, path, digits: int | None = None) -> None:
-    """Write the pinned CSV columns, one row per sample."""
-    if digits is None:
-        digits = output_digits()
-    fmt = "%%.%dg" % digits
+def trace_to_csv(trace: FrontTrace, path) -> None:
+    """Write the pinned CSV columns, one row per sample, to ``output_digits()``
+    significant digits."""
+    fmt = "%%.%dg" % output_digits()
     with open(path, "w") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for row in trace.samples:

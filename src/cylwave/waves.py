@@ -32,7 +32,7 @@ from .grids import (CrossSectionField, CylinderGrid, Field, GridConfig,
 from .reactions import ReactionModel, ShiftedModel, eval_f, eval_f_u
 from .sections import (CriticalPoint, SectionSolverError, find_critical_point,
                        section_energy)
-from .weighted import (WeightedMeasure, cell_fraction, cell_slope, cell_value,
+from .weighted import (WeightedMeasure, cell_fraction, cell_value,
                        hermite, pchip_slopes, shifted_cell, spline_slopes, translate)
 
 NEWTON_TOL = 1e-11
@@ -90,23 +90,19 @@ class Template:
     (``cell_fraction``), so every node of the translate is one cubic in the
     offset ``t dz`` whose arrays depend on the cell k alone
     (``weighted.shifted_cell``, which owns the clipping and end rules).
-    ``cell`` remembers the arrays of the last cell asked for, read-only;
-    ``at`` and ``dz_at`` evaluate them by Horner, and the tracker takes its
-    dot products with them.  A shift by a whole number of cells asks for
-    the cell with ``node`` set, in which a node moved exactly onto the
-    right end keeps the end slope.
-
-    ``at`` and ``dz_at`` each remember their last translation: the tracker
-    asks for the same R several times in a row (the recorded row, its
-    ``z_delta``), so the polynomial runs once per R.  The returned arrays
-    are shared and therefore read-only.
+    ``cell`` remembers the arrays of the last cell asked for, read-only; the
+    tracker takes its dot products with them, ``at`` evaluates them by
+    Horner (``cell_value``), and the translate's slope is ``cell_slope`` on
+    the same arrays.  A shift by a whole number of cells asks for the cell
+    with ``node`` set, in which a node moved exactly onto the right end
+    keeps the end slope.
     """
 
     def __init__(self, ws: WaveSolution):
         self.ws = ws
         self._slopes = spline_slopes(ws.profile.values, ws.grid.dz)
         self.max_shift = 0.5 * ws.grid.window_length
-        self._cell = self._at = self._dz_at = (None, None)
+        self._cell = (None, None)
 
     def cell(self, k: int, node: bool = False) -> np.ndarray:
         """``shifted_cell`` arrays of the profile for cell k, read-only."""
@@ -117,22 +113,10 @@ class Template:
             self._cell = ((k, node), a)
         return self._cell[1]
 
-    def _evaluate(self, R: float, fn) -> np.ndarray:
-        dz = self.ws.grid.dz
-        k, t = cell_fraction(R, dz)
-        v = fn(self.cell(k, t == 0.0), t * dz)
-        v.flags.writeable = False
-        return v
-
     def at(self, R: float) -> np.ndarray:
-        if self._at[0] != R:
-            self._at = (R, self._evaluate(R, cell_value))
-        return self._at[1]
-
-    def dz_at(self, R: float) -> np.ndarray:
-        if self._dz_at[0] != R:
-            self._dz_at = (R, self._evaluate(R, cell_slope))
-        return self._dz_at[1]
+        """``T_R profile`` on the grid."""
+        k, t = cell_fraction(R, self.ws.grid.dz)
+        return cell_value(self.cell(k, t == 0.0), t * self.ws.grid.dz)
 
 
 def front_seed(grid: CylinderGrid, plateau, offset: float = 0.0,
@@ -147,7 +131,7 @@ def front_seed(grid: CylinderGrid, plateau, offset: float = 0.0,
 
 
 def _wave_residual(model, grid, values, c):
-    r = _apply_transport(grid, values, c) + eval_f(model, Field(grid, values)).values
+    r = _apply_transport(grid, values, c) + eval_f(model, grid, values)
     r[grid.dirichlet_mask] = 0.0
     return r
 
@@ -240,8 +224,7 @@ def _phase_vector(grid: CylinderGrid, u: np.ndarray) -> np.ndarray:
     return p.ravel()
 
 
-def _newton_polish(model, grid, values, c, max_iter=40, tol=NEWTON_TOL,
-                   work=None, tau=np.inf):
+def _newton_polish(model, grid, values, c, max_iter=40, work=None, tau=np.inf):
     """Bordered Newton on (profile, speed) with the mid-level phase condition.
 
     The phase ``p.u`` (``_phase_vector``) pins the front's mid-level at
@@ -261,7 +244,7 @@ def _newton_polish(model, grid, values, c, max_iter=40, tol=NEWTON_TOL,
     ``work``.  A chord step is taken whole when it at least halves the merit;
     otherwise it is dropped, the block is factored at the current iterate,
     and that step is damped by halving until the merit falls.  When no
-    damped step lowers a merit already within ``100 tol`` (the roundoff
+    damped step lowers a merit already within ``100 NEWTON_TOL`` (the roundoff
     floor), the current, best iterate is returned; above it the polish
     raises, as it does after ``max_iter`` iterations.  An iterate whose sup
     falls below a quarter of the start's, or whose every section stays above
@@ -291,7 +274,7 @@ def _newton_polish(model, grid, values, c, max_iter=40, tol=NEWTON_TOL,
 
     G, phase, merit = residual(u, c)
     for _ in range(max_iter):
-        if merit <= tol:
+        if merit <= NEWTON_TOL:
             break
         work.iterations += 1
         U = u.reshape(grid.shape)
@@ -305,7 +288,7 @@ def _newton_polish(model, grid, values, c, max_iter=40, tol=NEWTON_TOL,
         if work.lu is None or not m_try <= 0.5 * merit:
             # Pinned rows of the operator are zero, so unit diagonal entries
             # there make identity rows enforcing the pinned values.
-            fu = eval_f_u(model, Field(grid, U)).values.ravel()
+            fu = eval_f_u(model, grid, U).ravel()
             jac_diag = np.where(pinned, 1.0, fu - 1.0 / tau)
             work.lu = None  # free the stale factors first
             try:
@@ -331,10 +314,10 @@ def _newton_polish(model, grid, values, c, max_iter=40, tol=NEWTON_TOL,
                     break
                 stepsize *= 0.5
             else:
-                if merit > 100 * tol:
+                if merit > 100 * NEWTON_TOL:
                     raise WaveSolverError("Newton stalled at residual %.3g" % merit)
                 break  # at the roundoff floor: keep the best iterate
-        tau *= merit / max(m_try, tol)  # the floor only guards the last step
+        tau *= merit / max(m_try, NEWTON_TOL)  # the floor only guards the last step
         u, c, G = u_try, c_try, G_try
         p = _phase_vector(grid, u)
         phase = float(p @ u)
@@ -345,7 +328,7 @@ def _newton_polish(model, grid, values, c, max_iter=40, tol=NEWTON_TOL,
             raise SeedBasinError("iterate collapsed toward zero")
         if float(np.min(np.max(u.reshape(grid.shape), axis=0))) > 0.75 * top:
             raise SeedBasinError("iterate filled the window")
-    if merit > 100 * tol:
+    if merit > 100 * NEWTON_TOL:
         raise WaveSolverError("no convergence in %d steps: merit %.3g" % (max_iter, merit))
     return u.reshape(grid.shape), c
 
@@ -500,7 +483,7 @@ def spectral_gap(ws: WaveSolution, model: ReactionModel) -> GapResult:
     grid = ws.grid
     free = ~grid.dirichlet_mask.ravel()
     A = transport_operator(grid, ws.speed)
-    fu = eval_f_u(model, ws.profile).values.ravel()
+    fu = eval_f_u(model, grid, ws.profile.values).ravel()
     w = flow_weights(grid, ws.measure(z_ref=0.0)).ravel()
 
     L = (-(A + sp.diags(fu))).tocsr()[free][:, free]

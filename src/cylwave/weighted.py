@@ -39,9 +39,6 @@ class WeightedMeasure:
         if not self.c > 0:
             raise ValueError("weight rate must be positive, got %g" % self.c)
 
-    def shifted(self, z_ref: float) -> "WeightedMeasure":
-        return WeightedMeasure(self.c, z_ref)
-
 
 def weight_values(grid: CylinderGrid, m: WeightedMeasure) -> np.ndarray:
     """Pointwise weight ``e^{c (z - z_ref)}`` along the axis."""

@@ -1,6 +1,8 @@
+import re
+
 import pytest
 
-from cylwave.config import (ConfigError, config_defaults_text, parse_config,
+from cylwave.config import (_SCHEMA, ConfigError, config_defaults_text, parse_config,
                             parse_config_file)
 
 MINIMAL = """
@@ -133,6 +135,23 @@ class TestValidation:
                            + "\n[initial]\nfamily = sandwich\nseparation = 4.0\n")
         assert cfg.initial_family == "sandwich"
         assert cfg.initial_params["separation"] == 4.0
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section, key", [(sec, key) for sec, schema in _SCHEMA.items()
+                                              for key, (want, _) in schema.items()
+                                              if want is float])
+    def test_nonfinite_float_names_the_key(self, section, key, value):
+        line = "%s = %s" % (key, value)
+        text, n = re.subn(r"(?m)^%s = .*$" % key, line, MINIMAL)
+        if not n:
+            text += "\n[%s]\n%s\n" % (section, line)
+        with pytest.raises(ConfigError, match=r"key '%s' in section \[%s\] must be finite"
+                           % (key, section)):
+            parse_config(text)
+
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            parse_config(MINIMAL + "seed = -1\n")
 
     @pytest.mark.parametrize("key", ["c_trial", "delta"])
     def test_nonpositive_run_parameter(self, key):

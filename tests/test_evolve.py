@@ -74,7 +74,7 @@ class TestStep:
         c, dt = 0.37, 0.1
         u = Field(g, np.random.default_rng(3).uniform(0.0, 1.0, g.shape))
         out = Stepper(MODEL, g, dt, frame_speed=c).step(EvolutionState(0.0, u, c))
-        rhs = (u.values + dt * eval_f(MODEL, u).values).ravel()
+        rhs = (u.values + dt * eval_f(MODEL, g, u.values)).ravel()
         rhs[g.dirichlet_mask.ravel()] = 0.0
         M = sp.identity(rhs.size, format="csc") - dt * transport_operator(g, c)
         want = spsolve(M.tocsc(), rhs).reshape(g.shape)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from cylwave.grids import Field, GridConfig, build_grid
+from cylwave.grids import GridConfig, build_grid
 from cylwave.reactions import (CubicBistable, HeterogeneousCubic, LinearModel,
                                ReactionError, ReactionModel, ShiftedModel,
                                StackedBistable, _poly_V, check_hypotheses,
-                               eval_f, make_model)
+                               eval_f, eval_f_u, make_model)
 
 
 def grid_1d(n_z=64):
@@ -42,8 +42,8 @@ class TestCubic:
 
     def test_field_evaluation(self):
         g = grid_1d()
-        out = eval_f(CubicBistable(a=0.25), Field(g, np.full(g.shape, 0.5)))
-        np.testing.assert_allclose(out.values, 1.0 / 16.0)
+        out = eval_f(CubicBistable(a=0.25), g, np.full(g.shape, 0.5))
+        np.testing.assert_allclose(out, 1.0 / 16.0)
 
 
 class TestPolynomials:
@@ -162,4 +162,16 @@ class TestHypothesesReport:
 
         g = grid_1d()
         with pytest.raises(ReactionError, match="non-finite"):
-            eval_f(Bad(), Field(g, np.full(g.shape, 0.9)))
+            eval_f(Bad(), g, np.full(g.shape, 0.9))
+
+    def test_nonfinite_derivative_fails_fast(self):
+        class Bad(ReactionModel):
+            def f(self, u, y=None):
+                return np.zeros_like(np.asarray(u, dtype=float))
+
+            def f_u(self, u, y=None):
+                return np.where(np.asarray(u) > 0.5, np.nan, 0.0)
+
+        g = grid_1d()
+        with pytest.raises(ReactionError, match="non-finite"):
+            eval_f_u(Bad(), g, np.full(g.shape, 0.9))

@@ -362,6 +362,15 @@ class TestCli:
         assert code == 2
         assert "dt_max" in capsys.readouterr().err
 
+    def test_nonfinite_horizon_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(FAST_CONVERGE.replace("horizon = 25.0", "horizon = nan"))
+        code = main(["converge", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "'horizon'" in err and "Traceback" not in err
+
     def test_wave_ignores_time_step(self, tmp_path):
         # the continuation wave solver takes no time step, so dt is not checked
         cfg = tmp_path / "wave.cfg"

@@ -13,9 +13,9 @@ from cylwave.tracking import (BracketError, CellSums, ConvexityError, FitError,
                               locate_front, mismatch, mismatch_derivatives, track,
                               trace_to_csv, z_delta)
 from cylwave.waves import front_seed, solve_wave
-from cylwave.weighted import (cell_fraction, quadrature_weights, shifted_hermite,
-                              spline_slopes, translate, weighted_norm_h2,
-                              weighted_norm_l2)
+from cylwave.weighted import (cell_fraction, cell_slope, quadrature_weights,
+                              shifted_hermite, spline_slopes, translate,
+                              weighted_norm_h2, weighted_norm_l2)
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +148,7 @@ class TestCellSums:
         c1, c2 = mismatch_derivatives(u, ws, R, m=m)
         assert abs(c1 - h1) <= 1e-12 * abs(h1)
         assert abs(c2 - h2) <= 1e-12 * abs(h2)
-        hval, s1, s2, floor = CellSums(u, ws, m, axial_derivative(u.values, u.grid))(R)
+        hval, s1, s2, floor = CellSums(u, ws, m).row(0, m.z_ref)(R)
         assert (s1, s2) == (c1, c2)
         assert hval == pytest.approx(mismatch(u, ws, R, m=m), rel=1e-12)
         # the rounding bound of the cell form is at least the old floor
@@ -192,8 +192,8 @@ class TestCellSums:
         m = ws.measure(R)
         pert = 1e-6 * rng.standard_normal(g.shape) * np.exp(-(g.z / 4.0) ** 2)[None, :]
         u = Field(g, ws.template.at(R) + pert)
-        sums = CellSums(u, ws, m, axial_derivative(u.values, g))
-        hval, c1, _, floor = sums(R)
+        sums = CellSums(u, ws, m)
+        hval, c1, _, floor = sums.row(0, m.z_ref)(R)
         k, t = cell_fraction(R, g.dz)
         assert t != 0.0
         S = sums._sums((k, False))[0]
@@ -262,12 +262,12 @@ class TestLocateFront:
         assert not full.capped
         assert full.position == pytest.approx(1.5, abs=1e-6)
 
-    def test_precomputed_u_z_gives_the_same_state(self, wave):
+    def test_passed_sums_give_the_same_state(self, wave):
         _, ws = wave
         u = Field(ws.grid, translate(ws.profile, 0.7).values
                   + 1e-3 * np.exp(-ws.grid.z ** 2)[None, :])
         plain = locate_front(u, ws, 0.0)
-        given = locate_front(u, ws, 0.0, u_z=axial_derivative(u.values, u.grid))
+        given = locate_front(u, ws, 0.0, sums=CellSums(u, ws, ws.measure(0.0)))
         assert given == plain
 
     @pytest.mark.parametrize("level", [0.3, 0.4, 0.5, 0.6, 0.7, 0.8])
@@ -523,7 +523,7 @@ class TestBlockSums:
         got, want = [], []
         for i in range(u.shape[0]):
             z_ref = rng.uniform(-0.5, 0.5)
-            alone = CellSums(Field(g, u[i]), ws, ws.measure(z_ref), uz[i])
+            alone = CellSums(Field(g, u[i]), ws, ws.measure(z_ref), uz[i]).row(0, z_ref)
             row = block.row(i, z_ref)
             assert row.dz_norm == pytest.approx(
                 weighted_norm_l2(Field(g, ws.profile_dz), ws.measure(z_ref)), rel=1e-14)
@@ -532,16 +532,28 @@ class TestBlockSums:
                 want.append(alone(R))
         assert_close_to_scale(got, want)
 
+    def test_u_z_defaults_to_the_axial_derivative(self, section_wave):
+        ws = section_wave
+        g = ws.grid
+        u = perturbed_states(ws, np.random.default_rng(34), 3)
+        m = ws.measure(0.1)
+        for values, state in ((u, u), (u[0], Field(g, u[0]))):
+            given = CellSums(state, ws, m, axial_derivative(values, g))
+            plain = CellSums(state, ws, m)
+            assert np.array_equal(plain.wuz, given.wuz)
+            for i in range(len(given.u)):
+                for R in (0.37, -0.81, 4 * g.dz):
+                    assert plain.row(i, -0.2)(R) == given.row(i, -0.2)(R)
+
     def test_one_row_block_is_scaled_by_exactly_one(self, wave):
         _, ws = wave
         g = ws.grid
         u = Field(g, perturbed_states(ws, np.random.default_rng(32), 1)[0])
         m = ws.measure(0.37)
-        sums = CellSums(u, ws, m, axial_derivative(u.values, g))
-        row = sums.row(0, 0.37)
+        row = CellSums(u, ws, m).row(0, 0.37)
         assert row.scale == 1.0
         for R in (0.123, -0.77, 3 * g.dz):
-            assert row(R) == sums(R)
+            assert row(R)[1:3] == mismatch_derivatives(u, ws, R, m=m)
 
     def test_locate_front_on_a_block_row(self, section_wave):
         ws = section_wave
@@ -565,7 +577,8 @@ def reference_row(model, ws, t, u, fs, u_z=None, prev=None, dt=None, delta=0.05)
     fd = quotient = np.nan
     if prev is not None:
         w = quadrature_weights(ws.grid, mm)
-        tdz = ws.template.dz_at(R)
+        k, frac = cell_fraction(R, ws.grid.dz)
+        tdz = cell_slope(ws.template.cell(k, frac == 0.0), frac * ws.grid.dz)
         fd = (R - prev[1]) / dt
         quotient = (-float((w * (u.values - prev[0]) / dt * tdz).sum())
                     / float((w * u_z * tdz).sum()))
@@ -586,7 +599,7 @@ def row_by_row(model, ws, u0, dt, n_steps):
         prev = (state.u.values, fs.position)
         state = stepper.step(state)
         uz = axial_derivative(state.u.values, ws.grid)
-        fs = locate_front(state.u, ws, fs.position, u_z=uz)
+        fs = locate_front(state.u, ws, fs.position)
         rows.append(reference_row(model, ws, state.t, state.u, fs, uz, prev, dt))
     return np.array(rows, dtype=FrontTrace.FIELDS)
 

@@ -13,7 +13,7 @@ from cylwave.waves import (SeedBasinError, Template, front_seed,
                            load_solution, refine_solution, save_solution,
                            secondary_speed, solve_wave, spectral_gap,
                            translation_profile)
-from cylwave.weighted import (WeightedMeasure, cell_fraction, translate,
+from cylwave.weighted import (WeightedMeasure, cell_fraction, cell_slope, translate,
                               weighted_norm_l2)
 
 
@@ -178,7 +178,7 @@ class TestSolveWave:
         def defect(ws):
             g = ws.grid
             A = transport_operator(g, ws.speed)
-            fu = eval_f_u(model, ws.profile).values.ravel()
+            fu = eval_f_u(model, g, ws.profile.values).ravel()
             img = (A @ ws.profile_dz.ravel() + fu * ws.profile_dz.ravel())
             img[g.dirichlet_mask.ravel()] = 0.0
             m = ws.measure(0.0)
@@ -195,20 +195,22 @@ class TestSolveWave:
         assert defect(fine) <= 1e-6
 
 
+def slope_at(tpl, R):
+    """The translate's slope: ``cell_slope`` on the template's cell for R."""
+    dz = tpl.ws.grid.dz
+    k, t = cell_fraction(R, dz)
+    return cell_slope(tpl.cell(k, t == 0.0), t * dz)
+
+
 class TestTemplate:
     def test_memo_matches_fresh_spline(self, cubic_wave):
         _, ws = cubic_wave
         tpl = ws.template
-        # R = 25 runs part of the window past z_min, where dz_at is zero
+        # R = 25 runs part of the window past z_min, where the slope is zero
         for R in (0.3, 25.0, 0.3):
             fresh = Template(ws)
             np.testing.assert_array_equal(tpl.at(R), fresh.at(R))
-            np.testing.assert_array_equal(tpl.dz_at(R), fresh.dz_at(R))
-        assert tpl.at(0.3) is tpl.at(0.3)
-        with pytest.raises(ValueError):
-            tpl.at(0.3)[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            tpl.dz_at(0.3)[0, 0] = 1.0
+            np.testing.assert_array_equal(slope_at(tpl, R), slope_at(fresh, R))
 
     def test_cell_cache_is_bounded_and_read_only(self, cubic_wave):
         _, ws = cubic_wave
@@ -216,7 +218,6 @@ class TestTemplate:
         g = ws.grid
         for R in np.linspace(-3.0, 3.0, 241):
             tpl.at(R)
-            tpl.dz_at(R)
         # one cell is kept: the last one asked for
         k, t = cell_fraction(3.0, g.dz)
         assert tpl._cell[0] == (k, t == 0.0)
@@ -230,7 +231,7 @@ class TestTemplate:
     def test_matches_scipy_cubic_spline(self, cubic_wave):
         # oracle: scipy's not-a-knot spline, clipped to the window, with a
         # zero derivative beyond it (a node moved onto an end to within
-        # rounding counts as inside); values to 1e-14, dz_at to 1e-12 of its max
+        # rounding counts as inside); values to 1e-14, slopes to 1e-12 of their max
         _, ws = cubic_wave
         g = ws.grid
         spline = CubicSpline(g.z, ws.profile.values, axis=1)
@@ -244,7 +245,7 @@ class TestTemplate:
             tol = 1e-12 * g.dz
             dz[:, (zq < g.z_min - tol) | (zq > g.z_max + tol)] = 0.0
             assert np.max(np.abs(tpl.at(R) - at)) <= 1e-14
-            assert np.max(np.abs(tpl.dz_at(R) - dz)) <= 1e-12 * dz_scale
+            assert np.max(np.abs(slope_at(tpl, R) - dz)) <= 1e-12 * dz_scale
 
 
 class TestSpectralGap:
@@ -273,7 +274,7 @@ class TestSpectralGap:
         ws = solve_wave(model, g, front_seed(g, 1.0), 0.2)
         free = ~g.dirichlet_mask.ravel()
         A = transport_operator(g, ws.speed)
-        fu = eval_f_u(model, ws.profile).values.ravel()
+        fu = eval_f_u(model, g, ws.profile.values).ravel()
         w = flow_weights(g, ws.measure(0.0)).ravel()
         L = (-(A + sp.diags(fu))).tocsr()[free][:, free]
         wf = w[free]
@@ -394,7 +395,7 @@ class TestHeterogeneous2D:
 
 class TestNewtonPolish:
     def test_best_iterate_at_the_roundoff_floor(self, cubic_wave, monkeypatch):
-        # tol = 1e-14 lies below the ~2e-13 rounding floor of sup|G| on this
+        # NEWTON_TOL = 1e-14 lies below the ~2e-13 rounding floor of sup|G| on this
         # grid: the polish must stop there with the best iterate it saw
         # instead of wandering on to max_iter (the phase stays at the 1e-16
         # rounding level, so sup|G| is the merit)
@@ -409,9 +410,9 @@ class TestNewtonPolish:
             return r
 
         monkeypatch.setattr(waves, "_wave_residual", spy)
+        monkeypatch.setattr(waves, "NEWTON_TOL", 1e-14)
         work = waves._NewtonWork()
-        u, c = waves._newton_polish(model, g, ws.profile.values, ws.speed,
-                                    tol=1e-14, work=work)
+        u, c = waves._newton_polish(model, g, ws.profile.values, ws.speed, work=work)
         merit = float(np.max(np.abs(true_residual(model, g, u, c))))
         assert merit == min(seen)
         assert work.iterations <= 10 and len(seen) <= 100
