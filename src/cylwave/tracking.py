@@ -9,7 +9,8 @@ what drives the exponential decay of the squared mismatch m(t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .grids import Field, _apply_transport, axial_derivative, section_derivative
 from .reactions import ReactionModel
 from .waves import WaveSolution
 from .weighted import (WeightedMeasure, cell_fraction, cell_slope, cell_value,
-                       quadrature_weights)
+                       offset_resolution, quadrature_weights)
 
 DEFAULT_DELTA = 0.05
 _EPS = np.finfo(float).eps
@@ -180,13 +181,26 @@ def mismatch_derivatives(u: Field, ws: WaveSolution, R: float,
 
 @dataclass
 class FrontState:
+    """The tracker's result for the state ``u`` against the wave ``ws``.
+
+    ``deviation_sq``, m = ||u - T_R profile||^2 in ``measure``, is summed
+    over the grid the first time it is read, as ``2 mismatch(u, ws,
+    position, m=measure)`` on ``u`` as it is at that moment, and kept: a
+    caller that never reads it never pays for the sum.
+    """
+
     position: float               # optimal translation R
-    deviation_sq: float           # m = ||u - T_R profile||^2
     curvature: float              # h'' at the optimum (> 0 required)
     ortho_residual: float         # |h'| at the optimum
     measure: WeightedMeasure
+    u: Field = field(repr=False, compare=False)            # the located state
+    ws: WaveSolution = field(repr=False, compare=False)     # its wave
     iterations: int = 0           # evaluations of (h', h''), bracketing included
-    capped: bool = False          # max_iter reached before either stopping test
+    capped: bool = False          # max_iter reached before any stopping test
+
+    @cached_property
+    def deviation_sq(self) -> float:
+        return 2.0 * mismatch(self.u, self.ws, self.position, m=self.measure)
 
 
 def locate_front(u: Field, ws: WaveSolution, R_seed: float = 0.0,
@@ -200,25 +214,35 @@ def locate_front(u: Field, ws: WaveSolution, R_seed: float = 0.0,
     work.  ``sums`` may carry a block whose row ``row`` is u, with any
     reference measure; otherwise u is a block of one row in the measure at
     ``R_seed``, whose sums are scaled by exactly 1.  Stops at the first
-    iterate where ``|h'|`` meets either test:
+    iterate where ``|h'|`` meets one of three tests:
 
     - the relative test ``|h'| <= 1e-12 * sqrt(2 h) * ||profile_dz||_w``;
     - the roundoff floor ``|h'| <= eps * sum_j j s^(j-1) B_j``, the
       rounding bound of h' as ``CellSums`` computes it: below it the value
-      of h' is rounding.
+      of h' is rounding;
+    - the resolution test ``|h'| <= h'' r(R)``, with ``r(R) =
+      offset_resolution(R, dz)``.  The shifts that the cell form evaluates
+      at successive floats rise in steps of at most r, so the root of h'
+      lies between those of two adjacent floats, each within r of it, and
+      to first order h' at either is h'' times that distance.  No float
+      does better, and a Newton step from one, shorter than the spacing
+      of R, lands on the other: without this test the two can alternate
+      until ``max_iter``.
 
     h in the relative test comes from the sums too.  Its cancellation error
     is of order ``eps S`` and matters only where h is that small, far
     below where the relative test rises above the floor.  The returned
-    ``deviation_sq`` is summed over the grid at the final R instead.
+    state's ``deviation_sq`` is summed over the grid at the final R
+    instead, when it is first read, from ``u`` as it is then.
 
-    An iterate where neither holds after ``max_iter`` Newton or bisection
+    An iterate where none holds after ``max_iter`` Newton or bisection
     steps is returned with ``capped`` set, so the caller can count it.
     Raises ConvexityError when the curvature at the result is not above the
     rounding ``c stop`` that the stopping test leaves in it, and BracketError
     when no sign change exists in range.
     """
-    limit = ws.template.max_shift - 2 * ws.grid.dz
+    dz = ws.grid.dz
+    limit = ws.template.max_shift - 2 * dz
     mm = ws.measure(z_ref=R_seed)
     if sums is None:
         sums, row = CellSums(u, ws, mm), 0
@@ -237,7 +261,7 @@ def locate_front(u: Field, ws: WaveSolution, R_seed: float = 0.0,
     while True:
         hval, _, _, floor = cells(R)
         tol = 1e-12 * max(math.sqrt(2 * hval) * cells.dz_norm, 1e-30)
-        stop = max(tol, floor)
+        stop = max(tol, floor, h2 * offset_resolution(R, dz))
         if abs(h1) <= stop or steps == max_iter:
             break
         steps += 1
@@ -263,10 +287,8 @@ def locate_front(u: Field, ws: WaveSolution, R_seed: float = 0.0,
     # state with no front (u_z = 0) has no other term
     if h2 <= mm.c * stop:
         raise ConvexityError("h'' = %.3g <= c stop at R = %.4g" % (h2, R))
-    return FrontState(position=R, deviation_sq=2.0 * mismatch(u, ws, R, m=mm),
-                      curvature=h2,
-                      ortho_residual=abs(h1), measure=mm, iterations=evals,
-                      capped=bool(abs(h1) > stop))
+    return FrontState(position=R, curvature=h2, ortho_residual=abs(h1), measure=mm,
+                      u=u, ws=ws, iterations=evals, capped=bool(abs(h1) > stop))
 
 
 def _find_bracket(deriv, R0, limit):
@@ -558,8 +580,7 @@ def fit_position_tail(trace: FrontTrace) -> tuple[float, float]:
 def trace_to_csv(trace: FrontTrace, path) -> None:
     """Write the pinned CSV columns, one row per sample, to ``output_digits()``
     significant digits."""
-    fmt = "%%.%dg" % output_digits()
+    fmt = ",".join(["%%.%dg" % output_digits()] * len(CSV_COLUMNS)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for row in trace.samples:
-            fh.write(",".join(fmt % row[name] for name in CSV_COLUMNS) + "\n")
+        fh.writelines(fmt % row for row in trace.samples[list(CSV_COLUMNS)].tolist())

@@ -24,6 +24,9 @@ from .grids import CylinderGrid, Field, axial_derivative, section_derivative
 # e^x overflows double precision just above x ~ 709
 MAX_EXPONENT = 700.0
 _EPS = float(np.finfo(float).eps)
+# ``cell_fraction`` reads an s = -R / h within _NODE_SNAP |s| of a whole
+# number as that number
+_NODE_SNAP = 4 * _EPS
 
 
 class WeightOverflowError(OverflowError):
@@ -170,10 +173,28 @@ def cell_fraction(R: float, h: float) -> tuple[int, float]:
     of a whole number of cells gives ``t = 0``."""
     s = -R / h
     k = round(s)
-    if abs(s - k) <= 4 * _EPS * abs(s):
+    if abs(s - k) <= _NODE_SNAP * abs(s):
         return k, 0.0
     k = math.floor(s)
     return k, s - k
+
+
+def offset_resolution(R: float, h: float) -> float:
+    """Bound on the distance between the shifts that the cells and offsets
+    of ``cell_fraction`` stand for, ``-(k h + fl(t h))``, at R and at a
+    float adjacent to it: the finest step in R that a function of the cell
+    and the offset can resolve.
+
+    Adjacent floats at R are at most ``ulp(R)`` apart.  The shift that
+    each stands for is off from the float itself by the rounding of
+    ``q = fl(-R / h)``, at most ``eps |R| / 2`` in z, of ``t = q - k``,
+    exact (Sterbenz) except for ``-1 < q < 0``, where it is at most
+    ``eps h / 2``, and of ``fl(t h)``, at most ``eps h / 2`` since
+    ``t h < h``: ``eps (|R| / 2 + h)`` in all, twice for the pair.  Every
+    shift within ``_NODE_SNAP |R|`` of a node is read as the node, which
+    adds up to that much between a float inside that band and one outside.
+    """
+    return math.ulp(R) + _EPS * (abs(R) + 2 * h) + _NODE_SNAP * abs(R)
 
 
 def shifted_cell(y: np.ndarray, d: np.ndarray, h: float, k: int,

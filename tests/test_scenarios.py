@@ -583,6 +583,19 @@ class TestCli:
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
+def test_converge_at_offset_minus_8_stops_every_tracker_call(tmp_path):
+    # the datum moved to offset -8 puts the optimum between two adjacent
+    # floats of R on many steps: each call must stop there, not alternate
+    # between them until its cap
+    with open(os.path.join(CONFIGS, "converge_cubic_a25.cfg")) as fh:
+        text = fh.read()
+    assert "offset = 2.0" in text
+    manifest = run_scenario(parse_config(text.replace("offset = 2.0", "offset = -8.0")),
+                            str(tmp_path))
+    assert manifest.results["tracker_cap_hits"] == 0
+    assert manifest.passed(), [n for n, ok, _ in manifest.assertions if not ok]
+
+
 class TestRaisingRunManifest:
     """A run that raises writes ``passed = false`` and names the exception."""
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,15 +9,15 @@ from cylwave.grids import (CrossSectionField, Field, GridConfig, axial_derivativ
                            build_grid)
 from cylwave.reactions import CubicBistable
 from cylwave.sections import find_critical_point
-from cylwave.tracking import (BracketError, CellSums, ConvexityError, FitError,
-                              FrontState, FrontTrace, TrackingLossError, _columns,
+from cylwave.tracking import (CSV_COLUMNS, BracketError, CellSums, ConvexityError,
+                              FitError, FrontState, FrontTrace, TrackingLossError, _columns,
                               default_fit_window, fit_decay, fit_rate,
                               locate_front, mismatch, mismatch_derivatives, track,
                               trace_to_csv, z_delta)
 from cylwave.waves import front_seed, solve_wave
-from cylwave.weighted import (cell_fraction, cell_slope, quadrature_weights,
-                              shifted_hermite, spline_slopes, translate,
-                              weighted_norm_h2, weighted_norm_l2)
+from cylwave.weighted import (cell_fraction, cell_slope, offset_resolution,
+                              quadrature_weights, shifted_hermite, spline_slopes,
+                              translate, weighted_norm_h2, weighted_norm_l2)
 
 
 @pytest.fixture(scope="module")
@@ -251,6 +253,21 @@ class TestLocateFront:
         scan_h = [mismatch(u, ws, r, m=m) for r in scan_R]
         assert abs(scan_R[int(np.argmin(scan_h))] - fs.position) <= 0.01
 
+    @pytest.mark.parametrize("R0", [-8.0, 8.0])
+    def test_optimum_between_adjacent_floats(self, wave, R0):
+        # T_R0 profile moved by half a float spacing of R: no float meets the
+        # relative test or the floor, and Newton steps alternate between the
+        # floats on either side of the optimum
+        _, ws = wave
+        g = ws.grid
+        k, t = cell_fraction(R0, g.dz)
+        slope = cell_slope(ws.template.cell(k, t == 0.0), t * g.dz)
+        u = Field(g, ws.template.at(R0) - 0.5 * math.ulp(R0) * slope)
+        for seed in (R0, 0.0):
+            fs = locate_front(u, ws, seed)
+            assert not fs.capped
+            assert abs(fs.position - R0) <= offset_resolution(R0, g.dz)
+
     def test_cap_is_flagged(self, wave):
         # one Newton step (clipped to length 1) cannot reach R = 1.5
         _, ws = wave
@@ -454,6 +471,21 @@ class TestCsv:
         back = np.genfromtxt(path, delimiter=",", names=True)
         np.testing.assert_allclose(back["m"], trace.samples["m"], rtol=0, atol=0)
 
+    def test_bytes_match_per_value_formatting(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("CYLWAVE_PRECISION", raising=False)
+        rng = np.random.default_rng(51)
+        trace = synthetic_trace(np.linspace(0.0, 0.4, 5), np.exp(-rng.uniform(0, 30, 5)))
+        for name in ("R", "phi", "dRdt_fd", "dRdt_quotient", "h2c_norm", "z_delta"):
+            trace.samples[name] = rng.standard_normal(5) * 10.0 ** rng.integers(-20, 20, 5)
+        trace.samples["dRdt_fd"][0] = np.nan
+        trace.samples["z_delta"][1] = -np.inf
+        path = tmp_path / "trace.csv"
+        trace_to_csv(trace, path)
+        want = ",".join(CSV_COLUMNS) + "\n" + "".join(
+            ",".join("%.17g" % float(row[name]) for name in CSV_COLUMNS) + "\n"
+            for row in trace.samples)
+        assert path.read_bytes() == want.encode()
+
     def test_precision_env_override(self, wave, tmp_path, monkeypatch):
         model, ws = wave
         u0 = front_seed(ws.grid, 1.0, offset=0.5)
@@ -565,6 +597,8 @@ class TestBlockSums:
             fs = locate_front(Field(g, u[i]), ws, 0.05, sums=block, row=i)
             assert fs.position == pytest.approx(alone.position, abs=1e-12)
             assert fs.deviation_sq == pytest.approx(alone.deviation_sq, rel=1e-10)
+            assert fs.deviation_sq == 2 * mismatch(Field(g, u[i]), ws, fs.position,
+                                                   m=fs.measure)
             assert fs.measure == alone.measure
             assert not fs.capped
 
@@ -616,7 +650,10 @@ class TestBlockColumns:
         uz = axial_derivative(u, g)
         cols = _columns(MODEL, ws, u, uz, R, (before, R_prev), 0.1, 0.05)
         want = np.array([reference_row(MODEL, ws, 0.0, Field(g, u[i]),
-                                       FrontState(R[i], 0.0, 0.0, 0.0, ws.measure(R[i])),
+                                       FrontState(position=R[i], curvature=0.0,
+                                                  ortho_residual=0.0,
+                                                  measure=ws.measure(R[i]),
+                                                  u=Field(g, u[i]), ws=ws),
                                        uz[i], (before[i], R_prev[i]), 0.1)
                          for i in range(5)], dtype=FrontTrace.FIELDS)
         for name, col in zip(COLUMNS, cols):
@@ -666,7 +703,8 @@ class TestTrackBlocks:
             assert got[name].tobytes() == want[name].tobytes()
 
     def test_columns_skip_the_row_references(self, small_wave, monkeypatch):
-        # the columns are one pass over the block, not per-row calls
+        # the columns are one pass over the block, not per-row calls, and no
+        # tracker call sums its deviation over the grid (nothing reads it)
         ws = small_wave
         u0 = front_seed(ws.grid, 1.0, offset=1.0, steepness=0.8)
 
@@ -674,7 +712,7 @@ class TestTrackBlocks:
             raise AssertionError("a row reference was called by track")
 
         for module, name in ((evolve, "weighted_energy"), (weighted, "weighted_norm_h2"),
-                             (tracking, "z_delta")):
+                             (tracking, "z_delta"), (tracking, "mismatch")):
             monkeypatch.setattr(module, name, refuse)
             monkeypatch.setattr(tracking, name, refuse, raising=False)
         assert track(MODEL, ws, u0, dt=0.1, horizon=2.0).samples.size == 21

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +8,10 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from cylwave.grids import Field, GridConfig, build_grid
-from cylwave.weighted import (WeightedMeasure, WeightOverflowError, hermite,
-                              pchip_slopes, quadrature_weights, shifted_hermite,
-                              spline_slopes, translate, weighted_inner, weighted_norm_h1,
+from cylwave.weighted import (WeightedMeasure, WeightOverflowError, cell_fraction,
+                              hermite, offset_resolution, pchip_slopes,
+                              quadrature_weights, shifted_hermite, spline_slopes,
+                              translate, weighted_inner, weighted_norm_h1,
                               weighted_norm_l2, weighted_norm_h2)
 
 
@@ -114,6 +118,32 @@ class TestInner:
         lhs = abs(weighted_inner(u, v, m))
         rhs = weighted_norm_l2(u, m) * weighted_norm_l2(v, m)
         assert lhs <= rhs * (1 + 1e-12)
+
+
+class TestOffsetResolution:
+    @staticmethod
+    def shift(R, h):
+        """The shift that R's cell and offset stand for, in exact arithmetic."""
+        k, t = cell_fraction(R, h)
+        return -(k * Fraction(h) + Fraction(t * h))
+
+    def check(self, R, h):
+        r = offset_resolution(R, h)
+        for adjacent in (math.nextafter(R, -math.inf), math.nextafter(R, math.inf)):
+            assert abs(self.shift(R, h) - self.shift(adjacent, h)) <= r
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-40.0, 40.0), st.sampled_from([0.05, 0.0375, 1 / 3]))
+    def test_bounds_the_step_between_adjacent_floats(self, R, h):
+        self.check(R, h)
+
+    @pytest.mark.parametrize("h", [0.05, 1 / 3])
+    def test_bounds_the_step_at_the_edge_of_a_node_band(self, h):
+        # floats read as the node next to floats read at their own offset
+        for k in (-700, -160, -1, 3, 160, 700):
+            node = k * h
+            for j in range(-12, 13):
+                self.check(node * (1 + j * 2.0 ** -52), h)
 
 
 class TestTranslate:
