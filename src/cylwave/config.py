@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field, fields, replace
 
 from .evolve import dt_max
 from .grids import CylinderGrid, GridConfig, GridError, build_grid
-from .reactions import ReactionError, ReactionModel, make_model
+from .reactions import _BUILTINS, ReactionError, ReactionModel, make_model
 
 # significant digits of every float written to outputs
 FLOAT_DIGITS_ENV = "CYLWAVE_PRECISION"
@@ -24,21 +24,19 @@ INITIAL_FAMILIES = ("shifted_tanh", "plateau_noise", "sandwich")
 # the scenarios that take time steps, hence read dt and horizon
 TIME_STEPPING = ("converge", "comparison")
 
+# the built-in models' parameters, in first-seen order; the label names the
+# model, and make_model fills a(y)'s span from the grid
+_MODEL_PARAM_KEYS = tuple(dict.fromkeys(
+    f.name for cls in _BUILTINS.values() for f in fields(cls)
+    if f.name not in ("label", "y_min", "y_max")))
+
 # section -> key -> (type, default); None default means required.  The [grid]
 # keys are GridConfig's fields; the axial window and its resolution are required.
+# The [model] parameters are optional: each model takes its own.
 _SCHEMA = {
     "grid": {f.name: (type(f.default), None if f.name in ("n_z", "z_min", "z_max")
                       else f.default) for f in fields(GridConfig)},
-    "model": {
-        "name": (str, None),
-        "a": (float, None),
-        "a0": (float, None),
-        "a1": (float, None),
-        "a2": (float, None),
-        "a3": (float, None),
-        "scale": (float, None),
-        "mu": (float, None),
-    },
+    "model": {"name": (str, None), **{key: (float, None) for key in _MODEL_PARAM_KEYS}},
     "run": {
         "scenario": (str, None),
         "dt": (float, None),
@@ -60,8 +58,6 @@ _SCHEMA = {
         "separation": (float, 5.0),
     },
 }
-
-_MODEL_PARAM_KEYS = ("a", "a0", "a1", "a2", "a3", "scale", "mu")
 
 
 class ConfigError(ValueError):

@@ -32,6 +32,8 @@ from .weighted import WeightedMeasure, weight_values
 log = logging.getLogger(__name__)
 
 CLIP_FAIL = 1e-9
+# overlap of two evolved solutions that compare_evolutions counts as disorder
+ORDER_TOL = 1e-10
 
 
 class EvolutionError(RuntimeError):
@@ -216,8 +218,7 @@ class OrderingReport:
 
 
 def compare_evolutions(fields: Sequence[Field], model: ReactionModel,
-                       horizon: float, dt: float, frame_speed: float = 0.0,
-                       tol: float = 1e-10) -> OrderingReport:
+                       horizon: float, dt: float, frame_speed: float = 0.0) -> OrderingReport:
     """Integrate ordered data ``fields[0] <= fields[1] <= ...`` and check that
     every neighbouring pair stays ordered at each step."""
     if any(np.any(lo.values > hi.values + 1e-14) for lo, hi in zip(fields, fields[1:])):
@@ -232,7 +233,7 @@ def compare_evolutions(fields: Sequence[Field], model: ReactionModel,
         gap = max(float(np.max(lo.u.values - hi.u.values))
                   for lo, hi in zip(states, states[1:]))
         worst = max(worst, gap)
-        if gap > tol and first_bad is None:
+        if gap > ORDER_TOL and first_bad is None:
             first_bad = states[0].t
     return OrderingReport(ordered=first_bad is None,
                           first_violation_time=first_bad,

@@ -142,7 +142,7 @@ def sandwich_pair(u0: Field, ws: WaveSolution, separation: float) -> tuple[Field
 
 
 def _plateau_state(model: ReactionModel, grid: CylinderGrid,
-                   level: float = 0.9) -> CriticalPoint:
+                   level: float) -> CriticalPoint:
     """Critical point the front connects to on the left.
 
     Dirichlet sections get a wall-tapered seed at the requested level;

@@ -41,8 +41,6 @@ RESIDUAL_LIMIT = 1e-8
 TAU0 = 100.0
 # pseudo-time steps before the continuation counts as failed
 CONTINUATION_MAX_STEPS = 200
-# inverse-iteration steps before the spectral gap counts as not converged
-EIGEN_MAX_ITER = 1000
 
 
 class WaveSolverError(RuntimeError):
@@ -407,78 +405,57 @@ class GapResult:
     residual_gap: float
     scale: float                  # Gershgorin norm of the symmetrized operator
     gap_positive: bool
-    iterations: int
+    iterations: int               # shift-invert solves of both Lanczos runs
 
 
-def _inverse_iteration(Asym: sp.spmatrix, shift: float, deflate: np.ndarray | None):
-    """Shifted inverse power iteration with optional rank-one deflation.
+def _lowest_eigenpair(Asym: sp.spmatrix, lu, phi: np.ndarray | None):
+    """Lowest eigenpair of ``Asym``, or of ``Asym`` compressed to the
+    complement of the unit vector ``phi``, by ARPACK's Lanczos on the
+    shift-invert operator (Lehoucq, Sorensen & Yang, ARPACK Users' Guide,
+    SIAM 1998); ``lu`` factors ``Asym - sigma I`` with sigma below the
+    spectrum, so the largest eigenvalue of the inverse is the lowest of Asym.
 
-    Deflation shifts the unwanted direction up the spectrum (A + beta phi
-    phi^T); the shifted solves stay sparse through Sherman-Morrison.  The
-    shift is re-centered on the Rayleigh quotient while converging (for a
-    symmetric operator the quotient lies within the residual of the target
-    eigenvalue, so theta - 10 res stays safely below it).
+    With ``phi`` the inverse is bordered: s solves (Asym - sigma I) s = x + a phi
+    with phi.s = 0, one solve and a rank-one correction.  That is the inverse
+    of the compressed operator; it maps phi to zero, so every Lanczos vector
+    lies in phi's complement and the constraint holds by construction.
+    Returns the Rayleigh quotient of the projected Ritz vector, the vector,
+    its residual (projected to the complement) and the number of solves.
     """
+    def project(x):
+        return x if phi is None else x - (phi @ x) * phi
+
+    t = None if phi is None else lu.solve(phi)
+    solves = 0
+
+    def inverse(x):
+        nonlocal solves
+        solves += 1
+        s = lu.solve(x)
+        return s if phi is None else project(s - ((phi @ s) / (phi @ t)) * t)
+
     n = Asym.shape[0]
-    ident = sp.identity(n, format="csr")
-    beta = 0.0 if deflate is None else 10.0 * float(np.max(np.abs(Asym).sum(axis=1)))
-
-    def factor(sigma):
-        lu = spla.splu((Asym - sigma * ident).tocsc())
-        t = lu.solve(deflate) if deflate is not None else None
-        return lu, t
-
-    def solve(lu, t, rhs):
-        s = lu.solve(rhs)
-        if deflate is None:
-            return s
-        return s - t * ((deflate @ s) / (1.0 / beta + (deflate @ t)))
-
-    def apply(x):
-        y = Asym @ x
-        if deflate is not None:
-            y = y + beta * (deflate @ x) * deflate
-        return y
-
-    lu, t = factor(shift)
-    rng = np.random.default_rng(12345)
-    x = np.ones(n) + 1e-3 * rng.standard_normal(n)
-    if deflate is not None:
-        x -= (deflate @ x) * deflate
+    op = spla.LinearOperator((n, n), matvec=inverse, dtype=float)
+    try:
+        _, vecs = spla.eigsh(op, k=1, which="LM", v0=project(np.ones(n)))
+    except spla.ArpackError as exc:
+        raise WaveSolverError("spectral gap eigensolver failed: %s" % exc) from exc
+    x = project(vecs[:, 0])
     x /= np.linalg.norm(x)
-    res = np.inf
-    theta = float(x @ apply(x))
-    for it in range(1, EIGEN_MAX_ITER + 1):
-        x = solve(lu, t, x)
-        x /= np.linalg.norm(x)
-        ax = apply(x)
-        theta = float(x @ ax)
-        res = float(np.linalg.norm(ax - theta * x))
-        if res <= 1e-9 * max(1.0, abs(theta)):
-            break
-        if it % 20 == 0:
-            shift = theta - 10.0 * res
-            lu, t = factor(shift)
-    else:
-        raise WaveSolverError("eigen iteration did not converge (residual %.3g)" % res)
-    if deflate is not None:
-        # report the exactly-constrained vector (projection changes the
-        # eigenpair only at the deflation-leakage level)
-        x = x - (deflate @ x) * deflate
-        x /= np.linalg.norm(x)
-        ax = Asym @ x
-        theta = float(x @ ax)
-        res = float(np.linalg.norm((ax - (deflate @ ax) * deflate) - theta * x))
-    return theta, x, res, it
+    ax = Asym @ x
+    theta = float(x @ ax)
+    return theta, x, float(np.linalg.norm(project(ax) - theta * x)), solves
 
 
 def spectral_gap(ws: WaveSolution, model: ReactionModel) -> GapResult:
     """Two smallest eigenvalues of the weighted linearization at the wave.
 
     The operator is symmetrized by the diagonal weight substitution
-    (w = weight^{-1/2} phi), then the translational mode is located by
-    inverse iteration and the rest of the spectrum by deflated iteration
-    against the profile's axial derivative (weighted Gram-Schmidt).
+    (w = weight^{-1/2} phi).  One factorization of the operator shifted below
+    its spectrum serves two Lanczos runs: the translational mode is the
+    lowest eigenpair of the whole operator, and the gap the lowest of the
+    operator compressed to the weighted complement of the profile's axial
+    derivative (see ``_lowest_eigenpair``).
     """
     grid = ws.grid
     free = ~grid.dirichlet_mask.ravel()
@@ -498,9 +475,10 @@ def spectral_gap(ws: WaveSolution, model: ReactionModel) -> GapResult:
     phiz_hat = phiz / np.linalg.norm(phiz)
 
     shift = -0.2 * (1.0 + float(np.max(np.abs(fu))))
-    lam0, v0, res0, it0 = _inverse_iteration(Asym, shift, None)
+    lu = spla.splu((Asym - shift * sp.identity(Asym.shape[0], format="csr")).tocsc())
+    lam0, v0, res0, it0 = _lowest_eigenpair(Asym, lu, None)
     align = float(abs(v0 @ phiz_hat))
-    gap, vg, resg, itg = _inverse_iteration(Asym, shift, phiz_hat)
+    gap, vg, resg, itg = _lowest_eigenpair(Asym, lu, phiz_hat)
     constraint = float(abs(vg @ phiz_hat))
     return GapResult(
         zero_mode_value=lam0,

@@ -9,7 +9,8 @@ from cylwave.reactions import (CubicBistable, HeterogeneousCubic, LinearModel,
                                ShiftedModel, StackedBistable, eval_f_u)
 from cylwave.sections import find_critical_point
 from cylwave import waves
-from cylwave.waves import (SeedBasinError, Template, front_seed,
+from cylwave.scenarios import _plateau_state
+from cylwave.waves import (SeedBasinError, Template, WaveSolverError, front_seed,
                            load_solution, refine_solution, save_solution,
                            secondary_speed, solve_wave, spectral_gap,
                            translation_profile)
@@ -284,6 +285,72 @@ class TestSpectralGap:
         gap = spectral_gap(ws, model)
         assert gap.zero_mode_value == pytest.approx(ev[0], abs=1e-8)
         assert gap.gap == pytest.approx(ev[1], abs=1e-6)
+
+    @pytest.mark.parametrize("case", ["1d", "dirichlet_section"])
+    def test_matches_compressed_operator(self, case):
+        # independent oracle: the lowest eigenvalue of the symmetrized
+        # operator compressed to the weighted complement of profile_dz,
+        # Q^T S Q with Q an orthonormal basis of that complement
+        import scipy.sparse as sp
+        from scipy.linalg import null_space
+
+        if case == "1d":
+            model = CubicBistable(a=0.25)
+            g = wave_grid(n_z=401)
+            ws = solve_wave(model, g, front_seed(g, 1.0), 0.2)
+        else:
+            model = StackedBistable(a1=0.05, a2=0.5, a3=0.7, scale=20.0)
+            g = build_grid(GridConfig(n_y=5, n_z=201, y_min=0.0, y_max=16.0,
+                                      z_min=-25.0, z_max=12.0, bc_left="dirichlet",
+                                      bc_right="dirichlet"))
+            plateau = _plateau_state(model, g, 0.55)
+            ws = solve_wave(model, g, front_seed(g, plateau.v), 0.15)
+        free = ~g.dirichlet_mask.ravel()
+        A = transport_operator(g, ws.speed)
+        fu = eval_f_u(model, g, ws.profile.values).ravel()
+        root_w = np.sqrt(flow_weights(g, ws.measure(0.0)).ravel()[free])
+        L = (-(A + sp.diags(fu))).tocsr()[free][:, free].toarray()
+        S = root_w[:, None] * L / root_w[None, :]
+        Q = null_space((root_w * ws.profile_dz.ravel()[free])[None, :])
+        lowest = np.linalg.eigvalsh(Q.T @ (0.5 * (S + S.T)) @ Q)[0]
+        gap = spectral_gap(ws, model)
+        assert gap.gap == pytest.approx(lowest, rel=1e-10)
+        assert gap.constraint_residual <= 1e-10
+
+    def test_repeatable(self, cubic_wave):
+        model, ws = cubic_wave
+        assert spectral_gap(ws, model) == spectral_gap(ws, model)
+
+    @staticmethod
+    def _no_convergence(monkeypatch):
+        from scipy.sparse.linalg import ArpackNoConvergence
+
+        def eigsh(*args, **kwargs):
+            raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+        monkeypatch.setattr(waves.spla, "eigsh", eigsh)
+
+    def test_no_convergence_is_a_solver_error(self, cubic_wave, monkeypatch):
+        model, ws = cubic_wave
+        self._no_convergence(monkeypatch)
+        with pytest.raises(WaveSolverError, match="No convergence"):
+            spectral_gap(ws, model)
+
+    def test_no_convergence_fails_the_gap_verb(self, tmp_path, capsys, monkeypatch):
+        import os
+
+        from cylwave.cli import main
+        from cylwave.scenarios import read_manifest
+
+        self._no_convergence(monkeypatch)
+        out = tmp_path / "out"
+        config = os.path.join(os.path.dirname(__file__), "..", "configs",
+                              "gap_cubic_a25.cfg")
+        assert main(["gap", "--config", config, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("scenario failed: WaveSolverError: ")
+        assert read_manifest(out / "manifest.txt")["run"]["passed"] == "false"
 
 
 class TestTranslationProfile:
