@@ -10,7 +10,7 @@ weighted inner product.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -130,6 +130,22 @@ def build_grid(config: GridConfig) -> CylinderGrid:
             # the second-order one-sided d/dy at the section ends needs three nodes
             raise GridError("n_y = 2 is too few cross-section nodes: need 1 or >= 3")
     return CylinderGrid(**asdict(config))
+
+
+def half_grid(grid: CylinderGrid) -> CylinderGrid | None:
+    """The grid of every other node, whose node (i, j) is node (2i, 2j) of
+    ``grid``, so a field restricts to it by injection, ``values[::2, ::2]``.
+
+    Every axis with more than one node needs an odd count n, which becomes
+    (n + 1) / 2.  None when an axis has an even count, or when
+    ``build_grid`` refuses the half grid (n_z < 31, or n_y = 3).
+    """
+    if any(n > 1 and n % 2 == 0 for n in grid.shape):
+        return None
+    try:
+        return build_grid(replace(grid, n_y=(grid.n_y + 1) // 2, n_z=(grid.n_z + 1) // 2))
+    except GridError:
+        return None
 
 
 @dataclass

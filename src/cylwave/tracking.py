@@ -193,6 +193,9 @@ class FrontState:
     curvature: float              # h'' at the optimum (> 0 required)
     ortho_residual: float         # |h'| at the optimum
     measure: WeightedMeasure
+    # the rounding floor of |h'| there: the larger of CellSums' rounding
+    # bound and h'' offset_resolution(R, dz) (locate_front's stop tests)
+    ortho_floor: float
     u: Field = field(repr=False, compare=False)            # the located state
     ws: WaveSolution = field(repr=False, compare=False)     # its wave
     iterations: int = 0           # evaluations of (h', h''), bracketing included
@@ -261,7 +264,8 @@ def locate_front(u: Field, ws: WaveSolution, R_seed: float = 0.0,
     while True:
         hval, _, _, floor = cells(R)
         tol = 1e-12 * max(math.sqrt(2 * hval) * cells.dz_norm, 1e-30)
-        stop = max(tol, floor, h2 * offset_resolution(R, dz))
+        floor = max(floor, h2 * offset_resolution(R, dz))
+        stop = max(tol, floor)
         if abs(h1) <= stop or steps == max_iter:
             break
         steps += 1
@@ -288,7 +292,8 @@ def locate_front(u: Field, ws: WaveSolution, R_seed: float = 0.0,
     if h2 <= mm.c * stop:
         raise ConvexityError("h'' = %.3g <= c stop at R = %.4g" % (h2, R))
     return FrontState(position=R, curvature=h2, ortho_residual=abs(h1), measure=mm,
-                      u=u, ws=ws, iterations=evals, capped=bool(abs(h1) > stop))
+                      ortho_floor=floor, u=u, ws=ws, iterations=evals,
+                      capped=bool(abs(h1) > stop))
 
 
 def _find_bracket(deriv, R0, limit):
@@ -339,7 +344,8 @@ class FrontTrace:
     FIELDS = [("t", float), ("R", float), ("m", float), ("phi", float),
               ("dRdt_fd", float), ("dRdt_quotient", float),
               ("h2c_norm", float), ("z_delta", float),
-              ("ortho_residual", float), ("tracker_iters", int)]
+              ("ortho_residual", float), ("ortho_floor", float),
+              ("tracker_iters", int)]
 
     def rebased(self, col: str) -> np.ndarray:
         """Samples of a weighted column re-referenced to z_ref = R(0)."""
@@ -453,7 +459,8 @@ def track(model: ReactionModel, ws: WaveSolution, u0: Field, dt: float,
         R = np.array([f.position for f in fronts])
         cols = _columns(model, ws, u, u_z, R, prev, dt, delta)
         rows.extend(zip(t, R.tolist(), *(col.tolist() for col in cols),
-                        [f.ortho_residual for f in fronts], [f.iterations for f in fronts]))
+                        [f.ortho_residual for f in fronts], [f.ortho_floor for f in fronts],
+                        [f.iterations for f in fronts]))
 
     record([0.0], [fs], u0.values[None])
     n_steps = int(round(horizon / dt))

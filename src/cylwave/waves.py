@@ -2,23 +2,31 @@
 solver, spectral gap, secondary (stacked-front) speed, and translation-distance
 diagnostics.
 
-The solver is one loop from the seed to the centred wave: implicit Euler in
-pseudo-time on the freezing system {discrete wave equation = 0, phase
-condition = 0} with the speed as an extra unknown (Beyn & Thuemmler, SIAM J.
-Appl. Dyn. Syst. 3 (2004)), whose pseudo-time step grows by switched
+The continuation is one loop from the seed to the centred wave: implicit
+Euler in pseudo-time on the freezing system {discrete wave equation = 0,
+phase condition = 0} with the speed as an extra unknown (Beyn & Thuemmler,
+SIAM J. Appl. Dyn. Syst. 3 (2004)), whose pseudo-time step grows by switched
 evolution relaxation until the steps are Newton steps (Kelley & Keyes, SIAM
 J. Numer. Anal. 35 (1998)).  The phase condition pins the front's mid-level
 at z = 0, where the seed's own mid-level is moved first, so the loop returns
 the speed and the centred profile together.  1D and 2D grids take the same
-path: the residual is applied matrix-free, and the whole solve shares one
+path: the residual is applied matrix-free, and each level's solve shares one
 sparse factorization of the Jacobian block (chord steps), factored again
-only when a chord step fails to halve the residual; ``WaveSolution`` counts
-the steps and factorizations.
+only when a chord step fails to halve the residual.
+
+Every wave is solved on two levels (nested iteration, Briggs, Henson &
+McCormick, *A Multigrid Tutorial*, SIAM 2000): the continuation runs on the
+half grid (``half_grid``), and Newton alone carries its wave to the
+configured grid (``refine_solution``).  The scheme is second order, so the
+two speeds give the Richardson estimate ``(c_h - c_2h) / 3`` of the
+configured speed's error.  A grid without a half grid is solved on one
+level, with no estimate.  ``WaveSolution`` counts the steps, iterations and
+factorizations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -28,7 +36,7 @@ import scipy.sparse.linalg as spla
 from .evolve import flow_weights
 from .grids import (CrossSectionField, CylinderGrid, Field, GridConfig,
                     _apply_transport, apply_boundary, axial_derivative, build_grid,
-                    transport_operator)
+                    half_grid, transport_operator)
 from .reactions import ReactionModel, ShiftedModel, eval_f, eval_f_u
 from .sections import (CriticalPoint, SectionSolverError, find_critical_point,
                        section_energy)
@@ -62,9 +70,12 @@ class WaveSolution:
     normalization_shift: float      # translation that centred the seed's mid-level
     plateau: CrossSectionField      # left-edge cross-section state
     monotone: bool
-    newton_iterations: int = 0      # polish iterations at tau = inf (refine_solution)
-    factorizations: int = 0         # Jacobian factorizations, continuation included
-    continuation_steps: int = 0     # pseudo-time steps from the seed
+    newton_iterations: int = 0      # Newton iterations on this grid (refine_solution)
+    factorizations: int = 0         # Jacobian factorizations, both levels
+    continuation_steps: int = 0     # pseudo-time steps from the seed, on the half grid
+    # Richardson estimate (c_h - c_2h) / 3 from the two levels: speed +
+    # speed_err_est is the extrapolated speed; nan when solved on one level
+    speed_err_est: float = float("nan")
 
     def measure(self, z_ref: float = 0.0) -> WeightedMeasure:
         return WeightedMeasure(self.speed, z_ref)
@@ -162,9 +173,11 @@ def freeze_frame(model: ReactionModel, grid: CylinderGrid, seed: Field,
     first step is a Newton step whose block is shifted by ``1/tau = 0.01``,
     far below the spectral gaps of the shipped waves (0.19 to 0.29), so one
     factorization serves as a chord from the seed on.  A flow-like start
-    costs factorizations: ``1/max(1, sup|f_u|)``, the cross-section solver's
-    rule, takes 27 and 21 steps with 6 and 8 factorizations for the stacked
-    config's two waves, against 15 and 31 steps with 3 and 2 here.
+    costs factorizations: on the 33x186 half grid of the stacked config,
+    ``1/max(1, sup|f_u|)``, the cross-section solver's rule, takes 27 and 22
+    steps with 6 and 8 factorizations for its two waves, against 16 and 32
+    steps with 3 and 2 here (the 1D cubic wave: 15 steps with 3
+    factorizations, against 25 with 1).
 
     A seed whose left section does not have negative energy is not
     front-like and raises SeedBasinError before any step, as does a step
@@ -351,16 +364,48 @@ def _wave_solution(model: ReactionModel, grid: CylinderGrid, values: np.ndarray,
     )
 
 
-def solve_wave(model: ReactionModel, grid: CylinderGrid, seed: Field,
-               c_seed: float) -> WaveSolution:
-    """Compute the selected speed and the centered minimizing profile."""
+def _solve_level(model: ReactionModel, grid: CylinderGrid, seed: Field,
+                 c_seed: float) -> WaveSolution:
+    """One level: the continuation from the seed, its residual checked."""
     work = _NewtonWork()
     c, wave, steps, shift = freeze_frame(model, grid, seed, c_seed, work=work)
-    ws = _wave_solution(model, grid, wave.values, c, work, normalization_shift=shift,
-                        continuation_steps=steps)
+    return _wave_solution(model, grid, wave.values, c, work, normalization_shift=shift,
+                          continuation_steps=steps)
+
+
+def _nested(coarse: WaveSolution, grid: CylinderGrid,
+            model: ReactionModel) -> WaveSolution:
+    """The half-grid wave ``coarse`` carried to ``grid`` by Newton alone,
+    with the Richardson estimate and both levels' counts."""
+    ws = refine_solution(coarse, grid, model)
+    return replace(ws, speed_err_est=(ws.speed - coarse.speed) / 3.0,
+                   normalization_shift=coarse.normalization_shift,
+                   continuation_steps=coarse.continuation_steps,
+                   factorizations=coarse.factorizations + ws.factorizations)
+
+
+def _monotone(ws: WaveSolution) -> WaveSolution:
     if not ws.monotone:
         raise WaveSolverError("computed profile is not monotone along the axis")
     return ws
+
+
+def solve_wave(model: ReactionModel, grid: CylinderGrid, seed: Field,
+               c_seed: float) -> WaveSolution:
+    """Compute the selected speed and the centred minimizing profile.
+
+    The seed is restricted to the half grid (``half_grid``) by injection,
+    where ``freeze_frame`` runs with its front-like, collapse and fill
+    checks; ``refine_solution`` carries the wave to ``grid``.  The residual
+    gate runs on both levels, the monotone check on the configured wave.  A
+    grid without a half grid is solved by ``freeze_frame`` alone, with
+    ``speed_err_est`` nan.
+    """
+    coarse = half_grid(grid)
+    if coarse is None:
+        return _monotone(_solve_level(model, grid, seed, c_seed))
+    seed = Field(coarse, seed.values[::2, ::2])
+    return _monotone(_nested(_solve_level(model, coarse, seed, c_seed), grid, model))
 
 
 def refine_solution(ws: WaveSolution, grid: CylinderGrid,
@@ -370,8 +415,8 @@ def refine_solution(ws: WaveSolution, grid: CylinderGrid,
     The coarse profile is interpolated by monotone (PCHIP) cubics, along the
     axis and then across the section; it is already in the Newton basin, so
     the continuation from a seed is skipped and the same grid-refinement
-    studies run in seconds.  The window must match; only resolutions may
-    differ.
+    studies run in seconds; ``solve_wave`` takes this step from its half
+    grid.  The window must match; only resolutions may differ.
     """
     if (grid.z_min, grid.z_max, grid.y_min, grid.y_max) != (
             ws.grid.z_min, ws.grid.z_max, ws.grid.y_min, ws.grid.y_max):
@@ -504,17 +549,13 @@ class SecondaryResult:
     speed: float | None = None
     wave: Field | None = None
     upper_state: CrossSectionField | None = None
+    speed_err_est: float = float("nan")  # as WaveSolution.speed_err_est
 
 
-def secondary_speed(model: ReactionModel, grid: CylinderGrid, v: CriticalPoint,
-                    c_seed: float = 0.05, dt: float | None = None) -> SecondaryResult:
-    """Selected speed of a front invading the plateau v from above.
-
-    Works on the shifted unknown h = u - v with the shifted reaction; returns
-    "not applicable" when there is no room above v or no negative-energy upper
-    state to launch from.  ``dt`` is accepted and ignored: the wave solve
-    takes no time step.
-    """
+def _secondary_problem(model: ReactionModel, grid: CylinderGrid, v: CriticalPoint
+                       ) -> tuple[ShiftedModel, CrossSectionField] | SecondaryResult:
+    """The shifted model and the upper state of the front invading v from
+    above on ``grid``, or the result that says why there is none."""
     head = 1.0 - v.v.values
     if float(np.max(head)) < 1e-6:
         return SecondaryResult(False, "not applicable: no room above the plateau")
@@ -536,13 +577,43 @@ def secondary_speed(model: ReactionModel, grid: CylinderGrid, v: CriticalPoint,
             % (upper_full.energy - v.energy))
     shifted = ShiftedModel(base=model, v_values=tuple(v.v.values),
                            y_nodes=tuple(grid.y))
-    upper = CrossSectionField(grid, np.maximum(h_star, 0.0))
+    return shifted, CrossSectionField(grid, np.maximum(h_star, 0.0))
+
+
+def secondary_speed(model: ReactionModel, grid: CylinderGrid, v: CriticalPoint,
+                    c_seed: float = 0.05, dt: float | None = None) -> SecondaryResult:
+    """Selected speed of a front invading the plateau v from above.
+
+    Works on the shifted unknown h = u - v with the shifted reaction; returns
+    "not applicable" when there is no room above v or no negative-energy upper
+    state to launch from.  Solved on two levels as ``solve_wave`` is, but
+    each level is its own discretization: the half grid shifts by its own
+    plateau (``find_critical_point`` from v injected), with its own upper
+    state, and its wave is carried to ``grid`` under the model shifted by
+    v.  ``dt`` is accepted and ignored: the wave solve takes no time step.
+    """
+    problem = _secondary_problem(model, grid, v)
+    if isinstance(problem, SecondaryResult):
+        return problem
+    shifted, upper = problem
+    coarse = half_grid(grid)
     try:
-        ws = solve_wave(shifted, grid, front_seed(grid, upper), c_seed)
+        if coarse is None:
+            ws = solve_wave(shifted, grid, front_seed(grid, upper), c_seed)
+        else:
+            v_coarse = find_critical_point(model, coarse,
+                                           CrossSectionField(coarse, v.v.values[::2]))
+            low = _secondary_problem(model, coarse, v_coarse)
+            if isinstance(low, SecondaryResult):
+                return low
+            shifted_coarse, upper_coarse = low
+            ws = _solve_level(shifted_coarse, coarse, front_seed(coarse, upper_coarse), c_seed)
+            ws = _monotone(_nested(ws, grid, shifted))
     except (WaveSolverError, SectionSolverError) as exc:
         return SecondaryResult(False, "not applicable: secondary wave solve failed (%s)" % exc)
     return SecondaryResult(True, "secondary wave found", speed=ws.speed,
-                           wave=ws.profile, upper_state=upper)
+                           wave=ws.profile, upper_state=upper,
+                           speed_err_est=ws.speed_err_est)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cylwave.grids import (DIRICHLET, NEUMANN, CrossSectionField, Field,
                            GridConfig, GridError, _apply_transport, apply_boundary,
-                           axial_derivative, build_grid, laplacian_advection,
+                           axial_derivative, build_grid, half_grid, laplacian_advection,
                            section_derivative, transport_operator)
 
 
@@ -87,6 +87,39 @@ class TestBuildGrid:
         assert v.values[0] == v.values[-1] == 0.0 and g.y[-1] == 1.0
         fresh = grid_2d(n_y=5, bc=DIRICHLET)
         assert g == fresh and hash(g) == hash(fresh)
+
+
+class TestHalfGrid:
+    def test_shipped_grids_nest(self):
+        import glob
+        import os
+
+        from cylwave.config import parse_config_file
+
+        root = os.path.join(os.path.dirname(__file__), "..", "configs")
+        shapes = set()
+        for path in sorted(glob.glob(os.path.join(root, "*.cfg"))):
+            g = parse_config_file(path).make_grid()
+            h = half_grid(g)
+            shapes.add(g.shape)
+            # coarse node (i, j) is fine node (2i, 2j), and nothing else moves
+            assert h.shape == ((g.n_y + 1) // 2, (g.n_z + 1) // 2)
+            assert np.array_equal(h.z, g.z[::2]) and np.array_equal(h.y, g.y[::2])
+            assert np.array_equal(h.dirichlet_mask, g.dirichlet_mask[::2, ::2])
+            assert (h.z_min, h.z_max, h.y_min, h.y_max, h.bc_left, h.bc_right) == (
+                g.z_min, g.z_max, g.y_min, g.y_max, g.bc_left, g.bc_right)
+        assert shapes == {(1, 1201), (1, 401), (65, 371)}
+
+    @pytest.mark.parametrize("n_y, n_z", [(1, 400), (33, 40), (32, 41), (1, 29), (3, 41)])
+    def test_even_or_too_small_has_none(self, n_y, n_z):
+        # with an even count the last node is no coarse node; n_z = 29 would
+        # halve to 15 < 16 axial nodes, n_y = 3 to 2 section nodes
+        g = grid_1d(n_z=n_z) if n_y == 1 else grid_2d(n_y=n_y, n_z=n_z)
+        assert half_grid(g) is None
+
+    def test_smallest_halves(self):
+        assert half_grid(grid_1d(n_z=31)).n_z == 16
+        assert half_grid(grid_2d(n_y=5, n_z=31)).shape == (3, 16)
 
 
 class TestFields:

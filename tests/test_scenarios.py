@@ -128,6 +128,8 @@ class TestConvergeScenario:
         for key in ("speed", "sigma", "fit_quality", "R_infinity"):
             assert key in parsed["results"]
         assert float(parsed["results"]["sigma"]) > 0
+        # n_z 601 halves to 301: the speed carries its two-level estimate
+        assert float(parsed["results"]["speed_err_est"]) < 0
 
     def test_tracker_work_reported(self, result):
         out, manifest = result
@@ -164,6 +166,7 @@ class TestSecondaryWaiver:
         parsed = read_manifest(tmp_path / "manifest.txt")
         assert "not applicable" in parsed["run"]["note"]
         assert parsed["results"]["secondary_speed"] == "nan"
+        assert parsed["results"]["secondary_speed_err_est"] == "nan"
 
 
 def _allow_cpus(monkeypatch, n, **blas_env):
@@ -206,6 +209,8 @@ class TestSecondaryWorker:
             parsed = read_manifest(out / "manifest.txt")
             sections.append((parsed["results"], parsed.get("files")))
         assert sections[0] == sections[1]
+        # the secondary wave's Richardson estimate crossed the pipe
+        assert float(sections[0][0]["secondary_speed_err_est"]) < 0.0
         worker, here = map(int, pids.read_text().split())
         assert worker != os.getpid() and here == os.getpid()
         assert multiprocessing.active_children() == []
@@ -593,6 +598,19 @@ def test_converge_at_offset_minus_8_stops_every_tracker_call(tmp_path):
     manifest = run_scenario(parse_config(text.replace("offset = 2.0", "offset = -8.0")),
                             str(tmp_path))
     assert manifest.results["tracker_cap_hits"] == 0
+    assert manifest.passed(), [n for n, ok, _ in manifest.assertions if not ok]
+
+
+def test_converge_to_rounding_level_meets_the_orthogonality_gate(tmp_path):
+    # with the right end at 40 (same dz) m falls to about 1e-17, where the
+    # |h'| that the tracker stops at is rounding: the bound relative to
+    # sqrt(m) alone falls below it, so each row's bound is floored by the
+    # rounding floor of its own stop
+    with open(os.path.join(CONFIGS, "converge_cubic_a25.cfg")) as fh:
+        text = fh.read()
+    assert "n_z = 1201" in text and "z_max = 20.0" in text
+    text = text.replace("n_z = 1201", "n_z = 1601").replace("z_max = 20.0", "z_max = 40.0")
+    manifest = run_scenario(parse_config(text), str(tmp_path))
     assert manifest.passed(), [n for n, ok, _ in manifest.assertions if not ok]
 
 

@@ -619,7 +619,7 @@ def reference_row(model, ws, t, u, fs, u_z=None, prev=None, dt=None, delta=0.05)
     dev = Field(ws.grid, u.values - ws.template.at(R))
     return (t, R, 2 * mismatch(u, ws, R, m=mm), weighted_energy(u, model, mm), fd,
             quotient, weighted_norm_h2(dev, mm), z_delta(u, ws, R, delta),
-            fs.ortho_residual, fs.iterations)
+            fs.ortho_residual, fs.ortho_floor, fs.iterations)
 
 
 def row_by_row(model, ws, u0, dt, n_steps):
@@ -653,6 +653,7 @@ class TestBlockColumns:
                                        FrontState(position=R[i], curvature=0.0,
                                                   ortho_residual=0.0,
                                                   measure=ws.measure(R[i]),
+                                                  ortho_floor=0.0,
                                                   u=Field(g, u[i]), ws=ws),
                                        uz[i], (before[i], R_prev[i]), 0.1)
                          for i in range(5)], dtype=FrontTrace.FIELDS)

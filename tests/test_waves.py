@@ -4,7 +4,7 @@ from scipy.interpolate import CubicSpline
 
 from cylwave.evolve import flow_weights
 from cylwave.grids import (CrossSectionField, Field, GridConfig, build_grid,
-                           transport_operator)
+                           half_grid, transport_operator)
 from cylwave.reactions import (CubicBistable, HeterogeneousCubic, LinearModel,
                                ShiftedModel, StackedBistable, eval_f_u)
 from cylwave.sections import find_critical_point
@@ -46,16 +46,16 @@ class TestSolveWave:
         assert ws.residual <= 1e-8
 
     def test_one_factorization(self, cubic_wave):
-        # 1D keeps the chord: the first factorization serves the whole
-        # continuation
+        # 1D keeps the chord: one factorization serves each level, the whole
+        # half-grid continuation and the configured grid's Newton
         _, ws = cubic_wave
-        assert ws.factorizations == 1
+        assert ws.factorizations == 2
 
     def test_continuation_counted(self, cubic_wave):
-        # the continuation centres the wave itself: no polish follows it
+        # the continuation runs on the half grid, Newton on the configured one
         _, ws = cubic_wave
         assert ws.continuation_steps > 0
-        assert ws.newton_iterations == 0
+        assert ws.newton_iterations > 0
         assert 0 < ws.factorizations <= 2
 
     def test_continuation_cap_raises(self, monkeypatch):
@@ -194,6 +194,67 @@ class TestSolveWave:
         # translational mode to within 1e-6 of the mode's norm
         fine = refine_solution(mid, wave_grid(n_z=15001), model)
         assert defect(fine) <= 1e-6
+
+
+class TestTwoLevels:
+    def test_continuation_on_the_half_grid_newton_on_the_configured(self, monkeypatch):
+        g = wave_grid(n_z=601)
+        calls = []
+        for name in ("freeze_frame", "refine_solution"):
+            def spy(*args, _inner=getattr(waves, name), _name=name, **kwargs):
+                calls.append((_name, args[1].n_z))
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(waves, name, spy)
+        ws = solve_wave(CubicBistable(a=0.25), g, front_seed(g, 1.0), c_seed=0.2)
+        assert calls == [("freeze_frame", 301), ("refine_solution", 601)]
+        assert ws.grid == g and ws.residual <= waves.RESIDUAL_LIMIT
+
+    @pytest.mark.parametrize("n_z", [400, 29])
+    def test_grid_without_half_grid_solves_on_one_level(self, n_z):
+        g = wave_grid(n_z=n_z, z=(-20.0, 20.0))
+        assert half_grid(g) is None
+        model = CubicBistable(a=0.25)
+        ws = solve_wave(model, g, front_seed(g, 1.0), c_seed=0.2)
+        assert np.isnan(ws.speed_err_est)
+        assert ws.continuation_steps > 0 and ws.newton_iterations == 0
+        assert ws.speed == pytest.approx(model.exact_speed(), rel=0.2)
+
+    @pytest.mark.parametrize("n_z", [601, 1201])
+    def test_estimate_against_the_closed_form(self, cubic_wave, n_z):
+        # (c_h - c_2h) / 3 is the correction that Richardson extrapolation
+        # adds: speed + speed_err_est lies within 5% of it from (1 - 2a)/sqrt(2)
+        model, ws = cubic_wave
+        if n_z != ws.grid.n_z:
+            g = wave_grid(n_z=n_z)
+            ws = solve_wave(model, g, front_seed(g, 1.0), c_seed=0.2)
+        exact = model.exact_speed()
+        assert ws.speed_err_est < 0.0
+        assert abs(ws.speed - exact + ws.speed_err_est) <= 0.05 * abs(ws.speed_err_est)
+
+    def test_secondary_half_grid_is_its_own_discretization(self, monkeypatch):
+        # the half-grid level is the secondary wave of that grid, shifted by
+        # that grid's own plateau: bit for bit what secondary_speed gives
+        # there, on one level (802 / 2 + 1 = 402 nodes is even)
+        model = StackedBistable(a1=0.05, a2=0.5, a3=0.7)
+        g = build_grid(GridConfig(n_y=1, n_z=803, z_min=-35.0, z_max=15.0))
+        h = half_grid(g)
+        assert h is not None and half_grid(h) is None
+        v = find_critical_point(model, g, CrossSectionField(g, np.array([0.55])))
+        coarse = []
+        refine = waves.refine_solution
+
+        def spy(ws, grid, m):
+            coarse.append(ws.speed)
+            return refine(ws, grid, m)
+
+        monkeypatch.setattr(waves, "refine_solution", spy)
+        res = secondary_speed(model, g, v, c_seed=0.03)
+        v_h = find_critical_point(model, h, CrossSectionField(h, v.v.values[::2]))
+        direct = secondary_speed(model, h, v_h, c_seed=0.03)
+        assert res.applicable and direct.applicable
+        assert coarse == [direct.speed]
+        assert np.isnan(direct.speed_err_est)
+        assert res.speed_err_est == (res.speed - direct.speed) / 3.0
 
 
 def slope_at(tpl, R):
@@ -455,8 +516,9 @@ class TestHeterogeneous2D:
         assert lo < ws.speed < hi
         gap = spectral_gap(ws, model)
         assert gap.gap_positive and gap.alignment >= 0.999
-        # the first factorization serves the whole continuation
-        assert ws.factorizations == 1
+        # one factorization serves each level: the whole half-grid
+        # continuation, and the configured grid's Newton
+        assert ws.factorizations == 2
         assert ws.continuation_steps >= 2
 
 
