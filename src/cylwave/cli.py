@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import gc
 import os
 import sys
 import traceback
@@ -98,6 +99,14 @@ def _positive_int(text: str) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one verb and return its exit code.
+
+    A CLI process is short-lived, so once the arguments parse,
+    ``gc.freeze()`` moves what exists by then, the imported modules above
+    all, out of the collector's reach for the run and for interpreter exit.
+    CPython documents ``gc.freeze`` for processes that ``fork()`` without
+    exec, as ``scenarios._started_secondary`` does.
+    """
     parser = argparse.ArgumentParser(
         prog="cylwave",
         description="Traveling-wave experiments for reaction-diffusion "
@@ -116,6 +125,7 @@ def main(argv=None) -> int:
     p.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
 
     args = parser.parse_args(argv)
+    gc.freeze()
     if args.verb == "sweep":
         if not os.path.isdir(args.out) and _output_taken(args.out):  # a file, or below one
             return 2

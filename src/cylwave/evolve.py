@@ -5,11 +5,12 @@ reaction.  The implicit solve is separable (fast diagonalization; Lynch, Rice
 & Thomas, Numer. Math. 6 (1964)): the operator is the Kronecker sum
 ``I (x) A_z(c) + A_y (x) I``, so diagonalizing the small cross-section
 operator ``A_y`` once per grid leaves one tridiagonal system per
-cross-section mode.  The discrete weighted energy is the potential minus half
-the operator's quadratic form in ``flow_weights``, which make the operator
-self-adjoint, so each step is exactly a forward-backward descent step of that
-energy: it decreases monotonically for ``dt <= 2 / sup|f_u|`` (the default
-cap is 0.5 / sup|f_u|, which also preserves ordering).
+cross-section mode, symmetric positive definite once scaled by the square
+roots of the axial weights.  The discrete weighted energy is the potential
+minus half the operator's quadratic form in ``flow_weights``, which make the
+operator self-adjoint, so each step is exactly a forward-backward descent
+step of that energy: it decreases monotonically for ``dt <= 2 / sup|f_u|``
+(the default cap is 0.5 / sup|f_u|, which also preserves ordering).
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .grids import (CylinderGrid, Field, GridError, _apply_transport, apply_boundary,
-                    axial_bands, symmetrized_section_operator)
+                    axial_bands, fitted_flux, symmetrized_section_operator)
 from .reactions import ReactionModel, eval_f
 from .weighted import WeightedMeasure, weight_values
 
@@ -88,8 +89,16 @@ class Stepper:
     the cross-section operator (cached per grid), each mode ``k`` solves the
     tridiagonal ``I - dt (A_z(c) + lam_k)`` over the free axial nodes, and the
     result is transformed back (on a 1D grid the transforms are identities
-    and are skipped).  The stacked tridiagonal factorization is O(n_y n_z)
-    per frame speed; reuse the stepper across steps.
+    and are skipped).
+
+    ``A_z`` is self-adjoint in the axial weights ``e^{c z}``, so scaling node
+    j by their square root, ``s_j = e^{a (j - j_c)}`` with ``a = c dz / 2``
+    and j_c the centre of the free nodes, turns the fitted off-diagonals
+    into the constant ``-dt kappa / dz^2`` (``fitted_flux``).  Each mode's
+    matrix is then symmetric with eigenvalues >= 1 (``A_z`` and ``lam_k``
+    are nonpositive), and LAPACK's ``dpttrf``/``dpttrs`` factor and solve it
+    without pivoting.  The stacked factorization is O(n_y n_z) per frame
+    speed; reuse the stepper across steps.
     """
 
     def __init__(self, model: ReactionModel, grid: CylinderGrid, dt: float,
@@ -112,16 +121,17 @@ class Stepper:
         rows, lam, self._to_modes, self._from_modes = _section_modes(grid)
         n_z = grid.n_z - int(grid.dirichlet_mask[:, -1].all())
         self._free = (rows, slice(0, n_z))
-        lower, diag, upper = axial_bands(grid, frame_speed)
+        a, kappa = fitted_flux(frame_speed, grid.dz)
+        exponent = a * (np.arange(n_z) - 0.5 * (n_z - 1))
+        self._scale, self._unscale = np.exp(exponent), np.exp(-exponent)
+        _, diag, _ = axial_bands(grid, frame_speed)
         d = 1.0 - dt * (diag[:n_z] + lam[:, None])
-        dl = np.zeros_like(d)
-        du = np.zeros_like(d)
-        dl[:, :-1] = -dt * lower[1:n_z]  # zero between consecutive modes
-        du[:, :-1] = -dt * upper[:n_z - 1]
-        *lu, info = dgttrf(dl.ravel()[:-1], d.ravel(), du.ravel()[:-1])
+        e = np.full(d.shape, -dt * kappa / grid.dz ** 2)
+        e[:, -1] = 0.0  # zero between consecutive modes
+        *self._ldl, info = dpttrf(d.ravel(), e.ravel()[:-1])
         if info != 0:
-            raise EvolutionError("implicit operator is singular (dgttrf info %d)" % info)
-        self._lu = lu
+            raise EvolutionError("implicit operator is not positive definite "
+                                 "(dpttrf info %d)" % info)
 
     def step(self, state: EvolutionState) -> EvolutionState:
         if state.u.grid is not self.grid and state.u.grid != self.grid:
@@ -131,17 +141,17 @@ class Stepper:
                                  % (state.frame_speed, self.frame_speed))
         rhs = state.u.values + self.dt * eval_f(self.model, self.grid, state.u.values)
         if self.grid.n_y == 1:
-            # the 1x1 mode transforms are identities: solve in place in rhs
-            # and zero the pinned axial end
+            # the 1x1 mode transforms are identities: solve in rhs and zero
+            # the pinned axial end
             new, free = rhs, rhs[self._free]
-            x, _ = dgttrs(*self._lu, free.reshape(-1, 1), overwrite_b=True)
-            free[...] = x.reshape(free.shape)
+            x, _ = dpttrs(*self._ldl, (free * self._scale).reshape(-1, 1), overwrite_b=True)
+            np.multiply(x.reshape(free.shape), self._unscale, out=free)
             new[:, free.shape[1]:] = 0.0
         else:
-            modes = self._to_modes @ rhs[self._free]
-            x, _ = dgttrs(*self._lu, modes.reshape(-1, 1), overwrite_b=True)
+            modes = (self._to_modes @ rhs[self._free]) * self._scale
+            x, _ = dpttrs(*self._ldl, modes.reshape(-1, 1), overwrite_b=True)
             new = np.zeros(self.grid.shape)
-            new[self._free] = self._from_modes @ x.reshape(modes.shape)
+            new[self._free] = self._from_modes @ (x.reshape(modes.shape) * self._unscale)
         lo, hi = float(new.min()), float(new.max())  # NaN and inf reach these
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise EvolutionError("non-finite state after implicit solve")
@@ -151,8 +161,9 @@ class Stepper:
         if viol > 0.0:
             self.max_clip = max(self.max_clip, viol)
             log.debug("clipped state violation %.3g at t=%.6g", viol, state.t)
-            new = np.clip(new, 0.0, 1.0)
-        return EvolutionState(t=state.t + self.dt, u=Field(self.grid, new),
+            np.clip(new, 0.0, 1.0, out=new)
+        # finite (above) and of the grid's shape (rhs has the state's)
+        return EvolutionState(t=state.t + self.dt, u=Field.checked(self.grid, new),
                               frame_speed=state.frame_speed)
 
 

@@ -167,6 +167,14 @@ class Field:
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy())
 
+    @classmethod
+    def checked(cls, grid: CylinderGrid, values: np.ndarray) -> "Field":
+        """A field of float ``values`` that the caller has already found
+        finite and of the grid's shape: the checks are not repeated."""
+        u = cls.__new__(cls)
+        u.grid, u.values = grid, values
+        return u
+
 
 @dataclass
 class CrossSectionField:
@@ -198,6 +206,13 @@ def apply_boundary(u: Field) -> Field:
     return Field(u.grid, np.where(u.grid.dirichlet_mask, 0.0, u.values))
 
 
+def fitted_flux(c: float, dz: float) -> tuple[float, float]:
+    """``(a, kappa)`` of the exponentially fitted fluxes: ``a = c dz / 2``
+    and ``kappa = a / sinh(a)`` (1 at a = 0)."""
+    a = 0.5 * c * dz
+    return a, 1.0 if abs(a) < 1e-12 else float(a / np.sinh(a))
+
+
 @lru_cache(maxsize=16)
 def axial_bands(grid: CylinderGrid, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lower, diag, upper) diagonals of the axial operator with BC patches,
@@ -205,14 +220,13 @@ def axial_bands(grid: CylinderGrid, c: float) -> tuple[np.ndarray, np.ndarray, n
 
     In flux form the row of node j reads [F_{j-1/2} u_{j-1} - (F_{j-1/2} +
     F_{j+1/2}) u_j + F_{j+1/2} u_{j+1}] / (dz^2 W_j), W_j = e^{c z_j}, with
-    fitted fluxes F_{j+1/2} = kappa (W_j W_{j+1})^{1/2}, kappa = a / sinh(a),
-    a = c dz / 2.  ``lower[j]`` couples node j to j-1, ``upper[j]`` to j+1;
-    pinned rows come out as zero rows.
+    fitted fluxes F_{j+1/2} = kappa (W_j W_{j+1})^{1/2} (``fitted_flux``).
+    ``lower[j]`` couples node j to j-1, ``upper[j]`` to j+1; pinned rows
+    come out as zero rows.
     """
     n = grid.n_z
     dz2 = grid.dz ** 2
-    a = 0.5 * c * grid.dz
-    kappa = 1.0 if abs(a) < 1e-12 else float(a / np.sinh(a))
+    a, kappa = fitted_flux(c, grid.dz)
     # F_{j+1/2}/W_j = kappa e^{a} (left node);  F_{j+1/2}/W_{j+1} = kappa e^{-a}
     up, lo = kappa * np.exp(a), kappa * np.exp(-a)
     lower = np.full(n, lo / dz2)

@@ -19,8 +19,8 @@ from .evolve import EvolutionState, Stepper, flow_weights
 from .grids import Field, _apply_transport, axial_derivative, section_derivative
 from .reactions import ReactionModel
 from .waves import WaveSolution
-from .weighted import (WeightedMeasure, cell_fraction, cell_slope, cell_value,
-                       offset_resolution, quadrature_weights)
+from .weighted import (WeightedMeasure, cell_fraction, offset_resolution,
+                       quadrature_weights)
 
 DEFAULT_DELTA = 0.05
 _EPS = np.finfo(float).eps
@@ -135,31 +135,39 @@ class CellSums:
 class RowSums:
     """Row i of a ``CellSums`` block in the measure whose sums are those of
     the block's times ``scale``.  Calling it with R gives ``(h, h', h'',
-    floor)`` and remembers the last R."""
+    floor)``.  It remembers the last R and the row's sums of the last cell,
+    which successive iterates of the tracker mostly share."""
 
     def __init__(self, sums: CellSums, i: int, scale: float):
         self.sums, self.i, self.scale = sums, i, scale
         self.dz_norm = math.sqrt(scale * sums.dz_norm_sq)
-        self._last = (None, None)
+        self._R = self._out = self._key = self._row = None
 
     def __call__(self, R: float) -> tuple[float, float, float, float]:
-        if self._last[0] == R:
-            return self._last[1]
-        sums, i, scale = self.sums, self.i, self.scale
+        if R == self._R:
+            return self._out
+        sums = self.sums
         k, t = cell_fraction(R, sums.dz)
-        S, E, F, M, B = sums._sums((k, t == 0.0))
-        S, E, F, B = float(S[i]), E[i], F[i], B[i]
+        key = (k, t == 0.0)
+        if key != self._key:
+            S, E, F, M, B = sums._sums(key)
+            i = self.i
+            self._key, self._row = key, (float(S[i]), *E[i], *F[i], *M[0], *M[1], *M[2], *B[i])
+        (S, E0, E1, E2, F0, F1, F2, M00, M01, M02, M10, M11, M12, M20, M21, M22,
+         B0, B1, B2) = self._row
         s = t * sums.dz
         s2 = s * s
         s3 = s2 * s
-        q = [E[j] - s * M[0][j] - s2 * M[1][j] - s3 * M[2][j] for j in range(3)]
-        h1 = q[0] + 2 * s * q[1] + 3 * s2 * q[2]
-        hval = 0.5 * (S - s * (E[0] + q[0]) - s2 * (E[1] + q[1]) - s3 * (E[2] + q[2]))
-        out = (scale * max(hval, 0.0), scale * h1,
-               scale * (sums.c * h1 + F[0] + 2 * s * F[1] + 3 * s2 * F[2]),
-               scale * _EPS * (B[0] + 2 * s * B[1] + 3 * s2 * B[2]))
-        self._last = (R, out)
-        return out
+        q0 = E0 - s * M00 - s2 * M10 - s3 * M20
+        q1 = E1 - s * M01 - s2 * M11 - s3 * M21
+        q2 = E2 - s * M02 - s2 * M12 - s3 * M22
+        h1 = q0 + 2 * s * q1 + 3 * s2 * q2
+        hval = 0.5 * (S - s * (E0 + q0) - s2 * (E1 + q1) - s3 * (E2 + q2))
+        scale = self.scale
+        self._R, self._out = R, (scale * max(hval, 0.0), scale * h1,
+                                 scale * (sums.c * h1 + F0 + 2 * s * F1 + 3 * s2 * F2),
+                                 scale * _EPS * (B0 + 2 * s * B1 + 3 * s2 * B2))
+        return self._out
 
 
 def mismatch_derivatives(u: Field, ws: WaveSolution, R: float,
@@ -366,12 +374,14 @@ def _columns(model: ReactionModel, ws: WaveSolution, u: np.ndarray,
     positions ``R``, with ``prev = (states, positions)`` of the steps before
     them, or None for rows without rates.
 
-    ``T_R profile`` and its slope come from the template's cell arrays, and
-    each derivative is taken once for all rows along the last axis.  Every
-    weighted sum is a reduction over one row's own nodes in the measure
-    referenced at 0, times ``exp(-c R)``, so a row's columns do not depend
-    on which other rows are kept (a BLAS product would round a row
-    differently from block to block).
+    ``T_R profile`` and its slope are, in each cell, one product of the
+    rows' offset powers ``(1, s, s^2, s^3)`` and ``(0, 1, 2s, 3s^2)`` with
+    the template's cell arrays, and each derivative is taken once for all
+    rows along the last axis.  Every weighted sum is one pass over one
+    row's own nodes in the measure referenced at 0, times ``exp(-c R)``.
+    Both are ``np.einsum`` loops, never BLAS products, so a row's columns
+    do not depend on which other rows are kept (a BLAS product would round
+    a row differently from block to block).
     """
     grid, tpl, c = ws.grid, ws.template, ws.speed
     n = len(R)
@@ -379,33 +389,43 @@ def _columns(model: ReactionModel, ws: WaveSolution, u: np.ndarray,
     w = quadrature_weights(grid, m0)
     scale = np.array([math.exp(-c * r) for r in R])
 
-    def wsum(x, weights=w):
-        return (weights * x).reshape(n, -1).sum(-1)
+    def wsum(x, y, weights=w):
+        return np.einsum("rk,rk,k->r", x.reshape(n, -1), y.reshape(n, -1), weights.reshape(-1))
 
-    T, T_z = np.empty_like(u), np.empty_like(u)
     cells: dict = {}
     for i, r in enumerate(R):
         k, t = cell_fraction(r, grid.dz)
         cells.setdefault((k, t == 0.0), []).append((i, t * grid.dz))
+    translates = np.empty((2,) + u.shape)  # T_R profile and its slope
     for key, members in cells.items():
         idx = [i for i, _ in members]
-        offset = np.array([s for _, s in members])[:, None, None]
+        s = np.array([s for _, s in members])
+        s2, zero, one = s * s, np.zeros_like(s), np.ones_like(s)
+        powers = np.array([np.column_stack((one, s, s2, s2 * s)),
+                           np.column_stack((zero, one, 2 * s, 3 * s2))])
         a = tpl.cell(*key)
-        T[idx] = cell_value(a, offset)
-        T_z[idx] = cell_slope(a, offset)
-
-    dev = u - T
+        translates[:, idx] = np.einsum("prj,jk->prk", powers, a.reshape(4, -1)).reshape(
+            (2, len(idx)) + a.shape[1:])
+    # the deviation overwrites the translate, and the axial derivatives go
+    # once summed: with fewer block arrays alive at once, the heap is not
+    # grown and trimmed again for every block (a page fault per page)
+    dev, T_z = translates
+    np.subtract(u, dev, out=dev)
     dev_z = axial_derivative(dev, grid)
-    m = wsum(dev * dev)
-    h2 = m + wsum(dev_z * dev_z) + wsum(axial_derivative(dev_z, grid) ** 2)
+    dev_zz = axial_derivative(dev_z, grid)
+    m = wsum(dev, dev)
+    h2 = m + wsum(dev_z, dev_z) + wsum(dev_zz, dev_zz)
+    del dev_z, dev_zz
     if grid.n_y > 1:
         dev_y = section_derivative(dev, grid)
-        h2 += (wsum(dev_y ** 2) + wsum(section_derivative(dev_y, grid) ** 2)
-               + wsum(axial_derivative(dev_y, grid) ** 2))
+        dev_yy, dev_yz = section_derivative(dev_y, grid), axial_derivative(dev_y, grid)
+        h2 += wsum(dev_y, dev_y) + wsum(dev_yy, dev_yy) + wsum(dev_yz, dev_yz)
     V = np.asarray(model.V(u, grid.y[:, None]), dtype=float)
-    phi = wsum(V - 0.5 * u * _apply_transport(grid, u, c), flow_weights(grid, m0))
+    fw = flow_weights(grid, m0).reshape(-1)
+    phi = (np.einsum("rk,k->r", V.reshape(n, -1), fw)
+           - 0.5 * wsum(u, _apply_transport(grid, u, c), fw))
 
-    over = np.abs(dev).max(axis=-2) > delta
+    over = (np.abs(dev) > delta).any(axis=-2)
     last = over.shape[-1] - 1 - np.argmax(over[:, ::-1], axis=-1)
     z_delta = np.where(over.any(axis=-1), grid.z[last], -np.inf)
 
@@ -414,9 +434,9 @@ def _columns(model: ReactionModel, ws: WaveSolution, u: np.ndarray,
     else:
         u_prev, R_prev = prev
         fd = (R - R_prev) / dt
-        denom = wsum(u_z * T_z)
+        denom = wsum(u_z, T_z)
         with np.errstate(divide="ignore", invalid="ignore"):
-            quotient = np.where(denom != 0, -wsum((u - u_prev) / dt * T_z) / denom, np.nan)
+            quotient = np.where(denom != 0, -wsum(u - u_prev, T_z) / (dt * denom), np.nan)
     return [scale * m, scale * phi, fd, quotient, np.sqrt(scale * h2), z_delta]
 
 
@@ -508,10 +528,11 @@ def default_fit_window(trace: FrontTrace) -> tuple[float, float]:
     """Tail window: after the transient (m below 10% of start), above the floor.
 
     The floor is the larger of the floating-point cutoff (1e3 eps relative to
-    the initial scale) and 100x the trace's own tail plateau: on a fixed grid
-    the deviation bottoms out at the lattice-pinning mismatch between the
-    discrete steady state and interpolated translates, and the decay law is
-    only informative above it.
+    the initial scale) and 100x the trace's own tail plateau: the deviation
+    bottoms out at a level that the window's right end sets, not the grid,
+    and the decay law is only informative above it.  On the shipped converge
+    config m bottoms out at 1.776e-9 with n_z 1201 and at 1.775e-9 with dz
+    halved, but at 3.2e-17 with ``z_max`` 40.
     """
     t = trace.samples["t"]
     m = trace.rebased("m")

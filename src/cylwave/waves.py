@@ -26,7 +26,7 @@ factorizations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -76,6 +76,8 @@ class WaveSolution:
     # Richardson estimate (c_h - c_2h) / 3 from the two levels: speed +
     # speed_err_est is the extrapolated speed; nan when solved on one level
     speed_err_est: float = float("nan")
+    # the half-grid wave this one was carried from; None on one level
+    coarse: "WaveSolution | None" = field(default=None, repr=False, compare=False)
 
     def measure(self, z_ref: float = 0.0) -> WeightedMeasure:
         return WeightedMeasure(self.speed, z_ref)
@@ -376,9 +378,9 @@ def _solve_level(model: ReactionModel, grid: CylinderGrid, seed: Field,
 def _nested(coarse: WaveSolution, grid: CylinderGrid,
             model: ReactionModel) -> WaveSolution:
     """The half-grid wave ``coarse`` carried to ``grid`` by Newton alone,
-    with the Richardson estimate and both levels' counts."""
+    with the Richardson estimate, both levels' counts and ``coarse`` itself."""
     ws = refine_solution(coarse, grid, model)
-    return replace(ws, speed_err_est=(ws.speed - coarse.speed) / 3.0,
+    return replace(ws, speed_err_est=(ws.speed - coarse.speed) / 3.0, coarse=coarse,
                    normalization_shift=coarse.normalization_shift,
                    continuation_steps=coarse.continuation_steps,
                    factorizations=coarse.factorizations + ws.factorizations)
@@ -397,9 +399,10 @@ def solve_wave(model: ReactionModel, grid: CylinderGrid, seed: Field,
     The seed is restricted to the half grid (``half_grid``) by injection,
     where ``freeze_frame`` runs with its front-like, collapse and fill
     checks; ``refine_solution`` carries the wave to ``grid``.  The residual
-    gate runs on both levels, the monotone check on the configured wave.  A
-    grid without a half grid is solved by ``freeze_frame`` alone, with
-    ``speed_err_est`` nan.
+    gate runs on both levels, the monotone check on the configured wave.
+    The result keeps the half-grid wave as ``coarse``, for error bars of
+    other quantities.  A grid without a half grid is solved by
+    ``freeze_frame`` alone, with ``speed_err_est`` nan and no ``coarse``.
     """
     coarse = half_grid(grid)
     if coarse is None:

@@ -80,6 +80,21 @@ class TestStep:
         want = spsolve(M.tocsc(), rhs).reshape(g.shape)
         np.testing.assert_allclose(out.u.values, want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n_y, bc", [(1, "neumann"), (7, "dirichlet"), (7, "neumann")])
+    def test_step_matches_direct_sparse_solve_at_the_widest_scaling(self, n_y, bc):
+        # c = 1 on a 60-wide window: the symmetrizing scale e^{c (z - z_c) / 2}
+        # spans e^{-15} to e^{15} over the free nodes
+        g = build_grid(GridConfig(n_y=n_y, n_z=241, y_max=2.0, z_min=-40.0, z_max=20.0,
+                                  bc_left=bc, bc_right=bc))
+        c, dt = 1.0, 0.1
+        u = Field(g, np.random.default_rng(5).uniform(0.0, 1.0, g.shape))
+        out = Stepper(MODEL, g, dt, frame_speed=c).step(EvolutionState(0.0, u, c))
+        rhs = (u.values + dt * eval_f(MODEL, g, u.values)).ravel()
+        rhs[g.dirichlet_mask.ravel()] = 0.0
+        M = sp.identity(rhs.size, format="csc") - dt * transport_operator(g, c)
+        want = spsolve(M.tocsc(), rhs).reshape(g.shape)
+        np.testing.assert_allclose(out.u.values, want, rtol=0, atol=1e-12)
+
     def test_frame_speed_mismatch_rejected(self):
         g = all_neumann_1d()
         stepper = Stepper(MODEL, g, 0.1, frame_speed=0.3)
@@ -95,7 +110,7 @@ class TestStep:
 
         g = all_neumann_1d()
         stepper = Stepper(MODEL, g, 0.1)
-        monkeypatch.setattr(evolve, "dgttrs", nan_solve)
+        monkeypatch.setattr(evolve, "dpttrs", nan_solve)
         with pytest.raises(EvolutionError, match="non-finite"):
             stepper.step(EvolutionState(0.0, Field(g, np.full(g.shape, 0.5))))
 

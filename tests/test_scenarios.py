@@ -12,7 +12,7 @@ from cylwave import scenarios
 from cylwave.cli import main
 from cylwave.config import parse_config, parse_config_file
 from cylwave.scenarios import read_manifest, run_scenario
-from cylwave.waves import WaveSolverError, refine_solution
+from cylwave.waves import WaveSolverError, spectral_gap
 
 STACKED = os.path.join(os.path.dirname(__file__), "..", "configs",
                        "secondary_stacked_dirichlet.cfg")
@@ -72,7 +72,7 @@ dt = 0.1
 c_seed = 0.2
 """
 
-# a small Neumann cylinder: the refined grid doubles both directions
+# a small Neumann cylinder, whose half grid is coarser in both directions
 GAP_CYLINDER = """
 [grid]
 n_y = 5
@@ -305,24 +305,38 @@ class TestSecondaryWorker:
 
 class TestGapScenario:
     def test_cylinder_refines_both_directions(self, tmp_path, monkeypatch):
-        refined = []
+        # the gap is taken on the configured wave and on the half-grid wave
+        # it was refined from, which is coarser in both directions
+        grids, gaps = [], []
 
-        def spy(ws, grid, model):
-            refined.append(grid)
-            return refine_solution(ws, grid, model)
+        def spy(ws, model):
+            grids.append(ws.grid)
+            gaps.append(spectral_gap(ws, model))
+            return gaps[-1]
 
-        monkeypatch.setattr(scenarios, "refine_solution", spy)
+        monkeypatch.setattr(scenarios, "spectral_gap", spy)
         cfg = parse_config(GAP_CYLINDER)
         manifest = run_scenario(cfg, str(tmp_path))
         assert [(n, ok) for n, ok, _ in manifest.assertions] == [
             ("zero_mode_small", True), ("zero_mode_aligned", True), ("gap_positive", True),
-            ("gap_refinement_stable", True), ("constraint_orthogonal", True)]
-        [fine] = refined
-        assert fine.shape == (9, 321)
-        coarse = cfg.make_grid()
-        assert (fine.y_min, fine.y_max, fine.z_min, fine.z_max) == (
-            coarse.y_min, coarse.y_max, coarse.z_min, coarse.z_max)
-        assert fine.dy == coarse.dy / 2 and fine.dz == coarse.dz / 2
+            ("gap_levels_agree", True), ("constraint_orthogonal", True)]
+        fine, coarse = grids
+        assert fine == cfg.make_grid() and coarse.shape == (3, 81)
+        assert (coarse.y_min, coarse.y_max, coarse.z_min, coarse.z_max) == (
+            fine.y_min, fine.y_max, fine.z_min, fine.z_max)
+        assert coarse.dy == 2 * fine.dy and coarse.dz == 2 * fine.dz
+        res = manifest.results
+        assert "gap_refined" not in res
+        assert res["gap"] == gaps[0].gap
+        assert res["gap_err_est"] == (gaps[0].gap - gaps[1].gap) / 3.0
+
+    def test_grid_without_a_half_grid_fails_the_level_check(self, tmp_path):
+        manifest = run_scenario(parse_config(GAP_CYLINDER.replace("n_z = 161", "n_z = 160")),
+                                str(tmp_path))
+        checks = {n: (ok, detail) for n, ok, detail in manifest.assertions}
+        assert checks["gap_levels_agree"] == (False, "one level: no half grid")
+        assert np.isnan(manifest.results["gap_err_est"])
+        assert not manifest.passed()
 
 
 class TestCli:

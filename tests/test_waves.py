@@ -382,6 +382,23 @@ class TestSpectralGap:
         model, ws = cubic_wave
         assert spectral_gap(ws, model) == spectral_gap(ws, model)
 
+    def test_gap_err_est_matches_the_finer_extrapolation(self, cubic_wave, tmp_path):
+        # the gap verb's two-level estimate, from K_h and K_2h, against the
+        # Richardson extrapolation from K_h and K_h/2 (second order)
+        import os
+
+        from cylwave.config import parse_config_file
+        from cylwave.scenarios import run_scenario
+
+        model, ws = cubic_wave
+        config = os.path.join(os.path.dirname(__file__), "..", "configs",
+                              "gap_cubic_a25.cfg")
+        res = run_scenario(parse_config_file(config), str(tmp_path)).results
+        k_h, err_est = res["gap"], res["gap_err_est"]
+        assert k_h == spectral_gap(ws, model).gap  # the verb solved this wave
+        k_half = spectral_gap(refine_solution(ws, wave_grid(n_z=2401), model), model).gap
+        assert abs(k_h + err_est - (k_half + (k_half - k_h) / 3.0)) <= 0.05 * abs(err_est)
+
     @staticmethod
     def _no_convergence(monkeypatch):
         from scipy.sparse.linalg import ArpackNoConvergence
