@@ -32,7 +32,8 @@ _MODEL_PARAM_KEYS = tuple(dict.fromkeys(
 
 # section -> key -> (type, default); None default means required.  The [grid]
 # keys are GridConfig's fields; the axial window and its resolution are required.
-# The [model] parameters are optional: each model takes its own.
+# The [model] parameters are optional: each model takes its own.  [run] dt is
+# required by the time-stepping scenarios only.
 _SCHEMA = {
     "grid": {f.name: (type(f.default), None if f.name in ("n_z", "z_min", "z_max")
                       else f.default) for f in fields(GridConfig)},
@@ -70,7 +71,7 @@ class ExperimentConfig:
     model_name: str
     model_params: dict
     scenario: str
-    dt: float
+    dt: float | None
     horizon: float
     seed: int
     c_seed: float
@@ -154,10 +155,9 @@ def parse_config(text: str) -> ExperimentConfig:
         for key, (want, default) in schema.items():
             if key in got:
                 out[key] = _typed(sec, key, got[key], want)
-            elif default is not None or (sec == "model" and key in _MODEL_PARAM_KEYS):
-                if default is not None:
-                    out[key] = default
-            else:
+            elif default is not None:
+                out[key] = default
+            elif not (sec == "model" and key in _MODEL_PARAM_KEYS or key == "dt"):
                 raise ConfigError("missing required key %r in section [%s]" % (key, sec))
         values[sec] = out
 
@@ -165,6 +165,9 @@ def parse_config(text: str) -> ExperimentConfig:
     if r["scenario"] not in SCENARIOS:
         raise ConfigError("unknown scenario %r (known: %s)"
                           % (r["scenario"], ", ".join(SCENARIOS)))
+    if r["scenario"] in TIME_STEPPING and "dt" not in r:
+        raise ConfigError("missing required key 'dt' in section [run]: the %s scenario "
+                          "steps in time" % r["scenario"])
     ini = dict(values["initial"])
     family = ini.pop("family")
     if family not in INITIAL_FAMILIES:
@@ -179,7 +182,7 @@ def parse_config(text: str) -> ExperimentConfig:
         initial_family=family,
         initial_params=ini,
         raw=values,
-        **r,
+        **{"dt": None, **r},
     )
     validate_config(cfg)
     return cfg
@@ -233,8 +236,9 @@ def config_defaults_text() -> str:
         lines.append("[%s]" % sec)
         for key, (want, default) in schema.items():
             if default is None:
-                req = "(required)" if not (sec == "model" and key in _MODEL_PARAM_KEYS) \
-                    else "(model-dependent)"
+                req = ("(model-dependent)" if sec == "model" and key in _MODEL_PARAM_KEYS
+                       else "(required by %s)" % ", ".join(TIME_STEPPING) if key == "dt"
+                       else "(required)")
                 lines.append("  %s: %s %s" % (key, want.__name__, req))
             else:
                 lines.append("  %s: %s = %r" % (key, want.__name__, default))

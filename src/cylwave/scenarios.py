@@ -9,13 +9,13 @@ explicit note).
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import hashlib
 import multiprocessing
 import os
 import pickle
 import time
-import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -345,17 +345,19 @@ def _blas_threads():
     return None
 
 
-def _send_secondary(send, args, kwargs):
+def _secondary(*args, **kwargs):
+    """``secondary_speed`` in the worker, looked up by name there (a wrapper
+    bound here at run time still runs).  An exception that would not
+    unpickle becomes a ``RuntimeError`` naming it, chained to it."""
     try:
-        outcome = (True, secondary_speed(*args, **kwargs), None)
+        return secondary_speed(*args, **kwargs)
     except Exception as exc:
-        detail = traceback.format_exc()
         try:
             pickle.loads(pickle.dumps(exc))
-        except Exception:  # it could not cross the pipe
-            exc = RuntimeError("the worker process raised %r, which does not pickle" % exc)
-        outcome = (False, exc, detail)
-    send.send(outcome)
+        except Exception:
+            raise RuntimeError("the worker process raised %r, which does not pickle"
+                               % exc) from exc
+        raise
 
 
 @contextlib.contextmanager
@@ -370,50 +372,24 @@ def _started_secondary(*args, **kwargs):
     this process's BLAS threads already use every CPU).  Otherwise
     ``secondary_speed`` runs in-process when its result is asked for.
 
-    The child inherits the function and its arguments, so nothing is
-    pickled on the way in (a callable wrapped at run time, such as a
-    profiler's timing wrapper, cannot be pickled), and it sends back its
-    result or its exception over a one-way pipe.  The exception is raised
-    here with its own type and message, chained to the child's traceback;
-    one that does not pickle comes back as a ``RuntimeError`` naming it.
-    The fork start method copies only the forking thread, which is safe in
-    the processes that call this (the CLI and ``sweep``'s pool processes
-    start no Python threads).  The child is joined before the context
-    exits.  A caller that leaves without the result kills the child first:
-    a result larger than the pipe's buffer would otherwise block the child
-    in ``send``, and the join would never return.
+    The worker is the one process of a fork-context ``ProcessPoolExecutor``,
+    which forks it before it starts its manager thread, so this process runs
+    one thread at the fork (the CLI and ``sweep``'s pool processes start no
+    other): the fork copies only the forking thread.  The arguments are
+    pickled on the way in (tens of kB).  The result, or the exception with
+    its own type and message chained to the worker's traceback, comes back
+    through the executor, whose thread reads it as soon as it is sent.  The
+    context exits after the worker has finished, also when the caller
+    leaves without the result.  A worker that dies raises
+    ``BrokenProcessPool``, a ``RuntimeError``.
     """
     if (len(os.sched_getaffinity(0)) < 2 or multiprocessing.parent_process() is not None
             or _blas_threads() != 1):
         yield lambda: secondary_speed(*args, **kwargs)
         return
-    ctx = multiprocessing.get_context("fork")
-    recv, send = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_send_secondary, args=(send, args, kwargs))
-    proc.start()
-    send.close()
-    received = False
-
-    def result():
-        nonlocal received
-        try:
-            ok, value, detail = recv.recv()
-        except EOFError:
-            proc.join()
-            raise RuntimeError("worker process exited with code %s before sending "
-                               "its result" % proc.exitcode) from None
-        received = True
-        if not ok:
-            raise value from RuntimeError("in the worker process:\n" + detail)
-        return value
-
-    try:
-        yield result
-    finally:
-        if not received:
-            proc.kill()
-        proc.join()
-        recv.close()
+    with concurrent.futures.ProcessPoolExecutor(
+            1, mp_context=multiprocessing.get_context("fork")) as pool:
+        yield pool.submit(_secondary, *args, **kwargs).result
 
 
 def _run_secondary(cfg, out_dir, manifest):
@@ -425,8 +401,9 @@ def _run_secondary(cfg, out_dir, manifest):
     process solves the primary one, where the worker finds an idle CPU (see
     ``_started_secondary``); elsewhere both run here, one after the other.
     The worker still pays with both waves on two levels: on 2 CPUs the
-    stacked config's ``solve_s`` was 0.23 s with it and 0.35 s in-process.
-    Spans and profilers of this process do not see the worker.
+    stacked config's ``solve_s`` was 0.23 s with it and 0.35 s in-process,
+    and a start costs about 10 ms.  Spans and profilers of this process
+    do not see the worker.
     """
     grid, model = cfg.make_grid(), cfg.make_model()
     plateau = _plateau_state(model, grid, cfg.plateau_seed)

@@ -88,8 +88,12 @@ class TestParse:
         assert cfg.model_params == {"a": 0.25}
 
     def test_missing_required(self):
-        with pytest.raises(ConfigError, match="missing required key 'dt'"):
-            parse_config(MINIMAL.replace("dt = 0.1\n", ""))
+        # dt is required by the scenarios that step in time, and only by them
+        no_dt = MINIMAL.replace("dt = 0.1\n", "")
+        for scenario in ("converge", "comparison"):
+            with pytest.raises(ConfigError, match="missing required key 'dt'.*%s" % scenario):
+                parse_config(no_dt.replace("scenario = wave", "scenario = " + scenario))
+        assert parse_config(no_dt).dt is None
 
 
 class TestValidation:

@@ -3,6 +3,7 @@ import hashlib
 import multiprocessing
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -300,6 +301,40 @@ class TestSecondaryWorker:
                 proc.kill()
                 proc.join()
         assert ready.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_raises_without_hanging(self, tmp_path, monkeypatch):
+        def dying(*args, **kwargs):
+            os._exit(3)
+
+        def hung(signum, frame):
+            pytest.fail("the scenario hung on its dead worker")
+
+        _allow_cpus(monkeypatch, 2)
+        monkeypatch.setattr(scenarios, "secondary_speed", dying)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            with pytest.raises(RuntimeError):
+                run_scenario(parse_config(SECONDARY_NEUMANN), str(tmp_path))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_forked_while_one_thread_runs(self, tmp_path, monkeypatch):
+        # the fork start method copies only the forking thread
+        threads = []
+        fork = os.fork
+
+        def counted_fork():
+            threads.append(threading.active_count())
+            return fork()
+
+        _allow_cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        assert run_scenario(parse_config(SECONDARY_NEUMANN), str(tmp_path)).passed()
+        assert threads == [1]
         assert multiprocessing.active_children() == []
 
 
