@@ -365,12 +365,12 @@ def _started_secondary(*args, **kwargs):
     """Start ``secondary_speed(*args, **kwargs)`` beside the caller's own work
     and yield a function that returns its result.
 
-    The call runs in a forked worker process only where that process finds
-    a CPU left idle: this process may use two or more CPUs, it was not
-    itself started by ``multiprocessing`` (a ``sweep`` pool process, whose
-    siblings take the other CPUs), and OpenBLAS runs one thread (unpinned,
-    this process's BLAS threads already use every CPU).  Otherwise
-    ``secondary_speed`` runs in-process when its result is asked for.
+    The call runs in a forked worker only where that worker finds a CPU left
+    idle: ``os.sched_getaffinity`` (not on macOS) gives this process two or
+    more CPUs, it was not itself started by ``multiprocessing`` (a ``sweep``
+    pool process, whose siblings take the other CPUs), and OpenBLAS runs one
+    thread (unpinned, this process's BLAS threads already use every CPU).
+    Otherwise ``secondary_speed`` runs in-process when its result is asked for.
 
     The worker is the one process of a fork-context ``ProcessPoolExecutor``,
     which forks it before it starts its manager thread, so this process runs
@@ -383,8 +383,8 @@ def _started_secondary(*args, **kwargs):
     leaves without the result.  A worker that dies raises
     ``BrokenProcessPool``, a ``RuntimeError``.
     """
-    if (len(os.sched_getaffinity(0)) < 2 or multiprocessing.parent_process() is not None
-            or _blas_threads() != 1):
+    if (not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
+            or multiprocessing.parent_process() is not None or _blas_threads() != 1):
         yield lambda: secondary_speed(*args, **kwargs)
         return
     with concurrent.futures.ProcessPoolExecutor(

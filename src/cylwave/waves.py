@@ -147,18 +147,8 @@ def _wave_residual(model, grid, values, c):
     return r
 
 
-@dataclass
-class _NewtonWork:
-    """What the polishes of one wave share: the chord factorization and the
-    work counted so far (Newton iterations, Jacobian factorizations)."""
-    lu: spla.SuperLU | None = None
-    iterations: int = 0
-    factorizations: int = 0
-
-
 def freeze_frame(model: ReactionModel, grid: CylinderGrid, seed: Field,
-                 c_seed: float, work: _NewtonWork | None = None
-                 ) -> tuple[float, Field, int, float]:
+                 c_seed: float) -> tuple[float, Field, int, float, int]:
     """Pseudo-transient continuation from a front-like seed to the centred wave.
 
     Implicit Euler in pseudo-time on the freezing system of Beyn & Thuemmler
@@ -187,8 +177,7 @@ def freeze_frame(model: ReactionModel, grid: CylinderGrid, seed: Field,
     first translated by ``shift`` to put its mid-level at z = 0, and a shift
     of half the window length or more raises SeedBasinError as well.
     ``CONTINUATION_MAX_STEPS`` steps without reaching ``NEWTON_TOL`` raise
-    WaveSolverError.  Returns (speed, wave, steps, shift); the
-    factorizations are counted in ``work``.
+    WaveSolverError.  Returns (speed, wave, steps, shift, factorizations).
     """
     seed = apply_boundary(seed)
     left = section_energy(CrossSectionField(grid, seed.values[:, 0].copy()), model)
@@ -202,11 +191,9 @@ def freeze_frame(model: ReactionModel, grid: CylinderGrid, seed: Field,
                              % (shift, 0.5 * grid.window_length))
     if shift != 0.0:
         seed = translate(seed, shift)
-    work = _NewtonWork() if work is None else work
-    start = work.iterations
-    values, c = _newton_polish(model, grid, seed.values, float(c_seed),
-                               max_iter=CONTINUATION_MAX_STEPS, work=work, tau=TAU0)
-    return c, Field(grid, values), work.iterations - start, shift
+    values, c, steps, factorizations = _newton_polish(
+        model, grid, seed.values, float(c_seed), max_iter=CONTINUATION_MAX_STEPS, tau=TAU0)
+    return c, Field(grid, values), steps, shift, factorizations
 
 
 def _mid_level(grid: CylinderGrid, values: np.ndarray) -> float:
@@ -237,7 +224,7 @@ def _phase_vector(grid: CylinderGrid, u: np.ndarray) -> np.ndarray:
     return p.ravel()
 
 
-def _newton_polish(model, grid, values, c, max_iter=40, work=None, tau=np.inf):
+def _newton_polish(model, grid, values, c, max_iter=40, tau=np.inf):
     """Bordered Newton on (profile, speed) with the mid-level phase condition.
 
     The phase ``p.u`` (``_phase_vector``) pins the front's mid-level at
@@ -251,20 +238,19 @@ def _newton_polish(model, grid, values, c, max_iter=40, work=None, tau=np.inf):
 
     The residual and ``dG/dc`` (a central difference in ``c``) are applied
     matrix-free; ``transport_operator`` is assembled only to be factored.  On
-    every grid the ``splu`` factorization is kept in ``work`` and reused (the
-    chord method, Kelley, *Solving Nonlinear Equations with Newton's Method*,
-    SIAM 2003, ch. 2), across iterations and across the calls that share
-    ``work``.  A chord step is taken whole when it at least halves the merit;
-    otherwise it is dropped, the block is factored at the current iterate,
-    and that step is damped by halving until the merit falls.  When no
-    damped step lowers a merit already within ``100 NEWTON_TOL`` (the roundoff
-    floor), the current, best iterate is returned; above it the polish
-    raises, as it does after ``max_iter`` iterations.  An iterate whose sup
-    falls below a quarter of the start's, or whose every section stays above
-    three quarters of it, is no front and raises SeedBasinError.
+    every grid the ``splu`` factorization is kept and reused across this
+    call's iterations (the chord method, Kelley, *Solving Nonlinear Equations
+    with Newton's Method*, SIAM 2003, ch. 2).  A chord step is taken whole
+    when it at least halves the merit; otherwise it is dropped, the block is
+    factored at the current iterate, and that step is damped by halving until
+    the merit falls.  When no damped step lowers a merit already within
+    ``100 NEWTON_TOL`` (the roundoff floor), the current, best iterate is
+    returned; above it the polish raises, as it does after ``max_iter``
+    iterations.  An iterate whose sup falls below a quarter of the start's,
+    or whose every section stays above three quarters of it, is no front and
+    raises SeedBasinError.  Returns (values, c, iterations, factorizations).
     """
-    if work is None:
-        work = _NewtonWork()
+    lu, iterations, factorizations = None, 0, 0
     pinned = grid.dirichlet_mask.ravel()
     u = values.ravel().copy()
     u[pinned] = 0.0
@@ -289,21 +275,21 @@ def _newton_polish(model, grid, values, c, max_iter=40, work=None, tau=np.inf):
     for _ in range(max_iter):
         if merit <= NEWTON_TOL:
             break
-        work.iterations += 1
+        iterations += 1
         U = u.reshape(grid.shape)
         Gc = (_apply_transport(grid, U, c + hc)
               - _apply_transport(grid, U, c - hc)).ravel() / (2 * hc)
         rhs = np.column_stack([G, Gc])
-        if work.lu is not None:
-            du, dc = bordered(*work.lu.solve(rhs).T)
+        if lu is not None:
+            du, dc = bordered(*lu.solve(rhs).T)
             u_try, c_try = u + du, c + dc
             G_try, _, m_try = residual(u_try, c_try)
-        if work.lu is None or not m_try <= 0.5 * merit:
+        if lu is None or not m_try <= 0.5 * merit:
             # Pinned rows of the operator are zero, so unit diagonal entries
             # there make identity rows enforcing the pinned values.
             fu = eval_f_u(model, grid, U).ravel()
             jac_diag = np.where(pinned, 1.0, fu - 1.0 / tau)
-            work.lu = None  # free the stale factors first
+            lu = None  # free the stale factors first
             try:
                 # the block is structurally symmetric with a diagonal that
                 # outweighs each row's couplings up to f_u, so SuperLU's
@@ -311,12 +297,12 @@ def _newton_polish(model, grid, values, c, max_iter=40, work=None, tau=np.inf):
                 # fills in less than the default column ordering: on the
                 # stacked grid its factor is 40% smaller and solves 1.8x faster
                 J = transport_operator(grid, c) + sp.diags(jac_diag)
-                work.lu = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                                    diag_pivot_thresh=0.0)
-                s1, s2 = work.lu.solve(rhs).T
+                lu = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                               diag_pivot_thresh=0.0)
+                s1, s2 = lu.solve(rhs).T
             except RuntimeError as exc:
                 raise WaveSolverError("bordered Newton solve failed: %s" % exc)
-            work.factorizations += 1
+            factorizations += 1
             du, dc = bordered(s1, s2)
             stepsize = 1.0
             for _ in range(10):
@@ -343,11 +329,11 @@ def _newton_polish(model, grid, values, c, max_iter=40, work=None, tau=np.inf):
             raise SeedBasinError("iterate filled the window")
     if merit > 100 * NEWTON_TOL:
         raise WaveSolverError("no convergence in %d steps: merit %.3g" % (max_iter, merit))
-    return u.reshape(grid.shape), c
+    return u.reshape(grid.shape), c, iterations, factorizations
 
 
 def _wave_solution(model: ReactionModel, grid: CylinderGrid, values: np.ndarray,
-                   c: float, work: _NewtonWork, **extra) -> WaveSolution:
+                   c: float, **counts) -> WaveSolution:
     """The solved wave, once its residual is checked against RESIDUAL_LIMIT;
     it records (but does not enforce) axial monotonicity."""
     res = float(np.max(np.abs(_wave_residual(model, grid, values, c))))
@@ -361,18 +347,16 @@ def _wave_solution(model: ReactionModel, grid: CylinderGrid, values: np.ndarray,
         residual=res,
         plateau=CrossSectionField(grid, values[:, 0].copy()),
         monotone=bool(np.all(np.diff(values, axis=1) <= 1e-12)),
-        factorizations=work.factorizations,
-        **extra,
+        **counts,
     )
 
 
 def _solve_level(model: ReactionModel, grid: CylinderGrid, seed: Field,
                  c_seed: float) -> WaveSolution:
     """One level: the continuation from the seed, its residual checked."""
-    work = _NewtonWork()
-    c, wave, steps, shift = freeze_frame(model, grid, seed, c_seed, work=work)
-    return _wave_solution(model, grid, wave.values, c, work, normalization_shift=shift,
-                          continuation_steps=steps)
+    c, wave, steps, shift, factorizations = freeze_frame(model, grid, seed, c_seed)
+    return _wave_solution(model, grid, wave.values, c, normalization_shift=shift,
+                          continuation_steps=steps, factorizations=factorizations)
 
 
 def _nested(coarse: WaveSolution, grid: CylinderGrid,
@@ -433,10 +417,9 @@ def refine_solution(ws: WaveSolution, grid: CylinderGrid,
             rows = vals.T
             vals = hermite(ws.grid.y, rows, pchip_slopes(rows, ws.grid.dy), grid.y).T
     vals = apply_boundary(Field(grid, vals)).values
-    work = _NewtonWork()
-    vals, c = _newton_polish(model, grid, vals, ws.speed, work=work)
-    return _wave_solution(model, grid, vals, c, work, normalization_shift=0.0,
-                          newton_iterations=work.iterations)
+    vals, c, iterations, factorizations = _newton_polish(model, grid, vals, ws.speed)
+    return _wave_solution(model, grid, vals, c, normalization_shift=0.0,
+                          newton_iterations=iterations, factorizations=factorizations)
 
 
 # ---------------------------------------------------------------------------

@@ -210,7 +210,7 @@ class TestSecondaryWorker:
             parsed = read_manifest(out / "manifest.txt")
             sections.append((parsed["results"], parsed.get("files")))
         assert sections[0] == sections[1]
-        # the secondary wave's Richardson estimate crossed the pipe
+        # the secondary wave's Richardson estimate came back from the worker
         assert float(sections[0][0]["secondary_speed_err_est"]) < 0.0
         worker, here = map(int, pids.read_text().split())
         assert worker != os.getpid() and here == os.getpid()
@@ -227,7 +227,7 @@ class TestSecondaryWorker:
         with pytest.raises(type(exc)) as info:
             run_scenario(parse_config(SECONDARY_NEUMANN), str(tmp_path))
         assert type(info.value) is type(exc) and str(info.value) == str(exc)
-        assert info.value is not exc  # it came through the pipe
+        assert info.value is not exc  # it was pickled back from the worker
         # chained to the worker's own traceback
         assert "in failing\n" in str(info.value.__cause__)
         assert multiprocessing.active_children() == []
@@ -267,9 +267,9 @@ class TestSecondaryWorker:
         assert multiprocessing.active_children() == []
 
     def test_primary_failure_does_not_wait_on_a_blocked_worker(self, tmp_path, monkeypatch):
-        # the worker's result (1 MB) does not fit in the pipe's buffer, so the
-        # worker blocks in send until it is read; the primary solve fails
-        # instead of reading it, and the scenario must still return
+        # the worker's result (1 MB) is more than a pipe buffers; the
+        # executor's thread reads it as it is sent, the primary solve fails
+        # without asking for it, and the scenario must still return
         ready = tmp_path / "worker_done"
 
         def large_result(*args, **kwargs):
@@ -280,7 +280,7 @@ class TestSecondaryWorker:
             deadline = time.monotonic() + 30.0
             while not ready.exists() and time.monotonic() < deadline:
                 time.sleep(0.01)
-            time.sleep(0.2)  # let the worker reach its send
+            time.sleep(0.2)  # let the worker return its result
             raise WaveSolverError("primary failed")
 
         def hung(signum, frame):
@@ -320,6 +320,23 @@ class TestSecondaryWorker:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
+
+    def test_no_cpu_affinity_call_runs_in_process(self, tmp_path, monkeypatch):
+        # os.sched_getaffinity exists only where the OS has it (not on
+        # macOS); without it the secondary wave is solved here
+        pids = []
+        inner = scenarios.secondary_speed
+
+        def recorded(*args, **kwargs):
+            pids.append(os.getpid())
+            return inner(*args, **kwargs)
+
+        _allow_cpus(monkeypatch, 2)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(scenarios, "secondary_speed", recorded)
+        assert run_scenario(parse_config(SECONDARY_NEUMANN), str(tmp_path)).passed()
+        assert pids == [os.getpid()]
         assert multiprocessing.active_children() == []
 
     def test_worker_forked_while_one_thread_runs(self, tmp_path, monkeypatch):

@@ -152,26 +152,32 @@ class TestSolveWave:
         with pytest.raises(SeedBasinError, match="not front-like"):
             solve_wave(model, g, Field(g, vals[None, :]), c_seed=0.1)
 
-    def test_non_front_like_seed_rejected_before_any_step(self):
+    def test_non_front_like_seed_rejected_before_any_step(self, monkeypatch):
         # a plateau of 0.5 barely above the threshold 0.45 has positive
         # section energy: the seed is no front, and no step is taken
         g = wave_grid(n_z=401, z=(-20.0, 20.0))
-        work = waves._NewtonWork()
+        calls = []
+        monkeypatch.setattr(waves, "_newton_polish", lambda *a, **k: calls.append(a))
         with pytest.raises(SeedBasinError, match="not front-like"):
-            waves.freeze_frame(CubicBistable(a=0.45), g, front_seed(g, 0.5),
-                               c_seed=0.1, work=work)
-        assert work.iterations == 0
-        assert work.factorizations == 0
+            waves.freeze_frame(CubicBistable(a=0.45), g, front_seed(g, 0.5), c_seed=0.1)
+        assert calls == []
 
-    def test_collapse_inside_continuation_raises(self):
+    def test_collapse_inside_continuation_raises(self, monkeypatch):
         # a decaying reaction pulls a unit front toward zero; the in-loop
-        # check names the collapse
+        # check names the collapse after at least one accepted step (the
+        # start and every accepted iterate build their own phase vector)
         g = wave_grid(n_z=401, z=(-20.0, 20.0))
-        work = waves._NewtonWork()
+        phases = []
+
+        def counted(*args, _inner=waves._phase_vector):
+            phases.append(args)
+            return _inner(*args)
+
+        monkeypatch.setattr(waves, "_phase_vector", counted)
         with pytest.raises(SeedBasinError, match="collapsed toward zero"):
             waves._newton_polish(LinearModel(mu=-1.0), g, front_seed(g, 1.0).values,
-                                 0.2, work=work, tau=waves.TAU0)
-        assert work.iterations > 0
+                                 0.2, tau=waves.TAU0)
+        assert len(phases) >= 2
 
     def test_zero_mode_defect_shrinks_second_order(self, cubic_wave):
         model, base = cubic_wave
@@ -557,37 +563,40 @@ class TestNewtonPolish:
 
         monkeypatch.setattr(waves, "_wave_residual", spy)
         monkeypatch.setattr(waves, "NEWTON_TOL", 1e-14)
-        work = waves._NewtonWork()
-        u, c = waves._newton_polish(model, g, ws.profile.values, ws.speed, work=work)
+        u, c, iterations, _ = waves._newton_polish(model, g, ws.profile.values, ws.speed)
         merit = float(np.max(np.abs(true_residual(model, g, u, c))))
         assert merit == min(seen)
-        assert work.iterations <= 10 and len(seen) <= 100
+        assert iterations <= 10 and len(seen) <= 100
 
-    def test_stale_factorization_is_replaced(self):
-        # a factorization kept from the wave of a faster model (speed 0.54
-        # against 0.35) makes chord steps that do not halve the merit; the
-        # polish must re-factor and land where a fresh polish from the same
-        # start lands
+    def test_translated_wave_is_recentred(self):
+        # the phase pins the mid-level: a polish from the wave moved by 6
+        # re-centres it
         g = build_grid(GridConfig(n_y=17, n_z=451, y_min=0.0, y_max=1.0,
                                   z_min=-30.0, z_max=15.0))
         model = HeterogeneousCubic(a0=0.25, a1=0.1)
         cp = find_critical_point(model, g, CrossSectionField(g, np.full(17, 0.9)))
         ws = solve_wave(model, g, front_seed(g, cp.v), c_seed=0.2)
-        # the phase pins the mid-level: a polish from the wave moved by 6
-        # re-centres it
-        u, c = waves._newton_polish(model, g, translate(ws.profile, 6.0).values, ws.speed)
+        u, c, _, _ = waves._newton_polish(model, g, translate(ws.profile, 6.0).values,
+                                          ws.speed)
         assert c == pytest.approx(ws.speed, rel=1e-10)
         assert np.max(np.abs(u - ws.profile.values)) <= 1e-10
-        stale = waves._NewtonWork()
-        waves._newton_polish(HeterogeneousCubic(a0=0.12, a1=0.1), g, ws.profile.values,
-                             ws.speed, work=stale)
-        assert stale.factorizations == 1
-        start, c0 = translate(ws.profile, 0.3).values, 1.02 * ws.speed
-        u_clean, c_clean = waves._newton_polish(model, g, start, c0)
-        u, c = waves._newton_polish(model, g, start, c0, work=stale)
-        assert stale.factorizations >= 2
-        assert c == pytest.approx(c_clean, rel=1e-10)
-        assert np.max(np.abs(u - u_clean)) <= 1e-10
+
+    def test_continuation_refactors_within_one_call(self):
+        # the stacked config's primary wave on its 33x186 half grid: the
+        # chord from the seed stops halving the merit on the way, so one
+        # continuation factors its block again (3 times over 16 steps), and
+        # lands on the speed solve_wave's half-grid level finds
+        g = build_grid(GridConfig(n_y=65, n_z=371, y_min=0.0, y_max=16.0,
+                                  z_min=-25.0, z_max=12.0, bc_left="dirichlet",
+                                  bc_right="dirichlet"))
+        model = StackedBistable(a1=0.05, a2=0.5, a3=0.7, scale=20.0)
+        seed = front_seed(g, _plateau_state(model, g, 0.55).v)
+        coarse = half_grid(g)
+        c, _, steps, _, factorizations = waves.freeze_frame(
+            model, coarse, Field(coarse, seed.values[::2, ::2]), 0.15)
+        assert (coarse.n_y, coarse.n_z) == (33, 186)
+        assert factorizations >= 2 and steps > factorizations
+        assert c == solve_wave(model, g, seed, 0.15).coarse.speed
 
     def test_stacked_config_speeds_unchanged(self, tmp_path):
         # values of the shipped stacked config with one factorization per
