@@ -275,32 +275,45 @@ def symmetrized_section_operator(grid: CylinderGrid) -> tuple[slice, np.ndarray,
     return rows, w, w[:, None] * Ay / w[None, :]
 
 
-def transport_operator(grid: CylinderGrid, c: float) -> sp.csr_matrix:
-    """Sparse discrete ``Delta + c d/dz`` with the grid's boundary conventions.
+def transport_operator(grid: CylinderGrid, c: float,
+                       diag: np.ndarray | None = None) -> sp.csc_matrix:
+    """Sparse discrete ``Delta + c d/dz``, rows at Dirichlet-pinned nodes zero
+    (matching apply_boundary), plus ``diag`` (raveled) on the main diagonal.
 
-    Rows at Dirichlet-pinned nodes are zero (the operator maps pinned values
-    to zero, matching apply_boundary).  Acts on row-major raveled fields.
-    Assembled afresh, for factoring; products use ``_apply_transport``.
+    Five diagonals in one call: the axial bands tiled over the sections at
+    offsets 0 and +-1, ``_section_operator``'s at +-n_z.  Acts on row-major
+    raveled fields; assembled for factoring, products use ``_apply_transport``.
     """
+    n_y, n_z = grid.shape
+    Ay = _section_operator(grid)
+    rows = np.zeros((5, n_y, n_z))  # row r's coupling to node r + offset
+    rows[:3] = np.array(axial_bands(grid, c))[:, None, :]
+    rows[1] += Ay.diagonal()[:, None]
+    rows[3, 1:] = Ay.diagonal(-1)[:, None]
+    rows[4, :-1] = Ay.diagonal(1)[:, None]
+    rows[:, grid.dirichlet_mask] = 0.0
+    if diag is not None:
+        rows[1] += diag.reshape(grid.shape)
+    rows = rows.reshape(5, -1)  # on a 1D grid the +-n_z bands are empty
+    return sp.diags([rows[0, 1:], rows[1], rows[2, :-1], rows[3, n_z:], rows[4, :-n_z]],
+                    [-1, 0, 1, -n_z, n_z], format="csc")
+
+
+def _apply_axial(grid: CylinderGrid, values: np.ndarray, c: float) -> np.ndarray:
+    """The axial bands' product along the last axis, pinned nodes not zeroed:
+    the part of ``_apply_transport`` that depends on ``c``."""
     lower, diag, upper = axial_bands(grid, c)
-    A = sp.diags([lower[1:], diag, upper[:-1]], offsets=[-1, 0, 1], format="csr")
-    if grid.n_y > 1:
-        A = sp.kron(sp.identity(grid.n_y, format="csr"), A, format="csr") + sp.kron(
-            _section_operator(grid), sp.identity(grid.n_z, format="csr"), format="csr")
-    mask = grid.dirichlet_mask.ravel()
-    if mask.any():
-        A = sp.diags((~mask).astype(float)) @ A
-    return A.tocsr()
+    out = diag * values
+    out[..., 1:] += lower[1:] * values[..., :-1]
+    out[..., :-1] += upper[:-1] * values[..., 1:]
+    return out
 
 
 def _apply_transport(grid: CylinderGrid, values: np.ndarray, c: float) -> np.ndarray:
     """``transport_operator(grid, c) @ values`` from the axial bands (rows) and
     ``_section_operator`` (columns), assembling nothing; any ``c`` is taken.
     ``values`` may stack fields on leading axes; each is mapped on its own."""
-    lower, diag, upper = axial_bands(grid, c)
-    out = diag * values
-    out[..., 1:] += lower[1:] * values[..., :-1]
-    out[..., :-1] += upper[:-1] * values[..., 1:]
+    out = _apply_axial(grid, values, c)
     if grid.n_y > 1:
         cols = np.moveaxis(values, -2, 0)
         Ay = _section_operator(grid) @ cols.reshape(grid.n_y, -1)

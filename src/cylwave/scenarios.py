@@ -400,10 +400,11 @@ def _run_secondary(cfg, out_dir, manifest):
     (``secondary_speed``) is solved in a forked worker process while this
     process solves the primary one, where the worker finds an idle CPU (see
     ``_started_secondary``); elsewhere both run here, one after the other.
-    The worker still pays with both waves on two levels: on 2 CPUs the
-    stacked config's ``solve_s`` was 0.23 s with it and 0.35 s in-process,
-    and a start costs about 10 ms.  Spans and profilers of this process
-    do not see the worker.
+    Its gain depends on a free second CPU: on 2 vCPUs the stacked config's
+    ``solve_s`` read 0.23 s with it and 0.35 s in-process (``BENCH_10.json``),
+    but 0.38 s against 0.30 s once the Newton factorization got cheaper
+    (medians of 12 alternating fresh processes); a start costs about 10 ms.
+    Spans and profilers of this process do not see the worker.
     """
     grid, model = cfg.make_grid(), cfg.make_model()
     plateau = _plateau_state(model, grid, cfg.plateau_seed)

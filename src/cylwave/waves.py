@@ -35,8 +35,8 @@ import scipy.sparse.linalg as spla
 
 from .evolve import flow_weights
 from .grids import (CrossSectionField, CylinderGrid, Field, GridConfig,
-                    _apply_transport, apply_boundary, axial_derivative, build_grid,
-                    half_grid, transport_operator)
+                    _apply_axial, _apply_transport, apply_boundary, axial_derivative,
+                    build_grid, half_grid, transport_operator)
 from .reactions import ReactionModel, ShiftedModel, eval_f, eval_f_u
 from .sections import (CriticalPoint, SectionSolverError, find_critical_point,
                        section_energy)
@@ -49,6 +49,10 @@ RESIDUAL_LIMIT = 1e-8
 TAU0 = 100.0
 # pseudo-time steps before the continuation counts as failed
 CONTINUATION_MAX_STEPS = 200
+# SuperLU's symmetric mode (minimum degree on A + A^T, diagonal pivots) with the
+# smallest supernodes, for the Newton block and the gap's shifted operator (which
+# is symmetric positive definite, so diagonal pivots are safe); see README
+SPLU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1, panel_size=1)
 
 
 class WaveSolverError(RuntimeError):
@@ -224,6 +228,14 @@ def _phase_vector(grid: CylinderGrid, u: np.ndarray) -> np.ndarray:
     return p.ravel()
 
 
+def _speed_derivative(grid: CylinderGrid, U: np.ndarray, c: float, hc: float) -> np.ndarray:
+    """``dG/dc`` at ``U``, zero at pinned nodes: the central difference of the
+    axial product alone, since nothing else in ``G`` depends on ``c``."""
+    Gc = (_apply_axial(grid, U, c + hc) - _apply_axial(grid, U, c - hc)) / (2 * hc)
+    Gc[grid.dirichlet_mask] = 0.0
+    return Gc
+
+
 def _newton_polish(model, grid, values, c, max_iter=40, tau=np.inf):
     """Bordered Newton on (profile, speed) with the mid-level phase condition.
 
@@ -236,14 +248,15 @@ def _newton_polish(model, grid, values, c, max_iter=40, tau=np.inf):
     free nodes), and ``tau`` grows by ``merit_old / merit_new`` after every
     step (freeze_frame).
 
-    The residual and ``dG/dc`` (a central difference in ``c``) are applied
-    matrix-free; ``transport_operator`` is assembled only to be factored.  On
-    every grid the ``splu`` factorization is kept and reused across this
-    call's iterations (the chord method, Kelley, *Solving Nonlinear Equations
-    with Newton's Method*, SIAM 2003, ch. 2).  A chord step is taken whole
-    when it at least halves the merit; otherwise it is dropped, the block is
-    factored at the current iterate, and that step is damped by halving until
-    the merit falls.  When no damped step lowers a merit already within
+    The residual is applied matrix-free, ``dG/dc`` is a central difference
+    of the axial product alone (``_speed_derivative``), and the block is
+    assembled as five diagonals only to be factored.  On every grid the
+    ``splu`` factorization is kept and reused across this call's iterations
+    (the chord method, Kelley, *Solving Nonlinear Equations with Newton's
+    Method*, SIAM 2003, ch. 2).  A chord step is taken whole when it at
+    least halves the merit; otherwise it is dropped, the block is factored
+    at the current iterate, and that step is damped by halving until the
+    merit falls.  When no damped step lowers a merit already within
     ``100 NEWTON_TOL`` (the roundoff floor), the current, best iterate is
     returned; above it the polish raises, as it does after ``max_iter``
     iterations.  An iterate whose sup falls below a quarter of the start's,
@@ -277,9 +290,7 @@ def _newton_polish(model, grid, values, c, max_iter=40, tau=np.inf):
             break
         iterations += 1
         U = u.reshape(grid.shape)
-        Gc = (_apply_transport(grid, U, c + hc)
-              - _apply_transport(grid, U, c - hc)).ravel() / (2 * hc)
-        rhs = np.column_stack([G, Gc])
+        rhs = np.column_stack([G, _speed_derivative(grid, U, c, hc).ravel()])
         if lu is not None:
             du, dc = bordered(*lu.solve(rhs).T)
             u_try, c_try = u + du, c + dc
@@ -292,13 +303,8 @@ def _newton_polish(model, grid, values, c, max_iter=40, tau=np.inf):
             lu = None  # free the stale factors first
             try:
                 # the block is structurally symmetric with a diagonal that
-                # outweighs each row's couplings up to f_u, so SuperLU's
-                # symmetric mode (minimum degree on A + A^T, diagonal pivots)
-                # fills in less than the default column ordering: on the
-                # stacked grid its factor is 40% smaller and solves 1.8x faster
-                J = transport_operator(grid, c) + sp.diags(jac_diag)
-                lu = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                               diag_pivot_thresh=0.0)
+                # outweighs each row's couplings up to f_u: SPLU_OPTIONS
+                lu = spla.splu(transport_operator(grid, c, jac_diag), **SPLU_OPTIONS)
                 s1, s2 = lu.solve(rhs).T
             except RuntimeError as exc:
                 raise WaveSolverError("bordered Newton solve failed: %s" % exc)
@@ -490,11 +496,10 @@ def spectral_gap(ws: WaveSolution, model: ReactionModel) -> GapResult:
     """
     grid = ws.grid
     free = ~grid.dirichlet_mask.ravel()
-    A = transport_operator(grid, ws.speed)
     fu = eval_f_u(model, grid, ws.profile.values).ravel()
     w = flow_weights(grid, ws.measure(z_ref=0.0)).ravel()
 
-    L = (-(A + sp.diags(fu))).tocsr()[free][:, free]
+    L = (-transport_operator(grid, ws.speed, fu)).tocsr()[free][:, free]
     wf = w[free]
     S = sp.diags(wf) @ L
     d = 1.0 / np.sqrt(wf)
@@ -506,7 +511,7 @@ def spectral_gap(ws: WaveSolution, model: ReactionModel) -> GapResult:
     phiz_hat = phiz / np.linalg.norm(phiz)
 
     shift = -0.2 * (1.0 + float(np.max(np.abs(fu))))
-    lu = spla.splu((Asym - shift * sp.identity(Asym.shape[0], format="csr")).tocsc())
+    lu = spla.splu((Asym - shift * sp.identity(Asym.shape[0])).tocsc(), **SPLU_OPTIONS)
     lam0, v0, res0, it0 = _lowest_eigenpair(Asym, lu, None)
     align = float(abs(v0 @ phiz_hat))
     gap, vg, resg, itg = _lowest_eigenpair(Asym, lu, phiz_hat)

@@ -2,13 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cylwave.grids import (DIRICHLET, NEUMANN, CrossSectionField, Field,
-                           GridConfig, GridError, _apply_transport, apply_boundary,
-                           axial_derivative, build_grid, half_grid, laplacian_advection,
-                           section_derivative, transport_operator)
+                           GridConfig, GridError, _apply_transport, _section_operator,
+                           apply_boundary, axial_bands, axial_derivative, build_grid,
+                           half_grid, laplacian_advection, section_derivative,
+                           transport_operator)
 
 
 def grid_1d(n_z=401, z=(-20.0, 20.0), axial_right=DIRICHLET):
@@ -235,6 +237,27 @@ class TestLaplacianAdvection:
             got = _apply_transport(g, u, c)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
             assert not got[g.dirichlet_mask].any()
+
+    @pytest.mark.parametrize("g", [
+        grid_1d(n_z=33),
+        grid_2d(n_y=7, n_z=33, bc=NEUMANN, axial_right=NEUMANN),
+        grid_2d(n_y=7, n_z=33, bc=DIRICHLET, axial_right=DIRICHLET),
+    ], ids=["1d", "neumann_2d", "dirichlet_2d"])
+    @pytest.mark.parametrize("c", [0.0, 0.37])
+    def test_five_diagonals_match_kron_assembly(self, g, c):
+        # reference: the axial block on every section plus the section
+        # operator on every axial node, pinned rows zeroed by a mask product
+        lower, diag, upper = axial_bands(g, c)
+        ref = sp.kron(sp.identity(g.n_y), sp.diags([lower[1:], diag, upper[:-1]], [-1, 0, 1]))
+        if g.n_y > 1:
+            ref = ref + sp.kron(_section_operator(g), sp.identity(g.n_z))
+        ref = (sp.diags((~g.dirichlet_mask.ravel()).astype(float)) @ ref).tocsc()
+        A = transport_operator(g, c)
+        assert A.format == "csc" and A.shape == ref.shape
+        assert A.nnz == ref.nnz and (A != ref).nnz == 0
+        assert not A.toarray()[g.dirichlet_mask.ravel()].any()
+        d = np.random.default_rng(3).normal(size=g.n_y * g.n_z)
+        assert (transport_operator(g, c, d) != A + sp.diags(d)).nnz == 0
 
     def test_negative_speed_rejected(self):
         g = grid_1d(n_z=32)

@@ -3,8 +3,8 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from cylwave.evolve import flow_weights
-from cylwave.grids import (CrossSectionField, Field, GridConfig, build_grid,
-                           half_grid, transport_operator)
+from cylwave.grids import (CrossSectionField, Field, GridConfig, _apply_axial,
+                           _apply_transport, build_grid, half_grid, transport_operator)
 from cylwave.reactions import (CubicBistable, HeterogeneousCubic, LinearModel,
                                ShiftedModel, StackedBistable, eval_f_u)
 from cylwave.sections import find_critical_point
@@ -597,6 +597,56 @@ class TestNewtonPolish:
         assert (coarse.n_y, coarse.n_z) == (33, 186)
         assert factorizations >= 2 and steps > factorizations
         assert c == solve_wave(model, g, seed, 0.15).coarse.speed
+
+    @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+    def test_speed_derivative_from_the_axial_bands(self, bc):
+        # dG/dc differences the axial product alone; the full transport's
+        # difference adds the c-free section product A_y u to both terms.
+        # With a = A_z(c +- hc) u and b = A_y u, each rounded sum is off by at
+        # most eps/2 |a + b|, and each subtraction by eps/2 of its result,
+        # so the two quotients differ by at most
+        # eps/2 (|a+ + b| + |a- + b| + 2 |a+ - a-|) / (2 hc), plus the
+        # quotients' own rounding
+        g = build_grid(GridConfig(n_y=9, n_z=65, y_max=3.0, z_min=-6.0, z_max=4.0,
+                                  bc_left=bc, bc_right=bc))
+        u = np.random.default_rng(5).uniform(-1.0, 1.0, g.shape)
+        c = 0.37
+        hc = 1e-7 * (1.0 + c)
+        Gc = waves._speed_derivative(g, u, c, hc)
+        assert not Gc[g.dirichlet_mask].any()
+        full = (_apply_transport(g, u, c + hc) - _apply_transport(g, u, c - hc)) / (2 * hc)
+        a_plus, a_minus = _apply_axial(g, u, c + hc), _apply_axial(g, u, c - hc)
+        b = _apply_transport(g, u, 0.0) - _apply_axial(g, u, 0.0)
+        eps = np.finfo(float).eps
+        bound = (0.5 * eps * (np.abs(a_plus + b) + np.abs(a_minus + b)
+                              + 2.0 * np.abs(a_plus - a_minus)) / (2 * hc)
+                 + 2.0 * eps * np.abs(full))
+        free = ~g.dirichlet_mask
+        assert np.all(np.abs(Gc - full)[free] <= bound[free])
+        # the pinned nodes of the full difference are zero as well
+        assert not full[g.dirichlet_mask].any()
+
+    def test_stacked_newton_path(self, monkeypatch):
+        # (steps, factorizations) of every Newton solve of the stacked config's
+        # two waves, each on its 33x186 half grid and then on the 65x371 grid;
+        # a cheaper factorization must leave this path as it is
+        g = build_grid(GridConfig(n_y=65, n_z=371, y_min=0.0, y_max=16.0,
+                                  z_min=-25.0, z_max=12.0, bc_left="dirichlet",
+                                  bc_right="dirichlet"))
+        model = StackedBistable(a1=0.05, a2=0.5, a3=0.7, scale=20.0)
+        plateau = _plateau_state(model, g, 0.55)
+        counts, polish = [], waves._newton_polish
+
+        def spy(model, grid, *args, **kwargs):
+            values, c, iterations, factorizations = polish(model, grid, *args, **kwargs)
+            counts.append((grid.shape, iterations, factorizations))
+            return values, c, iterations, factorizations
+
+        monkeypatch.setattr(waves, "_newton_polish", spy)
+        solve_wave(model, g, front_seed(g, plateau.v), 0.15)
+        assert secondary_speed(model, g, plateau, c_seed=0.15).applicable
+        assert counts == [((33, 186), 16, 3), ((65, 371), 4, 1),
+                          ((33, 186), 32, 2), ((65, 371), 6, 1)]
 
     def test_stacked_config_speeds_unchanged(self, tmp_path):
         # values of the shipped stacked config with one factorization per
