@@ -105,7 +105,7 @@ def main(argv=None) -> int:
     ``gc.freeze()`` moves what exists by then, the imported modules above
     all, out of the collector's reach for the run and for interpreter exit.
     CPython documents ``gc.freeze`` for processes that ``fork()`` without
-    exec, as ``scenarios._started_secondary`` does.
+    exec, as ``sweep``'s process pool does under the fork start method.
     """
     parser = argparse.ArgumentParser(
         prog="cylwave",

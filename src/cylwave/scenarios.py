@@ -9,12 +9,8 @@ explicit note).
 
 from __future__ import annotations
 
-import concurrent.futures
-import contextlib
 import hashlib
-import multiprocessing
 import os
-import pickle
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -331,86 +327,23 @@ def _run_gap(cfg, out_dir, manifest):
     manifest.check("constraint_orthogonal", gap.constraint_residual <= 1e-10)
 
 
-# OpenBLAS takes its thread count from the first of these that holds a
-# positive integer when it loads, and starts one thread per CPU when none does
-_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _blas_threads():
-    """OpenBLAS's thread count as its environment sets it, or None if unset."""
-    for name in _BLAS_THREAD_VARIABLES:
-        value = os.environ.get(name, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value)
-    return None
-
-
-def _secondary(*args, **kwargs):
-    """``secondary_speed`` in the worker, looked up by name there (a wrapper
-    bound here at run time still runs).  An exception that would not
-    unpickle becomes a ``RuntimeError`` naming it, chained to it."""
-    try:
-        return secondary_speed(*args, **kwargs)
-    except Exception as exc:
-        try:
-            pickle.loads(pickle.dumps(exc))
-        except Exception:
-            raise RuntimeError("the worker process raised %r, which does not pickle"
-                               % exc) from exc
-        raise
-
-
-@contextlib.contextmanager
-def _started_secondary(*args, **kwargs):
-    """Start ``secondary_speed(*args, **kwargs)`` beside the caller's own work
-    and yield a function that returns its result.
-
-    The call runs in a forked worker only where that worker finds a CPU left
-    idle: ``os.sched_getaffinity`` (not on macOS) gives this process two or
-    more CPUs, it was not itself started by ``multiprocessing`` (a ``sweep``
-    pool process, whose siblings take the other CPUs), and OpenBLAS runs one
-    thread (unpinned, this process's BLAS threads already use every CPU).
-    Otherwise ``secondary_speed`` runs in-process when its result is asked for.
-
-    The worker is the one process of a fork-context ``ProcessPoolExecutor``,
-    which forks it before it starts its manager thread, so this process runs
-    one thread at the fork (the CLI and ``sweep``'s pool processes start no
-    other): the fork copies only the forking thread.  The arguments are
-    pickled on the way in (tens of kB).  The result, or the exception with
-    its own type and message chained to the worker's traceback, comes back
-    through the executor, whose thread reads it as soon as it is sent.  The
-    context exits after the worker has finished, also when the caller
-    leaves without the result.  A worker that dies raises
-    ``BrokenProcessPool``, a ``RuntimeError``.
-    """
-    if (not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
-            or multiprocessing.parent_process() is not None or _blas_threads() != 1):
-        yield lambda: secondary_speed(*args, **kwargs)
-        return
-    with concurrent.futures.ProcessPoolExecutor(
-            1, mp_context=multiprocessing.get_context("fork")) as pool:
-        yield pool.submit(_secondary, *args, **kwargs).result
-
-
 def _run_secondary(cfg, out_dir, manifest):
     """Primary and secondary speeds over the configured plateau, each with
     its two-level estimate.
 
-    Both waves depend only on the plateau, so the secondary one
-    (``secondary_speed``) is solved in a forked worker process while this
-    process solves the primary one, where the worker finds an idle CPU (see
-    ``_started_secondary``); elsewhere both run here, one after the other.
-    Its gain depends on a free second CPU: on 2 vCPUs the stacked config's
-    ``solve_s`` read 0.23 s with it and 0.35 s in-process (``BENCH_10.json``),
-    but 0.38 s against 0.30 s once the Newton factorization got cheaper
-    (medians of 12 alternating fresh processes); a start costs about 10 ms.
-    Spans and profilers of this process do not see the worker.
+    Both waves depend only on the plateau, and both are solved here, one
+    after the other.  A forked worker that solved the secondary wave beside
+    the primary one was slower on 2 vCPUs: the stacked config's ``solve_s``
+    read 0.321 s with it against 0.272 s here (medians of 10 pairs,
+    ``BENCH_15.json``).  Each wave takes about 0.15 s, and two busy
+    processes on two vCPUs slow each other by 1.3-1.8x (a pure-Python spin
+    took 0.62-0.86 s alone and 0.79-1.13 s beside a second copy), so the
+    overlap no longer pays for itself.
     """
     grid, model = cfg.make_grid(), cfg.make_model()
     plateau = _plateau_state(model, grid, cfg.plateau_seed)
-    with _started_secondary(model, grid, plateau, c_seed=cfg.c_seed) as secondary:
-        ws = solve_wave(model, grid, front_seed(grid, plateau.v), cfg.c_seed)
-        sec = secondary()
+    ws = solve_wave(model, grid, front_seed(grid, plateau.v), cfg.c_seed)
+    sec = secondary_speed(model, grid, plateau, c_seed=cfg.c_seed)
     manifest.results["plateau_max"] = float(np.max(plateau.v.values))
     manifest.results["speed"] = ws.speed
     manifest.results["speed_err_est"] = ws.speed_err_est

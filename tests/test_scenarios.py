@@ -2,9 +2,6 @@ import concurrent.futures
 import hashlib
 import multiprocessing
 import os
-import signal
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -170,188 +167,27 @@ class TestSecondaryWaiver:
         assert parsed["results"]["secondary_speed_err_est"] == "nan"
 
 
-def _allow_cpus(monkeypatch, n, **blas_env):
-    """Let the scenarios see ``n`` usable CPUs and only the BLAS thread
-    variables given (OpenBLAS pinned to one thread by default), whatever the
-    machine and the environment have."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    for name in scenarios._BLAS_THREAD_VARIABLES:
-        monkeypatch.delenv(name, raising=False)
-    for name, value in (blas_env or {"OPENBLAS_NUM_THREADS": "1"}).items():
-        monkeypatch.setenv(name, value)
-
-
-class UnpicklableError(Exception):
-    """Pickles, but does not unpickle: its one argument is not its message."""
-
-    def __init__(self, what, where):
-        super().__init__("%s at %s" % (what, where))
-
-
-class TestSecondaryWorker:
-    """The secondary wave runs in a forked worker where it finds an idle CPU."""
-
-    def test_one_cpu_gives_the_worker_results(self, tmp_path, monkeypatch):
-        # each run records the process that solved the secondary wave
-        pids = tmp_path / "pids.txt"
-        inner = scenarios.secondary_speed
-
-        def recorded(*args, **kwargs):
-            with open(pids, "a") as fh:
-                fh.write("%d\n" % os.getpid())
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(scenarios, "secondary_speed", recorded)
-        sections = []
-        for cpus in (2, 1):
-            _allow_cpus(monkeypatch, cpus)
-            out = tmp_path / ("cpus%d" % cpus)
-            assert run_scenario(parse_config_file(STACKED), str(out)).passed()
-            parsed = read_manifest(out / "manifest.txt")
-            sections.append((parsed["results"], parsed.get("files")))
-        assert sections[0] == sections[1]
-        # the secondary wave's Richardson estimate came back from the worker
-        assert float(sections[0][0]["secondary_speed_err_est"]) < 0.0
-        worker, here = map(int, pids.read_text().split())
-        assert worker != os.getpid() and here == os.getpid()
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("exc", [WaveSolverError("Newton stalled at residual 1e-3"),
-                                     KeyError("speed")])
-    def test_worker_exception_reaches_the_caller(self, tmp_path, monkeypatch, exc):
-        def failing(*args, **kwargs):
-            raise exc
-
-        _allow_cpus(monkeypatch, 2)
-        monkeypatch.setattr(scenarios, "secondary_speed", failing)
-        with pytest.raises(type(exc)) as info:
-            run_scenario(parse_config(SECONDARY_NEUMANN), str(tmp_path))
-        assert type(info.value) is type(exc) and str(info.value) == str(exc)
-        assert info.value is not exc  # it was pickled back from the worker
-        # chained to the worker's own traceback
-        assert "in failing\n" in str(info.value.__cause__)
-        assert multiprocessing.active_children() == []
-
-    def test_unpicklable_worker_exception_keeps_its_message(self, tmp_path, monkeypatch):
-        def failing(*args, **kwargs):
-            raise UnpicklableError("Newton stalled", "step 7")
-
-        _allow_cpus(monkeypatch, 2)
-        monkeypatch.setattr(scenarios, "secondary_speed", failing)
-        with pytest.raises(RuntimeError, match="UnpicklableError.'Newton stalled at step 7'"
-                                               ".*does not pickle") as info:
-            run_scenario(parse_config(SECONDARY_NEUMANN), str(tmp_path))
-        assert "in failing\n" in str(info.value.__cause__)
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("cpus, blas_env, forked", [
-        (2, {"OPENBLAS_NUM_THREADS": "1"}, True),
-        (2, {"OMP_NUM_THREADS": "1"}, True),
-        (2, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
-        (1, {"OPENBLAS_NUM_THREADS": "1"}, False),
-        (2, {"OMP_NUM_THREADS": ""}, False),  # unpinned: one BLAS thread per CPU
-        (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
-        (2, {"GOTO_NUM_THREADS": "4"}, False),
-    ])
-    def test_worker_forked_only_beside_an_idle_cpu(self, tmp_path, monkeypatch, cpus,
-                                                   blas_env, forked):
-        def report_pid(*args, **kwargs):
-            raise WaveSolverError(str(os.getpid()))
-
-        _allow_cpus(monkeypatch, cpus, **blas_env)
-        monkeypatch.setattr(scenarios, "solve_wave", lambda *args, **kwargs: None)
-        monkeypatch.setattr(scenarios, "secondary_speed", report_pid)
-        with pytest.raises(WaveSolverError) as info:
-            run_scenario(parse_config(SECONDARY_NEUMANN), str(tmp_path))
-        assert (int(str(info.value)) != os.getpid()) == forked
-        assert multiprocessing.active_children() == []
-
-    def test_primary_failure_does_not_wait_on_a_blocked_worker(self, tmp_path, monkeypatch):
-        # the worker's result (1 MB) is more than a pipe buffers; the
-        # executor's thread reads it as it is sent, the primary solve fails
-        # without asking for it, and the scenario must still return
-        ready = tmp_path / "worker_done"
-
-        def large_result(*args, **kwargs):
-            ready.touch()
-            return np.zeros(1 << 17)
-
-        def failing_primary(*args, **kwargs):
-            deadline = time.monotonic() + 30.0
-            while not ready.exists() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            time.sleep(0.2)  # let the worker return its result
-            raise WaveSolverError("primary failed")
-
-        def hung(signum, frame):
-            pytest.fail("the scenario hung on its worker")
-
-        _allow_cpus(monkeypatch, 2)
-        monkeypatch.setattr(scenarios, "secondary_speed", large_result)
-        monkeypatch.setattr(scenarios, "solve_wave", failing_primary)
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(30)
-        try:
-            with pytest.raises(WaveSolverError, match="^primary failed$"):
-                run_scenario(parse_config(SECONDARY_NEUMANN), str(tmp_path / "out"))
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-            for proc in multiprocessing.active_children():
-                proc.kill()
-                proc.join()
-        assert ready.exists()
-        assert multiprocessing.active_children() == []
-
-    def test_dead_worker_raises_without_hanging(self, tmp_path, monkeypatch):
-        def dying(*args, **kwargs):
-            os._exit(3)
-
-        def hung(signum, frame):
-            pytest.fail("the scenario hung on its dead worker")
-
-        _allow_cpus(monkeypatch, 2)
-        monkeypatch.setattr(scenarios, "secondary_speed", dying)
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(30)
-        try:
-            with pytest.raises(RuntimeError):
-                run_scenario(parse_config(SECONDARY_NEUMANN), str(tmp_path))
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        assert multiprocessing.active_children() == []
-
-    def test_no_cpu_affinity_call_runs_in_process(self, tmp_path, monkeypatch):
-        # os.sched_getaffinity exists only where the OS has it (not on
-        # macOS); without it the secondary wave is solved here
-        pids = []
-        inner = scenarios.secondary_speed
+class TestSecondaryInProcess:
+    def test_both_waves_solved_in_the_calling_process(self, tmp_path, monkeypatch):
+        # two usable CPUs and OpenBLAS on one thread: no second process
+        pids, forks = [], []
+        inner, fork = scenarios.secondary_speed, os.fork
 
         def recorded(*args, **kwargs):
             pids.append(os.getpid())
             return inner(*args, **kwargs)
 
-        _allow_cpus(monkeypatch, 2)
-        monkeypatch.delattr(os, "sched_getaffinity")
-        monkeypatch.setattr(scenarios, "secondary_speed", recorded)
-        assert run_scenario(parse_config(SECONDARY_NEUMANN), str(tmp_path)).passed()
-        assert pids == [os.getpid()]
-        assert multiprocessing.active_children() == []
-
-    def test_worker_forked_while_one_thread_runs(self, tmp_path, monkeypatch):
-        # the fork start method copies only the forking thread
-        threads = []
-        fork = os.fork
-
         def counted_fork():
-            threads.append(threading.active_count())
+            forks.append(os.getpid())
             return fork()
 
-        _allow_cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.setattr(os, "fork", counted_fork)
-        assert run_scenario(parse_config(SECONDARY_NEUMANN), str(tmp_path)).passed()
-        assert threads == [1]
+        monkeypatch.setattr(scenarios, "secondary_speed", recorded)
+        assert run_scenario(parse_config_file(STACKED), str(tmp_path)).passed()
+        assert pids == [os.getpid()]
+        assert forks == []
         assert multiprocessing.active_children() == []
 
 
@@ -482,8 +318,8 @@ class TestCli:
 
     def test_sweep_solves_the_secondary_wave_in_its_pool_process(self, tmp_path,
                                                                  monkeypatch):
-        # the pool's other process takes the second CPU, so the stacked
-        # config forks no worker from inside a pool process
+        # the pool process that runs the stacked config solves its
+        # secondary wave itself
         parents = tmp_path / "parents.txt"
         inner = scenarios.secondary_speed
 
@@ -492,7 +328,6 @@ class TestCli:
                 fh.write("%d\n" % os.getppid())
             return inner(*args, **kwargs)
 
-        _allow_cpus(monkeypatch, 2)
         monkeypatch.setattr(scenarios, "secondary_speed", recorded)
         one = tmp_path / "one.cfg"
         one.write_text(WAVE_SMALL)
