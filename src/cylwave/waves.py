@@ -10,9 +10,9 @@ evolution relaxation until the steps are Newton steps (Kelley & Keyes, SIAM
 J. Numer. Anal. 35 (1998)).  The phase condition pins the front's mid-level
 at z = 0, where the seed's own mid-level is moved first, so the loop returns
 the speed and the centred profile together.  1D and 2D grids take the same
-path: the residual is applied matrix-free, and each level's solve shares one
+path: the residual is applied matrix-free, and each level's solve reuses a
 sparse factorization of the Jacobian block (chord steps), factored again
-only when a chord step fails to halve the residual.
+when a chord step fails to lower the merit or to cut it to a quarter.
 
 Every wave is solved on two levels (nested iteration, Briggs, Henson &
 McCormick, *A Multigrid Tutorial*, SIAM 2000): the continuation runs on the
@@ -162,18 +162,19 @@ def freeze_frame(model: ReactionModel, grid: CylinderGrid, seed: Field,
     ``_newton_polish`` with ``-1/tau`` on the free diagonal, and ``tau`` grows
     by switched evolution relaxation, ``tau <- tau merit_old / merit_new``
     (Kelley & Keyes 1998), until the steps are Newton steps.  The chord rule
-    holds throughout: the block is factored again only when a step does not
-    halve the merit.
+    of ``_newton_polish`` holds throughout.
 
     ``tau`` starts at ``TAU0 = 100`` on every grid and model.  The rule: the
     first step is a Newton step whose block is shifted by ``1/tau = 0.01``,
-    far below the spectral gaps of the shipped waves (0.19 to 0.29), so one
-    factorization serves as a chord from the seed on.  A flow-like start
-    costs factorizations: on the 33x186 half grid of the stacked config,
-    ``1/max(1, sup|f_u|)``, the cross-section solver's rule, takes 27 and 22
-    steps with 6 and 8 factorizations for its two waves, against 16 and 32
-    steps with 3 and 2 here (the 1D cubic wave: 15 steps with 3
-    factorizations, against 25 with 1).
+    below the spectral gaps of the shipped waves (0.105 for the stacked
+    primary wave on 65x371, 0.133 for the secondary one on its 33x186 half
+    grid, 0.29 for the 1D cubic wave), so a few factorizations serve as
+    chords from the seed on.  A flow-like start costs steps and
+    factorizations: on the 33x186 half grid of the stacked config,
+    ``1/max(1, sup|f_u|)`` at the seed, the cross-section solver's rule,
+    takes 11 and 18 steps with 4 and 6 factorizations for its two waves,
+    against 8 and 9 steps with 3 and 3 here (the 1D cubic wave: 12 steps
+    with 3 factorizations, against 10 with 2).
 
     A seed whose left section does not have negative energy is not
     front-like and raises SeedBasinError before any step, as does a step
@@ -241,8 +242,8 @@ def _newton_polish(model, grid, values, c, max_iter=40, tau=np.inf):
 
     The phase ``p.u`` (``_phase_vector``) pins the front's mid-level at
     z = 0; ``p`` is rebuilt at each accepted iterate.  Every iteration
-    evaluates the wave residual ``G``, the phase and ``dG/dc`` exactly at the
-    current iterate, and their merit ``max(sup|G|, |phase|)`` alone decides
+    evaluates the wave residual ``G`` and the phase exactly at the current
+    iterate, and their merit ``max(sup|G|, |phase|)`` alone decides
     convergence.  A finite ``tau`` makes each iteration an implicit Euler
     step of pseudo-time ``tau`` (the factored block is ``J - I/tau`` on the
     free nodes), and ``tau`` grows by ``merit_old / merit_new`` after every
@@ -253,17 +254,22 @@ def _newton_polish(model, grid, values, c, max_iter=40, tau=np.inf):
     assembled as five diagonals only to be factored.  On every grid the
     ``splu`` factorization is kept and reused across this call's iterations
     (the chord method, Kelley, *Solving Nonlinear Equations with Newton's
-    Method*, SIAM 2003, ch. 2).  A chord step is taken whole when it at
-    least halves the merit; otherwise it is dropped, the block is factored
-    at the current iterate, and that step is damped by halving until the
-    merit falls.  When no damped step lowers a merit already within
+    Method*, SIAM 2003, ch. 2), together with its solve ``s2`` of ``dG/dc``,
+    which is evaluated only where the block is factored: a chord step solves
+    the one column ``G`` and borders it with that ``s2`` and the current
+    phase vector.  A chord step that lowers the merit is taken whole, and
+    when it does not cut the merit to a quarter the block is factored again
+    at the new iterate before the next step.  A chord step that does not
+    lower the merit is dropped, the block is factored at the current
+    iterate, and that step is damped by halving until the merit falls.
+    When no damped step lowers a merit already within
     ``100 NEWTON_TOL`` (the roundoff floor), the current, best iterate is
     returned; above it the polish raises, as it does after ``max_iter``
     iterations.  An iterate whose sup falls below a quarter of the start's,
     or whose every section stays above three quarters of it, is no front and
     raises SeedBasinError.  Returns (values, c, iterations, factorizations).
     """
-    lu, iterations, factorizations = None, 0, 0
+    lu, s2, iterations, factorizations = None, None, 0, 0
     pinned = grid.dirichlet_mask.ravel()
     u = values.ravel().copy()
     u[pinned] = 0.0
@@ -277,10 +283,11 @@ def _newton_polish(model, grid, values, c, max_iter=40, tau=np.inf):
         return G, phase, max(float(np.max(np.abs(G))), abs(phase))
 
     def bordered(s1, s2):
-        # Schur-complement bordering: s1, s2 solve the Jacobian block for
-        # [G, Gc]; eliminate the speed through the phase condition.  The
-        # exactly evaluated residual governs convergence, so mild near-null
-        # amplification in the block solves is harmless.
+        # Schur-complement bordering: s1 solves the Jacobian block for G, s2
+        # for Gc at the last factorization; eliminate the speed through the
+        # phase condition.  The exactly evaluated residual governs
+        # convergence, so mild near-null amplification in the block solves
+        # is harmless.
         dc = (phase - p @ s1) / (p @ s2)
         return -s1 - dc * s2, dc
 
@@ -289,18 +296,20 @@ def _newton_polish(model, grid, values, c, max_iter=40, tau=np.inf):
         if merit <= NEWTON_TOL:
             break
         iterations += 1
-        U = u.reshape(grid.shape)
-        rhs = np.column_stack([G, _speed_derivative(grid, U, c, hc).ravel()])
+        kept = False
         if lu is not None:
-            du, dc = bordered(*lu.solve(rhs).T)
+            du, dc = bordered(lu.solve(G), s2)
             u_try, c_try = u + du, c + dc
             G_try, _, m_try = residual(u_try, c_try)
-        if lu is None or not m_try <= 0.5 * merit:
+            kept = m_try < merit
+        if not kept:
             # Pinned rows of the operator are zero, so unit diagonal entries
             # there make identity rows enforcing the pinned values.
+            U = u.reshape(grid.shape)
             fu = eval_f_u(model, grid, U).ravel()
             jac_diag = np.where(pinned, 1.0, fu - 1.0 / tau)
             lu = None  # free the stale factors first
+            rhs = np.column_stack([G, _speed_derivative(grid, U, c, hc).ravel()])
             try:
                 # the block is structurally symmetric with a diagonal that
                 # outweighs each row's couplings up to f_u: SPLU_OPTIONS
@@ -322,6 +331,8 @@ def _newton_polish(model, grid, values, c, max_iter=40, tau=np.inf):
                 if merit > 100 * NEWTON_TOL:
                     raise WaveSolverError("Newton stalled at residual %.3g" % merit)
                 break  # at the roundoff floor: keep the best iterate
+        elif not m_try <= 0.25 * merit:
+            lu = None  # a slow chord: factor again at the new iterate
         tau *= merit / max(m_try, NEWTON_TOL)  # the floor only guards the last step
         u, c, G = u_try, c_try, G_try
         p = _phase_vector(grid, u)
@@ -541,6 +552,10 @@ class SecondaryResult:
     wave: Field | None = None
     upper_state: CrossSectionField | None = None
     speed_err_est: float = float("nan")  # as WaveSolution.speed_err_est
+    # the secondary wave's counts, as WaveSolution's
+    continuation_steps: int = 0
+    newton_iterations: int = 0
+    factorizations: int = 0
 
 
 def _secondary_problem(model: ReactionModel, grid: CylinderGrid, v: CriticalPoint
@@ -604,7 +619,10 @@ def secondary_speed(model: ReactionModel, grid: CylinderGrid, v: CriticalPoint,
         return SecondaryResult(False, "not applicable: secondary wave solve failed (%s)" % exc)
     return SecondaryResult(True, "secondary wave found", speed=ws.speed,
                            wave=ws.profile, upper_state=upper,
-                           speed_err_est=ws.speed_err_est)
+                           speed_err_est=ws.speed_err_est,
+                           continuation_steps=ws.continuation_steps,
+                           newton_iterations=ws.newton_iterations,
+                           factorizations=ws.factorizations)
 
 
 # ---------------------------------------------------------------------------

@@ -45,18 +45,19 @@ class TestSolveWave:
         _, ws = cubic_wave
         assert ws.residual <= 1e-8
 
-    def test_one_factorization(self, cubic_wave):
-        # 1D keeps the chord: one factorization serves each level, the whole
-        # half-grid continuation and the configured grid's Newton
+    def test_factorizations_per_level(self, cubic_wave):
+        # 1D keeps the chord: two factorizations serve the half-grid
+        # continuation, one the configured grid's Newton
         _, ws = cubic_wave
-        assert ws.factorizations == 2
+        assert ws.coarse.factorizations == 2
+        assert ws.factorizations == 3
 
     def test_continuation_counted(self, cubic_wave):
         # the continuation runs on the half grid, Newton on the configured one
         _, ws = cubic_wave
-        assert ws.continuation_steps > 0
+        assert ws.continuation_steps == 10
         assert ws.newton_iterations > 0
-        assert 0 < ws.factorizations <= 2
+        assert ws.factorizations == 3
 
     def test_continuation_cap_raises(self, monkeypatch):
         g = wave_grid(n_z=401, z=(-20.0, 20.0))
@@ -539,9 +540,7 @@ class TestHeterogeneous2D:
         assert lo < ws.speed < hi
         gap = spectral_gap(ws, model)
         assert gap.gap_positive and gap.alignment >= 0.999
-        # one factorization serves each level: the whole half-grid
-        # continuation, and the configured grid's Newton
-        assert ws.factorizations == 2
+        assert ws.factorizations == 3
         assert ws.continuation_steps >= 2
 
 
@@ -583,8 +582,8 @@ class TestNewtonPolish:
 
     def test_continuation_refactors_within_one_call(self):
         # the stacked config's primary wave on its 33x186 half grid: the
-        # chord from the seed stops halving the merit on the way, so one
-        # continuation factors its block again (3 times over 16 steps), and
+        # chord from the seed stops quartering the merit on the way, so one
+        # continuation factors its block again (3 times over 8 steps), and
         # lands on the speed solve_wave's half-grid level finds
         g = build_grid(GridConfig(n_y=65, n_z=371, y_min=0.0, y_max=16.0,
                                   z_min=-25.0, z_max=12.0, bc_left="dirichlet",
@@ -626,10 +625,11 @@ class TestNewtonPolish:
         # the pinned nodes of the full difference are zero as well
         assert not full[g.dirichlet_mask].any()
 
-    def test_stacked_newton_path(self, monkeypatch):
+    @pytest.mark.parametrize("c_seed", [0.1485, 0.149625, 0.15, 0.1515])
+    def test_stacked_newton_path(self, monkeypatch, c_seed):
         # (steps, factorizations) of every Newton solve of the stacked config's
-        # two waves, each on its 33x186 half grid and then on the 65x371 grid;
-        # a cheaper factorization must leave this path as it is
+        # two waves, each on its 33x186 half grid and then on the 65x371 grid,
+        # the same for every seed speed within 1% of the shipped 0.15
         g = build_grid(GridConfig(n_y=65, n_z=371, y_min=0.0, y_max=16.0,
                                   z_min=-25.0, z_max=12.0, bc_left="dirichlet",
                                   bc_right="dirichlet"))
@@ -643,10 +643,15 @@ class TestNewtonPolish:
             return values, c, iterations, factorizations
 
         monkeypatch.setattr(waves, "_newton_polish", spy)
-        solve_wave(model, g, front_seed(g, plateau.v), 0.15)
-        assert secondary_speed(model, g, plateau, c_seed=0.15).applicable
-        assert counts == [((33, 186), 16, 3), ((65, 371), 4, 1),
-                          ((33, 186), 32, 2), ((65, 371), 6, 1)]
+        solve_wave(model, g, front_seed(g, plateau.v), c_seed)
+        res = secondary_speed(model, g, plateau, c_seed=c_seed)
+        assert res.applicable
+        assert counts == [((33, 186), 8, 3), ((65, 371), 4, 1),
+                          ((33, 186), 9, 3), ((65, 371), 6, 1)]
+        # the secondary wave counts both of its levels, as WaveSolution does
+        (_, steps, coarse_f), (_, iterations, fine_f) = counts[2:]
+        assert (res.continuation_steps, res.newton_iterations, res.factorizations) == (
+            steps, iterations, coarse_f + fine_f)
 
     def test_stacked_config_speeds_unchanged(self, tmp_path):
         # values of the shipped stacked config with one factorization per
