@@ -15,8 +15,7 @@ import os
 import sys
 import traceback
 
-from .config import (FLOAT_DIGITS_ENV, ConfigError, config_defaults_text,
-                     output_digits, parse_config_file)
+from .config import ConfigError, config_defaults_text, parse_config_file
 from .scenarios import run_scenario
 
 # CLI verb -> scenario key expected in the config
@@ -35,9 +34,8 @@ Unknown keys and duplicate keys are errors. Defaults:
 
 %s
 
-Output precision: %s environment variable (significant digits, default 17).
 An output directory must be missing or empty; a non-empty one is refused.
-""" % (config_defaults_text(), FLOAT_DIGITS_ENV)
+""" % config_defaults_text()
 
 
 def _output_taken(out_dir: str) -> bool:
@@ -62,7 +60,6 @@ def _run_one(config_path: str, out_dir: str, expected_scenario: str | None) -> i
     if _output_taken(out_dir):
         return 2
     try:
-        output_digits()  # a bad CYLWAVE_PRECISION fails before any compute
         cfg = parse_config_file(config_path)
     except (ConfigError, OSError) as exc:
         print("config error: %s" % exc, file=sys.stderr)

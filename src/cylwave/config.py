@@ -9,26 +9,22 @@ model/grid (the time-step cap depends on both).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field as dc_field, fields, replace
 
 from .evolve import dt_max
 from .grids import CylinderGrid, GridConfig, GridError, build_grid
 from .reactions import _BUILTINS, ReactionError, ReactionModel, make_model
 
-# significant digits of every float written to outputs
-FLOAT_DIGITS_ENV = "CYLWAVE_PRECISION"
-
 SCENARIOS = ("wave", "converge", "gap", "secondary_speed", "comparison", "hypotheses")
 INITIAL_FAMILIES = ("shifted_tanh", "plateau_noise", "sandwich")
 # the scenarios that take time steps, hence read dt and horizon
 TIME_STEPPING = ("converge", "comparison")
 
-# the built-in models' parameters, in first-seen order; the label names the
-# model, and make_model fills a(y)'s span from the grid
+# the built-in models' parameters, in first-seen order; make_model fills
+# a(y)'s span from the grid
 _MODEL_PARAM_KEYS = tuple(dict.fromkeys(
     f.name for cls in _BUILTINS.values() for f in fields(cls)
-    if f.name not in ("label", "y_min", "y_max")))
+    if f.name not in ("y_min", "y_max")))
 
 # section -> key -> (type, default); None default means required.  The [grid]
 # keys are GridConfig's fields; the axial window and its resolution are required.
@@ -210,18 +206,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.scenario == "comparison" and not 0 <= sep < 0.5 * grid.window_length:
         raise ConfigError("separation = %g must lie in [0, %g), half the axial window"
                           % (sep, 0.5 * grid.window_length))
-
-
-def output_digits() -> int:
-    """Significant digits for float outputs: ``CYLWAVE_PRECISION``, default 17."""
-    text = os.environ.get(FLOAT_DIGITS_ENV, "17")
-    try:
-        digits = int(text)
-    except ValueError:
-        digits = 0
-    if not 1 <= digits <= 17:
-        raise ConfigError("%s must be an integer in 1..17, got %r" % (FLOAT_DIGITS_ENV, text))
-    return digits
 
 
 def parse_config_file(path) -> ExperimentConfig:

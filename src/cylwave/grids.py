@@ -193,9 +193,6 @@ class CrossSectionField:
         # pinned ends hold zero exactly (the axial left end is never pinned)
         self.values = np.where(self.grid.dirichlet_mask[:, 0], 0.0, self.values)
 
-    def copy(self) -> "CrossSectionField":
-        return CrossSectionField(self.grid, self.values.copy())
-
 
 def apply_boundary(u: Field) -> Field:
     """Enforce value conditions: Dirichlet rows/columns are zeroed.

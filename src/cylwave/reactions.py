@@ -22,8 +22,6 @@ class ReactionError(ValueError):
 class ReactionModel:
     """Base class: subclasses implement f, f_u, and V as numpy ufunc-style maps."""
 
-    label = "custom"
-
     def f(self, u, y):
         raise NotImplementedError
 
@@ -31,23 +29,7 @@ class ReactionModel:
         raise NotImplementedError
 
     def V(self, u, y):
-        """Cutoff potential; default falls back to adaptive quadrature.
-
-        The built-in models override this with closed forms, so
-        ``scipy.integrate`` is imported only when the fallback runs.
-        """
-        from scipy.integrate import quad
-
-        uu = np.atleast_1d(np.asarray(u, dtype=float))
-        yy = np.broadcast_to(np.asarray(y, dtype=float), uu.shape)
-        out = np.empty(uu.shape)
-        flat_u, flat_y, flat_o = uu.ravel(), yy.ravel(), out.ravel()
-        for i in range(flat_u.size):
-            top = min(max(flat_u[i], 0.0), 1.0)
-            val, _ = quad(lambda s, yi=flat_y[i]: self.f(s, yi), 0.0, top)
-            flat_o[i] = -val
-        out = flat_o.reshape(uu.shape)
-        return out if np.ndim(u) else float(out[0])
+        raise NotImplementedError
 
     def max_slope(self, grid: CylinderGrid) -> float:
         """sup |f_u| over [0,1] x cross-section, sampled at 257 levels."""
@@ -71,19 +53,17 @@ class ReactionModel:
 def eval_f(model: ReactionModel, grid: CylinderGrid, values: np.ndarray) -> np.ndarray:
     """Pointwise reaction term f(values, y) on the grid; fails fast on
     non-finite output."""
-    return _on_grid(model.f(values, grid.y[:, None]), grid, "reaction")
+    return _finite(model.f(values, grid.y[:, None]), "reaction")
 
 
 def eval_f_u(model: ReactionModel, grid: CylinderGrid, values: np.ndarray) -> np.ndarray:
     """Pointwise f_u(values, y) on the grid; fails fast on non-finite output."""
-    return _on_grid(model.f_u(values, grid.y[:, None]), grid, "reaction derivative")
+    return _finite(model.f_u(values, grid.y[:, None]), "reaction derivative")
 
 
-def _on_grid(vals, grid: CylinderGrid, what: str) -> np.ndarray:
+def _finite(vals, what: str) -> np.ndarray:
     if not np.isfinite(vals).all():
         raise ReactionError("%s produced non-finite values" % what)
-    if np.shape(vals) != grid.shape:  # a model constant in y
-        vals = np.broadcast_to(vals, grid.shape).copy()
     return vals
 
 
@@ -111,7 +91,6 @@ class CubicBistable(ReactionModel):
     """f(u) = u (1 - u) (u - a) with unstable zero a in (0, 1/2)."""
 
     a: float = 0.25
-    label: str = "cubic"
 
     def __post_init__(self):
         if not 0.0 < self.a < 0.5:
@@ -144,7 +123,6 @@ class HeterogeneousCubic(ReactionModel):
     a1: float = 0.1
     y_min: float = 0.0
     y_max: float = 1.0
-    label: str = "cubic_y"
 
     def __post_init__(self):
         lo, hi = self.a0 - abs(self.a1), self.a0 + abs(self.a1)
@@ -182,7 +160,6 @@ class StackedBistable(ReactionModel):
     a2: float = 0.5
     a3: float = 0.8
     scale: float = 1.0
-    label: str = "stacked"
 
     def __post_init__(self):
         if not 0.0 < self.a1 < self.a2 < self.a3 < 1.0:
@@ -208,7 +185,6 @@ class LinearModel(ReactionModel):
     """f(u) = mu * u; violates the bistable assumptions, used for eigenvalue checks."""
 
     mu: float = 0.0
-    label: str = "linear"
 
     def f(self, u, y=None):
         return self.mu * np.asarray(u, dtype=float)
@@ -233,7 +209,6 @@ class ShiftedModel(ReactionModel):
     base: ReactionModel
     v_values: tuple  # v sampled on the grid's cross-section nodes
     y_nodes: tuple
-    label: str = "shifted"
 
     def _v(self, y):
         yy = np.asarray(y, dtype=float)
@@ -256,16 +231,9 @@ class ShiftedModel(ReactionModel):
             + chi * self.base.f(v, y) * h
         )
 
-    def max_slope(self, grid) -> float:
-        # the perturbation is confined to 0 <= h <= 1 - v(y)
-        frac = np.linspace(0.0, 1.0, 257)[:, None]
-        v = np.interp(grid.y, self.y_nodes, self.v_values)[None, :]
-        u_eff = v + frac * (1.0 - v)
-        return float(np.max(np.abs(self.base.f_u(u_eff, grid.y[None, :]))))
 
-
-_BUILTINS = {cls.label: cls for cls in
-             (CubicBistable, HeterogeneousCubic, StackedBistable, LinearModel)}
+_BUILTINS = {"cubic": CubicBistable, "cubic_y": HeterogeneousCubic,
+             "stacked": StackedBistable, "linear": LinearModel}
 
 
 def make_model(name: str, params: dict | None = None) -> ReactionModel:
@@ -276,7 +244,7 @@ def make_model(name: str, params: dict | None = None) -> ReactionModel:
     except KeyError:
         raise ReactionError("unknown model %r (known: %s)" % (name, ", ".join(sorted(_BUILTINS))))
     params = params or {}
-    taken = {f.name for f in fields(cls)} - {"label"}
+    taken = {f.name for f in fields(cls)}
     unknown = sorted(set(params) - taken)
     if unknown:
         raise ReactionError("model %r does not take %s (takes: %s)"

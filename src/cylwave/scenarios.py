@@ -18,13 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, output_digits
+from .config import ExperimentConfig
 from .evolve import compare_evolutions
 from .grids import CrossSectionField, CylinderGrid, Field, apply_boundary
 from .reactions import ReactionModel, check_hypotheses
 from .sections import (CriticalPoint, check_speed_admissible, find_critical_point,
                        principal_eigenpair)
-from .tracking import (fit_decay, fit_position_tail, fit_rate,
+from .tracking import (FLOAT_FORMAT, fit_decay, fit_position_tail, fit_rate,
                        trace_to_csv, track)
 from .waves import (WaveSolution, front_seed, save_solution, secondary_speed,
                     solve_wave, spectral_gap, translation_profile)
@@ -35,7 +35,7 @@ def _fmt(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
-        return ("%%.%dg" % output_digits()) % x
+        return FLOAT_FORMAT % x
     return str(x)
 
 

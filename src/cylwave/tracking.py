@@ -14,13 +14,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import output_digits
 from .evolve import EvolutionState, Stepper, flow_weights
 from .grids import Field, _apply_transport, axial_derivative, section_derivative
 from .reactions import ReactionModel
 from .waves import WaveSolution
 from .weighted import (WeightedMeasure, cell_fraction, offset_resolution,
                        quadrature_weights)
+
+# every float written to trace.csv and manifest.txt: decimal round-trip
+FLOAT_FORMAT = "%.17g"
 
 DEFAULT_DELTA = 0.05
 _EPS = np.finfo(float).eps
@@ -606,9 +608,9 @@ def fit_position_tail(trace: FrontTrace) -> tuple[float, float]:
 
 
 def trace_to_csv(trace: FrontTrace, path) -> None:
-    """Write the pinned CSV columns, one row per sample, to ``output_digits()``
-    significant digits."""
-    fmt = ",".join(["%%.%dg" % output_digits()] * len(CSV_COLUMNS)) + "\n"
+    """Write the pinned CSV columns, one row per sample, to 17 significant
+    digits."""
+    fmt = ",".join([FLOAT_FORMAT] * len(CSV_COLUMNS)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         fh.writelines(fmt % row for row in trace.samples[list(CSV_COLUMNS)].tolist())

@@ -86,22 +86,30 @@ class TestOtherModels:
         for r in (0.0, 0.05, 0.5, 0.7, 1.0):
             assert m.f(r) == pytest.approx(0.0, abs=1e-14)
 
-    def test_quadrature_fallback_matches_closed_form(self):
-        class Plain(ReactionModel):
+    def test_registry(self):
+        m = make_model("cubic", {"a": 0.3})
+        assert isinstance(m, CubicBistable) and m.a == 0.3
+        with pytest.raises(ReactionError, match="unknown model"):
+            make_model("nope")
+        with pytest.raises(ReactionError, match="does not take label"):
+            make_model("cubic", {"label": "x"})
+
+        class NoPotential(ReactionModel):  # V has no default
             def f(self, u, y=None):
                 return u * (1.0 - u) * (u - 0.25)
 
             def f_u(self, u, y=None):
                 return -3 * u ** 2 + 2.5 * u - 0.25
 
-        got = Plain().V(1.0, 0.0)
-        assert got == pytest.approx(-1.0 / 24.0, abs=1e-10)
+        with pytest.raises(NotImplementedError):
+            NoPotential().V(0.5, 0.0)
 
-    def test_registry(self):
-        m = make_model("cubic", {"a": 0.3})
-        assert isinstance(m, CubicBistable) and m.a == 0.3
-        with pytest.raises(ReactionError, match="unknown model"):
-            make_model("nope")
+    @pytest.mark.parametrize("name,cls", [("cubic", CubicBistable),
+                                          ("cubic_y", HeterogeneousCubic),
+                                          ("stacked", StackedBistable),
+                                          ("linear", LinearModel)])
+    def test_registry_name_gives_class(self, name, cls):
+        assert type(make_model(name)) is cls
 
     def test_shifted_model_zero_is_equilibrium(self):
         base = CubicBistable(a=0.25)
@@ -121,13 +129,15 @@ class TestHypothesesReport:
 
     def test_negative_drive_flagged(self):
         class TiltedCubic(ReactionModel):
-            label = "tilted"
-
             def f(self, u, y=None):
                 return u * (1.0 - u) * (u - 0.6)
 
             def f_u(self, u, y=None):
                 return -3 * u ** 2 + 3.2 * u - 0.6
+
+            def V(self, u, y=None):
+                uu = np.clip(u, 0.0, 1.0)
+                return uu ** 4 / 4.0 - 1.6 * uu ** 3 / 3.0 + 0.3 * uu ** 2
 
         rep = check_hypotheses(TiltedCubic(), grid_1d())
         assert rep.zero_state_ok and rep.upper_state_ok

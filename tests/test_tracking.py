@@ -486,16 +486,6 @@ class TestCsv:
             for row in trace.samples)
         assert path.read_bytes() == want.encode()
 
-    def test_precision_env_override(self, wave, tmp_path, monkeypatch):
-        model, ws = wave
-        u0 = front_seed(ws.grid, 1.0, offset=0.5)
-        trace = track(model, ws, u0, dt=0.1, horizon=0.5)
-        monkeypatch.setenv("CYLWAVE_PRECISION", "6")
-        p6 = tmp_path / "p6.csv"
-        trace_to_csv(trace, p6)
-        cell = p6.read_text().splitlines()[1].split(",")[2]
-        assert len(cell.replace("-", "").replace(".", "").replace("e", "").lstrip("0")) <= 7
-
 
 # --- the block analysis against the row-by-row references ------------------
 
