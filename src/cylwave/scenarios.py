@@ -22,8 +22,7 @@ from .config import ExperimentConfig
 from .evolve import compare_evolutions
 from .grids import CrossSectionField, CylinderGrid, Field, apply_boundary
 from .reactions import ReactionModel, check_hypotheses
-from .sections import (CriticalPoint, check_speed_admissible, find_critical_point,
-                       principal_eigenpair)
+from .sections import CriticalPoint, check_speed_admissible, find_critical_point
 from .tracking import (FLOAT_FORMAT, fit_decay, fit_position_tail, fit_rate,
                        trace_to_csv, track)
 from .waves import (WaveSolution, front_seed, save_solution, secondary_speed,
@@ -329,16 +328,8 @@ def _run_gap(cfg, out_dir, manifest):
 
 def _run_secondary(cfg, out_dir, manifest):
     """Primary and secondary speeds over the configured plateau, each with
-    its two-level estimate.
-
-    Both waves depend only on the plateau, and both are solved here, one
-    after the other.  A forked worker that solved the secondary wave beside
-    the primary one was slower on 2 vCPUs: the stacked config's ``solve_s``
-    read 0.321 s with it against 0.272 s here (medians of 10 pairs,
-    ``BENCH_15.json``).  Each wave takes about 0.15 s, and two busy
-    processes on two vCPUs slow each other by 1.3-1.8x (a pure-Python spin
-    took 0.62-0.86 s alone and 0.79-1.13 s beside a second copy), so the
-    overlap no longer pays for itself.
+    its two-level estimate.  Both waves depend on the plateau and are
+    solved one after the other.
     """
     grid, model = cfg.make_grid(), cfg.make_model()
     plateau = _plateau_state(model, grid, cfg.plateau_seed)
@@ -373,7 +364,6 @@ def _run_comparison(cfg, out_dir, manifest):
 def _run_hypotheses(cfg, out_dir, manifest):
     grid, model = cfg.make_grid(), cfg.make_model()
     rep = check_hypotheses(model, grid)
-    nu = principal_eigenpair(model, grid)
     adm = check_speed_admissible(model, grid, cfg.c_trial)
     manifest.results.update({
         "zero_state_ok": rep.zero_state_ok,
@@ -381,7 +371,7 @@ def _run_hypotheses(cfg, out_dir, manifest):
         "drive_integral_min": float(np.min(rep.drive_integral)),
         "holder_quotient_f": rep.holder_quotient_f,
         "holder_quotient_f_u": rep.holder_quotient_f_u,
-        "eigenvalue_at_zero": nu.value,
+        "eigenvalue_at_zero": adm.eigenvalue_at_zero,
         "admissible_best_energy": adm.best_energy,
         "discriminant_ok": adm.discriminant_ok,
     })

@@ -17,9 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .grids import (CrossSectionField, CylinderGrid, _section_operator,
-                    symmetrized_section_operator)
+from .evolve import EvolutionState, Stepper, weighted_energy
+from .grids import (CrossSectionField, CylinderGrid, Field, _section_operator,
+                    apply_boundary, symmetrized_section_operator)
 from .reactions import ReactionModel
+from .weighted import WeightedMeasure, weighted_norm_l2
 
 NEWTON_GRAD_TOL = 1e-10
 PTC_MAX_ITER = 100
@@ -166,10 +168,6 @@ def check_speed_admissible(model: ReactionModel, grid: CylinderGrid, c_trial: fl
     descends the weighted energy at this rate) for a fixed budget and records
     the smallest energy value encountered.  Report-only.
     """
-    from .evolve import EvolutionState, Stepper, weighted_energy
-    from .grids import Field, apply_boundary
-    from .weighted import WeightedMeasure, weighted_norm_l2
-
     if not c_trial > 0:
         raise ValueError("trial speed must be positive")
     nu = principal_eigenpair(model, grid).value

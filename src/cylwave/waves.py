@@ -22,6 +22,10 @@ two speeds give the Richardson estimate ``(c_h - c_2h) / 3`` of the
 configured speed's error.  A grid without a half grid is solved on one
 level, with no estimate.  ``WaveSolution`` counts the steps, iterations and
 factorizations.
+
+The spectral gap is the second lowest eigenvalue of the weight-symmetrized
+linearization at the wave; the lowest is the translational mode's.
+``spectral_gap`` takes both from one shift-invert Lanczos run.
 """
 
 from __future__ import annotations
@@ -40,8 +44,9 @@ from .grids import (CrossSectionField, CylinderGrid, Field, GridConfig,
 from .reactions import ReactionModel, ShiftedModel, eval_f, eval_f_u
 from .sections import (CriticalPoint, SectionSolverError, find_critical_point,
                        section_energy)
-from .weighted import (WeightedMeasure, cell_fraction, cell_value,
-                       hermite, pchip_slopes, shifted_cell, spline_slopes, translate)
+from .weighted import (WeightedMeasure, cell_fraction, cell_value, hermite,
+                       pchip_slopes, shifted_cell, spline_slopes, translate,
+                       weighted_norm_l2)
 
 NEWTON_TOL = 1e-11
 RESIDUAL_LIMIT = 1e-8
@@ -420,11 +425,11 @@ def refine_solution(ws: WaveSolution, grid: CylinderGrid,
     axis and then across the section; it is already in the Newton basin, so
     the continuation from a seed is skipped and the same grid-refinement
     studies run in seconds; ``solve_wave`` takes this step from its half
-    grid.  The window must match; only resolutions may differ.
+    grid.  Only resolutions may differ: the window and the boundary tags
+    must match.
     """
-    if (grid.z_min, grid.z_max, grid.y_min, grid.y_max) != (
-            ws.grid.z_min, ws.grid.z_max, ws.grid.y_min, ws.grid.y_max):
-        raise WaveSolverError("refinement grid must keep the same window")
+    if replace(grid, n_y=ws.grid.n_y, n_z=ws.grid.n_z) != ws.grid:
+        raise WaveSolverError("refinement grid must differ only in resolution")
     coarse = ws.profile.values
     vals = hermite(ws.grid.z, coarse, pchip_slopes(coarse, ws.grid.dz), grid.z)
     if grid.n_y > 1:
@@ -445,65 +450,28 @@ def refine_solution(ws: WaveSolution, grid: CylinderGrid,
 
 @dataclass
 class GapResult:
-    zero_mode_value: float        # eigenvalue of the translational mode
-    gap: float                    # smallest eigenvalue orthogonal to it
-    alignment: float              # |cos| between that mode and profile_dz
-    constraint_residual: float    # weighted projection of the gap mode on profile_dz
+    zero_mode_value: float        # lowest eigenvalue: the translational mode's
+    gap: float                    # second lowest eigenvalue
+    alignment: float              # |cos| between the lowest mode and profile_dz
+    constraint_residual: float    # |cos| between the two modes
     residual_zero: float
     residual_gap: float
     scale: float                  # Gershgorin norm of the symmetrized operator
     gap_positive: bool
-    iterations: int               # shift-invert solves of both Lanczos runs
-
-
-def _lowest_eigenpair(Asym: sp.spmatrix, lu, phi: np.ndarray | None):
-    """Lowest eigenpair of ``Asym``, or of ``Asym`` compressed to the
-    complement of the unit vector ``phi``, by ARPACK's Lanczos on the
-    shift-invert operator (Lehoucq, Sorensen & Yang, ARPACK Users' Guide,
-    SIAM 1998); ``lu`` factors ``Asym - sigma I`` with sigma below the
-    spectrum, so the largest eigenvalue of the inverse is the lowest of Asym.
-
-    With ``phi`` the inverse is bordered: s solves (Asym - sigma I) s = x + a phi
-    with phi.s = 0, one solve and a rank-one correction.  That is the inverse
-    of the compressed operator; it maps phi to zero, so every Lanczos vector
-    lies in phi's complement and the constraint holds by construction.
-    Returns the Rayleigh quotient of the projected Ritz vector, the vector,
-    its residual (projected to the complement) and the number of solves.
-    """
-    def project(x):
-        return x if phi is None else x - (phi @ x) * phi
-
-    t = None if phi is None else lu.solve(phi)
-    solves = 0
-
-    def inverse(x):
-        nonlocal solves
-        solves += 1
-        s = lu.solve(x)
-        return s if phi is None else project(s - ((phi @ s) / (phi @ t)) * t)
-
-    n = Asym.shape[0]
-    op = spla.LinearOperator((n, n), matvec=inverse, dtype=float)
-    try:
-        _, vecs = spla.eigsh(op, k=1, which="LM", v0=project(np.ones(n)))
-    except spla.ArpackError as exc:
-        raise WaveSolverError("spectral gap eigensolver failed: %s" % exc) from exc
-    x = project(vecs[:, 0])
-    x /= np.linalg.norm(x)
-    ax = Asym @ x
-    theta = float(x @ ax)
-    return theta, x, float(np.linalg.norm(project(ax) - theta * x)), solves
+    iterations: int               # shift-invert solves of the Lanczos run
 
 
 def spectral_gap(ws: WaveSolution, model: ReactionModel) -> GapResult:
     """Two smallest eigenvalues of the weighted linearization at the wave.
 
     The operator is symmetrized by the diagonal weight substitution
-    (w = weight^{-1/2} phi).  One factorization of the operator shifted below
-    its spectrum serves two Lanczos runs: the translational mode is the
-    lowest eigenpair of the whole operator, and the gap the lowest of the
-    operator compressed to the weighted complement of the profile's axial
-    derivative (see ``_lowest_eigenpair``).
+    (w = weight^{-1/2} phi).  The translational mode and the gap are its two
+    lowest eigenpairs, from one run of ARPACK's Lanczos on the shift-invert
+    operator (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998):
+    the operator is factored once, shifted below its spectrum, so the two
+    largest eigenvalues of the inverse are the two lowest of the operator.
+    The eigenvalues are the Rayleigh quotients of the Ritz vectors, whose
+    residuals are reported with them.
     """
     grid = ws.grid
     free = ~grid.dirichlet_mask.ravel()
@@ -522,21 +490,35 @@ def spectral_gap(ws: WaveSolution, model: ReactionModel) -> GapResult:
     phiz_hat = phiz / np.linalg.norm(phiz)
 
     shift = -0.2 * (1.0 + float(np.max(np.abs(fu))))
-    lu = spla.splu((Asym - shift * sp.identity(Asym.shape[0])).tocsc(), **SPLU_OPTIONS)
-    lam0, v0, res0, it0 = _lowest_eigenpair(Asym, lu, None)
-    align = float(abs(v0 @ phiz_hat))
-    gap, vg, resg, itg = _lowest_eigenpair(Asym, lu, phiz_hat)
-    constraint = float(abs(vg @ phiz_hat))
+    n = Asym.shape[0]
+    lu = spla.splu((Asym - shift * sp.identity(n)).tocsc(), **SPLU_OPTIONS)
+    solves = 0
+
+    def inverse(x):
+        nonlocal solves
+        solves += 1
+        return lu.solve(x)
+
+    op = spla.LinearOperator((n, n), matvec=inverse, dtype=float)
+    try:
+        _, vecs = spla.eigsh(op, k=2, which="LM", v0=np.ones(n))
+    except spla.ArpackError as exc:
+        raise WaveSolverError("spectral gap eigensolver failed: %s" % exc) from exc
+    X = vecs / np.linalg.norm(vecs, axis=0)
+    AX = Asym @ X
+    theta = np.einsum("ij,ij->j", X, AX)
+    res = np.linalg.norm(AX - theta * X, axis=0)
+    i0, ig = np.argsort(theta)
     return GapResult(
-        zero_mode_value=lam0,
-        gap=gap,
-        alignment=align,
-        constraint_residual=constraint,
-        residual_zero=res0,
-        residual_gap=resg,
+        zero_mode_value=float(theta[i0]),
+        gap=float(theta[ig]),
+        alignment=float(abs(X[:, i0] @ phiz_hat)),
+        constraint_residual=float(abs(X[:, ig] @ X[:, i0])),
+        residual_zero=float(res[i0]),
+        residual_gap=float(res[ig]),
         scale=scale,
-        gap_positive=bool(gap > 0.0),
-        iterations=it0 + itg,
+        gap_positive=bool(theta[ig] > 0.0),
+        iterations=solves,
     )
 
 
@@ -643,8 +625,6 @@ class TranslationReport:
 
 def translation_profile(ws: WaveSolution, radii: np.ndarray | None = None) -> TranslationReport:
     """Sample ||T_R profile - profile|| and fit the linear-band constants."""
-    from .weighted import weighted_norm_l2
-
     if radii is None:
         radii = np.concatenate([np.linspace(-1.0, 1.0, 41), [-2.0, -1.5, 1.5, 2.0]])
     radii = np.asarray(sorted(radii))
