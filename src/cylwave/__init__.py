@@ -8,13 +8,13 @@ convergence by tracking the front of simulated initial-value problems.
 __version__ = "0.1.0"
 
 from .grids import (CylinderGrid, CrossSectionField, Field, GridConfig,
-                    apply_boundary, build_grid, laplacian_advection)
+                    apply_boundary, build_grid)
 from .reactions import (CubicBistable, HeterogeneousCubic, ReactionModel,
                         StackedBistable, check_hypotheses, make_model)
 from .sections import (CriticalPoint, EigenResult, check_speed_admissible,
                        find_critical_point, principal_eigenpair, section_energy)
-from .evolve import (EvolutionState, Stepper, check_dissipation,
-                     compare_evolutions, dt_max, weighted_energy)
+from .evolve import (EvolutionState, Stepper, compare_evolutions, dt_max,
+                     weighted_energy)
 from .waves import (GapResult, WaveSolution, front_seed, secondary_speed,
                     solve_wave, spectral_gap, translation_profile)
 from .tracking import (FrontState, FrontTrace, fit_decay, locate_front,

@@ -180,52 +180,9 @@ def weighted_energy(u: Field, model: ReactionModel, m: WeightedMeasure) -> float
 
 
 @dataclass
-class DissipationReport:
-    """Energy-decrement vs time-quadrature of ||u_t||^2, per step and overall."""
-
-    times: np.ndarray
-    energy: np.ndarray
-    decrement: np.ndarray        # energy[k] - energy[k+1]
-    rate_integral: np.ndarray    # dt * ||increment/dt||^2 per step
-    residuals: np.ndarray        # relative mismatch per step
-    total_residual: float
-    monotone: bool
-
-
-def check_dissipation(states: list[EvolutionState], model: ReactionModel,
-                      m: WeightedMeasure) -> DissipationReport:
-    """Compare the energy decrement with the dissipation quadrature.
-
-    ``u_t`` is the scheme increment over dt (a midpoint-in-time value), so the
-    relative residual is O(dt) and halves under dt-halving.
-    """
-    if len(states) < 2:
-        raise ValueError("need at least two consecutive states")
-    g = states[0].u.grid
-    w = flow_weights(g, m)
-    times = np.array([s.t for s in states])
-    energy = np.array([weighted_energy(s.u, model, m) for s in states])
-    dec = energy[:-1] - energy[1:]
-    rate = np.empty(len(states) - 1)
-    for k in range(len(states) - 1):
-        dt = states[k + 1].t - states[k].t
-        ut = (states[k + 1].u.values - states[k].u.values) / dt
-        rate[k] = dt * float(np.sum(w * ut ** 2))
-    scale = np.maximum(np.abs(dec), np.abs(rate))
-    res = np.abs(dec - rate) / np.maximum(scale, 1e-300)
-    total = float(abs(dec.sum() - rate.sum()) / max(abs(dec.sum()), abs(rate.sum()), 1e-300))
-    mono = bool(np.all(dec >= -1e-10 * np.maximum(1.0, np.abs(energy[:-1]))))
-    return DissipationReport(times=times, energy=energy, decrement=dec,
-                             rate_integral=rate, residuals=res,
-                             total_residual=total, monotone=mono)
-
-
-@dataclass
 class OrderingReport:
     ordered: bool
-    first_violation_time: float | None
     max_violation: float
-    times: np.ndarray
 
 
 def compare_evolutions(fields: Sequence[Field], model: ReactionModel,
@@ -236,17 +193,9 @@ def compare_evolutions(fields: Sequence[Field], model: ReactionModel,
         raise ValueError("initial data are not ordered")
     stepper = Stepper(model, fields[0].grid, dt, frame_speed)
     states = [EvolutionState(0.0, apply_boundary(u), frame_speed) for u in fields]
-    n = int(round(horizon / dt))
-    times, worst, first_bad = [], 0.0, None
-    for _ in range(n):
+    worst = 0.0
+    for _ in range(int(round(horizon / dt))):
         states = [stepper.step(s) for s in states]
-        times.append(states[0].t)
-        gap = max(float(np.max(lo.u.values - hi.u.values))
-                  for lo, hi in zip(states, states[1:]))
-        worst = max(worst, gap)
-        if gap > ORDER_TOL and first_bad is None:
-            first_bad = states[0].t
-    return OrderingReport(ordered=first_bad is None,
-                          first_violation_time=first_bad,
-                          max_violation=worst,
-                          times=np.array(times))
+        worst = max(worst, max(float(np.max(lo.u.values - hi.u.values))
+                               for lo, hi in zip(states, states[1:])))
+    return OrderingReport(ordered=worst <= ORDER_TOL, max_violation=worst)

@@ -319,13 +319,6 @@ def _apply_transport(grid: CylinderGrid, values: np.ndarray, c: float) -> np.nda
     return out
 
 
-def laplacian_advection(u: Field, c: float) -> Field:
-    """Second-order discrete ``Delta u + c u_z``, matrix-free; zero at pinned nodes."""
-    if c < 0:
-        raise GridError("frame speed must be >= 0, got %g" % c)
-    return Field(u.grid, _apply_transport(u.grid, u.values, c))
-
-
 def _gradient_last_axis(f: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
     """Write ``np.gradient(f, h, axis=-1, edge_order=2)`` into ``out``, bit for
     bit: the same operations as NumPy's uniform-spacing branch, as slices."""

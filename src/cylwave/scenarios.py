@@ -113,13 +113,12 @@ def read_manifest(path) -> dict:
 
 
 def build_initial(cfg: ExperimentConfig, grid: CylinderGrid,
-                  plateau: CrossSectionField | None) -> Field:
+                  plateau: CrossSectionField) -> Field:
     """Construct the configured initial datum (single-field families)."""
     p = cfg.initial_params
-    rng = np.random.default_rng(cfg.seed)
-    plat = plateau.values if plateau is not None else 1.0
-    vals = front_seed(grid, p["amplitude"] * plat, p["offset"], p["steepness"]).values
+    vals = front_seed(grid, p["amplitude"] * plateau.values, p["offset"], p["steepness"]).values
     if cfg.initial_family == "plateau_noise" and p["noise"] > 0:
+        rng = np.random.default_rng(cfg.seed)
         vals = vals + p["noise"] * rng.uniform(-1.0, 1.0, size=vals.shape)
     vals = np.clip(vals, 0.0, 1.0)
     return apply_boundary(Field(grid, vals))
@@ -321,9 +320,10 @@ def _run_gap(cfg, out_dir, manifest):
     manifest.check("zero_mode_small", abs(gap.zero_mode_value) <= 1e-6 * gap.scale,
                    "%.3g vs %.3g" % (gap.zero_mode_value, 1e-6 * gap.scale))
     manifest.check("zero_mode_aligned", gap.alignment >= 0.999, "%.6f" % gap.alignment)
-    manifest.check("gap_positive", gap.gap_positive, "%.4g" % gap.gap)
+    manifest.check("gap_positive", gap.gap > 0.0, "%.4g" % gap.gap)
     manifest.check("gap_levels_agree", drift <= 0.05, detail)
-    manifest.check("constraint_orthogonal", gap.constraint_residual <= 1e-10)
+    manifest.check("gap_residual_small", gap.residual_gap <= gap.residual_tol,
+                   "%.3g vs %.3g" % (gap.residual_gap, gap.residual_tol))
 
 
 def _run_secondary(cfg, out_dir, manifest):

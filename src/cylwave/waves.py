@@ -111,9 +111,9 @@ class Template:
     offset ``t dz`` whose arrays depend on the cell k alone
     (``weighted.shifted_cell``, which owns the clipping and end rules).
     ``cell`` remembers the arrays of the last cell asked for, read-only; the
-    tracker takes its dot products with them, ``at`` evaluates them by
-    Horner (``cell_value``), and the translate's slope is ``cell_slope`` on
-    the same arrays.  A shift by a whole number of cells asks for the cell
+    tracker takes its dot products with them, which give the translate's
+    slope sums without evaluating it, and ``at`` evaluates them by Horner
+    (``cell_value``).  A shift by a whole number of cells asks for the cell
     with ``node`` set, in which a node moved exactly onto the right end
     keeps the end slope.
     """
@@ -141,11 +141,9 @@ class Template:
 
 def front_seed(grid: CylinderGrid, plateau, offset: float = 0.0,
                steepness: float = 1.0) -> Field:
-    """Front-like seed: plateau on the left decaying to zero on the right."""
-    if np.isscalar(plateau):
-        plat = np.full(grid.n_y, float(plateau))
-    else:
-        plat = np.asarray(plateau.values if hasattr(plateau, "values") else plateau, float)
+    """Front-like seed: plateau on the left decaying to zero on the right;
+    ``plateau`` is a number, a ``CrossSectionField`` or its values."""
+    plat = np.broadcast_to(getattr(plateau, "values", plateau), grid.n_y)
     prof = 0.5 * (1.0 - np.tanh(steepness * (grid.z - offset)))
     return apply_boundary(Field(grid, plat[:, None] * prof[None, :]))
 
@@ -453,11 +451,10 @@ class GapResult:
     zero_mode_value: float        # lowest eigenvalue: the translational mode's
     gap: float                    # second lowest eigenvalue
     alignment: float              # |cos| between the lowest mode and profile_dz
-    constraint_residual: float    # |cos| between the two modes
     residual_zero: float
     residual_gap: float
     scale: float                  # Gershgorin norm of the symmetrized operator
-    gap_positive: bool
+    residual_tol: float           # (n + 1) eps (scale + |shift|): converged runs' bound
     iterations: int               # shift-invert solves of the Lanczos run
 
 
@@ -472,6 +469,12 @@ def spectral_gap(ws: WaveSolution, model: ReactionModel) -> GapResult:
     largest eigenvalues of the inverse are the two lowest of the operator.
     The eigenvalues are the Rayleigh quotients of the Ritz vectors, whose
     residuals are reported with them.
+
+    ARPACK (``tol = 0``) stops at ``||OP x - mu x|| <= eps |mu|``, OP the
+    shifted inverse, so ``||A x - lam x|| <= eps ||A - shift||``; each LU
+    solve is exact for a matrix within ``n eps ||A - shift||`` of A - shift
+    (Higham 2002, Thm 9.3: n unknowns, diagonal pivots, no growth on this
+    positive definite block).  A converged residual is below ``residual_tol``.
     """
     grid = ws.grid
     free = ~grid.dirichlet_mask.ravel()
@@ -513,11 +516,10 @@ def spectral_gap(ws: WaveSolution, model: ReactionModel) -> GapResult:
         zero_mode_value=float(theta[i0]),
         gap=float(theta[ig]),
         alignment=float(abs(X[:, i0] @ phiz_hat)),
-        constraint_residual=float(abs(X[:, ig] @ X[:, i0])),
         residual_zero=float(res[i0]),
         residual_gap=float(res[ig]),
         scale=scale,
-        gap_positive=bool(theta[ig] > 0.0),
+        residual_tol=(n + 1) * np.finfo(float).eps * (scale + abs(shift)),
         iterations=solves,
     )
 
@@ -540,29 +542,33 @@ class SecondaryResult:
     factorizations: int = 0
 
 
+class _NotApplicable(Exception):
+    """No secondary wave: the exception's text is the result's note."""
+
+
 def _secondary_problem(model: ReactionModel, grid: CylinderGrid, v: CriticalPoint
-                       ) -> tuple[ShiftedModel, CrossSectionField] | SecondaryResult:
+                       ) -> tuple[ShiftedModel, CrossSectionField]:
     """The shifted model and the upper state of the front invading v from
-    above on ``grid``, or the result that says why there is none."""
+    above on ``grid``; raises ``_NotApplicable`` with the note that says why
+    there is none."""
     head = 1.0 - v.v.values
     if float(np.max(head)) < 1e-6:
-        return SecondaryResult(False, "not applicable: no room above the plateau")
+        raise _NotApplicable("not applicable: no room above the plateau")
     # locate the next critical point above v with the base model (the shifted
     # problem has the same solution set translated by v)
     try:
         upper_full = find_critical_point(
             model, grid, CrossSectionField(grid, v.v.values + 0.95 * head))
     except SectionSolverError as exc:
-        return SecondaryResult(False, "not applicable: upper-state solve failed (%s)" % exc)
+        raise _NotApplicable("not applicable: upper-state solve failed (%s)" % exc) from exc
     h_star = upper_full.v.values - v.v.values
     if float(np.max(h_star)) < 1e-3:
-        return SecondaryResult(False, "not applicable: no nontrivial state above the plateau")
+        raise _NotApplicable("not applicable: no nontrivial state above the plateau")
     if float(np.min(h_star)) < -1e-8:
-        return SecondaryResult(False, "not applicable: nearest critical point is not above the plateau")
+        raise _NotApplicable("not applicable: nearest critical point is not above the plateau")
     if not upper_full.energy < v.energy:
-        return SecondaryResult(
-            False, "not applicable: upper state has nonnegative shifted energy %.3g"
-            % (upper_full.energy - v.energy))
+        raise _NotApplicable("not applicable: upper state has nonnegative shifted energy %.3g"
+                             % (upper_full.energy - v.energy))
     shifted = ShiftedModel(base=model, v_values=tuple(v.v.values),
                            y_nodes=tuple(grid.y))
     return shifted, CrossSectionField(grid, np.maximum(h_star, 0.0))
@@ -580,23 +586,19 @@ def secondary_speed(model: ReactionModel, grid: CylinderGrid, v: CriticalPoint,
     state, and its wave is carried to ``grid`` under the model shifted by
     v.  ``dt`` is accepted and ignored: the wave solve takes no time step.
     """
-    problem = _secondary_problem(model, grid, v)
-    if isinstance(problem, SecondaryResult):
-        return problem
-    shifted, upper = problem
-    coarse = half_grid(grid)
     try:
+        shifted, upper = _secondary_problem(model, grid, v)
+        coarse = half_grid(grid)
         if coarse is None:
             ws = solve_wave(shifted, grid, front_seed(grid, upper), c_seed)
         else:
             v_coarse = find_critical_point(model, coarse,
                                            CrossSectionField(coarse, v.v.values[::2]))
-            low = _secondary_problem(model, coarse, v_coarse)
-            if isinstance(low, SecondaryResult):
-                return low
-            shifted_coarse, upper_coarse = low
+            shifted_coarse, upper_coarse = _secondary_problem(model, coarse, v_coarse)
             ws = _solve_level(shifted_coarse, coarse, front_seed(coarse, upper_coarse), c_seed)
             ws = _monotone(_nested(ws, grid, shifted))
+    except _NotApplicable as exc:
+        return SecondaryResult(False, str(exc))
     except (WaveSolverError, SectionSolverError) as exc:
         return SecondaryResult(False, "not applicable: secondary wave solve failed (%s)" % exc)
     return SecondaryResult(True, "secondary wave found", speed=ws.speed,
@@ -617,7 +619,6 @@ class TranslationReport:
     distances: np.ndarray
     ratio_lower: float            # min distance/|R| over 0 < |R| <= 1
     ratio_upper: float            # max distance/|R| over 0 < |R| <= 1
-    small_shift_slope: float      # distance/|R| at the smallest sampled |R|
     dz_norm: float                # weighted norm of the discrete profile_dz
     monotone_in_abs_R: bool
     min_distance_outside: float   # smallest distance among |R| >= 1
@@ -629,31 +630,20 @@ def translation_profile(ws: WaveSolution, radii: np.ndarray | None = None) -> Tr
         radii = np.concatenate([np.linspace(-1.0, 1.0, 41), [-2.0, -1.5, 1.5, 2.0]])
     radii = np.asarray(sorted(radii))
     m = ws.measure(z_ref=0.0)
-    dist = np.empty(radii.size)
-    for i, r in enumerate(radii):
-        if r == 0.0:
-            dist[i] = 0.0
-            continue
-        diff = translate(ws.profile, float(r)).values - ws.profile.values
-        dist[i] = weighted_norm_l2(Field(ws.grid, diff), m)
-
+    # T_0 is a copy, so the distance at R = 0 is exactly zero
+    dist = np.array([weighted_norm_l2(Field(ws.grid, translate(ws.profile, float(r)).values
+                                            - ws.profile.values), m) for r in radii])
     inner = (np.abs(radii) > 0) & (np.abs(radii) <= 1.0)
     ratios = dist[inner] / np.abs(radii[inner])
-    small = np.argmin(np.abs(np.where(radii == 0.0, np.inf, radii)))
-    dzn = weighted_norm_l2(Field(ws.grid, ws.profile_dz), m)
-
-    pos = radii > 0
-    neg = radii < 0
-    mono = bool(np.all(np.diff(dist[pos]) >= -1e-12) and
-                np.all(np.diff(dist[neg][::-1]) >= -1e-12))
+    mono = bool(np.all(np.diff(dist[radii > 0]) >= -1e-12) and
+                np.all(np.diff(dist[radii < 0][::-1]) >= -1e-12))
     outside = np.abs(radii) >= 1.0
     return TranslationReport(
         radii=radii,
         distances=dist,
         ratio_lower=float(ratios.min()),
         ratio_upper=float(ratios.max()),
-        small_shift_slope=float(dist[small] / abs(radii[small])),
-        dz_norm=float(dzn),
+        dz_norm=weighted_norm_l2(Field(ws.grid, ws.profile_dz), m),
         monotone_in_abs_R=mono,
         min_distance_outside=float(dist[outside].min()) if outside.any() else float("nan"),
     )

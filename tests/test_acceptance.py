@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from conftest import record_acceptance
+from conftest import energy_identity_defect, record_acceptance
 
-from cylwave.evolve import EvolutionState, Stepper, check_dissipation, weighted_energy
+from cylwave.evolve import EvolutionState, Stepper, weighted_energy
 from cylwave.grids import Field, GridConfig, build_grid, apply_boundary
 from cylwave.reactions import CubicBistable, LinearModel
 from cylwave.sections import principal_eigenpair
@@ -110,21 +110,18 @@ def test_criterion_3_energy_machinery(cubic_wave, converge_run):
     increases = np.diff(phi) - 1e-10 * np.maximum(1.0, np.abs(phi[:-1]))
     monotone = bool(np.all(increases <= 0.0))
 
-    def residual(dt, n):
-        g = ws.grid
-        s = EvolutionState(0.0, front_seed(g, 1.0, offset=1.0, steepness=0.8), ws.speed)
-        stepper = Stepper(model, g, dt, ws.speed)
-        states = [s]
-        for _ in range(n):
-            states.append(stepper.step(states[-1]))
-        return check_dissipation(states, model, ws.measure(0.0)).total_residual
-
-    r1, r2 = residual(0.2, 40), residual(0.1, 80)
-    halving = r1 / r2
-    ok = abs(phi_wave) <= 1e-6 and monotone and 1.4 <= halving <= 2.8
+    # every step's exact energy identity, to rounding
+    stepper = Stepper(model, ws.grid, 0.2, ws.speed)
+    state = EvolutionState(0.0, front_seed(ws.grid, 1.0, offset=1.0, steepness=0.8), ws.speed)
+    defect = 0.0
+    for _ in range(40):
+        new = stepper.step(state)
+        step_defect, bound = energy_identity_defect(stepper, state, new)
+        defect, state = max(defect, step_defect), new
+    ok = abs(phi_wave) <= 1e-6 and monotone and defect <= bound
     report(3, ok, "energy[wave] %.2e (<=1e-6), per-step monotone %s, "
-                  "dissipation residual ratio %.2f (~2)"
-           % (phi_wave, monotone, halving))
+                  "energy identity defect %.0f eps*scale (<=%d)"
+           % (phi_wave, monotone, defect, bound))
 
 
 def test_criterion_4_spectral_structure(cubic_wave):

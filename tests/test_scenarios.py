@@ -224,7 +224,7 @@ class TestGapScenario:
         manifest = run_scenario(cfg, str(tmp_path))
         assert [(n, ok) for n, ok, _ in manifest.assertions] == [
             ("zero_mode_small", True), ("zero_mode_aligned", True), ("gap_positive", True),
-            ("gap_levels_agree", True), ("constraint_orthogonal", True)]
+            ("gap_levels_agree", True), ("gap_residual_small", True)]
         fine, coarse = grids
         assert fine == cfg.make_grid() and coarse.shape == (3, 81)
         assert (coarse.y_min, coarse.y_max, coarse.z_min, coarse.z_max) == (
