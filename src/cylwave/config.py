@@ -44,7 +44,6 @@ _SCHEMA = {
         "plateau_seed": (float, 0.9),
         "alpha": (float, 0.1),
         "delta": (float, 0.05),
-        "sample_every": (int, 1),
     },
     "initial": {
         "family": (str, "shifted_tanh"),
@@ -75,7 +74,6 @@ class ExperimentConfig:
     plateau_seed: float
     alpha: float
     delta: float
-    sample_every: int
     initial_family: str
     initial_params: dict
     raw: dict = dc_field(default_factory=dict)
@@ -196,8 +194,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
                               "(0.5 / sup|f_u|)" % (cfg.dt, cap))
     if cfg.seed < 0:
         raise ConfigError("seed must be >= 0, got %d" % cfg.seed)
-    if cfg.sample_every < 1:
-        raise ConfigError("sample_every must be >= 1")
     if not cfg.c_trial > 0:
         raise ConfigError("c_trial must be positive, got %g" % cfg.c_trial)
     if not cfg.delta > 0:

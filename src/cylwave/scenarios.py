@@ -23,10 +23,9 @@ from .evolve import compare_evolutions
 from .grids import CrossSectionField, CylinderGrid, Field, apply_boundary
 from .reactions import ReactionModel, check_hypotheses
 from .sections import CriticalPoint, check_speed_admissible, find_critical_point
-from .tracking import (FLOAT_FORMAT, fit_decay, fit_position_tail, fit_rate,
-                       trace_to_csv, track)
-from .waves import (WaveSolution, front_seed, save_solution, secondary_speed,
-                    solve_wave, spectral_gap, translation_profile)
+from .tracking import fit_decay, fit_position_tail, fit_rate, trace_to_csv, track
+from .waves import (FLOAT_FORMAT, WaveSolution, front_seed, save_solution,
+                    secondary_speed, solve_wave, spectral_gap, translation_profile)
 from .weighted import translate, weighted_norm_l2
 
 
@@ -169,7 +168,7 @@ def run_scenario(cfg: ExperimentConfig, out_dir: str) -> RunManifest:
         "hypotheses": _run_hypotheses,
     }[cfg.scenario]
     try:
-        runner(cfg, out_dir, manifest)
+        runner(cfg, cfg.make_grid(), cfg.make_model(), out_dir, manifest)
     except BaseException as exc:  # an interrupted run did not pass either
         manifest.error = "%s: %s" % (type(exc).__name__, str(exc).replace("\n", " "))
         raise
@@ -188,8 +187,7 @@ def _solve_configured_wave(cfg: ExperimentConfig, grid, model):
     return plateau, ws
 
 
-def _run_wave(cfg, out_dir, manifest):
-    grid, model = cfg.make_grid(), cfg.make_model()
+def _run_wave(cfg, grid, model, out_dir, manifest):
     plateau, ws = _solve_configured_wave(cfg, grid, model)
     rep = translation_profile(ws)
     save_solution(ws, os.path.join(out_dir, "wave.txt"))
@@ -214,8 +212,7 @@ def _run_wave(cfg, out_dir, manifest):
     manifest.check("translation_distance_monotone", rep.monotone_in_abs_R)
 
 
-def _run_converge(cfg, out_dir, manifest):
-    grid, model = cfg.make_grid(), cfg.make_model()
+def _run_converge(cfg, grid, model, out_dir, manifest):
     plateau, ws = _solve_configured_wave(cfg, grid, model)
     u0 = build_initial(cfg, grid, plateau.v)
 
@@ -224,8 +221,7 @@ def _run_converge(cfg, out_dir, manifest):
     inidat_ok = bool(np.min(left - (plateau.v.values[:, None] - cfg.alpha)) >= 0.0)
     manifest.check("initial_datum_left_plateau", inidat_ok)
 
-    trace = track(model, ws, u0, cfg.dt, cfg.horizon, delta=cfg.delta,
-                  sample_every=cfg.sample_every)
+    trace = track(model, ws, u0, cfg.dt, cfg.horizon, delta=cfg.delta)
     trace_to_csv(trace, os.path.join(out_dir, "trace.csv"))
     manifest.add_file(out_dir, "trace.csv")
 
@@ -293,13 +289,12 @@ def _run_converge(cfg, out_dir, manifest):
                    "%.3g vs 10*%.3g" % (drift, m0))
 
 
-def _run_gap(cfg, out_dir, manifest):
+def _run_gap(cfg, grid, model, out_dir, manifest):
     """The gap K_h of the configured wave, and of the half-grid wave that
     ``solve_wave`` carried to it, K_2h: ``gap_err_est = (K_h - K_2h) / 3``
     is the Richardson estimate of K_h's error (the scheme is second order).
     The two levels must agree within 5% of K_h; a grid without a half grid
     has no second level and fails that check."""
-    grid, model = cfg.make_grid(), cfg.make_model()
     plateau, ws = _solve_configured_wave(cfg, grid, model)
     gap = spectral_gap(ws, model)
     if ws.coarse is None:
@@ -326,14 +321,12 @@ def _run_gap(cfg, out_dir, manifest):
                    "%.3g vs %.3g" % (gap.residual_gap, gap.residual_tol))
 
 
-def _run_secondary(cfg, out_dir, manifest):
+def _run_secondary(cfg, grid, model, out_dir, manifest):
     """Primary and secondary speeds over the configured plateau, each with
     its two-level estimate.  Both waves depend on the plateau and are
     solved one after the other.
     """
-    grid, model = cfg.make_grid(), cfg.make_model()
-    plateau = _plateau_state(model, grid, cfg.plateau_seed)
-    ws = solve_wave(model, grid, front_seed(grid, plateau.v), cfg.c_seed)
+    plateau, ws = _solve_configured_wave(cfg, grid, model)
     sec = secondary_speed(model, grid, plateau, c_seed=cfg.c_seed)
     manifest.results["plateau_max"] = float(np.max(plateau.v.values))
     manifest.results["speed"] = ws.speed
@@ -351,8 +344,7 @@ def _run_secondary(cfg, out_dir, manifest):
                    "margin %.4g" % (ws.speed - sec.speed))
 
 
-def _run_comparison(cfg, out_dir, manifest):
-    grid, model = cfg.make_grid(), cfg.make_model()
+def _run_comparison(cfg, grid, model, out_dir, manifest):
     plateau, ws = _solve_configured_wave(cfg, grid, model)
     u0 = build_initial(cfg, grid, plateau.v)
     lo, hi = sandwich_pair(u0, ws, cfg.initial_params["separation"])
@@ -361,8 +353,7 @@ def _run_comparison(cfg, out_dir, manifest):
     manifest.check("sandwich_ordered", rep.ordered, "%.3g" % rep.max_violation)
 
 
-def _run_hypotheses(cfg, out_dir, manifest):
-    grid, model = cfg.make_grid(), cfg.make_model()
+def _run_hypotheses(cfg, grid, model, out_dir, manifest):
     rep = check_hypotheses(model, grid)
     adm = check_speed_admissible(model, grid, cfg.c_trial)
     manifest.results.update({

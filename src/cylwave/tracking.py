@@ -17,12 +17,9 @@ import numpy as np
 from .evolve import EvolutionState, Stepper, flow_weights
 from .grids import Field, _apply_transport, axial_derivative, section_derivative
 from .reactions import ReactionModel
-from .waves import WaveSolution
+from .waves import FLOAT_FORMAT, WaveSolution
 from .weighted import (WeightedMeasure, cell_fraction, offset_resolution,
                        quadrature_weights)
-
-# every float written to trace.csv and manifest.txt: decimal round-trip
-FLOAT_FORMAT = "%.17g"
 
 DEFAULT_DELTA = 0.05
 _EPS = np.finfo(float).eps
@@ -343,12 +340,11 @@ class FrontTrace:
 
     speed: float
     samples: np.ndarray           # structured array, one row per accepted step
-    dt: float
     sigma_fit: float | None = None
     fit_quality: float | None = None
     fit_window: tuple[float, float] | None = None
     R_infinity: float | None = None
-    tracker_iters_max: int = 0    # over every locate_front call, sampled or not
+    tracker_iters_max: int = 0    # over every locate_front call
     tracker_cap_hits: int = 0     # calls that returned with ``capped`` set
 
     FIELDS = [("t", float), ("R", float), ("m", float), ("phi", float),
@@ -372,9 +368,9 @@ def _columns(model: ReactionModel, ws: WaveSolution, u: np.ndarray,
              u_z: np.ndarray | None, R: np.ndarray, prev, dt: float,
              delta: float) -> list[np.ndarray]:
     """The columns m, phi, dRdt_fd, dRdt_quotient, h2c_norm and z_delta of
-    kept rows: states ``u`` stacked on a first axis, their ``u_z`` and
-    positions ``R``, with ``prev = (states, positions)`` of the steps before
-    them, or None for rows without rates.
+    rows: states ``u`` stacked on a first axis, their ``u_z`` and positions
+    ``R``, with ``prev = (states, positions)`` of the steps before them, or
+    None for rows without rates.
 
     ``T_R profile`` and its slope are, in each cell, one product of the
     rows' offset powers ``(1, s, s^2, s^3)`` and ``(0, 1, 2s, 3s^2)`` with
@@ -382,8 +378,8 @@ def _columns(model: ReactionModel, ws: WaveSolution, u: np.ndarray,
     rows along the last axis.  Every weighted sum is one pass over one
     row's own nodes in the measure referenced at 0, times ``exp(-c R)``.
     Both are ``np.einsum`` loops, never BLAS products, so a row's columns
-    do not depend on which other rows are kept (a BLAS product would round
-    a row differently from block to block).
+    do not depend on which other rows share its block (a BLAS product would
+    round a row differently from block to block).
     """
     grid, tpl, c = ws.grid, ws.template, ws.speed
     n = len(R)
@@ -443,20 +439,18 @@ def _columns(model: ReactionModel, ws: WaveSolution, u: np.ndarray,
 
 
 def track(model: ReactionModel, ws: WaveSolution, u0: Field, dt: float,
-          horizon: float, delta: float = DEFAULT_DELTA,
-          sample_every: int = 1) -> FrontTrace:
+          horizon: float, delta: float = DEFAULT_DELTA) -> FrontTrace:
     """Integrate in the frame moving at the selected speed and track the front.
 
     Only the step is sequential: the states are stepped ``BLOCK_ROWS`` at a
     time, then analysed as a block.  The tracker's cell sums are products
     of the whole block (``CellSums``), and each row re-minimizes the
     mismatch from the previous optimum (warm-started Newton, row by row).
-    A kept row (every ``sample_every``-th step and the last) takes its
-    weighted columns at its own R, and the explicit translation-rate
-    quotient beside the finite difference of R as a consistency diagnostic,
-    in one pass over the block's kept rows (``_columns``).  A row holds the
-    (h', h'') evaluations of its own tracker call; the trace holds their
-    maximum and cap hits over all calls.
+    Every step is a row: it takes its weighted columns at its own R, and the
+    explicit translation-rate quotient beside the finite difference of R as
+    a consistency diagnostic, in one pass over the block (``_columns``).  A
+    row holds the (h', h'') evaluations of its own tracker call; the trace
+    holds their maximum and cap hits over all calls.
 
     A datum below the ignition level of f dies out and raises TrackerError.
     A step or tracker call that fails raises TrackingLossError at the
@@ -465,8 +459,6 @@ def track(model: ReactionModel, ws: WaveSolution, u0: Field, dt: float,
     """
     if not delta > 0:
         raise ValueError("delta must be positive, got %r" % delta)
-    if not sample_every >= 1:
-        raise ValueError("sample_every must be at least 1, got %r" % sample_every)
     grid = ws.grid
     stepper = Stepper(model, grid, dt, ws.speed)
     top, level = float(np.max(u0.values)), model.ignition_level(grid)
@@ -515,15 +507,11 @@ def track(model: ReactionModel, ws: WaveSolution, u0: Field, dt: float,
             cap_hits += fs.capped
         if lost is not None:
             raise TrackingLossError("tracking lost at t=%.6g: %s" % (state.t, lost)) from lost
-        kept = [i for i in range(n)
-                if (done + i + 1) % sample_every == 0 or done + i + 1 == n_steps]
-        if kept:
-            R = np.array([f.position for f in fronts])
-            record([states[i].t for i in kept], [fronts[i + 1] for i in kept],
-                   u[kept], u_z[kept], (block[kept], R[kept]))
+        R = np.array([f.position for f in fronts])
+        record([st.t for st in states], fronts[1:], u, u_z, (block[:n], R[:n]))
         done += n
     return FrontTrace(speed=ws.speed, samples=np.array(rows, dtype=FrontTrace.FIELDS),
-                      dt=dt, tracker_iters_max=iters_max, tracker_cap_hits=cap_hits)
+                      tracker_iters_max=iters_max, tracker_cap_hits=cap_hits)
 
 
 def default_fit_window(trace: FrontTrace) -> tuple[float, float]:
@@ -587,17 +575,20 @@ def fit_decay(trace: FrontTrace, window: tuple[float, float] | None = None
 
 
 def fit_position_tail(trace: FrontTrace) -> tuple[float, float]:
-    """Exponential-class fit of |R(t) - R_end| over the tail half of the
-    decay window (``fit_decay``'s, or else the default one).
+    """Exponential-class fit of |R(t) - R_infinity| over the tail half of
+    the decay window, both set by ``fit_decay``.
 
-    The position can overshoot its limit once (a sign change in R - R_inf
-    puts a cusp in the log plot), so only the asymptotic half of the decay
-    window is fitted.  Returns (rate, quality).
+    The reference is the fitted limit, not the last row: R keeps drifting
+    after the deviation reaches its floor, and a fit against the last row
+    reads that drift.  The position can overshoot its limit once (a sign
+    change in R - R_inf puts a cusp in the log plot), so only the
+    asymptotic half of the decay window is fitted.  Returns (rate, quality).
     """
-    window = trace.fit_window or default_fit_window(trace)
+    if trace.R_infinity is None:
+        raise FitError("fit_position_tail needs fit_decay's window and R_infinity")
+    window, R_ref = trace.fit_window, trace.R_infinity
     t = trace.samples["t"]
     R = trace.samples["R"]
-    R_ref = float(R[-1])
     lo = window[0] + 0.5 * (window[1] - window[0])
     d = np.abs(R - R_ref)
     sel = (t >= lo) & (t <= window[1]) & (d > 1e3 * np.finfo(float).eps * max(1.0, abs(R_ref)))

@@ -48,6 +48,8 @@ from .weighted import (WeightedMeasure, cell_fraction, cell_value, hermite,
                        pchip_slopes, shifted_cell, spline_slopes, translate,
                        weighted_norm_l2)
 
+# every float written to wave.txt, trace.csv and manifest.txt: decimal round-trip
+FLOAT_FORMAT = "%.17g"
 NEWTON_TOL = 1e-11
 RESIDUAL_LIMIT = 1e-8
 # first pseudo-time step of the continuation (the rule: see freeze_frame)
@@ -650,24 +652,24 @@ def translation_profile(ws: WaveSolution, radii: np.ndarray | None = None) -> Tr
 
 
 # ---------------------------------------------------------------------------
-# flat text serialization (decimal round-trip at 17 significant digits)
+# flat text serialization (decimal round-trip: FLOAT_FORMAT)
 
 
 def save_solution(ws: WaveSolution, path) -> None:
     g = ws.grid
     lines = ["# cylwave wave solution v1"]
-    lines.append("speed = %.17g" % ws.speed)
-    lines.append("residual = %.17g" % ws.residual)
-    lines.append("normalization_shift = %.17g" % ws.normalization_shift)
+    lines.append("speed = " + FLOAT_FORMAT % ws.speed)
+    lines.append("residual = " + FLOAT_FORMAT % ws.residual)
+    lines.append("normalization_shift = " + FLOAT_FORMAT % ws.normalization_shift)
     lines.append("monotone = %s" % ("true" if ws.monotone else "false"))
     for f in fields(GridConfig):
         value = getattr(g, f.name)
-        text = "%.17g" % value if isinstance(f.default, float) else str(value)
+        text = FLOAT_FORMAT % value if isinstance(f.default, float) else str(value)
         lines.append("%s = %s" % (f.name, text))
-    lines.append("plateau = " + " ".join("%.17g" % x for x in ws.plateau.values))
+    lines.append("plateau = " + " ".join(FLOAT_FORMAT % x for x in ws.plateau.values))
     lines.append("values:")
     for row in ws.profile.values:
-        lines.append(" ".join("%.17g" % x for x in row))
+        lines.append(" ".join(FLOAT_FORMAT % x for x in row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

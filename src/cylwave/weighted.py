@@ -83,8 +83,7 @@ def weighted_norm_h1(u: Field, m: WeightedMeasure) -> float:
     w = quadrature_weights(u.grid, m)
     total = (w * u.values ** 2).sum()
     total += (w * axial_derivative(u.values, u.grid) ** 2).sum()
-    if u.grid.n_y > 1:
-        total += (w * section_derivative(u.values, u.grid) ** 2).sum()
+    total += (w * section_derivative(u.values, u.grid) ** 2).sum()
     return math.sqrt(total)
 
 
@@ -94,12 +93,11 @@ def weighted_norm_h2(u: Field, m: WeightedMeasure) -> float:
     w = quadrature_weights(g, m)
     uz = axial_derivative(u.values, g)
     uzz = axial_derivative(uz, g)
+    uy = section_derivative(u.values, g)
+    uyy = section_derivative(uy, g)
+    uyz = axial_derivative(uy, g)
     total = (w * u.values ** 2).sum() + (w * uz ** 2).sum() + (w * uzz ** 2).sum()
-    if g.n_y > 1:
-        uy = section_derivative(u.values, g)
-        uyy = section_derivative(uy, g)
-        uyz = axial_derivative(uy, g)
-        total += (w * uy ** 2).sum() + (w * uyy ** 2).sum() + (w * uyz ** 2).sum()
+    total += (w * uy ** 2).sum() + (w * uyy ** 2).sum() + (w * uyz ** 2).sum()
     return math.sqrt(total)
 
 
@@ -242,29 +240,17 @@ def cell_value(a: np.ndarray, s: float) -> np.ndarray:
     return v
 
 
-def cell_slope(a: np.ndarray, s: float) -> np.ndarray:
-    """Derivative of the cubic of ``shifted_cell`` arrays at offset s:
-    exactly ``a1`` at s = 0."""
-    v = a[3] * (1.5 * s)
-    v += a[2]
-    v *= 2 * s
-    v += a[1]
-    return v
-
-
-def shifted_hermite(y: np.ndarray, d: np.ndarray, h: float, R: float,
-                    nu: int = 0) -> np.ndarray:
+def shifted_hermite(y: np.ndarray, d: np.ndarray, h: float, R: float) -> np.ndarray:
     """Hermite cubic through node values ``y`` with slopes ``d`` (last axis,
-    spacing ``h``) at every node moved by ``-R``; ``nu=1`` gives its derivative.
+    spacing ``h``) at every node moved by ``-R``.
 
     Every moved node sits at the same fraction t of its interval, so this is
     one ``shifted_cell`` and a Horner evaluation.  A shift within rounding
     of a whole number of cells reads the nodes themselves.  Nodes moved past
-    an end take that end's value (``nu=0``) or zero (``nu=1``).
+    an end take that end's value.
     """
     k, t = cell_fraction(R, h)
-    a = shifted_cell(y, d, h, k, node=t == 0.0)
-    return (cell_slope if nu else cell_value)(a, t * h)
+    return cell_value(shifted_cell(y, d, h, k, node=t == 0.0), t * h)
 
 
 def translate(u: Field, R: float) -> Field:

@@ -1,12 +1,13 @@
 """Shared test plumbing: the acceptance suite's per-criterion report lines,
-and the IMEX step's exact energy identity."""
+the IMEX step's exact energy identity, and the slope of a shifted Hermite
+cubic, the reference for the translate's and the template's slopes."""
 
 import numpy as np
 
 from cylwave.evolve import flow_weights, weighted_energy
 from cylwave.grids import _apply_transport
 from cylwave.reactions import eval_f
-from cylwave.weighted import WeightedMeasure
+from cylwave.weighted import WeightedMeasure, cell_fraction, shifted_cell
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -20,6 +21,30 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def cell_slope(a, s):
+    """Derivative of the cubic of ``shifted_cell`` arrays ``a`` at offset s:
+    exactly ``a1`` at s = 0."""
+    v = a[3] * (1.5 * s)
+    v += a[2]
+    v *= 2 * s
+    v += a[1]
+    return v
+
+
+def shifted_slope(y, d, h, R):
+    """Derivative of ``shifted_hermite(y, d, h, R)``: zero at nodes moved
+    past an end."""
+    k, t = cell_fraction(R, h)
+    return cell_slope(shifted_cell(y, d, h, k, node=t == 0.0), t * h)
+
+
+def template_slope(tpl, R):
+    """The slope of ``tpl.at(R)``, from the template's own cell for R."""
+    dz = tpl.ws.grid.dz
+    k, t = cell_fraction(R, dz)
+    return cell_slope(tpl.cell(k, t == 0.0), t * dz)
 
 
 def energy_identity_defect(stepper, old, new) -> tuple[float, int]:

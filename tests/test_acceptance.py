@@ -101,6 +101,19 @@ def test_criterion_2_global_convergence(converge_run):
            % (sigma, quality, rate_r, q_r, -slope_h, q_h, elapsed))
 
 
+def test_position_rate_holds_when_dt_halves(converge_run):
+    # the position's rate is a property of the flow, not of the step: with
+    # dt halved it moves by -1.3% (0.2949 -> 0.2911) fitted against
+    # R_infinity, but by +4.8% (0.3073 -> 0.3220) against the last row,
+    # which reads R's drift after the deviation reaches its floor
+    model, ws, u0, trace, _ = converge_run
+    half = track(model, ws, u0, dt=0.025, horizon=60.0)
+    fit_decay(half)
+    rate, _ = fit_position_tail(trace)
+    rate_half, _ = fit_position_tail(half)
+    assert abs(rate_half - rate) <= 0.02 * rate, (rate, rate_half)
+
+
 def test_criterion_3_energy_machinery(cubic_wave, converge_run):
     model, ws = cubic_wave
     phi_wave = weighted_energy(ws.profile, model, ws.measure(z_ref=0.0))

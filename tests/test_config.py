@@ -74,11 +74,11 @@ class TestParse:
     def test_run_section_lands_on_same_named_fields(self):
         text = MINIMAL.replace("scenario = wave", "scenario = converge") + (
             "horizon = 12.5\nseed = 7\nc_seed = 0.3\nc_trial = 0.4\nplateau_seed = 0.8\n"
-            "alpha = 0.2\ndelta = 0.06\nsample_every = 3\n")
+            "alpha = 0.2\ndelta = 0.06\n")
         cfg = parse_config(text)
         expected = {"scenario": "converge", "dt": 0.1, "horizon": 12.5, "seed": 7,
                     "c_seed": 0.3, "c_trial": 0.4, "plateau_seed": 0.8, "alpha": 0.2,
-                    "delta": 0.06, "sample_every": 3}
+                    "delta": 0.06}
         assert set(expected) == set(cfg.raw["run"])
         assert {key: getattr(cfg, key) for key in expected} == expected
 

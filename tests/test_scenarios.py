@@ -286,6 +286,17 @@ class TestCli:
         assert code == 2
         assert "dt_max" in capsys.readouterr().err
 
+    def test_sample_every_is_an_unknown_key_exit_two(self, tmp_path, capsys):
+        # every tracked step is a trace row: the key is gone, not ignored
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(FAST_CONVERGE.replace("dt = 0.1", "dt = 0.1\nsample_every = 1"))
+        code = main(["converge", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "unknown key 'sample_every' in section [run]" in err
+        assert not (tmp_path / "out").exists()
+
     def test_nonfinite_horizon_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(FAST_CONVERGE.replace("horizon = 25.0", "horizon = nan"))

@@ -248,6 +248,8 @@ class TestAdmissibility:
         g = grid_1d()
         rep = check_speed_admissible(CubicBistable(0.25), g, 1.2, budget_steps=400)
         assert rep.best_energy >= -1e-8
+        # above c-dagger no trial field goes below zero energy
+        assert not rep.admissible
 
     def test_discriminant_always_ok_for_positive_eigenvalue(self):
         g = grid_1d()

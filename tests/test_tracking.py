@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import shifted_slope, template_slope
+
 from cylwave import evolve, tracking, weighted
 from cylwave.evolve import EvolutionError, EvolutionState, Stepper, weighted_energy
 from cylwave.grids import (CrossSectionField, Field, GridConfig, axial_derivative,
@@ -11,11 +13,11 @@ from cylwave.reactions import CubicBistable
 from cylwave.sections import find_critical_point
 from cylwave.tracking import (CSV_COLUMNS, BracketError, CellSums, ConvexityError,
                               FitError, FrontState, FrontTrace, TrackingLossError, _columns,
-                              default_fit_window, fit_decay, fit_rate,
+                              default_fit_window, fit_decay, fit_position_tail, fit_rate,
                               locate_front, mismatch, mismatch_derivatives, track,
                               trace_to_csv, z_delta)
 from cylwave.waves import front_seed, solve_wave
-from cylwave.weighted import (cell_fraction, cell_slope, offset_resolution,
+from cylwave.weighted import (cell_fraction, offset_resolution,
                               quadrature_weights, shifted_hermite, spline_slopes,
                               translate, weighted_norm_h2, weighted_norm_l2)
 
@@ -33,7 +35,7 @@ def synthetic_trace(times, m_values, speed=0.35):
     samples["t"] = times
     samples["m"] = m_values
     samples["R"] = 0.0
-    return FrontTrace(speed=speed, samples=samples, dt=times[1] - times[0])
+    return FrontTrace(speed=speed, samples=samples)
 
 
 class TestMismatch:
@@ -135,7 +137,7 @@ def array_derivatives(u, ws, R, m):
     y = ws.profile.values
     d = spline_slopes(y, g.dz)
     w = quadrature_weights(g, m)
-    T, Tz = shifted_hermite(y, d, g.dz, R), shifted_hermite(y, d, g.dz, R, nu=1)
+    T, Tz = shifted_hermite(y, d, g.dz, R), shifted_slope(y, d, g.dz, R)
     uz = axial_derivative(u.values, g)
     h1 = float((w * (u.values - T) * Tz).sum())
     h2 = m.c * h1 + float((w * uz * Tz).sum())
@@ -260,8 +262,7 @@ class TestLocateFront:
         # floats on either side of the optimum
         _, ws = wave
         g = ws.grid
-        k, t = cell_fraction(R0, g.dz)
-        slope = cell_slope(ws.template.cell(k, t == 0.0), t * g.dz)
+        slope = template_slope(ws.template, R0)
         u = Field(g, ws.template.at(R0) - 0.5 * math.ulp(R0) * slope)
         for seed in (R0, 0.0):
             fs = locate_front(u, ws, seed)
@@ -330,12 +331,6 @@ class TestTrack:
         assert iters.min() >= 1
         assert every.tracker_iters_max == iters.max()
         assert every.tracker_cap_hits == 0
-        # sampling keeps the same rows, bit for bit in every column, and
-        # counts every call
-        sparse = track(model, ws, u0, dt=0.1, horizon=3.0, sample_every=4)
-        kept = every.samples[np.r_[0:iters.size:4, iters.size - 1]]
-        assert sparse.samples.tobytes() == kept.tobytes()
-        assert sparse.tracker_iters_max == every.tracker_iters_max
 
     def test_translated_wave_tracks_constant_position(self, wave):
         model, ws = wave
@@ -450,6 +445,22 @@ class TestFits:
         assert lo > 0.0
         assert hi < 40.0
         assert m[np.searchsorted(t, hi)] >= 9.9e-8  # 100x the floor
+
+    def test_position_tail_fits_against_the_limit(self):
+        # R tends to 2 at the rate sigma of m; the last row is still 1.7e-4 above it
+        t = np.linspace(0.0, 20.0, 401)
+        R = 2.0 + 0.5 * np.exp(-0.4 * t)
+        # m as stored, referenced at each row's own R: rebased, exp(-0.8 t)
+        trace = synthetic_trace(t, np.exp(-0.8 * t - 0.35 * (R - R[0])))
+        trace.samples["R"] = R
+        trace.samples["dRdt_fd"] = -0.2 * np.exp(-0.4 * t)
+        with pytest.raises(FitError, match="fit_decay"):
+            fit_position_tail(trace)
+        fit_decay(trace, window=(0.0, 20.0))
+        assert trace.R_infinity == pytest.approx(2.0, abs=1e-14)
+        rate, quality = fit_position_tail(trace)
+        assert rate == pytest.approx(0.4, rel=1e-9)
+        assert quality == pytest.approx(1.0, abs=1e-12)
 
     def test_fit_rate_r2(self):
         t = np.linspace(0, 10, 50)
@@ -601,8 +612,7 @@ def reference_row(model, ws, t, u, fs, u_z=None, prev=None, dt=None, delta=0.05)
     fd = quotient = np.nan
     if prev is not None:
         w = quadrature_weights(ws.grid, mm)
-        k, frac = cell_fraction(R, ws.grid.dz)
-        tdz = cell_slope(ws.template.cell(k, frac == 0.0), frac * ws.grid.dz)
+        tdz = template_slope(ws.template, R)
         fd = (R - prev[1]) / dt
         quotient = (-float((w * (u.values - prev[0]) / dt * tdz).sum())
                     / float((w * u_z * tdz).sum()))
@@ -745,12 +755,6 @@ class TestTrackInputsAndFailures:
         ws = small_wave
         with pytest.raises(ValueError, match="delta"):
             track(MODEL, ws, ws.profile.copy(), dt=0.1, horizon=2.0, delta=0.0)
-        assert steps["n"] == 0
-
-    def test_zero_sample_every_refused_before_any_step(self, small_wave, steps):
-        ws = small_wave
-        with pytest.raises(ValueError, match="sample_every"):
-            track(MODEL, ws, ws.profile.copy(), dt=0.1, horizon=2.0, sample_every=0)
         assert steps["n"] == 0
 
     def test_step_failure_after_tracking_the_rows_before_it(self, small_wave, steps, fronts):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+from conftest import template_slope
+
 from cylwave.evolve import flow_weights
 from cylwave.grids import (CrossSectionField, Field, GridConfig, _apply_axial,
                            _apply_transport, build_grid, half_grid, transport_operator)
@@ -16,8 +18,7 @@ from cylwave.waves import (SeedBasinError, Template, WaveSolverError, front_seed
                            load_solution, refine_solution, save_solution,
                            secondary_speed, solve_wave, spectral_gap,
                            translation_profile)
-from cylwave.weighted import (WeightedMeasure, cell_fraction, cell_slope, translate,
-                              weighted_norm_l2)
+from cylwave.weighted import WeightedMeasure, cell_fraction, translate, weighted_norm_l2
 
 
 def wave_grid(n_z=1201, z=(-40.0, 20.0)):
@@ -289,13 +290,6 @@ class TestTwoLevels:
             refine_solution(ws, fine, model)
 
 
-def slope_at(tpl, R):
-    """The translate's slope: ``cell_slope`` on the template's cell for R."""
-    dz = tpl.ws.grid.dz
-    k, t = cell_fraction(R, dz)
-    return cell_slope(tpl.cell(k, t == 0.0), t * dz)
-
-
 class TestTemplate:
     def test_memo_matches_fresh_spline(self, cubic_wave):
         _, ws = cubic_wave
@@ -304,7 +298,7 @@ class TestTemplate:
         for R in (0.3, 25.0, 0.3):
             fresh = Template(ws)
             np.testing.assert_array_equal(tpl.at(R), fresh.at(R))
-            np.testing.assert_array_equal(slope_at(tpl, R), slope_at(fresh, R))
+            np.testing.assert_array_equal(template_slope(tpl, R), template_slope(fresh, R))
 
     def test_cell_cache_is_bounded_and_read_only(self, cubic_wave):
         _, ws = cubic_wave
@@ -339,7 +333,7 @@ class TestTemplate:
             tol = 1e-12 * g.dz
             dz[:, (zq < g.z_min - tol) | (zq > g.z_max + tol)] = 0.0
             assert np.max(np.abs(tpl.at(R) - at)) <= 1e-14
-            assert np.max(np.abs(slope_at(tpl, R) - dz)) <= 1e-12 * dz_scale
+            assert np.max(np.abs(template_slope(tpl, R) - dz)) <= 1e-12 * dz_scale
 
 
 class TestSpectralGap:

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
+from conftest import shifted_slope
+
 from cylwave.grids import Field, GridConfig, build_grid
 from cylwave.weighted import (WeightedMeasure, WeightOverflowError, cell_fraction,
                               hermite, offset_resolution, pchip_slopes,
@@ -249,7 +251,7 @@ class TestHermiteOracle:
         edge = 1e-12 * g.dz
         dz[:, (zq < g.z_min - edge) | (zq > g.z_max + edge)] = 0.0
         assert np.max(np.abs(shifted_hermite(y, d, g.dz, R) - at)) <= tol0
-        assert np.max(np.abs(shifted_hermite(y, d, g.dz, R, nu=1) - dz)) <= tol1
+        assert np.max(np.abs(shifted_slope(y, d, g.dz, R) - dz)) <= tol1
 
     def test_shift_by_whole_cells_reads_nodes(self):
         g, y = self.rows()
@@ -257,7 +259,7 @@ class TestHermiteOracle:
         out = shifted_hermite(y, d, g.dz, 5 * g.dz)
         np.testing.assert_array_equal(out[:, 5:], y[:, :-5])
         np.testing.assert_array_equal(out[:, :5], np.repeat(y[:, :1], 5, axis=1))
-        np.testing.assert_array_equal(shifted_hermite(y, d, g.dz, 0.0, nu=1), d)
+        np.testing.assert_array_equal(shifted_slope(y, d, g.dz, 0.0), d)
 
     @pytest.mark.parametrize("kind", ["pchip", "spline"])
     def test_hermite_at_other_points(self, kind):
