@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field, fields, replace
 
-from .evolve import dt_max
+from .evolve import dt_max, step_count
 from .grids import CylinderGrid, GridConfig, GridError, build_grid
 from .reactions import _BUILTINS, ReactionError, ReactionModel, make_model
 
@@ -192,6 +192,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if not 0 < cfg.dt <= cap * (1 + 1e-12):
             raise ConfigError("dt = %g violates the stability bound dt_max = %g "
                               "(0.5 / sup|f_u|)" % (cfg.dt, cap))
+        try:
+            step_count(cfg.horizon, cfg.dt)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     if cfg.seed < 0:
         raise ConfigError("seed must be >= 0, got %d" % cfg.seed)
     if not cfg.c_trial > 0:

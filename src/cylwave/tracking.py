@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .evolve import EvolutionState, Stepper, flow_weights
+from .evolve import EvolutionState, Stepper, flow_weights, step_count
 from .grids import Field, _apply_transport, axial_derivative, section_derivative
 from .reactions import ReactionModel
 from .waves import FLOAT_FORMAT, WaveSolution
@@ -459,6 +459,7 @@ def track(model: ReactionModel, ws: WaveSolution, u0: Field, dt: float,
     """
     if not delta > 0:
         raise ValueError("delta must be positive, got %r" % delta)
+    n_steps = step_count(horizon, dt)
     grid = ws.grid
     stepper = Stepper(model, grid, dt, ws.speed)
     top, level = float(np.max(u0.values)), model.ignition_level(grid)
@@ -477,7 +478,6 @@ def track(model: ReactionModel, ws: WaveSolution, u0: Field, dt: float,
                         [f.iterations for f in fronts]))
 
     record([0.0], [fs], u0.values[None])
-    n_steps = int(round(horizon / dt))
     state = EvolutionState(0.0, u0, ws.speed)
     block = np.empty((BLOCK_ROWS + 1,) + grid.shape)  # row 0: the state before
     done = 0

@@ -45,8 +45,8 @@ from .reactions import ReactionModel, ShiftedModel, eval_f, eval_f_u
 from .sections import (CriticalPoint, SectionSolverError, find_critical_point,
                        section_energy)
 from .weighted import (WeightedMeasure, cell_fraction, cell_value, hermite,
-                       pchip_slopes, shifted_cell, spline_slopes, translate,
-                       weighted_norm_l2)
+                       pchip_slopes, shifted_cell, spline_slopes, translate, translations,
+                       weighted_norm_l2, weighted_norms_l2)
 
 # every float written to wave.txt, trace.csv and manifest.txt: decimal round-trip
 FLOAT_FORMAT = "%.17g"
@@ -633,8 +633,8 @@ def translation_profile(ws: WaveSolution, radii: np.ndarray | None = None) -> Tr
     radii = np.asarray(sorted(radii))
     m = ws.measure(z_ref=0.0)
     # T_0 is a copy, so the distance at R = 0 is exactly zero
-    dist = np.array([weighted_norm_l2(Field(ws.grid, translate(ws.profile, float(r)).values
-                                            - ws.profile.values), m) for r in radii])
+    dist = weighted_norms_l2(translations(ws.profile, radii.tolist()) - ws.profile.values,
+                             ws.grid, m)
     inner = (np.abs(radii) > 0) & (np.abs(radii) <= 1.0)
     ratios = dist[inner] / np.abs(radii[inner])
     mono = bool(np.all(np.diff(dist[radii > 0]) >= -1e-12) and

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .grids import CylinderGrid, Field, axial_derivative, section_derivative
+from .grids import CylinderGrid, Field, GridError, axial_derivative, section_derivative
 
 # e^x overflows double precision just above x ~ 709
 MAX_EXPONENT = 700.0
@@ -73,9 +73,16 @@ def weighted_inner(u: Field, v: Field, m: WeightedMeasure) -> float:
     return float((w * u.values * v.values).sum())
 
 
+def weighted_norms_l2(values: np.ndarray, grid: CylinderGrid, m: WeightedMeasure) -> np.ndarray:
+    """``weighted_norm_l2`` of every field stacked on the leading axes of the
+    ``(..., n_y, n_z)`` array ``values``, as an array of the leading shape."""
+    w = quadrature_weights(grid, m)
+    # each field's own nodes in one contiguous pass, as a whole-array sum
+    return np.sqrt((w * values ** 2).reshape(np.shape(values)[:-2] + (-1,)).sum(axis=-1))
+
+
 def weighted_norm_l2(u: Field, m: WeightedMeasure) -> float:
-    w = quadrature_weights(u.grid, m)
-    return math.sqrt((w * u.values ** 2).sum())
+    return float(weighted_norms_l2(u.values, u.grid, m))
 
 
 def weighted_norm_h1(u: Field, m: WeightedMeasure) -> float:
@@ -253,17 +260,27 @@ def shifted_hermite(y: np.ndarray, d: np.ndarray, h: float, R: float) -> np.ndar
     return cell_value(shifted_cell(y, d, h, k, node=t == 0.0), t * h)
 
 
+def translations(u: Field, radii) -> np.ndarray:
+    """``translate(u, R).values`` for every R in ``radii``, stacked on a
+    first axis: one set of PCHIP slopes for all of them."""
+    g = u.grid
+    half = 0.5 * g.window_length
+    if any(abs(R) >= half for R in radii):
+        raise ValueError("translation %g exceeds half the window length %g"
+                         % (max(radii, key=abs), half))
+    d = pchip_slopes(u.values, g.dz)
+    out = np.empty((len(radii),) + g.shape)
+    for i, R in enumerate(radii):
+        out[i] = u.values if R == 0.0 else shifted_hermite(u.values, d, g.dz, R)
+    if not np.isfinite(out).all():
+        raise GridError("field contains non-finite entries")
+    return out
+
+
 def translate(u: Field, R: float) -> Field:
     """Shift along the axis: ``(T_R u)(., z) = u(., z - R)``.
 
     Rows are interpolated with monotone (PCHIP) cubics, so monotone profiles
     stay monotone; coordinates beyond the window take the boundary value.
     """
-    g = u.grid
-    if abs(R) >= 0.5 * g.window_length:
-        raise ValueError(
-            "translation %g exceeds half the window length %g" % (R, 0.5 * g.window_length)
-        )
-    if R == 0.0:
-        return u.copy()
-    return Field(g, shifted_hermite(u.values, pchip_slopes(u.values, g.dz), g.dz, R))
+    return Field.checked(u.grid, translations(u, [R])[0])

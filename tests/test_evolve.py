@@ -8,9 +8,10 @@ from scipy.sparse.linalg import spsolve
 
 from conftest import energy_identity_defect
 
-from cylwave.evolve import (EvolutionState, EvolutionError, Stepper,
-                            compare_evolutions, dt_max, flow_weights, weighted_energy)
-from cylwave.grids import (Field, GridConfig, build_grid, apply_boundary,
+from cylwave.evolve import (CLIP_FAIL, EvolutionState, EvolutionError, Stepper,
+                            compare_evolutions, dt_max, flow_weights, weighted_energies,
+                            weighted_energy)
+from cylwave.grids import (Field, GridConfig, _apply_transport, build_grid, apply_boundary,
                            transport_operator)
 from cylwave.reactions import CubicBistable, HeterogeneousCubic, StackedBistable, eval_f
 from cylwave.waves import front_seed
@@ -75,12 +76,21 @@ class TestStep:
                                   bc_axial_right=bc_axial_right))
         c, dt = 0.37, 0.1
         u = Field(g, np.random.default_rng(3).uniform(0.0, 1.0, g.shape))
-        out = Stepper(MODEL, g, dt, frame_speed=c).step(EvolutionState(0.0, u, c))
+        stepper = Stepper(MODEL, g, dt, frame_speed=c)
+        out = stepper.step(EvolutionState(0.0, u, c))
         rhs = (u.values + dt * eval_f(MODEL, g, u.values)).ravel()
         rhs[g.dirichlet_mask.ravel()] = 0.0
         M = sp.identity(rhs.size, format="csc") - dt * transport_operator(g, c)
         want = spsolve(M.tocsc(), rhs).reshape(g.shape)
         np.testing.assert_allclose(out.u.values, want, rtol=0, atol=1e-12)
+        # a stack of three: each member is its own step, bit for bit
+        stack = np.random.default_rng(4).uniform(0.0, 1.0, (3,) + g.shape)
+        stack[1] = u.values
+        stacked = stepper.advance(stack)
+        assert stacked.shape == stack.shape
+        for member, v in zip(stacked, stack):
+            alone = stepper.step(EvolutionState(0.0, Field(g, v), c)).u.values
+            assert np.array_equal(member, alone)
 
     @pytest.mark.parametrize("n_y, bc", [(1, "neumann"), (7, "dirichlet"), (7, "neumann")])
     def test_step_matches_direct_sparse_solve_at_the_widest_scaling(self, n_y, bc):
@@ -129,12 +139,46 @@ class TestStep:
             for _ in range(10):
                 s = stepper.step(s)
 
+    @pytest.mark.parametrize("overshoot", [5e-10, 1e-6])
+    def test_stack_checks_the_unit_interval_over_every_member(self, overshoot):
+        # f = mu u lifts the constant 1 to 1 + dt mu (the Neumann solve keeps
+        # constants), while the member at 0.5 stays inside [0, 1]
+        from cylwave.reactions import LinearModel
+
+        g = all_neumann_1d()
+        dt = 0.1
+        stepper = Stepper(LinearModel(mu=overshoot / dt), g, dt)
+        stack = np.stack([np.full(g.shape, 0.5), np.ones(g.shape)])
+        if overshoot > CLIP_FAIL:
+            with pytest.raises(EvolutionError, match="left"):
+                stepper.advance(stack)
+            return
+        new = stepper.advance(stack)
+        assert stepper.max_clip == pytest.approx(overshoot, rel=1e-3)
+        assert np.array_equal(new[1], np.ones(g.shape))
+        alone = Stepper(stepper.model, g, dt).step(EvolutionState(0.0, Field(g, stack[0])))
+        assert np.array_equal(new[0], alone.u.values)
+
 
 class TestEnergy:
     def test_zero_field_zero_energy(self):
         g = front_grid()
         assert weighted_energy(Field(g, np.zeros(g.shape)), MODEL,
                                WeightedMeasure(0.3)) == 0.0
+
+    @pytest.mark.parametrize("n_y, bc", [(1, "neumann"), (7, "neumann"), (7, "dirichlet")])
+    def test_stacked_energies_are_each_members_energy(self, n_y, bc):
+        g = structure_grid(n_y, bc, "dirichlet")
+        m = WeightedMeasure(0.37, 1.0)
+        rng = np.random.default_rng(12)
+        stack = np.array([apply_boundary(Field(g, v)).values
+                          for v in rng.uniform(0.0, 1.0, (3,) + g.shape)])
+        got = weighted_energies(stack, MODEL, g, m)
+        assert got.shape == (3,)
+        for e, v in zip(got, stack):
+            whole = (flow_weights(g, m) * (MODEL.V(v, g.y[:, None])
+                                           - 0.5 * v * _apply_transport(g, v, m.c))).sum()
+            assert e == weighted_energy(Field(g, v), MODEL, m) == whole
 
     def test_gaussian_bump_against_quadrature_oracle(self):
         # independent oracle: adaptive quadrature of the weighted integrand;
@@ -314,6 +358,22 @@ class TestComparison:
         hi = Field(g, np.full(g.shape, 0.4))
         with pytest.raises(ValueError):
             compare_evolutions([lo, hi], MODEL, horizon=0.5, dt=0.05)
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_fewer_than_two_data_rejected(self, count, monkeypatch):
+        g = front_grid(n_z=101, z=(-4.0, 4.0))
+        monkeypatch.setattr(Stepper, "advance", None)  # no step may be taken
+        with pytest.raises(ValueError, match="at least two data, got %d" % count):
+            compare_evolutions([Field(g, np.full(g.shape, 0.5))] * count, MODEL,
+                               horizon=0.5, dt=0.05)
+
+    def test_partial_step_horizon_rejected(self):
+        g = front_grid(n_z=101, z=(-4.0, 4.0))
+        lo, hi = Field(g, np.full(g.shape, 0.4)), Field(g, np.full(g.shape, 0.5))
+        for horizon in (0.02, 0.07):
+            with pytest.raises(ValueError, match="horizon = %g is not a whole number "
+                                                 "of dt = 0.05 steps" % horizon):
+                compare_evolutions([lo, hi], MODEL, horizon=horizon, dt=0.05)
 
     def test_unordered_middle_pair_rejected(self):
         g = front_grid(n_z=101, z=(-4.0, 4.0))

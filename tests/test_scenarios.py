@@ -306,6 +306,23 @@ class TestCli:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "'horizon'" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("verb, name", [("converge", "converge_cubic_a25.cfg"),
+                                            ("compare", "compare_sandwich_a25.cfg")])
+    @pytest.mark.parametrize("horizon", ["0.02", "0.07"])
+    def test_partial_step_horizon_exit_two(self, tmp_path, capsys, verb, name, horizon):
+        # 0.02 would take no step at all, 0.07 would stop at t = 0.05
+        with open(os.path.join(os.path.dirname(__file__), "..", "configs", name)) as fh:
+            text = fh.read()
+        head, _, tail = text.partition("horizon = ")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(head + "horizon = " + horizon + "\n" + tail.partition("\n")[2])
+        code = main([verb, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: horizon = %s is not a whole number of dt = 0.05 "
+                       "steps\n" % horizon)
+        assert not (tmp_path / "out").exists()
+
     def test_wave_ignores_time_step(self, tmp_path):
         # the continuation wave solver takes no time step, so dt is not checked
         cfg = tmp_path / "wave.cfg"

@@ -5,11 +5,13 @@ import pytest
 
 from cylwave import sections
 from cylwave.config import parse_config_file
-from cylwave.grids import CrossSectionField, GridConfig, build_grid
+from cylwave.evolve import EvolutionState, Stepper, weighted_energy
+from cylwave.grids import CrossSectionField, Field, GridConfig, apply_boundary, build_grid
 from cylwave.reactions import CubicBistable, HeterogeneousCubic, LinearModel
 from cylwave.scenarios import _plateau_state
 from cylwave.sections import (SectionSolverError, check_speed_admissible,
                               find_critical_point, principal_eigenpair, section_energy)
+from cylwave.weighted import WeightedMeasure
 
 STACKED_CFG = os.path.join(os.path.dirname(__file__), "..", "configs",
                            "secondary_stacked_dirichlet.cfg")
@@ -250,6 +252,30 @@ class TestAdmissibility:
         assert rep.best_energy >= -1e-8
         # above c-dagger no trial field goes below zero energy
         assert not rep.admissible
+
+    @pytest.mark.parametrize("two_d", [False, True])
+    def test_best_energy_is_the_lowest_sampled_energy(self, two_d):
+        # 100 steps sample the datum, 20 states and the last: 22 states, one
+        # full block of ENERGY_BLOCK and a part block
+        if two_d:
+            g = build_grid(GridConfig(n_y=9, n_z=121, y_max=1.0, z_min=-12.0, z_max=12.0,
+                                      bc_left="dirichlet"))
+            model = HeterogeneousCubic(a0=0.25, a1=0.1)
+        else:
+            g, model = grid_1d(), CubicBistable(0.25)
+        c, budget = 0.3, 100
+        prof = 0.5 * (1.0 - np.tanh(g.z - 0.25 * (g.z_min + g.z_max)))
+        state = EvolutionState(0.0, apply_boundary(Field(g, np.tile(prof, (g.n_y, 1)))), c)
+        m = WeightedMeasure(c, z_ref=0.25 * (g.z_min + g.z_max))
+        stepper = Stepper(model, g, dt=0.4 / max(1.0, model.max_slope(g)), frame_speed=c)
+        energies = [weighted_energy(state.u, model, m)]
+        for k in range(budget):
+            state = stepper.step(state)
+            if k % 5 == 0 or k == budget - 1:
+                energies.append(weighted_energy(state.u, model, m))
+        assert len(energies) == 22 and len(energies) % sections.ENERGY_BLOCK != 0
+        rep = check_speed_admissible(model, g, c, budget_steps=budget)
+        assert rep.best_energy == min(energies)
 
     def test_discriminant_always_ok_for_positive_eigenvalue(self):
         g = grid_1d()

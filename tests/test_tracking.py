@@ -757,6 +757,12 @@ class TestTrackInputsAndFailures:
             track(MODEL, ws, ws.profile.copy(), dt=0.1, horizon=2.0, delta=0.0)
         assert steps["n"] == 0
 
+    def test_partial_step_horizon_refused_before_any_step(self, small_wave, steps):
+        ws = small_wave
+        with pytest.raises(ValueError, match="horizon = 0.25 is not a whole number"):
+            track(MODEL, ws, ws.profile.copy(), dt=0.1, horizon=0.25)
+        assert steps["n"] == 0
+
     def test_step_failure_after_tracking_the_rows_before_it(self, small_wave, steps, fronts):
         ws = small_wave
         steps["fail_at"] = 21  # the fifth step of the second block

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,8 @@ from cylwave.waves import (SeedBasinError, Template, WaveSolverError, front_seed
                            load_solution, refine_solution, save_solution,
                            secondary_speed, solve_wave, spectral_gap,
                            translation_profile)
-from cylwave.weighted import WeightedMeasure, cell_fraction, translate, weighted_norm_l2
+from cylwave.weighted import (WeightedMeasure, cell_fraction, quadrature_weights, translate,
+                              weighted_norm_l2)
 
 
 def wave_grid(n_z=1201, z=(-40.0, 20.0)):
@@ -487,6 +489,30 @@ class TestTranslationProfile:
         rep = translation_profile(ws)
         assert rep.monotone_in_abs_R
         assert rep.min_distance_outside >= rep.ratio_lower * 1.0 * (1 - 1e-9)
+
+
+    @pytest.mark.parametrize("two_d", [False, True])
+    def test_distances_are_the_per_radius_norms(self, cubic_wave, two_d):
+        _, ws = cubic_wave
+        if two_d:
+            g = build_grid(GridConfig(n_y=5, n_z=201, y_min=0.0, y_max=16.0,
+                                      z_min=-25.0, z_max=12.0))
+            ws = solve_wave(CubicBistable(a=0.25), g, front_seed(g, 1.0), c_seed=0.2)
+        rep = translation_profile(ws)
+        m = ws.measure(z_ref=0.0)
+        want = [weighted_norm_l2(Field(ws.grid, translate(ws.profile, float(r)).values
+                                       - ws.profile.values), m) for r in rep.radii]
+        # and the sum as a whole-array pass over each difference
+        w = quadrature_weights(ws.grid, m)
+        sums = [math.sqrt((w * (translate(ws.profile, float(r)).values
+                                - ws.profile.values) ** 2).sum()) for r in rep.radii]
+        assert rep.radii.size == 45
+        assert rep.distances.tolist() == want == sums
+
+    def test_radius_past_half_the_window_refused(self, cubic_wave):
+        _, ws = cubic_wave
+        with pytest.raises(ValueError, match="translation -30 exceeds half"):
+            translation_profile(ws, radii=np.array([0.5, -30.0]))
 
 
 class TestSecondarySpeed:
