@@ -13,8 +13,7 @@ from .reactions import (CubicBistable, HeterogeneousCubic, ReactionModel,
                         StackedBistable, check_hypotheses, make_model)
 from .sections import (CriticalPoint, EigenResult, check_speed_admissible,
                        find_critical_point, principal_eigenpair, section_energy)
-from .evolve import (EvolutionState, Stepper, compare_evolutions, dt_max,
-                     weighted_energy)
+from .evolve import Stepper, compare_evolutions, dt_max, weighted_energy
 from .waves import (GapResult, WaveSolution, front_seed, secondary_speed,
                     solve_wave, spectral_gap, translation_profile)
 from .tracking import (FrontState, FrontTrace, fit_decay, locate_front,

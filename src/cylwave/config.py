@@ -16,7 +16,6 @@ from .grids import CylinderGrid, GridConfig, GridError, build_grid
 from .reactions import _BUILTINS, ReactionError, ReactionModel, make_model
 
 SCENARIOS = ("wave", "converge", "gap", "secondary_speed", "comparison", "hypotheses")
-INITIAL_FAMILIES = ("shifted_tanh", "plateau_noise", "sandwich")
 # the scenarios that take time steps, hence read dt and horizon
 TIME_STEPPING = ("converge", "comparison")
 
@@ -42,11 +41,8 @@ _SCHEMA = {
         "c_seed": (float, 0.2),
         "c_trial": (float, 0.2),
         "plateau_seed": (float, 0.9),
-        "alpha": (float, 0.1),
-        "delta": (float, 0.05),
     },
     "initial": {
-        "family": (str, "shifted_tanh"),
         "amplitude": (float, 1.0),
         "steepness": (float, 1.0),
         "offset": (float, 0.0),
@@ -72,9 +68,6 @@ class ExperimentConfig:
     c_seed: float
     c_trial: float
     plateau_seed: float
-    alpha: float
-    delta: float
-    initial_family: str
     initial_params: dict
     raw: dict = dc_field(default_factory=dict)
 
@@ -162,19 +155,13 @@ def parse_config(text: str) -> ExperimentConfig:
     if r["scenario"] in TIME_STEPPING and "dt" not in r:
         raise ConfigError("missing required key 'dt' in section [run]: the %s scenario "
                           "steps in time" % r["scenario"])
-    ini = dict(values["initial"])
-    family = ini.pop("family")
-    if family not in INITIAL_FAMILIES:
-        raise ConfigError("unknown initial family %r (known: %s)"
-                          % (family, ", ".join(INITIAL_FAMILIES)))
 
     model_params = dict(values["model"])
     cfg = ExperimentConfig(
         grid_config=GridConfig(**values["grid"]),
         model_name=model_params.pop("name"),
         model_params=model_params,
-        initial_family=family,
-        initial_params=ini,
+        initial_params=dict(values["initial"]),
         raw=values,
         **{"dt": None, **r},
     )
@@ -200,8 +187,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("seed must be >= 0, got %d" % cfg.seed)
     if not cfg.c_trial > 0:
         raise ConfigError("c_trial must be positive, got %g" % cfg.c_trial)
-    if not cfg.delta > 0:
-        raise ConfigError("delta must be positive, got %g" % cfg.delta)
     sep = cfg.initial_params["separation"]
     if cfg.scenario == "comparison" and not 0 <= sep < 0.5 * grid.window_length:
         raise ConfigError("separation = %g must lie in [0, %g), half the axial window"

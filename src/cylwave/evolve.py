@@ -48,13 +48,6 @@ class EvolutionError(RuntimeError):
     pass
 
 
-@dataclass
-class EvolutionState:
-    t: float
-    u: Field
-    frame_speed: float = 0.0
-
-
 @lru_cache(maxsize=64)
 def dt_max(model: ReactionModel, grid: CylinderGrid) -> float:
     """Reaction-stability cap: 0.5 / sup|f_u| (diffusion is implicit)."""
@@ -177,17 +170,12 @@ class Stepper:
             np.clip(new, 0.0, 1.0, out=new)
         return new
 
-    def step(self, state: EvolutionState) -> EvolutionState:
-        """``advance`` of one state's field."""
-        if state.u.grid is not self.grid and state.u.grid != self.grid:
-            raise GridError("state grid does not match stepper grid")
-        if state.frame_speed != self.frame_speed:
-            raise EvolutionError("state frame speed %g != stepper %g"
-                                 % (state.frame_speed, self.frame_speed))
-        # finite (checked by advance) and of the grid's shape (rhs has the state's)
-        return EvolutionState(t=state.t + self.dt,
-                              u=Field.checked(self.grid, self.advance(state.u.values)),
-                              frame_speed=state.frame_speed)
+    def step(self, u: Field) -> Field:
+        """``advance`` of one field."""
+        if u.grid is not self.grid and u.grid != self.grid:
+            raise GridError("field grid does not match stepper grid")
+        # finite (checked by advance) and of the grid's shape (rhs has the field's)
+        return Field.checked(self.grid, self.advance(u.values))
 
 
 def weighted_energies(u: np.ndarray, model: ReactionModel, grid: CylinderGrid,

@@ -203,6 +203,15 @@ def apply_boundary(u: Field) -> Field:
     return Field(u.grid, np.where(u.grid.dirichlet_mask, 0.0, u.values))
 
 
+def front_seed(grid: CylinderGrid, plateau, offset: float = 0.0,
+               steepness: float = 1.0) -> Field:
+    """Front-like seed: plateau on the left decaying to zero on the right;
+    ``plateau`` is a number, a ``CrossSectionField`` or its values."""
+    plat = np.broadcast_to(getattr(plateau, "values", plateau), grid.n_y)
+    prof = 0.5 * (1.0 - np.tanh(steepness * (grid.z - offset)))
+    return apply_boundary(Field(grid, plat[:, None] * prof[None, :]))
+
+
 def fitted_flux(c: float, dz: float) -> tuple[float, float]:
     """``(a, kappa)`` of the exponentially fitted fluxes: ``a = c dz / 2``
     and ``kappa = a / sinh(a)`` (1 at a = 0)."""

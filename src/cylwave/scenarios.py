@@ -108,15 +108,16 @@ def read_manifest(path) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# initial data families
+# initial data
 
 
 def build_initial(cfg: ExperimentConfig, grid: CylinderGrid,
                   plateau: CrossSectionField) -> Field:
-    """Construct the configured initial datum (single-field families)."""
+    """The configured front-like datum, plus uniform noise of the configured
+    amplitude (drawn from ``seed``) when that amplitude is positive."""
     p = cfg.initial_params
     vals = front_seed(grid, p["amplitude"] * plateau.values, p["offset"], p["steepness"]).values
-    if cfg.initial_family == "plateau_noise" and p["noise"] > 0:
+    if p["noise"] > 0:
         rng = np.random.default_rng(cfg.seed)
         vals = vals + p["noise"] * rng.uniform(-1.0, 1.0, size=vals.shape)
     vals = np.clip(vals, 0.0, 1.0)
@@ -216,12 +217,12 @@ def _run_converge(cfg, grid, model, out_dir, manifest):
     plateau, ws = _solve_configured_wave(cfg, grid, model)
     u0 = build_initial(cfg, grid, plateau.v)
 
-    # left-plateau admissibility of the datum: min over the left edge >= v - alpha
+    # left-plateau admissibility of the datum: min over the left edge >= v - 0.1
     left = u0.values[:, grid.z <= grid.z_min + 5.0]
-    inidat_ok = bool(np.min(left - (plateau.v.values[:, None] - cfg.alpha)) >= 0.0)
+    inidat_ok = bool(np.min(left - (plateau.v.values[:, None] - 0.1)) >= 0.0)
     manifest.check("initial_datum_left_plateau", inidat_ok)
 
-    trace = track(model, ws, u0, cfg.dt, cfg.horizon, delta=cfg.delta)
+    trace = track(model, ws, u0, cfg.dt, cfg.horizon)
     trace_to_csv(trace, os.path.join(out_dir, "trace.csv"))
     manifest.add_file(out_dir, "trace.csv")
 

@@ -19,8 +19,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .evolve import Stepper, weighted_energies
-from .grids import (CrossSectionField, CylinderGrid, Field, _section_operator,
-                    apply_boundary, symmetrized_section_operator)
+from .grids import (CrossSectionField, CylinderGrid, _section_operator, front_seed,
+                    symmetrized_section_operator)
 from .reactions import ReactionModel
 from .weighted import WeightedMeasure
 
@@ -175,10 +175,9 @@ def check_speed_admissible(model: ReactionModel, grid: CylinderGrid, c_trial: fl
     nu = principal_eigenpair(model, grid).value
     disc_ok = bool(c_trial ** 2 + 4.0 * nu > 0.0)
 
-    z = grid.z
-    prof = 0.5 * (1.0 - np.tanh(z - 0.25 * (grid.z_min + grid.z_max)))
-    u0 = apply_boundary(Field(grid, np.tile(prof, (grid.n_y, 1))))
-    m = WeightedMeasure(c_trial, z_ref=0.25 * (grid.z_min + grid.z_max))
+    z_ref = 0.25 * (grid.z_min + grid.z_max)
+    u0 = front_seed(grid, 1.0, offset=z_ref)
+    m = WeightedMeasure(c_trial, z_ref=z_ref)
     stepper = Stepper(model, grid, dt=0.4 / max(1.0, model.max_slope(grid)), frame_speed=c_trial)
     # the datum, every fifth state and the last, measured ENERGY_BLOCK at a time
     block = np.empty((ENERGY_BLOCK,) + grid.shape)

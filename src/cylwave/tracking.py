@@ -14,13 +14,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .evolve import EvolutionState, Stepper, flow_weights, step_count
+from .evolve import Stepper, flow_weights, step_count
 from .grids import Field, _apply_transport, axial_derivative, section_derivative
 from .reactions import ReactionModel
 from .waves import FLOAT_FORMAT, WaveSolution
 from .weighted import (WeightedMeasure, cell_fraction, offset_resolution,
                        quadrature_weights)
 
+# the mismatch level whose rightmost excess is a trace row's z_delta
 DEFAULT_DELTA = 0.05
 _EPS = np.finfo(float).eps
 M_FLOOR_FACTOR = 1e3 * _EPS
@@ -365,8 +366,7 @@ class FrontTrace:
 
 
 def _columns(model: ReactionModel, ws: WaveSolution, u: np.ndarray,
-             u_z: np.ndarray | None, R: np.ndarray, prev, dt: float,
-             delta: float) -> list[np.ndarray]:
+             u_z: np.ndarray | None, R: np.ndarray, prev, dt: float) -> list[np.ndarray]:
     """The columns m, phi, dRdt_fd, dRdt_quotient, h2c_norm and z_delta of
     rows: states ``u`` stacked on a first axis, their ``u_z`` and positions
     ``R``, with ``prev = (states, positions)`` of the steps before them, or
@@ -423,7 +423,7 @@ def _columns(model: ReactionModel, ws: WaveSolution, u: np.ndarray,
     phi = (np.einsum("rk,k->r", V.reshape(n, -1), fw)
            - 0.5 * wsum(u, _apply_transport(grid, u, c), fw))
 
-    over = (np.abs(dev) > delta).any(axis=-2)
+    over = (np.abs(dev) > DEFAULT_DELTA).any(axis=-2)
     last = over.shape[-1] - 1 - np.argmax(over[:, ::-1], axis=-1)
     z_delta = np.where(over.any(axis=-1), grid.z[last], -np.inf)
 
@@ -439,7 +439,7 @@ def _columns(model: ReactionModel, ws: WaveSolution, u: np.ndarray,
 
 
 def track(model: ReactionModel, ws: WaveSolution, u0: Field, dt: float,
-          horizon: float, delta: float = DEFAULT_DELTA) -> FrontTrace:
+          horizon: float) -> FrontTrace:
     """Integrate in the frame moving at the selected speed and track the front.
 
     Only the step is sequential: the states are stepped ``BLOCK_ROWS`` at a
@@ -457,8 +457,6 @@ def track(model: ReactionModel, ws: WaveSolution, u0: Field, dt: float,
     earliest failure: the rows stepped before a failed step are tracked
     first.
     """
-    if not delta > 0:
-        raise ValueError("delta must be positive, got %r" % delta)
     n_steps = step_count(horizon, dt)
     grid = ws.grid
     stepper = Stepper(model, grid, dt, ws.speed)
@@ -472,43 +470,45 @@ def track(model: ReactionModel, ws: WaveSolution, u0: Field, dt: float,
 
     def record(t, fronts, u, u_z=None, prev=None):
         R = np.array([f.position for f in fronts])
-        cols = _columns(model, ws, u, u_z, R, prev, dt, delta)
+        cols = _columns(model, ws, u, u_z, R, prev, dt)
         rows.extend(zip(t, R.tolist(), *(col.tolist() for col in cols),
                         [f.ortho_residual for f in fronts], [f.ortho_floor for f in fronts],
                         [f.iterations for f in fronts]))
 
     record([0.0], [fs], u0.values[None])
-    state = EvolutionState(0.0, u0, ws.speed)
+    t, u_step = 0.0, u0
     block = np.empty((BLOCK_ROWS + 1,) + grid.shape)  # row 0: the state before
     done = 0
     while done < n_steps:
-        block[0] = state.u.values
-        states, lost = [], None
+        block[0] = u_step.values
+        times, states, lost = [], [], None
         for _ in range(min(BLOCK_ROWS, n_steps - done)):
             try:
-                state = stepper.step(state)
+                u_step = stepper.step(u_step)
             except RuntimeError as exc:
                 lost = exc
                 break
-            states.append(state)
-            block[len(states)] = state.u.values
+            t += dt
+            times.append(t)
+            states.append(u_step)
+            block[len(states)] = u_step.values
         n = len(states)
         u = block[1:n + 1]
         u_z = axial_derivative(u, grid)
         sums = CellSums(u, ws, ws.measure(z_ref=fs.position), u_z)
         fronts = [fs]
-        for i, st in enumerate(states):
+        for i, (ti, st) in enumerate(zip(times, states)):
             try:
-                fs = locate_front(st.u, ws, fs.position, sums=sums, row=i)
+                fs = locate_front(st, ws, fs.position, sums=sums, row=i)
             except RuntimeError as exc:  # TrackerError included
-                raise TrackingLossError("tracking lost at t=%.6g: %s" % (st.t, exc)) from exc
+                raise TrackingLossError("tracking lost at t=%.6g: %s" % (ti, exc)) from exc
             fronts.append(fs)
             iters_max = max(iters_max, fs.iterations)
             cap_hits += fs.capped
         if lost is not None:
-            raise TrackingLossError("tracking lost at t=%.6g: %s" % (state.t, lost)) from lost
+            raise TrackingLossError("tracking lost at t=%.6g: %s" % (t, lost)) from lost
         R = np.array([f.position for f in fronts])
-        record([st.t for st in states], fronts[1:], u, u_z, (block[:n], R[:n]))
+        record(times, fronts[1:], u, u_z, (block[:n], R[:n]))
         done += n
     return FrontTrace(speed=ws.speed, samples=np.array(rows, dtype=FrontTrace.FIELDS),
                       tracker_iters_max=iters_max, tracker_cap_hits=cap_hits)

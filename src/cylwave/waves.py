@@ -40,10 +40,9 @@ import scipy.sparse.linalg as spla
 from .evolve import flow_weights
 from .grids import (CrossSectionField, CylinderGrid, Field, GridConfig,
                     _apply_axial, _apply_transport, apply_boundary, axial_derivative,
-                    build_grid, half_grid, transport_operator)
+                    build_grid, front_seed, half_grid, transport_operator)
 from .reactions import ReactionModel, ShiftedModel, eval_f, eval_f_u
-from .sections import (CriticalPoint, SectionSolverError, find_critical_point,
-                       section_energy)
+from .sections import CriticalPoint, find_critical_point, section_energy
 from .weighted import (WeightedMeasure, cell_fraction, cell_value, hermite,
                        pchip_slopes, shifted_cell, spline_slopes, translate, translations,
                        weighted_norm_l2, weighted_norms_l2)
@@ -139,15 +138,6 @@ class Template:
         """``T_R profile`` on the grid."""
         k, t = cell_fraction(R, self.ws.grid.dz)
         return cell_value(self.cell(k, t == 0.0), t * self.ws.grid.dz)
-
-
-def front_seed(grid: CylinderGrid, plateau, offset: float = 0.0,
-               steepness: float = 1.0) -> Field:
-    """Front-like seed: plateau on the left decaying to zero on the right;
-    ``plateau`` is a number, a ``CrossSectionField`` or its values."""
-    plat = np.broadcast_to(getattr(plateau, "values", plateau), grid.n_y)
-    prof = 0.5 * (1.0 - np.tanh(steepness * (grid.z - offset)))
-    return apply_boundary(Field(grid, plat[:, None] * prof[None, :]))
 
 
 def _wave_residual(model, grid, values, c):
@@ -558,11 +548,8 @@ def _secondary_problem(model: ReactionModel, grid: CylinderGrid, v: CriticalPoin
         raise _NotApplicable("not applicable: no room above the plateau")
     # locate the next critical point above v with the base model (the shifted
     # problem has the same solution set translated by v)
-    try:
-        upper_full = find_critical_point(
-            model, grid, CrossSectionField(grid, v.v.values + 0.95 * head))
-    except SectionSolverError as exc:
-        raise _NotApplicable("not applicable: upper-state solve failed (%s)" % exc) from exc
+    upper_full = find_critical_point(
+        model, grid, CrossSectionField(grid, v.v.values + 0.95 * head))
     h_star = upper_full.v.values - v.v.values
     if float(np.max(h_star)) < 1e-3:
         raise _NotApplicable("not applicable: no nontrivial state above the plateau")
@@ -582,11 +569,13 @@ def secondary_speed(model: ReactionModel, grid: CylinderGrid, v: CriticalPoint,
 
     Works on the shifted unknown h = u - v with the shifted reaction; returns
     "not applicable" when there is no room above v or no negative-energy upper
-    state to launch from.  Solved on two levels as ``solve_wave`` is, but
-    each level is its own discretization: the half grid shifts by its own
-    plateau (``find_critical_point`` from v injected), with its own upper
-    state, and its wave is carried to ``grid`` under the model shifted by
-    v.  ``dt`` is accepted and ignored: the wave solve takes no time step.
+    state to launch from.  A solve that fails raises its WaveSolverError or
+    SectionSolverError, since a failure is not a waiver.  Solved on two
+    levels as ``solve_wave`` is, but each level is its own discretization:
+    the half grid shifts by its own plateau (``find_critical_point`` from v
+    injected), with its own upper state, and its wave is carried to ``grid``
+    under the model shifted by v.  ``dt`` is accepted and ignored: the wave
+    solve takes no time step.
     """
     try:
         shifted, upper = _secondary_problem(model, grid, v)
@@ -601,8 +590,6 @@ def secondary_speed(model: ReactionModel, grid: CylinderGrid, v: CriticalPoint,
             ws = _monotone(_nested(ws, grid, shifted))
     except _NotApplicable as exc:
         return SecondaryResult(False, str(exc))
-    except (WaveSolverError, SectionSolverError) as exc:
-        return SecondaryResult(False, "not applicable: secondary wave solve failed (%s)" % exc)
     return SecondaryResult(True, "secondary wave found", speed=ws.speed,
                            wave=ws.profile, upper_state=upper,
                            speed_err_est=ws.speed_err_est,

@@ -67,13 +67,13 @@ def energy_identity_defect(stepper, old, new) -> tuple[float, int]:
     g, dt = stepper.grid, stepper.dt
     m = WeightedMeasure(stepper.frame_speed)
     w = flow_weights(g, m)
-    u0, u1 = old.u.values, new.u.values
+    u0, u1 = old.values, new.values
     d = u1 - u0
     y = g.y[:, None]
     v0, v1 = stepper.model.V(u0, y), stepper.model.V(u1, y)
     f0 = eval_f(stepper.model, g, u0)
     au0, au1, ad = (_apply_transport(g, x, m.c) for x in (u0, u1, d))
-    lhs = weighted_energy(new.u, stepper.model, m) - weighted_energy(old.u, stepper.model, m)
+    lhs = weighted_energy(new, stepper.model, m) - weighted_energy(old, stepper.model, m)
     rhs = -(w * d * d).sum() / dt + 0.5 * (w * d * ad).sum() + (w * (v1 - v0 + f0 * d)).sum()
     terms = w * (abs(v0) + abs(v1) + 0.5 * abs(u0 * au0) + 0.5 * abs(u1 * au1)
                  + d * d / dt + 0.5 * abs(d * ad) + abs(f0 * d))

@@ -14,7 +14,7 @@ from scipy.optimize import minimize_scalar
 
 from conftest import energy_identity_defect, record_acceptance
 
-from cylwave.evolve import EvolutionState, Stepper, weighted_energy
+from cylwave.evolve import Stepper, weighted_energy
 from cylwave.grids import Field, GridConfig, build_grid, apply_boundary
 from cylwave.reactions import CubicBistable, LinearModel
 from cylwave.sections import principal_eigenpair
@@ -125,7 +125,7 @@ def test_criterion_3_energy_machinery(cubic_wave, converge_run):
 
     # every step's exact energy identity, to rounding
     stepper = Stepper(model, ws.grid, 0.2, ws.speed)
-    state = EvolutionState(0.0, front_seed(ws.grid, 1.0, offset=1.0, steepness=0.8), ws.speed)
+    state = front_seed(ws.grid, 1.0, offset=1.0, steepness=0.8)
     defect = 0.0
     for _ in range(40):
         new = stepper.step(state)
@@ -235,24 +235,24 @@ def test_criterion_8_comparison_principle(cubic_wave, converge_run):
     for _ in range(200):
         hi = np.clip(rng.uniform(0, 1, g.shape), 0, 1)
         lo = np.clip(hi - np.abs(rng.uniform(0, 0.4, g.shape)), 0, 1)
-        s_lo = EvolutionState(0.0, apply_boundary(Field(g, lo)), 0.2)
-        s_hi = EvolutionState(0.0, apply_boundary(Field(g, hi)), 0.2)
+        s_lo = apply_boundary(Field(g, lo))
+        s_hi = apply_boundary(Field(g, hi))
         for _ in range(20):
             s_lo, s_hi = stepper.step(s_lo), stepper.step(s_hi)
-            worst = max(worst, float(np.max(s_lo.u.values - s_hi.u.values)))
+            worst = max(worst, float(np.max(s_lo.values - s_hi.values)))
 
     _, ws2, u0, _, _ = converge_run
     sep = 5.0
     lo0 = Field(ws2.grid, np.minimum(u0.values, translate(ws2.profile, -sep).values))
     hi0 = Field(ws2.grid, np.maximum(u0.values, translate(ws2.profile, +sep).values))
-    tri = [EvolutionState(0.0, apply_boundary(f), ws2.speed) for f in (lo0, u0, hi0)]
+    tri = [apply_boundary(f) for f in (lo0, u0, hi0)]
     stepper2 = Stepper(model, ws2.grid, 0.05, ws2.speed)
     worst_tri = 0.0
     for _ in range(1200):
         tri = [stepper2.step(s) for s in tri]
         worst_tri = max(worst_tri,
-                        float(np.max(tri[0].u.values - tri[1].u.values)),
-                        float(np.max(tri[1].u.values - tri[2].u.values)))
+                        float(np.max(tri[0].values - tri[1].values)),
+                        float(np.max(tri[1].values - tri[2].values)))
     ok = worst <= 1e-10 and worst_tri <= 1e-10
     report(8, ok, "200 random pairs max violation %.1e, sandwich %.1e (<=1e-10)"
            % (worst, worst_tri))
@@ -310,12 +310,12 @@ def test_tracker_stops_at_the_roundoff_floor(converge_run):
     model, ws, u0, trace, _ = converge_run
     R = trace.samples["R"]
     stepper = Stepper(model, ws.grid, 0.05, ws.speed)
-    state = EvolutionState(0.0, u0, ws.speed)
+    state = u0
     for k in range(1, R.size):
         state = stepper.step(state)
         if k < R.size - 10:
             continue
-        fs = locate_front(state.u, ws, float(R[k - 1]))
+        fs = locate_front(state, ws, float(R[k - 1]))
         assert fs.position == R[k]  # replays the run's own call
         assert not fs.capped
         assert fs.iterations <= 8

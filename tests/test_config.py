@@ -29,7 +29,6 @@ class TestParse:
         assert cfg.scenario == "wave"
         assert cfg.horizon == 60.0
         assert cfg.seed == 0
-        assert cfg.initial_family == "shifted_tanh"
         assert cfg.model_params["a"] == 0.25
 
     def test_comments_and_blank_lines(self):
@@ -73,12 +72,10 @@ class TestParse:
 
     def test_run_section_lands_on_same_named_fields(self):
         text = MINIMAL.replace("scenario = wave", "scenario = converge") + (
-            "horizon = 12.5\nseed = 7\nc_seed = 0.3\nc_trial = 0.4\nplateau_seed = 0.8\n"
-            "alpha = 0.2\ndelta = 0.06\n")
+            "horizon = 12.5\nseed = 7\nc_seed = 0.3\nc_trial = 0.4\nplateau_seed = 0.8\n")
         cfg = parse_config(text)
         expected = {"scenario": "converge", "dt": 0.1, "horizon": 12.5, "seed": 7,
-                    "c_seed": 0.3, "c_trial": 0.4, "plateau_seed": 0.8, "alpha": 0.2,
-                    "delta": 0.06}
+                    "c_seed": 0.3, "c_trial": 0.4, "plateau_seed": 0.8}
         assert set(expected) == set(cfg.raw["run"])
         assert {key: getattr(cfg, key) for key in expected} == expected
 
@@ -135,9 +132,9 @@ class TestValidation:
         assert model.a_of_y(2.0) == pytest.approx(0.15)
 
     def test_sandwich_family_accepted(self):
+        # the comparison scenario builds its barrier pair from [initial] separation
         cfg = parse_config(MINIMAL.replace("scenario = wave", "scenario = comparison")
-                           + "\n[initial]\nfamily = sandwich\nseparation = 4.0\n")
-        assert cfg.initial_family == "sandwich"
+                           + "\n[initial]\nseparation = 4.0\n")
         assert cfg.initial_params["separation"] == 4.0
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -157,7 +154,7 @@ class TestValidation:
         with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
             parse_config(MINIMAL + "seed = -1\n")
 
-    @pytest.mark.parametrize("key", ["c_trial", "delta"])
+    @pytest.mark.parametrize("key", ["c_trial"])
     def test_nonpositive_run_parameter(self, key):
         with pytest.raises(ConfigError, match=key):
             parse_config(MINIMAL + "%s = 0\n" % key)
@@ -167,7 +164,7 @@ class TestValidation:
         # the window is 40 long; a barrier translate must stay inside half of it
         with pytest.raises(ConfigError, match="separation"):
             parse_config(MINIMAL.replace("scenario = wave", "scenario = comparison")
-                         + "\n[initial]\nfamily = sandwich\nseparation = %g\n" % separation)
+                         + "\n[initial]\nseparation = %g\n" % separation)
 
     def test_defaults_text_covers_sections(self):
         text = config_defaults_text()

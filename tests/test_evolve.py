@@ -8,7 +8,7 @@ from scipy.sparse.linalg import spsolve
 
 from conftest import energy_identity_defect
 
-from cylwave.evolve import (CLIP_FAIL, EvolutionState, EvolutionError, Stepper,
+from cylwave.evolve import (CLIP_FAIL, EvolutionError, Stepper,
                             compare_evolutions, dt_max, flow_weights, weighted_energies,
                             weighted_energy)
 from cylwave.grids import (Field, GridConfig, _apply_transport, build_grid, apply_boundary,
@@ -40,31 +40,30 @@ class TestStep:
 
     def test_zero_equilibrium(self):
         g = all_neumann_1d()
-        s = EvolutionState(0.0, Field(g, np.zeros(g.shape)))
+        s = Field(g, np.zeros(g.shape))
         out = Stepper(MODEL, g, 0.1).step(s)
-        np.testing.assert_allclose(out.u.values, 0.0, atol=1e-15)
-        assert out.t == pytest.approx(0.1)
+        np.testing.assert_allclose(out.values, 0.0, atol=1e-15)
 
     def test_unit_equilibrium_neumann(self):
         g = all_neumann_1d()
-        s = EvolutionState(0.0, Field(g, np.ones(g.shape)))
+        s = Field(g, np.ones(g.shape))
         out = Stepper(MODEL, g, 0.1).step(s)
-        np.testing.assert_allclose(out.u.values, 1.0, atol=1e-13)
+        np.testing.assert_allclose(out.values, 1.0, atol=1e-13)
 
     def test_unstable_zero_drifts_upward(self):
         g = all_neumann_1d()
-        s = EvolutionState(0.0, Field(g, np.full(g.shape, MODEL.a + 1e-3)))
+        s = Field(g, np.full(g.shape, MODEL.a + 1e-3))
         stepper = Stepper(MODEL, g, 0.1)
         for _ in range(50):
             s = stepper.step(s)
-        assert np.min(s.u.values) > MODEL.a + 2e-3
+        assert np.min(s.values) > MODEL.a + 2e-3
 
     def test_2d_step_preserves_equilibria(self):
         g = build_grid(GridConfig(n_y=9, n_z=33, z_min=-2.0, z_max=2.0,
                                   bc_axial_right="neumann"))
-        s = EvolutionState(0.0, Field(g, np.ones(g.shape)))
+        s = Field(g, np.ones(g.shape))
         out = Stepper(MODEL, g, 0.1).step(s)
-        np.testing.assert_allclose(out.u.values, 1.0, atol=1e-13)
+        np.testing.assert_allclose(out.values, 1.0, atol=1e-13)
 
     @pytest.mark.parametrize("n_y, bc_left, bc_right, bc_axial_right", [
         (1, "neumann", "neumann", "neumann"),
@@ -77,19 +76,19 @@ class TestStep:
         c, dt = 0.37, 0.1
         u = Field(g, np.random.default_rng(3).uniform(0.0, 1.0, g.shape))
         stepper = Stepper(MODEL, g, dt, frame_speed=c)
-        out = stepper.step(EvolutionState(0.0, u, c))
+        out = stepper.step(u)
         rhs = (u.values + dt * eval_f(MODEL, g, u.values)).ravel()
         rhs[g.dirichlet_mask.ravel()] = 0.0
         M = sp.identity(rhs.size, format="csc") - dt * transport_operator(g, c)
         want = spsolve(M.tocsc(), rhs).reshape(g.shape)
-        np.testing.assert_allclose(out.u.values, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.values, want, rtol=0, atol=1e-12)
         # a stack of three: each member is its own step, bit for bit
         stack = np.random.default_rng(4).uniform(0.0, 1.0, (3,) + g.shape)
         stack[1] = u.values
         stacked = stepper.advance(stack)
         assert stacked.shape == stack.shape
         for member, v in zip(stacked, stack):
-            alone = stepper.step(EvolutionState(0.0, Field(g, v), c)).u.values
+            alone = stepper.step(Field(g, v)).values
             assert np.array_equal(member, alone)
 
     @pytest.mark.parametrize("n_y, bc", [(1, "neumann"), (7, "dirichlet"), (7, "neumann")])
@@ -100,18 +99,12 @@ class TestStep:
                                   bc_left=bc, bc_right=bc))
         c, dt = 1.0, 0.1
         u = Field(g, np.random.default_rng(5).uniform(0.0, 1.0, g.shape))
-        out = Stepper(MODEL, g, dt, frame_speed=c).step(EvolutionState(0.0, u, c))
+        out = Stepper(MODEL, g, dt, frame_speed=c).step(u)
         rhs = (u.values + dt * eval_f(MODEL, g, u.values)).ravel()
         rhs[g.dirichlet_mask.ravel()] = 0.0
         M = sp.identity(rhs.size, format="csc") - dt * transport_operator(g, c)
         want = spsolve(M.tocsc(), rhs).reshape(g.shape)
-        np.testing.assert_allclose(out.u.values, want, rtol=0, atol=1e-12)
-
-    def test_frame_speed_mismatch_rejected(self):
-        g = all_neumann_1d()
-        stepper = Stepper(MODEL, g, 0.1, frame_speed=0.3)
-        with pytest.raises(EvolutionError):
-            stepper.step(EvolutionState(0.0, Field(g, np.zeros(g.shape)), frame_speed=0.1))
+        np.testing.assert_allclose(out.values, want, rtol=0, atol=1e-12)
 
     def test_non_finite_solve_fails_the_step(self, monkeypatch):
         from cylwave import evolve
@@ -124,7 +117,7 @@ class TestStep:
         stepper = Stepper(MODEL, g, 0.1)
         monkeypatch.setattr(evolve, "dpttrs", nan_solve)
         with pytest.raises(EvolutionError, match="non-finite"):
-            stepper.step(EvolutionState(0.0, Field(g, np.full(g.shape, 0.5))))
+            stepper.step(Field(g, np.full(g.shape, 0.5)))
 
     def test_escape_from_unit_interval_fails_the_run(self):
         # a growing reaction pushes the state past 1 by far more than the
@@ -134,7 +127,7 @@ class TestStep:
         g = all_neumann_1d()
         growing = LinearModel(mu=3.0)
         stepper = Stepper(growing, g, dt=0.9 * dt_max(growing, g))
-        s = EvolutionState(0.0, Field(g, np.full(g.shape, 0.9)))
+        s = Field(g, np.full(g.shape, 0.9))
         with pytest.raises(EvolutionError, match="left"):
             for _ in range(10):
                 s = stepper.step(s)
@@ -156,8 +149,8 @@ class TestStep:
         new = stepper.advance(stack)
         assert stepper.max_clip == pytest.approx(overshoot, rel=1e-3)
         assert np.array_equal(new[1], np.ones(g.shape))
-        alone = Stepper(stepper.model, g, dt).step(EvolutionState(0.0, Field(g, stack[0])))
-        assert np.array_equal(new[0], alone.u.values)
+        alone = Stepper(stepper.model, g, dt).step(Field(g, stack[0]))
+        assert np.array_equal(new[0], alone.values)
 
 
 class TestEnergy:
@@ -203,12 +196,12 @@ class TestEnergy:
         g = front_grid()
         m = WeightedMeasure(0.3536)
         vals = 0.5 * (1 - np.tanh(g.z - 1.0))
-        s = EvolutionState(0.0, apply_boundary(Field(g, vals[None, :])), 0.3536)
+        s = apply_boundary(Field(g, vals[None, :]))
         stepper = Stepper(MODEL, g, 0.1, frame_speed=0.3536)
-        e_prev = weighted_energy(s.u, MODEL, m)
+        e_prev = weighted_energy(s, MODEL, m)
         for _ in range(100):
             s = stepper.step(s)
-            e = weighted_energy(s.u, MODEL, m)
+            e = weighted_energy(s, MODEL, m)
             assert e <= e_prev + 1e-10 * max(1.0, abs(e_prev))
             e_prev = e
 
@@ -296,7 +289,7 @@ class TestEnergyIdentity:
     def test_identity_holds_to_rounding(self, name):
         model, g, u0, c, dt = identity_case(name)
         stepper = Stepper(model, g, dt, frame_speed=c)
-        state = EvolutionState(0.0, u0, c)
+        state = u0
         for _ in range(25):
             new = stepper.step(state)
             defect, bound = energy_identity_defect(stepper, state, new)
@@ -308,20 +301,20 @@ class TestEnergyIdentity:
         # a step that misses the scheme by 1e-10 at one node breaks the identity
         model, g, u0, c, dt = identity_case("front_1d")
         stepper = Stepper(model, g, dt, frame_speed=c)
-        state = EvolutionState(0.0, u0, c)
+        state = u0
         new = stepper.step(state)
-        values = new.u.values.copy()
+        values = new.values.copy()
         values[0, np.argmin(abs(g.z - 1.0))] += 1e-10
         defect, bound = energy_identity_defect(
-            stepper, state, EvolutionState(new.t, Field(g, values), c))
+            stepper, state, Field(g, values))
         assert defect > bound
 
     def test_stationary_state_is_silent(self):
         g = all_neumann_1d()
-        s0 = EvolutionState(0.0, Field(g, np.ones(g.shape)), 0.5)
+        s0 = Field(g, np.ones(g.shape))
         stepper = Stepper(MODEL, g, 0.1, frame_speed=0.5)
         s1 = stepper.step(s0)
-        assert np.array_equal(s1.u.values, s0.u.values)
+        assert np.array_equal(s1.values, s0.values)
         assert energy_identity_defect(stepper, s0, s1)[0] == 0.0
 
 

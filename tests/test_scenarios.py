@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from cylwave import scenarios
+from cylwave import scenarios, waves
 from cylwave.cli import main
 from cylwave.config import parse_config, parse_config_file
 from cylwave.scenarios import read_manifest, run_scenario
@@ -33,7 +33,6 @@ c_seed = 0.2
 seed = 42
 
 [initial]
-family = plateau_noise
 offset = 1.0
 noise = 0.02
 """
@@ -68,6 +67,25 @@ a = 0.25
 scenario = secondary_speed
 dt = 0.1
 c_seed = 0.2
+"""
+
+# the stacked model on a 1D grid, whose secondary wave exists
+SECONDARY_FAR_SEED = """
+[grid]
+n_z = 601
+z_min = -40.0
+z_max = 20.0
+
+[model]
+name = stacked
+a1 = 0.05
+a2 = 0.5
+a3 = 0.7
+
+[run]
+scenario = secondary_speed
+c_seed = 0.03
+plateau_seed = 0.55
 """
 
 # a small Neumann cylinder, whose half grid is coarser in both directions
@@ -147,6 +165,21 @@ class TestDeterminism:
         b = (tmp_path / "b" / "trace.csv").read_bytes()
         assert a == b
 
+    def test_noise_is_added_whenever_positive(self):
+        # no key selects the noisy datum: a positive amplitude is enough, and
+        # the draw follows the seed
+        cfg = parse_config(FAST_CONVERGE)
+        grid, model = cfg.make_grid(), cfg.make_model()
+        plateau = scenarios._plateau_state(model, grid, cfg.plateau_seed).v
+        noisy = scenarios.build_initial(cfg, grid, plateau).values
+        clean = scenarios.build_initial(parse_config(FAST_CONVERGE.replace("noise = 0.02", "")),
+                                        grid, plateau).values
+        reseeded = scenarios.build_initial(parse_config(FAST_CONVERGE.replace("seed = 42",
+                                                                              "seed = 43")),
+                                           grid, plateau).values
+        assert 0.0 < np.max(np.abs(noisy - clean)) <= 0.02
+        assert not np.array_equal(noisy, reseeded)
+
     def test_seed_changes_noise(self, tmp_path):
         run_scenario(parse_config(FAST_CONVERGE), str(tmp_path / "a"))
         other = FAST_CONVERGE.replace("seed = 42", "seed = 43")
@@ -182,6 +215,25 @@ class TestSecondaryWaiver:
         assert "not applicable" in parsed["run"]["note"]
         assert parsed["results"]["secondary_speed"] == "nan"
         assert parsed["results"]["secondary_speed_err_est"] == "nan"
+
+
+class TestSecondaryFailure:
+    def test_failed_secondary_solve_fails_the_run(self, tmp_path, capsys, monkeypatch):
+        # the secondary seed as far off as in test_far_off_seed_is_not_applicable:
+        # the solve fails, and a failure is not a waiver
+        cfg = tmp_path / "secondary.cfg"
+        cfg.write_text(SECONDARY_FAR_SEED)
+        seed = waves.front_seed
+        monkeypatch.setattr(waves, "front_seed",
+                            lambda grid, plateau: seed(grid, plateau, offset=-35.0))
+        out = tmp_path / "out"
+        code = main(["secondary-speed", "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert "scenario failed: SeedBasinError" in capsys.readouterr().err
+        run = read_manifest(out / "manifest.txt")["run"]
+        assert run["passed"] == "false"
+        assert run["error"].startswith("SeedBasinError: ")
+        assert "half the window length 30" in run["error"]
 
 
 class TestSecondaryInProcess:
@@ -270,9 +322,7 @@ class TestCli:
     def test_sub_threshold_datum_names_extinction(self, tmp_path, capsys):
         # sup 0.2 lies below the cubic's ignition level a = 0.25: no front survives
         cfg = tmp_path / "converge.cfg"
-        cfg.write_text(FAST_CONVERGE.replace("family = plateau_noise",
-                                             "family = shifted_tanh\namplitude = 0.2")
-                       .replace("noise = 0.02\n", ""))
+        cfg.write_text(FAST_CONVERGE.replace("noise = 0.02", "amplitude = 0.2"))
         code = main(["converge", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 1
         err = capsys.readouterr().err
@@ -295,6 +345,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "unknown key 'sample_every' in section [run]" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, key, value", [("run", "alpha", "0.1"),
+                                                     ("run", "delta", "0.05"),
+                                                     ("initial", "family", "plateau_noise")])
+    def test_removed_key_is_unknown_exit_two(self, tmp_path, capsys, section, key, value):
+        # each selected nothing: the keys are gone, not ignored
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(FAST_CONVERGE.replace("[%s]" % section,
+                                             "[%s]\n%s = %s" % (section, key, value)))
+        code = main(["converge", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "unknown key '%s' in section [%s]" % (key, section) in err
         assert not (tmp_path / "out").exists()
 
     def test_nonfinite_horizon_exit_two(self, tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from cylwave import sections
 from cylwave.config import parse_config_file
-from cylwave.evolve import EvolutionState, Stepper, weighted_energy
+from cylwave.evolve import Stepper, weighted_energy
 from cylwave.grids import CrossSectionField, Field, GridConfig, apply_boundary, build_grid
 from cylwave.reactions import CubicBistable, HeterogeneousCubic, LinearModel
 from cylwave.scenarios import _plateau_state
@@ -265,14 +265,14 @@ class TestAdmissibility:
             g, model = grid_1d(), CubicBistable(0.25)
         c, budget = 0.3, 100
         prof = 0.5 * (1.0 - np.tanh(g.z - 0.25 * (g.z_min + g.z_max)))
-        state = EvolutionState(0.0, apply_boundary(Field(g, np.tile(prof, (g.n_y, 1)))), c)
+        state = apply_boundary(Field(g, np.tile(prof, (g.n_y, 1))))
         m = WeightedMeasure(c, z_ref=0.25 * (g.z_min + g.z_max))
         stepper = Stepper(model, g, dt=0.4 / max(1.0, model.max_slope(g)), frame_speed=c)
-        energies = [weighted_energy(state.u, model, m)]
+        energies = [weighted_energy(state, model, m)]
         for k in range(budget):
             state = stepper.step(state)
             if k % 5 == 0 or k == budget - 1:
-                energies.append(weighted_energy(state.u, model, m))
+                energies.append(weighted_energy(state, model, m))
         assert len(energies) == 22 and len(energies) % sections.ENERGY_BLOCK != 0
         rep = check_speed_admissible(model, g, c, budget_steps=budget)
         assert rep.best_energy == min(energies)

@@ -6,7 +6,7 @@ import pytest
 from conftest import shifted_slope, template_slope
 
 from cylwave import evolve, tracking, weighted
-from cylwave.evolve import EvolutionError, EvolutionState, Stepper, weighted_energy
+from cylwave.evolve import EvolutionError, Stepper, weighted_energy
 from cylwave.grids import (CrossSectionField, Field, GridConfig, axial_derivative,
                            build_grid)
 from cylwave.reactions import CubicBistable
@@ -604,7 +604,7 @@ class TestBlockSums:
             assert not fs.capped
 
 
-def reference_row(model, ws, t, u, fs, u_z=None, prev=None, dt=None, delta=0.05):
+def reference_row(model, ws, t, u, fs, u_z=None, prev=None, dt=None):
     """One trace row from whole-grid references at the row's own R:
     ``mismatch``, ``weighted_energy``, ``weighted_norm_h2`` and ``z_delta``."""
     R = fs.position
@@ -618,7 +618,7 @@ def reference_row(model, ws, t, u, fs, u_z=None, prev=None, dt=None, delta=0.05)
                     / float((w * u_z * tdz).sum()))
     dev = Field(ws.grid, u.values - ws.template.at(R))
     return (t, R, 2 * mismatch(u, ws, R, m=mm), weighted_energy(u, model, mm), fd,
-            quotient, weighted_norm_h2(dev, mm), z_delta(u, ws, R, delta),
+            quotient, weighted_norm_h2(dev, mm), z_delta(u, ws, R),
             fs.ortho_residual, fs.ortho_floor, fs.iterations)
 
 
@@ -626,15 +626,15 @@ def row_by_row(model, ws, u0, dt, n_steps):
     """The trace tracked one state at a time: each state's own one-state
     ``locate_front`` call and the reference columns."""
     stepper = Stepper(model, ws.grid, dt, ws.speed)
-    state = EvolutionState(0.0, u0, ws.speed)
+    t, u = 0.0, u0
     fs = locate_front(u0, ws, 0.0)
     rows = [reference_row(model, ws, 0.0, u0, fs)]
     for _ in range(n_steps):
-        prev = (state.u.values, fs.position)
-        state = stepper.step(state)
-        uz = axial_derivative(state.u.values, ws.grid)
-        fs = locate_front(state.u, ws, fs.position)
-        rows.append(reference_row(model, ws, state.t, state.u, fs, uz, prev, dt))
+        prev = (u.values, fs.position)
+        t, u = t + dt, stepper.step(u)
+        uz = axial_derivative(u.values, ws.grid)
+        fs = locate_front(u, ws, fs.position)
+        rows.append(reference_row(model, ws, t, u, fs, uz, prev, dt))
     return np.array(rows, dtype=FrontTrace.FIELDS)
 
 
@@ -648,7 +648,7 @@ class TestBlockColumns:
         R[2] = 4 * g.dz  # a translation by whole cells
         R_prev = R - rng.uniform(-0.01, 0.01, 5)
         uz = axial_derivative(u, g)
-        cols = _columns(MODEL, ws, u, uz, R, (before, R_prev), 0.1, 0.05)
+        cols = _columns(MODEL, ws, u, uz, R, (before, R_prev), 0.1)
         want = np.array([reference_row(MODEL, ws, 0.0, Field(g, u[i]),
                                        FrontState(position=R[i], curvature=0.0,
                                                   ortho_residual=0.0,
@@ -668,10 +668,10 @@ class TestBlockColumns:
         u, before = perturbed_states(ws, rng, 6), perturbed_states(ws, rng, 6)
         R = rng.uniform(-0.5, 0.5, 6)
         uz = axial_derivative(u, g)
-        full = np.array(_columns(MODEL, ws, u, uz, R, (before, R - 0.01), 0.1, 0.05))
+        full = np.array(_columns(MODEL, ws, u, uz, R, (before, R - 0.01), 0.1))
         for keep in ([0], [5], [1, 3, 4]):
             part = _columns(MODEL, ws, u[keep], uz[keep], R[keep],
-                            (before[keep], R[keep] - 0.01), 0.1, 0.05)
+                            (before[keep], R[keep] - 0.01), 0.1)
             assert np.array(part).tobytes() == full[:, keep].tobytes()
 
 
@@ -726,11 +726,11 @@ class TestTrackInputsAndFailures:
         log = {"n": 0, "fail_at": None}
         original = Stepper.step
 
-        def step(self, state):
+        def step(self, u):
             log["n"] += 1
             if log["n"] == log["fail_at"]:
                 raise EvolutionError("injected step failure")
-            return original(self, state)
+            return original(self, u)
 
         monkeypatch.setattr(Stepper, "step", step)
         return log
@@ -750,12 +750,6 @@ class TestTrackInputsAndFailures:
 
         monkeypatch.setattr(tracking, "locate_front", locate)
         return log
-
-    def test_nonpositive_delta_refused_before_any_step(self, small_wave, steps):
-        ws = small_wave
-        with pytest.raises(ValueError, match="delta"):
-            track(MODEL, ws, ws.profile.copy(), dt=0.1, horizon=2.0, delta=0.0)
-        assert steps["n"] == 0
 
     def test_partial_step_horizon_refused_before_any_step(self, small_wave, steps):
         ws = small_wave

@@ -553,18 +553,16 @@ class TestSecondarySpeed:
 
     def test_far_off_seed_is_not_applicable(self, monkeypatch):
         # the secondary wave's seed placed as far off as in
-        # test_seed_beyond_half_window_raises_basin_error: a waiver, not a
-        # bare ValueError
+        # test_seed_beyond_half_window_raises_basin_error: the seed is outside
+        # the basin, and the solve's error reaches the caller, not a waiver
         model = StackedBistable(a1=0.05, a2=0.5, a3=0.7)
         g = wave_grid(n_z=601)
         v = find_critical_point(model, g, CrossSectionField(g, np.array([0.55])))
         seed = waves.front_seed
         monkeypatch.setattr(waves, "front_seed",
                             lambda grid, plateau: seed(grid, plateau, offset=-35.0))
-        res = secondary_speed(model, g, v, c_seed=0.03)
-        assert not res.applicable
-        assert res.note.startswith("not applicable: secondary wave solve failed")
-        assert "half the window length 30" in res.note
+        with pytest.raises(SeedBasinError, match="half the window length 30"):
+            secondary_speed(model, g, v, c_seed=0.03)
 
 
 class TestHeterogeneous2D:
