@@ -33,9 +33,10 @@ from scipy.linalg import eigh
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .grids import (CylinderGrid, Field, GridError, _apply_transport, apply_boundary,
-                    axial_bands, fitted_flux, symmetrized_section_operator)
+                    axial_bands, fitted_flux, free_block,
+                    symmetrized_section_operator)
 from .reactions import ReactionModel, eval_f
-from .weighted import WeightedMeasure, weight_values
+from .weighted import WeightedMeasure, node_sums, weight_values
 
 log = logging.getLogger(__name__)
 
@@ -68,17 +69,17 @@ def flow_weights(grid: CylinderGrid, m: WeightedMeasure) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _section_modes(grid: CylinderGrid) -> tuple[slice, np.ndarray, np.ndarray, np.ndarray]:
+def _section_modes(grid: CylinderGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenpairs of the cross-section operator on its free (unpinned) rows.
 
-    Returns ``(rows, lam, to_modes, from_modes)`` with ``A_y[rows, rows] =
+    Returns ``(lam, to_modes, from_modes)`` with ``A_y[rows, rows] =
     from_modes @ diag(lam) @ to_modes``, from ``eigh`` of the symmetrized
     operator ``S = W^{1/2} A_y W^{-1/2}`` (symmetrized_section_operator).
     Cached per grid; the arrays are shared and must not be modified.
     """
-    rows, w, S = symmetrized_section_operator(grid)
+    _, w, S = symmetrized_section_operator(grid)
     lam, Q = eigh(S)
-    return rows, lam, Q.T * w[None, :], Q / w[:, None]
+    return lam, Q.T * w[None, :], Q / w[:, None]
 
 
 class Stepper:
@@ -115,12 +116,10 @@ class Stepper:
         self.dt = dt
         self.frame_speed = frame_speed
         self.max_clip = 0.0
-        # pinned nodes hold zero, so only the free block is solved; the axial
-        # right end is pinned when its whole column is, since a Dirichlet
-        # section wall pins its row at every axial node
-        rows, lam, self._to_modes, self._from_modes = _section_modes(grid)
-        n_z = grid.n_z - int(grid.dirichlet_mask[:, -1].all())
-        self._free = (Ellipsis, rows, slice(0, n_z))
+        # pinned nodes hold zero, so only the free block is solved
+        lam, self._to_modes, self._from_modes = _section_modes(grid)
+        self._free = (Ellipsis, *free_block(grid))
+        n_z = self._free[-1].stop
         self._n_free = lam.size * n_z
         a, kappa = fitted_flux(frame_speed, grid.dz)
         exponent = a * (np.arange(n_z) - 0.5 * (n_z - 1))
@@ -181,11 +180,12 @@ class Stepper:
 def weighted_energies(u: np.ndarray, model: ReactionModel, grid: CylinderGrid,
                       m: WeightedMeasure) -> np.ndarray:
     """``weighted_energy`` of every field stacked on the leading axes of the
-    ``(..., n_y, n_z)`` array ``u``, as an array of the leading shape."""
-    Vv = np.asarray(model.V(u, grid.y[:, None]), dtype=float)
-    e = flow_weights(grid, m) * (Vv - 0.5 * u * _apply_transport(grid, u, m.c))
-    # each field's own nodes in one contiguous pass, as a whole-array sum
-    return e.reshape(np.shape(u)[:-2] + (-1,)).sum(axis=-1)
+    ``(..., n_y, n_z)`` array ``u``, as an array of the leading shape:
+    ``sum fw V - sum fw u Au / 2`` with ``fw = flow_weights``, each sum over
+    one field's own nodes (``node_sums``)."""
+    fw = flow_weights(grid, m)
+    V = np.asarray(model.V(u, grid.y[:, None]), dtype=float)
+    return node_sums(fw, V) - 0.5 * node_sums(fw, u, _apply_transport(grid, u, m.c))
 
 
 def weighted_energy(u: Field, model: ReactionModel, m: WeightedMeasure) -> float:

@@ -268,14 +268,20 @@ def _section_operator(grid: CylinderGrid) -> sp.csr_matrix:
     return sp.diags([lower[1:], diag, upper[:-1]], offsets=[-1, 0, 1], format="csr")
 
 
+def free_block(grid: CylinderGrid) -> tuple[slice, slice]:
+    """``(rows, cols)`` such that the free (unpinned) nodes are ``values[rows, cols]``."""
+    pinned = grid.dirichlet_mask  # a Dirichlet wall pins a whole row or column
+    return (slice(int(pinned[0, 0]), grid.n_y - int(pinned[-1, 0])),
+            slice(0, grid.n_z - int(pinned[:, -1].all())))
+
+
 def symmetrized_section_operator(grid: CylinderGrid) -> tuple[slice, np.ndarray, np.ndarray]:
     """``(rows, sqrt_w, S)``: the free (unpinned) cross-section rows, the square
     roots of their trapezoid weights ``W``, and ``S = W^{1/2} A_y W^{-1/2}`` on
     them.  The weights make ``S`` symmetric (the Neumann mirror rows included)
     up to rounding; Dirichlet rows hold zero and drop out.
     """
-    pinned = grid.dirichlet_mask[:, 0]  # the axial left end is never pinned
-    rows = slice(int(pinned[0]), grid.n_y - int(pinned[-1]))
+    rows, _ = free_block(grid)
     w = np.sqrt(grid.section_weights()[rows])
     Ay = _section_operator(grid).toarray()[rows, rows]
     return rows, w, w[:, None] * Ay / w[None, :]

@@ -14,12 +14,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .evolve import Stepper, flow_weights, step_count
-from .grids import Field, _apply_transport, axial_derivative, section_derivative
+from .evolve import Stepper, step_count, weighted_energies
+from .grids import CylinderGrid, Field, axial_derivative
 from .reactions import ReactionModel
 from .waves import FLOAT_FORMAT, WaveSolution
-from .weighted import (WeightedMeasure, cell_fraction, offset_resolution,
-                       quadrature_weights)
+from .weighted import (WeightedMeasure, cell_fraction, node_sums, offset_resolution,
+                       quadrature_weights, weighted_sums)
 
 # the mismatch level whose rightmost excess is a trace row's z_delta
 DEFAULT_DELTA = 0.05
@@ -56,12 +56,10 @@ def mismatch(u: Field, ws: WaveSolution, R: float,
              m: WeightedMeasure | None = None) -> float:
     """h(u, R) = 0.5 ||u - T_R profile||^2 in the weighted norm, summed over
     the whole-grid translate: the reference for the cell form of ``CellSums``."""
-    tpl = ws.template
-    if abs(R) >= tpl.max_shift:
+    if abs(R) >= ws.template.max_shift:
         raise ValueError("translation %g out of range" % R)
-    w = quadrature_weights(u.grid, m if m is not None else ws.measure(z_ref=R))
-    diff = u.values - tpl.at(R)
-    return 0.5 * float((w * diff * diff).sum())
+    m = m if m is not None else ws.measure(z_ref=R)
+    return 0.5 * float(weighted_sums(u.values - ws.template.at(R), u.grid, m)[0])
 
 
 class CellSums:
@@ -109,7 +107,7 @@ class CellSums:
         self.u = np.reshape(values, (-1, self.w.size))
         self.wuz = self.w * np.reshape(u_z, self.u.shape)
         self.awu = abs(self.w * self.u)
-        self.dz_norm_sq = float((w * ws.profile_dz ** 2).sum())  # ||profile_dz||^2 in m
+        self.dz_norm_sq = float(weighted_sums(ws.profile_dz, ws.grid, m)[0])
         self._cells: dict = {}
 
     def _sums(self, key):
@@ -316,19 +314,22 @@ def _find_bracket(deriv, R0, limit):
     raise BracketError("no sign change of h' in [-%g, %g]" % (limit, limit))
 
 
+def z_deltas(dev: np.ndarray, grid: CylinderGrid, delta: float = DEFAULT_DELTA) -> np.ndarray:
+    """For every deviation ``u - T_R profile`` stacked on the leading axes of
+    ``dev``, the rightmost axial coordinate where the cross-section sup of
+    its magnitude exceeds delta, or -inf where none does."""
+    over = (np.abs(dev) > delta).any(axis=-2)
+    last = over.shape[-1] - 1 - np.argmax(over[..., ::-1], axis=-1)
+    return np.where(over.any(axis=-1), grid.z[last], -np.inf)
+
+
 def z_delta(u: Field, ws: WaveSolution, R: float,
             delta: float = DEFAULT_DELTA) -> float:
-    """Rightmost axial coordinate where the cross-section sup mismatch exceeds delta.
-
-    Returns -inf when no column exceeds it.
-    """
+    """Rightmost axial coordinate where the cross-section sup mismatch
+    exceeds delta (``z_deltas`` of one state); -inf when no column does."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    err = abs(u.values - ws.template.at(R)).max(axis=0)
-    exceeding = (err > delta).nonzero()[0]
-    if exceeding.size == 0:
-        return float("-inf")
-    return float(u.grid.z[exceeding[-1]])
+    return float(z_deltas(u.values - ws.template.at(R), u.grid, delta))
 
 
 @dataclass
@@ -372,70 +373,30 @@ def _columns(model: ReactionModel, ws: WaveSolution, u: np.ndarray,
     ``R``, with ``prev = (states, positions)`` of the steps before them, or
     None for rows without rates.
 
-    ``T_R profile`` and its slope are, in each cell, one product of the
-    rows' offset powers ``(1, s, s^2, s^3)`` and ``(0, 1, 2s, 3s^2)`` with
-    the template's cell arrays, and each derivative is taken once for all
-    rows along the last axis.  Every weighted sum is one pass over one
-    row's own nodes in the measure referenced at 0, times ``exp(-c R)``.
-    Both are ``np.einsum`` loops, never BLAS products, so a row's columns
-    do not depend on which other rows share its block (a BLAS product would
-    round a row differently from block to block).
+    The weighted columns are the stacked ``weighted_sums``,
+    ``weighted_energies`` and ``z_deltas`` of the block and its translates
+    (``Template.translates``) in the measure referenced at 0, times ``exp(-c
+    R)``; no row's columns depend on the other rows of its block.
     """
-    grid, tpl, c = ws.grid, ws.template, ws.speed
-    n = len(R)
-    m0 = ws.measure(z_ref=0.0)
-    w = quadrature_weights(grid, m0)
-    scale = np.array([math.exp(-c * r) for r in R])
-
-    def wsum(x, y, weights=w):
-        return np.einsum("rk,rk,k->r", x.reshape(n, -1), y.reshape(n, -1), weights.reshape(-1))
-
-    cells: dict = {}
-    for i, r in enumerate(R):
-        k, t = cell_fraction(r, grid.dz)
-        cells.setdefault((k, t == 0.0), []).append((i, t * grid.dz))
-    translates = np.empty((2,) + u.shape)  # T_R profile and its slope
-    for key, members in cells.items():
-        idx = [i for i, _ in members]
-        s = np.array([s for _, s in members])
-        s2, zero, one = s * s, np.zeros_like(s), np.ones_like(s)
-        powers = np.array([np.column_stack((one, s, s2, s2 * s)),
-                           np.column_stack((zero, one, 2 * s, 3 * s2))])
-        a = tpl.cell(*key)
-        translates[:, idx] = np.einsum("prj,jk->prk", powers, a.reshape(4, -1)).reshape(
-            (2, len(idx)) + a.shape[1:])
-    # the deviation overwrites the translate, and the axial derivatives go
-    # once summed: with fewer block arrays alive at once, the heap is not
-    # grown and trimmed again for every block (a page fault per page)
-    dev, T_z = translates
+    grid, m0 = ws.grid, ws.measure(z_ref=0.0)
+    scale = np.array([math.exp(-ws.speed * r) for r in R])
+    # the deviation overwrites the translate, so fewer block arrays are
+    # alive at once and the heap is not grown and trimmed for every block
+    dev, T_z = ws.template.translates(R)
     np.subtract(u, dev, out=dev)
-    dev_z = axial_derivative(dev, grid)
-    dev_zz = axial_derivative(dev_z, grid)
-    m = wsum(dev, dev)
-    h2 = m + wsum(dev_z, dev_z) + wsum(dev_zz, dev_zz)
-    del dev_z, dev_zz
-    if grid.n_y > 1:
-        dev_y = section_derivative(dev, grid)
-        dev_yy, dev_yz = section_derivative(dev_y, grid), axial_derivative(dev_y, grid)
-        h2 += wsum(dev_y, dev_y) + wsum(dev_yy, dev_yy) + wsum(dev_yz, dev_yz)
-    V = np.asarray(model.V(u, grid.y[:, None]), dtype=float)
-    fw = flow_weights(grid, m0).reshape(-1)
-    phi = (np.einsum("rk,k->r", V.reshape(n, -1), fw)
-           - 0.5 * wsum(u, _apply_transport(grid, u, c), fw))
-
-    over = (np.abs(dev) > DEFAULT_DELTA).any(axis=-2)
-    last = over.shape[-1] - 1 - np.argmax(over[:, ::-1], axis=-1)
-    z_delta = np.where(over.any(axis=-1), grid.z[last], -np.inf)
-
+    m, _, h2 = weighted_sums(dev, grid, m0, order=2)
+    phi = weighted_energies(u, model, grid, m0)
     if prev is None:
-        fd = quotient = np.full(n, np.nan)
+        fd = quotient = np.full(len(R), np.nan)
     else:
         u_prev, R_prev = prev
         fd = (R - R_prev) / dt
-        denom = wsum(u_z, T_z)
+        w = quadrature_weights(grid, m0)
+        denom = node_sums(w, u_z, T_z)
         with np.errstate(divide="ignore", invalid="ignore"):
-            quotient = np.where(denom != 0, -wsum(u - u_prev, T_z) / (dt * denom), np.nan)
-    return [scale * m, scale * phi, fd, quotient, np.sqrt(scale * h2), z_delta]
+            quotient = np.where(denom != 0, -node_sums(w, u - u_prev, T_z) / (dt * denom),
+                                np.nan)
+    return [scale * m, scale * phi, fd, quotient, np.sqrt(scale * h2), z_deltas(dev, grid)]
 
 
 def track(model: ReactionModel, ws: WaveSolution, u0: Field, dt: float,

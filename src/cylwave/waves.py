@@ -38,14 +38,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .evolve import flow_weights
-from .grids import (CrossSectionField, CylinderGrid, Field, GridConfig,
-                    _apply_axial, _apply_transport, apply_boundary, axial_derivative,
-                    build_grid, front_seed, half_grid, transport_operator)
+from .grids import (CrossSectionField, CylinderGrid, Field, GridConfig, _apply_axial,
+                    _apply_transport, apply_boundary, axial_bands, axial_derivative,
+                    build_grid, fitted_flux, free_block, front_seed, half_grid,
+                    symmetrized_section_operator, transport_operator)
 from .reactions import ReactionModel, ShiftedModel, eval_f, eval_f_u
 from .sections import CriticalPoint, find_critical_point, section_energy
-from .weighted import (WeightedMeasure, cell_fraction, cell_value, hermite,
-                       pchip_slopes, shifted_cell, spline_slopes, translate, translations,
-                       weighted_norm_l2, weighted_norms_l2)
+from .weighted import (WeightedMeasure, cell_fraction, hermite, pchip_slopes, shifted_cell,
+                       spline_slopes, translate, translations, weighted_norm_l2, weighted_sums)
 
 # every float written to wave.txt, trace.csv and manifest.txt: decimal round-trip
 FLOAT_FORMAT = "%.17g"
@@ -113,10 +113,9 @@ class Template:
     (``weighted.shifted_cell``, which owns the clipping and end rules).
     ``cell`` remembers the arrays of the last cell asked for, read-only; the
     tracker takes its dot products with them, which give the translate's
-    slope sums without evaluating it, and ``at`` evaluates them by Horner
-    (``cell_value``).  A shift by a whole number of cells asks for the cell
-    with ``node`` set, in which a node moved exactly onto the right end
-    keeps the end slope.
+    slope sums without evaluating it, and ``translates`` evaluates them.  A
+    shift by a whole number of cells asks for the cell with ``node`` set, in
+    which a node moved exactly onto the right end keeps the end slope.
     """
 
     def __init__(self, ws: WaveSolution):
@@ -134,10 +133,33 @@ class Template:
             self._cell = ((k, node), a)
         return self._cell[1]
 
+    def translates(self, radii) -> np.ndarray:
+        """``T_R profile`` and its slope for every R in ``radii``, stacked as
+        ``(2, len(radii), n_y, n_z)``: in each cell, the offset powers ``(1, s,
+        s^2, s^3)`` and ``(0, 1, 2s, 3s^2)`` times the cell arrays, an
+        ``np.einsum`` loop (never BLAS), so no translate depends on the other R."""
+        dz = self.ws.grid.dz
+        cells: dict = {}
+        for i, R in enumerate(radii):
+            k, t = cell_fraction(R, dz)
+            cells.setdefault((k, t == 0.0), []).append((i, t * dz))
+        out = np.empty((2, len(radii)) + self.ws.grid.shape)
+        for key, members in cells.items():
+            s = np.array([s for _, s in members])
+            s2, zero, one = s * s, np.zeros_like(s), np.ones_like(s)
+            powers = np.array([np.column_stack((one, s, s2, s2 * s)),
+                               np.column_stack((zero, one, 2 * s, 3 * s2))])
+            a = self.cell(*key)
+            block = np.einsum("prj,jk->prk", powers, a.reshape(4, -1)).reshape(
+                (2, len(s)) + a.shape[1:])
+            if len(cells) == 1:
+                return block  # every R in one cell: no copy
+            out[:, [i for i, _ in members]] = block
+        return out
+
     def at(self, R: float) -> np.ndarray:
-        """``T_R profile`` on the grid."""
-        k, t = cell_fraction(R, self.ws.grid.dz)
-        return cell_value(self.cell(k, t == 0.0), t * self.ws.grid.dz)
+        """``T_R profile`` on the grid: the one-R case of ``translates``."""
+        return self.translates([R])[0, 0]
 
 
 def _wave_residual(model, grid, values, c):
@@ -453,14 +475,17 @@ class GapResult:
 def spectral_gap(ws: WaveSolution, model: ReactionModel) -> GapResult:
     """Two smallest eigenvalues of the weighted linearization at the wave.
 
-    The operator is symmetrized by the diagonal weight substitution
-    (w = weight^{-1/2} phi).  The translational mode and the gap are its two
-    lowest eigenpairs, from one run of ARPACK's Lanczos on the shift-invert
-    operator (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998):
-    the operator is factored once, shifted below its spectrum, so the two
-    largest eigenvalues of the inverse are the two lowest of the operator.
-    The eigenvalues are the Rayleigh quotients of the Ritz vectors, whose
-    residuals are reported with them.
+    The operator is ``W^{1/2} L W^{-1/2}``, L = -(transport + f_u) on the
+    free nodes and W the flow weights, built from its bands: the fitted axial
+    couplings become the constant kappa / dz^2 (as in ``Stepper``), and the
+    section ones are those of ``symmetrized_section_operator`` averaged
+    across the diagonal, so it is exactly symmetric.  The translational mode
+    and the gap are its two lowest eigenpairs, from one run of ARPACK's
+    Lanczos on the shift-invert operator (Lehoucq, Sorensen & Yang, ARPACK
+    Users' Guide, SIAM 1998): the operator is factored once, shifted below
+    its spectrum, so the two largest eigenvalues of the inverse are the two
+    lowest of the operator.  The eigenvalues are the Rayleigh quotients of
+    the Ritz vectors, whose residuals are reported with them.
 
     ARPACK (``tol = 0``) stops at ``||OP x - mu x|| <= eps |mu|``, OP the
     shifted inverse, so ``||A x - lam x|| <= eps ||A - shift||``; each LU
@@ -469,24 +494,26 @@ def spectral_gap(ws: WaveSolution, model: ReactionModel) -> GapResult:
     positive definite block).  A converged residual is below ``residual_tol``.
     """
     grid = ws.grid
-    free = ~grid.dirichlet_mask.ravel()
-    fu = eval_f_u(model, grid, ws.profile.values).ravel()
-    w = flow_weights(grid, ws.measure(z_ref=0.0)).ravel()
+    rows, cols = free_block(grid)
+    _, _, S = symmetrized_section_operator(grid)
+    fu = eval_f_u(model, grid, ws.profile.values)
+    main = -(axial_bands(grid, ws.speed)[1][cols] + np.diag(S)[:, None] + fu[rows, cols])
+    n_z, n = main.shape[1], main.size
+    axial = np.full(main.shape, -fitted_flux(ws.speed, grid.dz)[1] / grid.dz ** 2)
+    axial[:, -1] = 0.0  # no coupling between consecutive section rows
+    section = np.repeat(-0.5 * (np.diag(S, 1) + np.diag(S, -1)), n_z)
 
-    L = (-transport_operator(grid, ws.speed, fu)).tocsr()[free][:, free]
-    wf = w[free]
-    S = sp.diags(wf) @ L
-    d = 1.0 / np.sqrt(wf)
-    Asym = sp.diags(d) @ S @ sp.diags(d)
-    Asym = 0.5 * (Asym + Asym.T)
+    def operator(shift):
+        bands = [main.ravel() - shift, axial.ravel()[:-1], section]
+        return sp.diags(bands + bands[1:], [0, 1, n_z, -1, -n_z], format="csc")
+
+    Asym = operator(0.0)
     scale = float(np.max(np.abs(Asym).sum(axis=1)))
-
-    phiz = np.sqrt(wf) * ws.profile_dz.ravel()[free]
+    phiz = (np.sqrt(flow_weights(grid, ws.measure(0.0))[rows, cols])
+            * ws.profile_dz[rows, cols]).ravel()
     phiz_hat = phiz / np.linalg.norm(phiz)
-
     shift = -0.2 * (1.0 + float(np.max(np.abs(fu))))
-    n = Asym.shape[0]
-    lu = spla.splu((Asym - shift * sp.identity(n)).tocsc(), **SPLU_OPTIONS)
+    lu = spla.splu(operator(shift), **SPLU_OPTIONS)
     solves = 0
 
     def inverse(x):
@@ -620,8 +647,8 @@ def translation_profile(ws: WaveSolution, radii: np.ndarray | None = None) -> Tr
     radii = np.asarray(sorted(radii))
     m = ws.measure(z_ref=0.0)
     # T_0 is a copy, so the distance at R = 0 is exactly zero
-    dist = weighted_norms_l2(translations(ws.profile, radii.tolist()) - ws.profile.values,
-                             ws.grid, m)
+    dist = np.sqrt(weighted_sums(translations(ws.profile, radii.tolist())
+                                 - ws.profile.values, ws.grid, m)[0])
     inner = (np.abs(radii) > 0) & (np.abs(radii) <= 1.0)
     ratios = dist[inner] / np.abs(radii[inner])
     mono = bool(np.all(np.diff(dist[radii > 0]) >= -1e-12) and

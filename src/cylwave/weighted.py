@@ -65,47 +65,52 @@ def quadrature_weights(grid: CylinderGrid, m: WeightedMeasure) -> np.ndarray:
     return w
 
 
+def node_sums(w: np.ndarray, *factors: np.ndarray) -> np.ndarray:
+    """``sum(w * x * ...)`` over each field's own nodes, for fields stacked on
+    the leading axes of the ``(..., n_y, n_z)`` factors, as an array of the
+    leading shape.  One ``np.einsum`` loop per field, never a BLAS product,
+    so a field's sum does not depend on the stack it is in."""
+    rows = [x.reshape(-1, w.size) for x in factors]
+    return np.einsum("rk," * len(rows) + "k->r", *rows, w.reshape(-1)).reshape(
+        factors[0].shape[:-2])
+
+
+def weighted_sums(values: np.ndarray, grid: CylinderGrid, m: WeightedMeasure,
+                  order: int = 0) -> np.ndarray:
+    """The squared weighted L2, H1 and H2 norms, up to ``order``, of every
+    field stacked on the leading axes of ``values``: a list of ``order + 1``
+    arrays of the leading shape.  H1 adds the sums of the first discrete
+    derivatives to the L2 sum and H2 those of the second too, with section
+    terms only where n_y > 1."""
+    w = quadrature_weights(grid, m)
+    fields, sums = [values], [node_sums(w, values, values)]
+    for _ in range(order):
+        # the next order: d/dz of each derivative so far, d/dy of the pure-y one
+        fields = ([axial_derivative(x, grid) for x in fields]
+                  + ([section_derivative(fields[-1], grid)] if grid.n_y > 1 else []))
+        sums.append(sums[-1] + sum(node_sums(w, x, x) for x in fields))
+    return sums
+
+
 def weighted_inner(u: Field, v: Field, m: WeightedMeasure) -> float:
     """Symmetric bilinear pairing ``int e^{c(z-z_ref)} u v``."""
     if u.grid is not v.grid and u.grid != v.grid:
         raise ValueError("fields live on different grids")
-    w = quadrature_weights(u.grid, m)
-    return float((w * u.values * v.values).sum())
-
-
-def weighted_norms_l2(values: np.ndarray, grid: CylinderGrid, m: WeightedMeasure) -> np.ndarray:
-    """``weighted_norm_l2`` of every field stacked on the leading axes of the
-    ``(..., n_y, n_z)`` array ``values``, as an array of the leading shape."""
-    w = quadrature_weights(grid, m)
-    # each field's own nodes in one contiguous pass, as a whole-array sum
-    return np.sqrt((w * values ** 2).reshape(np.shape(values)[:-2] + (-1,)).sum(axis=-1))
+    return float(node_sums(quadrature_weights(u.grid, m), u.values, v.values))
 
 
 def weighted_norm_l2(u: Field, m: WeightedMeasure) -> float:
-    return float(weighted_norms_l2(u.values, u.grid, m))
+    return math.sqrt(weighted_sums(u.values, u.grid, m)[0])
 
 
 def weighted_norm_h1(u: Field, m: WeightedMeasure) -> float:
     """L2 norm of u and of its discrete gradient, root-sum-square."""
-    w = quadrature_weights(u.grid, m)
-    total = (w * u.values ** 2).sum()
-    total += (w * axial_derivative(u.values, u.grid) ** 2).sum()
-    total += (w * section_derivative(u.values, u.grid) ** 2).sum()
-    return math.sqrt(total)
+    return math.sqrt(weighted_sums(u.values, u.grid, m, 1)[1])
 
 
 def weighted_norm_h2(u: Field, m: WeightedMeasure) -> float:
     """Norm including all first and second discrete derivatives."""
-    g = u.grid
-    w = quadrature_weights(g, m)
-    uz = axial_derivative(u.values, g)
-    uzz = axial_derivative(uz, g)
-    uy = section_derivative(u.values, g)
-    uyy = section_derivative(uy, g)
-    uyz = axial_derivative(uy, g)
-    total = (w * u.values ** 2).sum() + (w * uz ** 2).sum() + (w * uzz ** 2).sum()
-    total += (w * uy ** 2).sum() + (w * uyy ** 2).sum() + (w * uyz ** 2).sum()
-    return math.sqrt(total)
+    return math.sqrt(weighted_sums(u.values, u.grid, m, 2)[2])
 
 
 def _pchip_end(m0, m1):

@@ -168,9 +168,14 @@ class TestEnergy:
                           for v in rng.uniform(0.0, 1.0, (3,) + g.shape)])
         got = weighted_energies(stack, MODEL, g, m)
         assert got.shape == (3,)
+        fw = flow_weights(g, m).ravel()
         for e, v in zip(got, stack):
-            whole = (flow_weights(g, m) * (MODEL.V(v, g.y[:, None])
-                                           - 0.5 * v * _apply_transport(g, v, m.c))).sum()
+            # the fused form sum fw V - sum fw u Au / 2, each sum one einsum
+            # loop over the field's nodes
+            V, Av = MODEL.V(v, g.y[:, None]), _apply_transport(g, v, m.c)
+            whole = (np.einsum("rk,k->r", V.reshape(1, -1), fw)
+                     - 0.5 * np.einsum("rk,rk,k->r", v.reshape(1, -1), Av.reshape(1, -1),
+                                       fw))[0]
             assert e == weighted_energy(Field(g, v), MODEL, m) == whole
 
     def test_gaussian_bump_against_quadrature_oracle(self):

@@ -5,8 +5,9 @@ import pytest
 
 from cylwave import sections
 from cylwave.config import parse_config_file
-from cylwave.evolve import Stepper, weighted_energy
-from cylwave.grids import CrossSectionField, Field, GridConfig, apply_boundary, build_grid
+from cylwave.evolve import Stepper, flow_weights, weighted_energy
+from cylwave.grids import (CrossSectionField, Field, GridConfig, _apply_transport,
+                           apply_boundary, build_grid)
 from cylwave.reactions import CubicBistable, HeterogeneousCubic, LinearModel
 from cylwave.scenarios import _plateau_state
 from cylwave.sections import (SectionSolverError, check_speed_admissible,
@@ -253,28 +254,57 @@ class TestAdmissibility:
         # above c-dagger no trial field goes below zero energy
         assert not rep.admissible
 
+    @staticmethod
+    def sampled_energies(model, g, c, budget):
+        """The energies ``check_speed_admissible`` samples along its flow (the
+        datum, every fifth state and the last), each with the bound ``(N - 1)
+        eps sum|terms|`` on its rounding, N the node count, that
+        ``conftest.energy_identity_defect`` uses for recursive summation."""
+        prof = 0.5 * (1.0 - np.tanh(g.z - 0.25 * (g.z_min + g.z_max)))
+        state = apply_boundary(Field(g, np.tile(prof, (g.n_y, 1))))
+        m = WeightedMeasure(c, z_ref=0.25 * (g.z_min + g.z_max))
+        stepper = Stepper(model, g, dt=0.4 / max(1.0, model.max_slope(g)), frame_speed=c)
+        w, y = flow_weights(g, m), g.y[:, None]
+        energies, bounds = [], []
+        for k in range(-1, budget):
+            if k >= 0:
+                state = stepper.step(state)
+            if k % 5 == 0 or k in (-1, budget - 1):
+                u = state.values
+                terms = w * (abs(model.V(u, y)) + 0.5 * abs(u * _apply_transport(g, u, c)))
+                energies.append(weighted_energy(state, model, m))
+                bounds.append((u.size - 1) * np.finfo(float).eps * terms.sum())
+        return np.array(energies), np.array(bounds)
+
     @pytest.mark.parametrize("two_d", [False, True])
     def test_best_energy_is_the_lowest_sampled_energy(self, two_d):
         # 100 steps sample the datum, 20 states and the last: 22 states, one
-        # full block of ENERGY_BLOCK and a part block
+        # full block of ENERGY_BLOCK and a part block.  The flow descends the
+        # energy, so no sample rises above the one before by more than the
+        # rounding of the two
         if two_d:
             g = build_grid(GridConfig(n_y=9, n_z=121, y_max=1.0, z_min=-12.0, z_max=12.0,
                                       bc_left="dirichlet"))
             model = HeterogeneousCubic(a0=0.25, a1=0.1)
         else:
             g, model = grid_1d(), CubicBistable(0.25)
-        c, budget = 0.3, 100
-        prof = 0.5 * (1.0 - np.tanh(g.z - 0.25 * (g.z_min + g.z_max)))
-        state = apply_boundary(Field(g, np.tile(prof, (g.n_y, 1))))
-        m = WeightedMeasure(c, z_ref=0.25 * (g.z_min + g.z_max))
-        stepper = Stepper(model, g, dt=0.4 / max(1.0, model.max_slope(g)), frame_speed=c)
-        energies = [weighted_energy(state, model, m)]
-        for k in range(budget):
-            state = stepper.step(state)
-            if k % 5 == 0 or k == budget - 1:
-                energies.append(weighted_energy(state, model, m))
+        energies, bounds = self.sampled_energies(model, g, 0.3, 100)
         assert len(energies) == 22 and len(energies) % sections.ENERGY_BLOCK != 0
-        rep = check_speed_admissible(model, g, c, budget_steps=budget)
+        assert np.all(np.diff(energies) <= bounds[:-1] + bounds[1:])
+        rep = check_speed_admissible(model, g, 0.3, budget_steps=100)
+        assert rep.best_energy == min(energies)
+
+    def test_energy_descends_to_its_rounding_at_the_shipped_trial_speed(self):
+        # at c = 0.1 (configs/hypotheses_cubic_a25.cfg) the energy levels off
+        # within the budget: samples rise by rounding, within its bound, and
+        # the lowest one is not the last
+        model, g = CubicBistable(0.25), grid_1d()
+        energies, bounds = self.sampled_energies(model, g, 0.1, 600)
+        rise = np.diff(energies)
+        assert rise.max() > 0.0
+        assert np.all(rise <= bounds[:-1] + bounds[1:])
+        assert np.argmin(energies) < len(energies) - 1
+        rep = check_speed_admissible(model, g, 0.1, budget_steps=600)
         assert rep.best_energy == min(energies)
 
     def test_discriminant_always_ok_for_positive_eigenvalue(self):

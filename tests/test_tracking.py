@@ -6,20 +6,20 @@ import pytest
 from conftest import shifted_slope, template_slope
 
 from cylwave import evolve, tracking, weighted
-from cylwave.evolve import EvolutionError, Stepper, weighted_energy
+from cylwave.evolve import EvolutionError, Stepper, weighted_energies, weighted_energy
 from cylwave.grids import (CrossSectionField, Field, GridConfig, axial_derivative,
                            build_grid)
-from cylwave.reactions import CubicBistable
+from cylwave.reactions import CubicBistable, HeterogeneousCubic
 from cylwave.sections import find_critical_point
 from cylwave.tracking import (CSV_COLUMNS, BracketError, CellSums, ConvexityError,
                               FitError, FrontState, FrontTrace, TrackingLossError, _columns,
                               default_fit_window, fit_decay, fit_position_tail, fit_rate,
                               locate_front, mismatch, mismatch_derivatives, track,
-                              trace_to_csv, z_delta)
+                              trace_to_csv, z_delta, z_deltas)
 from cylwave.waves import front_seed, solve_wave
 from cylwave.weighted import (cell_fraction, offset_resolution,
                               quadrature_weights, shifted_hermite, spline_slopes,
-                              translate, weighted_norm_h2, weighted_norm_l2)
+                              translate, weighted_norm_h2, weighted_norm_l2, weighted_sums)
 
 
 @pytest.fixture(scope="module")
@@ -382,10 +382,6 @@ class TestTrack:
 
 class TestTrack2D:
     def test_heterogeneous_cylinder_run(self):
-        from cylwave.grids import CrossSectionField
-        from cylwave.reactions import HeterogeneousCubic
-        from cylwave.sections import find_critical_point
-
         g = build_grid(GridConfig(n_y=17, n_z=451, y_min=0.0, y_max=1.0,
                                   z_min=-30.0, z_max=15.0))
         model = HeterogeneousCubic(a0=0.25, a1=0.1)
@@ -660,6 +656,44 @@ class TestBlockColumns:
         for name, col in zip(COLUMNS, cols):
             assert_close_to_scale(col, want[name])
         assert np.array_equal(cols[5], want["z_delta"])
+
+    @pytest.mark.parametrize("case", ["1d", "dirichlet_cubic_y_9x121"])
+    def test_columns_are_the_library_functions_bit_for_bit(self, case):
+        # the weighted columns are the stacked library sums of the block in the
+        # measure referenced at 0, times exp(-c R), and each row's sums are the
+        # one-state functions of that row
+        if case == "1d":
+            model = MODEL
+            g = build_grid(GridConfig(n_y=1, n_z=401, z_min=-25.0, z_max=15.0))
+            plateau = 1.0
+        else:
+            model = HeterogeneousCubic(a0=0.25, a1=0.1, y_max=16.0)
+            g = build_grid(GridConfig(n_y=9, n_z=121, y_max=16.0, z_min=-20.0, z_max=10.0,
+                                      bc_left="dirichlet", bc_right="dirichlet"))
+            plateau = find_critical_point(model, g, CrossSectionField(g, np.full(9, 0.9))).v
+        ws = solve_wave(model, g, front_seed(g, plateau), c_seed=0.2)
+        rng = np.random.default_rng(43)
+        u, before = perturbed_states(ws, rng, 5), perturbed_states(ws, rng, 5)
+        R = rng.uniform(-0.5, 0.5, 5)
+        R[2] = 4 * g.dz  # a translation by whole cells
+        uz = axial_derivative(u, g)
+        m, phi, _, _, h2c, zd = _columns(model, ws, u, uz, R, (before, R - 0.01), 0.1)
+        m0 = ws.measure(0.0)
+        scale = np.array([math.exp(-ws.speed * r) for r in R])
+        T = ws.template.translates(R)[0]
+        dev = u - T
+        l2, _, h2 = weighted_sums(dev, g, m0, order=2)
+        assert m.tobytes() == (scale * l2).tobytes()
+        assert phi.tobytes() == (scale * weighted_energies(u, model, g, m0)).tobytes()
+        assert h2c.tobytes() == np.sqrt(scale * h2).tobytes()
+        assert zd.tobytes() == z_deltas(dev, g).tobytes()
+        for i in range(len(R)):
+            state = Field(g, u[i])
+            assert np.array_equal(T[i], ws.template.at(R[i]))
+            assert 2 * mismatch(state, ws, R[i], m=m0) == l2[i]
+            assert weighted_energy(state, model, m0) * scale[i] == phi[i]
+            assert weighted_norm_h2(Field(g, dev[i]), m0) == math.sqrt(h2[i])
+            assert z_delta(state, ws, R[i]) == zd[i]
 
     def test_a_row_does_not_depend_on_the_other_rows(self, section_wave):
         ws = section_wave

@@ -356,9 +356,11 @@ class TestSpectralGap:
         assert gap.residual_gap <= 1e-8
 
     @pytest.mark.parametrize("case", ["1d", "dirichlet_section"])
-    def test_matches_dense_eigensolver(self, case):
+    def test_matches_dense_eigensolver(self, case, monkeypatch):
         # independent oracle: the two lowest eigenvalues of the symmetrized
-        # operator from a dense symmetric eigensolver on a coarse grid
+        # operator from a dense symmetric eigensolver on a coarse grid; the
+        # operator built from its bands is exactly symmetric and within
+        # rounding of the oracle's similarity transform
         import scipy.sparse as sp
 
         if case == "1d":
@@ -381,7 +383,18 @@ class TestSpectralGap:
         d = 1.0 / np.sqrt(wf)
         S = (sp.diags(d) @ (sp.diags(wf) @ L) @ sp.diags(d)).toarray()
         ev = np.linalg.eigvalsh(0.5 * (S + S.T))
+        splu, factored = waves.spla.splu, []
+
+        def spy(A, **kwargs):
+            factored.append(A)
+            return splu(A, **kwargs)
+
+        monkeypatch.setattr(waves.spla, "splu", spy)
         gap = spectral_gap(ws, model)
+        (shifted,) = factored
+        assert (shifted != shifted.T).nnz == 0
+        shift = -0.2 * (1.0 + np.max(np.abs(fu)))
+        assert np.max(np.abs(shifted.toarray() + shift * np.eye(len(S)) - S)) <= 1e-13 * gap.scale
         assert gap.zero_mode_value == pytest.approx(ev[0], abs=1e-10)
         assert gap.gap == pytest.approx(ev[1], rel=1e-10)
         assert max(gap.residual_zero, gap.residual_gap) <= gap.residual_tol
@@ -502,10 +515,11 @@ class TestTranslationProfile:
         m = ws.measure(z_ref=0.0)
         want = [weighted_norm_l2(Field(ws.grid, translate(ws.profile, float(r)).values
                                        - ws.profile.values), m) for r in rep.radii]
-        # and the sum as a whole-array pass over each difference
-        w = quadrature_weights(ws.grid, m)
-        sums = [math.sqrt((w * (translate(ws.profile, float(r)).values
-                                - ws.profile.values) ** 2).sum()) for r in rep.radii]
+        # and the sum as one einsum pass over each difference
+        w = quadrature_weights(ws.grid, m).ravel()
+        diffs = [(translate(ws.profile, float(r)).values - ws.profile.values).reshape(1, -1)
+                 for r in rep.radii]
+        sums = [math.sqrt(np.einsum("rk,rk,k->r", d, d, w)[0]) for d in diffs]
         assert rep.radii.size == 45
         assert rep.distances.tolist() == want == sums
 
