@@ -52,6 +52,11 @@ _SCHEMA = {
 }
 
 
+# the defaults text's note on horizon: converge stops before it
+_HORIZON_NOTE = (" (the length of a comparison run; the cap of a converge run, which "
+                 "stops once the deviation reaches its floor)")
+
+
 class ConfigError(ValueError):
     pass
 
@@ -210,5 +215,6 @@ def config_defaults_text() -> str:
                        else "(required)")
                 lines.append("  %s: %s %s" % (key, want.__name__, req))
             else:
-                lines.append("  %s: %s = %r" % (key, want.__name__, default))
+                lines.append("  %s: %s = %r%s" % (key, want.__name__, default,
+                                                  _HORIZON_NOTE if key == "horizon" else ""))
     return "\n".join(lines)

@@ -23,7 +23,8 @@ from .evolve import compare_evolutions
 from .grids import CrossSectionField, CylinderGrid, Field, apply_boundary
 from .reactions import ReactionModel, check_hypotheses
 from .sections import CriticalPoint, check_speed_admissible, find_critical_point
-from .tracking import fit_decay, fit_position_tail, fit_rate, trace_to_csv, track
+from .tracking import (FLOOR_EFOLDS, fit_decay, fit_efolds, fit_position_tail, fit_rate,
+                       trace_to_csv, track)
 from .waves import (FLOAT_FORMAT, WaveSolution, front_seed, save_solution,
                     secondary_speed, solve_wave, spectral_gap, translation_profile)
 from .weighted import translate, weighted_norm_l2
@@ -226,7 +227,18 @@ def _run_converge(cfg, grid, model, out_dir, manifest):
     trace_to_csv(trace, os.path.join(out_dir, "trace.csv"))
     manifest.add_file(out_dir, "trace.csv")
 
+    # the cap ended a run that stopped at no floor: stop_time is nan
+    stopped = trace.stop_time is not None
+    manifest.results.update({
+        "stop_rate": trace.stop_rate,
+        "stop_time": trace.stop_time if stopped else float("nan"),
+    })
+    manifest.check("floor_reached_before_cap", stopped,
+                   "stop at t = %.6g" % trace.stop_time if stopped
+                   else "cap %.6g reached first" % float(trace.samples["t"][-1]))
+
     sigma, quality = fit_decay(trace)
+    efolds = fit_efolds(trace)
     manifest.results.update({
         "speed": ws.speed,
         "speed_err_est": ws.speed_err_est,
@@ -234,6 +246,7 @@ def _run_converge(cfg, grid, model, out_dir, manifest):
         "fit_quality": quality,
         "fit_window_lo": trace.fit_window[0],
         "fit_window_hi": trace.fit_window[1],
+        "fit_efolds": efolds,
         "R_infinity": trace.R_infinity,
         "tracker_iters_max": trace.tracker_iters_max,
         "tracker_cap_hits": trace.tracker_cap_hits,
@@ -242,6 +255,8 @@ def _run_converge(cfg, grid, model, out_dir, manifest):
                    "%d capped calls" % trace.tracker_cap_hits)
     manifest.check("sigma_positive", sigma > 0.0, "%.4g" % sigma)
     manifest.check("fit_quality", quality >= 0.99, "%.4f" % quality)
+    manifest.check("fit_window_efolds", efolds >= FLOOR_EFOLDS,
+                   "%.3g vs %.3g" % (efolds, FLOOR_EFOLDS))
 
     t = trace.samples["t"]
     sel = (t >= trace.fit_window[0]) & (t <= trace.fit_window[1])

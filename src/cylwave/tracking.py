@@ -4,11 +4,42 @@ The front position is the translation R minimizing the weighted mismatch
 ``h(u, R) = 0.5 ||u - T_R profile||^2``; first-order optimality makes the
 deviation weighted-orthogonal to the translated profile derivative, which is
 what drives the exponential decay of the squared mismatch m(t).
+
+In a truncated window m decays only down to a floor f that the pinned right
+end sets, ``m ~ a e^{-2 lam t} + f``.  The decay rate lam is at least the
+edge of the essential spectrum of the weighted linearization at the rest
+state ahead of the front, ``c^2/4 + nu(0)``, with nu(0) the principal
+eigenvalue of ``-d2/dy2 - f_u(0, y)`` (Sattinger, Adv. Math. 22, 1976;
+Kapitula & Promislow, Spectral and Dynamical Stability of Nonlinear Waves,
+2013): in the truncated window that continuum is discrete, and its lowest
+level, the spectral gap, lies just above the edge.  Two constants follow
+from the floor margin D = ``FLOOR_MARGIN`` of ``default_fit_window``, which
+reads the decay law only where m >= D f:
+
+- the span of the stop test is the time in which the decay law drops the
+  excess a by D at the edge rate, ``FLOOR_EFOLDS / (2 lam)`` with
+  ``FLOOR_EFOLDS = ln D`` e-folds of m;
+- over that span m's running minimum falls from at least ``D a + f`` to at
+  most ``a + f``.  A fall by ``STOP_FACTOR`` F or less therefore leaves
+  ``a <= (F - 1)/(D - F) f``, and ``F = 2D/(D + 1)`` makes that
+  ``a <= f/D``: the floor read at the stop is within ``1 + 1/D`` of the
+  limit, the same relative error that the window accepts from the floor at
+  its right end.  The window's end then moves by at most ``ln(1 + 1/D) /
+  (2 lam)``, under 0.018 against the shipped step of 0.05.  The model
+  leaves out that the floor itself keeps falling slowly: on the shipped
+  config m's minimum falls by 2.3% from the stop at t = 37.6 to t = 120,
+  and the window does not move.
+
+So ``track`` ends a run once the running minimum has fallen by F or less
+over a span, and its ``horizon`` is a cap.  A fit window whose m falls by
+fewer than ``FLOOR_EFOLDS`` e-folds is shorter than one span and cannot
+tell the decay from the floor (``fit_efolds``).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -17,6 +48,7 @@ import numpy as np
 from .evolve import Stepper, step_count, weighted_energies
 from .grids import CylinderGrid, Field, axial_derivative
 from .reactions import ReactionModel
+from .sections import principal_eigenpair
 from .waves import FLOAT_FORMAT, WaveSolution
 from .weighted import (WeightedMeasure, cell_fraction, node_sums, offset_resolution,
                        quadrature_weights, weighted_sums)
@@ -25,6 +57,15 @@ from .weighted import (WeightedMeasure, cell_fraction, node_sums, offset_resolut
 DEFAULT_DELTA = 0.05
 _EPS = np.finfo(float).eps
 M_FLOOR_FACTOR = 1e3 * _EPS
+
+# the fit window keeps the rows whose m is at least this many times the floor
+FLOOR_MARGIN = 100.0
+# e-folds of m in the stop test's span, and the least a fit window may hold
+FLOOR_EFOLDS = math.log(FLOOR_MARGIN)
+# the largest fall of m's running minimum over a span that stops the run
+STOP_FACTOR = 2.0 * FLOOR_MARGIN / (FLOOR_MARGIN + 1.0)
+# m at most this fraction of its first value: the transient is over
+TRANSIENT_FRACTION = 0.1
 
 # states stepped before their rows are analysed together
 BLOCK_ROWS = 16
@@ -348,6 +389,8 @@ class FrontTrace:
     R_infinity: float | None = None
     tracker_iters_max: int = 0    # over every locate_front call
     tracker_cap_hits: int = 0     # calls that returned with ``capped`` set
+    stop_rate: float | None = None  # c^2/4 + nu(0), which sets the stop test's span
+    stop_time: float | None = None  # the row m's floor stopped at; None: the cap did
 
     FIELDS = [("t", float), ("R", float), ("m", float), ("phi", float),
               ("dRdt_fd", float), ("dRdt_quotient", float),
@@ -413,6 +456,20 @@ def track(model: ReactionModel, ws: WaveSolution, u0: Field, dt: float,
     row holds the (h', h'') evaluations of its own tracker call; the trace
     holds their maximum and cap hits over all calls.
 
+    The run ends at the first block end where m has reached its floor (see
+    the module docstring), so ``horizon`` is a cap: the trace's
+    ``stop_time`` is that block's last t, or None when the cap came first.
+    The test reads only recorded rows: the running minimum of the rebased
+    m, m0 its first value.  It stops once that minimum, taken at the last
+    row a span ``FLOOR_EFOLDS / (2 stop_rate)`` or more before the block's
+    end, is at most ``STOP_FACTOR`` times the minimum at the end, with
+    ``stop_rate = c^2/4 + nu(0)``; a rate that is not positive gives no
+    span, and the cap ends the run.  The span must start no earlier than
+    ``default_fit_window``'s start, the first row with m <= ``0.1 m0``, so a
+    datum whose m stays flat early on does not stop.  Stopping only
+    truncates: every row keeps its bits, and a stopped trace is a prefix of
+    the trace of any longer cap.
+
     A datum below the ignition level of f dies out and raises TrackerError.
     A step or tracker call that fails raises TrackingLossError at the
     earliest failure: the rows stepped before a failed step are tracked
@@ -425,16 +482,35 @@ def track(model: ReactionModel, ws: WaveSolution, u0: Field, dt: float,
     if top < level:
         raise TrackerError("the front dies out: the datum's sup %.3g is below the "
                            "ignition level %.3g of f" % (top, level))
+    stop_rate = ws.speed ** 2 / 4 + principal_eigenpair(model, grid).value
+    span = FLOOR_EFOLDS / (2 * stop_rate) if stop_rate > 0 else math.inf
     fs = locate_front(u0, ws, 0.0)
     iters_max, cap_hits = fs.iterations, int(fs.capped)
     rows = []
+    # every row's t and the running minimum of the rebased m up to it
+    row_t, lows = [], []
+    R0, m0, t_lo = fs.position, None, None
 
     def record(t, fronts, u, u_z=None, prev=None):
+        nonlocal m0, t_lo
         R = np.array([f.position for f in fronts])
         cols = _columns(model, ws, u, u_z, R, prev, dt)
         rows.extend(zip(t, R.tolist(), *(col.tolist() for col in cols),
                         [f.ortho_residual for f in fronts], [f.ortho_floor for f in fronts],
                         [f.iterations for f in fronts]))
+        low = lows[-1] if lows else math.inf
+        for ti, mi in zip(t, (cols[0] * np.exp(ws.speed * (R - R0))).tolist()):
+            m0 = mi if m0 is None else m0
+            if t_lo is None and mi <= TRANSIENT_FRACTION * m0:
+                t_lo = ti
+            low = min(low, mi)
+            row_t.append(ti)
+            lows.append(low)
+
+    def floor_reached():
+        j = bisect_right(row_t, row_t[-1] - span) - 1
+        return (t_lo is not None and j >= 0 and row_t[j] >= t_lo
+                and lows[j] <= STOP_FACTOR * lows[-1])
 
     record([0.0], [fs], u0.values[None])
     t, u_step = 0.0, u0
@@ -471,26 +547,36 @@ def track(model: ReactionModel, ws: WaveSolution, u0: Field, dt: float,
         R = np.array([f.position for f in fronts])
         record(times, fronts[1:], u, u_z, (block[:n], R[:n]))
         done += n
+        if floor_reached():
+            stop_time = t
+            break
+    else:
+        stop_time = None
     return FrontTrace(speed=ws.speed, samples=np.array(rows, dtype=FrontTrace.FIELDS),
-                      tracker_iters_max=iters_max, tracker_cap_hits=cap_hits)
+                      tracker_iters_max=iters_max, tracker_cap_hits=cap_hits,
+                      stop_rate=stop_rate, stop_time=stop_time)
 
 
 def default_fit_window(trace: FrontTrace) -> tuple[float, float]:
     """Tail window: after the transient (m below 10% of start), above the floor.
 
     The floor is the larger of the floating-point cutoff (1e3 eps relative to
-    the initial scale) and 100x the trace's own tail plateau: the deviation
-    bottoms out at a level that the window's right end sets, not the grid,
-    and the decay law is only informative above it.  On the shipped converge
-    config m bottoms out at 1.776e-9 with n_z 1201 and at 1.775e-9 with dz
-    halved, but at 3.2e-17 with ``z_max`` 40.
+    the initial scale) and ``FLOOR_MARGIN`` (100) times the trace's own tail
+    plateau: the deviation bottoms out at a level that the window's right
+    end sets, not the grid, and the decay law is only informative above it.
+    On the shipped converge config m bottoms out at 1.7951e-9 with n_z 1201
+    and at 1.7945e-9 with dz halved, but at 1.15e-18 with ``z_max`` 40.
+
+    ``track`` stops a run once m has reached that plateau (module
+    docstring), so the window does not read the cap: on the shipped config
+    caps of 60 and 120 give the same window, bit for bit.
     """
     t = trace.samples["t"]
     m = trace.rebased("m")
     m0 = m[0] if m[0] > 0 else float(np.max(m))
-    start_idx = np.nonzero(m <= 0.1 * m0)[0]
+    start_idx = np.nonzero(m <= TRANSIENT_FRACTION * m0)[0]
     lo = t[start_idx[0]] if start_idx.size else t[0]
-    floor = max(M_FLOOR_FACTOR * m0, 100.0 * float(np.min(m)))
+    floor = max(M_FLOOR_FACTOR * m0, FLOOR_MARGIN * float(np.min(m)))
     keep = np.nonzero(m >= floor)[0]
     hi = t[keep[-1]] if keep.size else t[-1]
     return float(lo), float(hi)
@@ -533,6 +619,19 @@ def fit_decay(trace: FrontTrace, window: tuple[float, float] | None = None
     last = trace.samples["R"][sel][-1]
     trace.R_infinity = float(last + (dR[-1] / sigma if sigma > 0 else 0.0))
     return sigma, quality
+
+
+def fit_efolds(trace: FrontTrace) -> float:
+    """ln(m(lo)/m(hi)), the e-folds by which the rebased m falls from the
+    first to the last row of ``fit_decay``'s window.  A window holding fewer
+    than ``FLOOR_EFOLDS`` is shorter than one span of ``track``'s stop test
+    at the rate it reads, and cannot tell the decay from the floor."""
+    if trace.fit_window is None:
+        raise FitError("fit_efolds needs fit_decay's window")
+    t = trace.samples["t"]
+    sel = np.nonzero((t >= trace.fit_window[0]) & (t <= trace.fit_window[1]))[0]
+    m = trace.rebased("m")
+    return float(np.log(m[sel[0]] / m[sel[-1]]))
 
 
 def fit_position_tail(trace: FrontTrace) -> tuple[float, float]:

@@ -18,7 +18,7 @@ from cylwave.evolve import Stepper, weighted_energy
 from cylwave.grids import Field, GridConfig, build_grid, apply_boundary
 from cylwave.reactions import CubicBistable, LinearModel
 from cylwave.sections import principal_eigenpair
-from cylwave.tracking import (fit_decay, fit_position_tail, fit_rate,
+from cylwave.tracking import (BLOCK_ROWS, CellSums, fit_decay, fit_position_tail, fit_rate,
                               locate_front, mismatch, mismatch_derivatives, track)
 from cylwave.waves import front_seed, solve_wave, spectral_gap, translation_profile
 from cylwave.weighted import translate, weighted_norm_l2
@@ -306,16 +306,22 @@ def test_tracker_work_on_the_convergence_run(converge_run):
 def test_tracker_stops_at_the_roundoff_floor(converge_run):
     # the last states of the run sit at the lattice-pinning floor, where |h'|
     # stalls at rounding level (a stopping test on 1e-12 * scale alone runs 3
-    # of these 10 calls to max_iter); each must stop within a few evaluations
+    # of these 10 calls to max_iter); each must stop within a few evaluations.
+    # The run stops at a block end, so its last BLOCK_ROWS states are one
+    # block, whose sums are referenced at the R before it
     model, ws, u0, trace, _ = converge_run
+    assert trace.stop_time is not None
     R = trace.samples["R"]
+    start = R.size - 1 - BLOCK_ROWS
     stepper = Stepper(model, ws.grid, 0.05, ws.speed)
-    state = u0
+    states = [u0]
     for k in range(1, R.size):
-        state = stepper.step(state)
-        if k < R.size - 10:
-            continue
-        fs = locate_front(state, ws, float(R[k - 1]))
+        states = states[-BLOCK_ROWS:] + [stepper.step(states[-1])]
+    block = np.array([s.values for s in states[1:]])
+    sums = CellSums(block, ws, ws.measure(z_ref=float(R[start])))
+    for i in range(BLOCK_ROWS - 10, BLOCK_ROWS):
+        k = start + 1 + i
+        fs = locate_front(states[1 + i], ws, float(R[k - 1]), sums=sums, row=i)
         assert fs.position == R[k]  # replays the run's own call
         assert not fs.capped
         assert fs.iterations <= 8

@@ -171,6 +171,11 @@ class TestValidation:
         for sec in ("[grid]", "[model]", "[run]", "[initial]"):
             assert sec in text
 
+    def test_defaults_text_calls_horizon_a_cap_of_converge(self):
+        line, = [ln for ln in config_defaults_text().split("\n") if "horizon" in ln]
+        assert line.startswith("  horizon: float = 60.0 (")
+        assert "the cap of a converge run" in line
+
 
 class TestFile:
     def test_round_trip_from_disk(self, tmp_path):

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from cylwave import scenarios, waves
+from cylwave import scenarios, tracking, waves
 from cylwave.cli import main
 from cylwave.config import parse_config, parse_config_file
 from cylwave.scenarios import read_manifest, run_scenario
@@ -28,7 +28,7 @@ a = 0.25
 [run]
 scenario = converge
 dt = 0.1
-horizon = 25.0
+horizon = 40.0
 c_seed = 0.2
 seed = 42
 
@@ -364,7 +364,7 @@ class TestCli:
 
     def test_nonfinite_horizon_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(FAST_CONVERGE.replace("horizon = 25.0", "horizon = nan"))
+        cfg.write_text(FAST_CONVERGE.replace("horizon = 40.0", "horizon = nan"))
         code = main(["converge", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
@@ -602,16 +602,89 @@ def test_converge_at_offset_minus_8_stops_every_tracker_call(tmp_path):
 
 
 def test_converge_to_rounding_level_meets_the_orthogonality_gate(tmp_path):
-    # with the right end at 40 (same dz) m falls to about 1e-17, where the
+    # with the right end at 40 (same dz) m falls to about 1e-18, where the
     # |h'| that the tracker stops at is rounding: the bound relative to
     # sqrt(m) alone falls below it, so each row's bound is floored by the
-    # rounding floor of its own stop
+    # rounding floor of its own stop.  m reaches that floor at t = 74.4,
+    # past the shipped cap of 60
     with open(os.path.join(CONFIGS, "converge_cubic_a25.cfg")) as fh:
         text = fh.read()
-    assert "n_z = 1201" in text and "z_max = 20.0" in text
+    assert "n_z = 1201" in text and "z_max = 20.0" in text and "horizon = 60.0" in text
     text = text.replace("n_z = 1201", "n_z = 1601").replace("z_max = 20.0", "z_max = 40.0")
+    text = text.replace("horizon = 60.0", "horizon = 90.0")
     manifest = run_scenario(parse_config(text), str(tmp_path))
     assert manifest.passed(), [n for n, ok, _ in manifest.assertions if not ok]
+
+
+def _shipped_converge(old, new):
+    with open(os.path.join(CONFIGS, "converge_cubic_a25.cfg")) as fh:
+        text = fh.read()
+    assert old in text
+    return text.replace(old, new)
+
+
+class TestConvergeStop:
+    """The shipped converge run ends once m reaches its floor: its horizon
+    of 60 is a cap, and a later one changes no byte."""
+
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def capped(tmp_path_factory):
+        out = tmp_path_factory.mktemp("caps")
+        runs = {}
+        for cap in ("60.0", "120.0"):
+            cfg = out / ("cap%s.cfg" % cap)
+            cfg.write_text(_shipped_converge("horizon = 60.0", "horizon = " + cap))
+            assert main(["converge", "--config", str(cfg), "--out", str(out / cap)]) == 0
+            runs[cap] = out / cap
+        return runs
+
+    def test_a_later_cap_same_bytes(self, capped):
+        a, b = (read_manifest(capped[cap] / "manifest.txt") for cap in ("60.0", "120.0"))
+        assert a["results"] == b["results"]
+        assert a["assertions"] == b["assertions"]
+        assert a["files"] == b["files"]
+        assert ((capped["60.0"] / "trace.csv").read_bytes()
+                == (capped["120.0"] / "trace.csv").read_bytes())
+
+    def test_shipped_rates_keep_their_bits(self, capped):
+        results = read_manifest(capped["60.0"] / "manifest.txt")["results"]
+        assert results["sigma"] == "0.30840597722189184"
+        assert results["fit_window_hi"] == "21.100000000000165"
+        assert results["R_tail_rate"] == "0.29486520425011137"
+        assert float(results["stop_time"]) < 60.0
+        assert float(results["fit_efolds"]) > tracking.FLOOR_EFOLDS
+
+    def test_a_cap_before_the_stop_fails_by_name(self, capped, tmp_path, capsys):
+        # one block (16 steps of 0.05) short of the stop at 37.6
+        stop = float(read_manifest(capped["60.0"] / "manifest.txt")["results"]["stop_time"])
+        cap = "%.1f" % (stop - 0.8)
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(_shipped_converge("horizon = 60.0", "horizon = " + cap))
+        capsys.readouterr()
+        assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        out, err = capsys.readouterr()
+        line, = [ln for ln in out.split("\n") if ln.startswith("floor_reached_before_cap")]
+        assert line.endswith(" FAIL (cap %s reached first)" % cap)
+        assert "Traceback" not in out + err
+        man = read_manifest(tmp_path / "out" / "manifest.txt")
+        assert man["assertions"]["floor_reached_before_cap"].startswith("fail")
+        assert man["results"]["stop_time"] == "nan"
+        short = (tmp_path / "out" / "trace.csv").read_bytes()
+        full = (capped["60.0"] / "trace.csv").read_bytes()
+        assert full.startswith(short) and len(short) < len(full)
+
+
+def test_converge_at_offset_10_fails_the_window_e_fold_gate(tmp_path):
+    # the front starts 10 from the pinned right end: m reaches its floor
+    # 2.7 e-folds below the transient's end, less than one span of the stop
+    manifest = run_scenario(parse_config(_shipped_converge("offset = 2.0", "offset = 10.0")),
+                            str(tmp_path))
+    checks = {n: ok for n, ok, _ in manifest.assertions}
+    assert checks["floor_reached_before_cap"]
+    assert not checks["fit_window_efolds"]
+    assert manifest.results["fit_efolds"] < tracking.FLOOR_EFOLDS
+    assert not manifest.passed()
 
 
 class TestRaisingRunManifest:

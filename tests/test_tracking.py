@@ -11,9 +11,10 @@ from cylwave.grids import (CrossSectionField, Field, GridConfig, axial_derivativ
                            build_grid)
 from cylwave.reactions import CubicBistable, HeterogeneousCubic
 from cylwave.sections import find_critical_point
-from cylwave.tracking import (CSV_COLUMNS, BracketError, CellSums, ConvexityError,
-                              FitError, FrontState, FrontTrace, TrackingLossError, _columns,
-                              default_fit_window, fit_decay, fit_position_tail, fit_rate,
+from cylwave.tracking import (BLOCK_ROWS, CSV_COLUMNS, FLOOR_EFOLDS, BracketError, CellSums,
+                              ConvexityError, FitError, FrontState, FrontTrace,
+                              TrackingLossError, _columns, default_fit_window, fit_decay,
+                              fit_efolds, fit_position_tail, fit_rate,
                               locate_front, mismatch, mismatch_derivatives, track,
                               trace_to_csv, z_delta, z_deltas)
 from cylwave.waves import front_seed, solve_wave
@@ -810,3 +811,59 @@ class TestTrackInputsAndFailures:
         with pytest.raises(TrackingLossError, match="t=2: injected step failure"):
             track(MODEL, ws, ws.profile.copy(), dt=0.1, horizon=4.0)
         assert fronts["n"] == 20
+
+
+class TestTrackStop:
+    """``track`` ends a run at the first block end where m has reached its
+    floor; ``horizon`` is a cap."""
+
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def runs(small_wave):
+        u0 = front_seed(small_wave.grid, 1.0, offset=1.0, steepness=0.8)
+        return u0, {cap: track(MODEL, small_wave, u0, dt=0.1, horizon=cap)
+                    for cap in (40.0, 80.0)}
+
+    def test_the_span_is_set_by_the_edge_of_the_essential_spectrum(self, small_wave, runs):
+        # nu(0) = -f_u(0) = a for the 1D cubic: c^2/4 + a = 0.28125
+        trace = runs[1][40.0]
+        assert trace.stop_rate == small_wave.speed ** 2 / 4 + 0.25
+        assert trace.stop_rate == pytest.approx(0.28125, rel=1e-4)
+
+    def test_stops_at_a_block_end_before_the_cap(self, runs):
+        trace = runs[1][40.0]
+        assert trace.stop_time is not None and trace.stop_time < 40.0
+        assert trace.stop_time == trace.samples["t"][-1]
+        assert (trace.samples.size - 1) % BLOCK_ROWS == 0
+
+    def test_a_later_cap_gives_the_same_trace(self, runs):
+        short, long = runs[1][40.0], runs[1][80.0]
+        assert short.stop_time == long.stop_time
+        assert short.samples.tobytes() == long.samples.tobytes()
+
+    def test_a_cap_one_block_short_of_the_stop_is_a_prefix(self, small_wave, runs):
+        u0, full = runs[0], runs[1][40.0]
+        n = full.samples.size - BLOCK_ROWS
+        capped = track(MODEL, small_wave, u0, dt=0.1, horizon=round(0.1 * (n - 1), 9))
+        assert capped.stop_time is None
+        assert capped.samples.tobytes() == full.samples[:n].tobytes()
+
+    def test_no_stop_before_the_transient_ends(self, small_wave, runs, monkeypatch):
+        # a transient that never ends (m never falls to 0 times its first
+        # value) leaves every span unchecked: the cap ends the run
+        monkeypatch.setattr(tracking, "TRANSIENT_FRACTION", 0.0)
+        trace = track(MODEL, small_wave, runs[0], dt=0.1, horizon=40.0)
+        assert trace.stop_time is None and trace.samples["t"][-1] == pytest.approx(40.0)
+
+    def test_the_window_holds_more_e_folds_than_one_span(self, runs):
+        trace = runs[1][40.0]
+        fit_decay(trace)
+        t, m = trace.samples["t"], trace.rebased("m")
+        lo = np.searchsorted(t, trace.fit_window[0])
+        hi = np.searchsorted(t, trace.fit_window[1], side="right") - 1
+        assert fit_efolds(trace) == math.log(m[lo] / m[hi])
+        assert fit_efolds(trace) > FLOOR_EFOLDS
+
+    def test_e_folds_need_a_window(self):
+        with pytest.raises(FitError, match="fit_decay"):
+            fit_efolds(synthetic_trace([0.0, 1.0], [1.0, 0.5]))
