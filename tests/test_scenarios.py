@@ -1,4 +1,3 @@
-import concurrent.futures
 import hashlib
 import multiprocessing
 import os
@@ -362,6 +361,19 @@ class TestCli:
         assert "unknown key '%s' in section [%s]" % (key, section) in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("steepness = 0.0", "steepness must be positive, got 0"),
+        ("noise = -0.1", "noise must be >= 0, got -0.1"),
+    ])
+    def test_bad_initial_datum_exit_two(self, tmp_path, capsys, line, message):
+        # refused before any compute: no wave solve, no track, no output directory
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(FAST_CONVERGE.replace("noise = 0.02", line))
+        code = main(["converge", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: %s\n" % message
+        assert not (tmp_path / "out").exists()
+
     def test_nonfinite_horizon_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(FAST_CONVERGE.replace("horizon = 40.0", "horizon = nan"))
@@ -420,36 +432,71 @@ class TestCli:
         c2 = tmp_path / "two.cfg"
         c1.write_text(WAVE_SMALL)
         c2.write_text(WAVE_SMALL.replace("a = 0.25", "a = 0.3"))
-        code = main(["sweep", str(c1), str(c2), "--out", str(tmp_path / "sweep"),
-                     "--jobs", "2"])
+        code = main(["sweep", str(c1), str(c2), "--out", str(tmp_path / "sweep")])
         assert code == 0
         assert (tmp_path / "sweep" / "one" / "manifest.txt").exists()
         assert (tmp_path / "sweep" / "two" / "manifest.txt").exists()
 
-    def test_sweep_solves_the_secondary_wave_in_its_pool_process(self, tmp_path,
-                                                                 monkeypatch):
-        # the pool process that runs the stacked config solves its
-        # secondary wave itself
-        parents = tmp_path / "parents.txt"
-        inner = scenarios.secondary_speed
+    def test_sweep_solves_the_secondary_wave_in_the_calling_process(self, tmp_path,
+                                                                    monkeypatch):
+        # sweep runs every config in the calling process: no fork, no pool
+        pids, forks = [], []
+        inner, fork = scenarios.secondary_speed, os.fork
 
         def recorded(*args, **kwargs):
-            with open(parents, "a") as fh:
-                fh.write("%d\n" % os.getppid())
+            pids.append(os.getpid())
             return inner(*args, **kwargs)
 
+        def counted_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
         monkeypatch.setattr(scenarios, "secondary_speed", recorded)
         one = tmp_path / "one.cfg"
         one.write_text(WAVE_SMALL)
-        code = main(["sweep", STACKED, str(one), "--out", str(tmp_path / "sweep"),
-                     "--jobs", "2"])
+        code = main(["sweep", STACKED, str(one), "--out", str(tmp_path / "sweep")])
         assert code == 0
         for name in ("secondary_stacked_dirichlet", "one"):
             parsed = read_manifest(tmp_path / "sweep" / name / "manifest.txt")
             assert parsed["run"]["passed"] == "true"
-        # solved by a pool process, a child of this one
-        assert parents.read_text().split() == [str(os.getpid())]
+        assert pids == [os.getpid()]
+        assert forks == []
         assert multiprocessing.active_children() == []
+
+    def test_sweep_runs_on_past_a_failing_config_in_config_order(self, tmp_path, capsys):
+        # the middle config's datum dies out at once: the third still runs,
+        # and each config's lines print in config order
+        cfgs = [tmp_path / name for name in ("one.cfg", "two.cfg", "three.cfg")]
+        cfgs[0].write_text(WAVE_SMALL)
+        cfgs[1].write_text(FAST_CONVERGE.replace("noise = 0.02", "amplitude = 0.2"))
+        cfgs[2].write_text(WAVE_SMALL.replace("a = 0.25", "a = 0.3"))
+        code = main(["sweep"] + [str(c) for c in cfgs] + ["--out", str(tmp_path / "sweep")])
+        assert code == 1
+        runs = {name: read_manifest(tmp_path / "sweep" / name / "manifest.txt")["run"]
+                for name in ("one", "two", "three")}
+        assert [runs[name]["passed"] for name in ("one", "two", "three")] == [
+            "true", "false", "true"]
+        assert runs["two"]["error"].startswith("TrackerError: the front dies out")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("scenario failed: TrackerError: the front dies out")
+        lines = captured.out.splitlines()
+        # plateau_energy_negative's detail tells a = 0.25 from a = 0.3
+        energies = [ln.split()[-1] for ln in lines if ln.startswith("plateau_energy_negative")]
+        assert energies == ["(-0.0417)", "(-0.0333)"]
+        assert [ln.split() for ln in lines[-3:]] == [[str(cfgs[0]), "pass"],
+                                                     [str(cfgs[1]), "FAIL(1)"],
+                                                     [str(cfgs[2]), "pass"]]
+
+    def test_sweep_jobs_is_unknown_exit_two(self, tmp_path, capsys):
+        # sweep runs its configs one after another: the option is gone, not ignored
+        cfg = tmp_path / "wave.cfg"
+        cfg.write_text(WAVE_SMALL)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", str(cfg), "--out", str(tmp_path / "sweep"), "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
 
     def test_sweep_rejects_colliding_output_dirs(self, tmp_path, capsys):
         for sub in ("a", "b"):
@@ -529,28 +576,6 @@ class TestCli:
         assert "%s is not empty" % taken in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path / "sweep")) == ["two"]
         assert os.listdir(taken) == ["wave.txt"]
-
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_sweep_rejects_nonpositive_jobs(self, tmp_path, capsys, jobs):
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "one.cfg", "--out", str(tmp_path), "--jobs", jobs])
-        assert exc.value.code == 2
-        assert "--jobs" in capsys.readouterr().err
-
-    def test_sweep_caps_workers_at_config_count(self, tmp_path, monkeypatch):
-        seen = []
-
-        class PoolCreated(Exception):
-            pass
-
-        def fake_pool(max_workers):
-            seen.append(max_workers)
-            raise PoolCreated
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fake_pool)
-        with pytest.raises(PoolCreated):
-            main(["sweep", "one.cfg", "two.cfg", "--out", str(tmp_path), "--jobs", "64"])
-        assert seen == [2]
 
     @staticmethod
     def _fail_with(monkeypatch, exc):
