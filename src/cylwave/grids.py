@@ -287,6 +287,41 @@ def symmetrized_section_operator(grid: CylinderGrid) -> tuple[slice, np.ndarray,
     return rows, w, w[:, None] * Ay / w[None, :]
 
 
+def symmetrized_band(grid: CylinderGrid, c: float,
+                     diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(band, scale)``: LAPACK's lower band storage of ``B = -W^{1/2} (A +
+    diag(d)) W^{-1/2}`` on the free nodes (``free_block``), A the transport
+    operator at speed ``c`` and ``d`` the grid-shaped ``diag``, and
+    ``scale``, ``W^{1/2}`` there up to a constant factor, an ``(n_ry, n_zf)``
+    array.
+
+    W is the axial weight ``e^{c z}`` times the section's trapezoid weight,
+    which make A self-adjoint; ``scale`` is the axial ``e^{a (j - j_c)}`` of
+    ``Stepper``, j_c the centre of the free axial nodes, times
+    ``symmetrized_section_operator``'s ``sqrt_w``.  Built from
+    its bands, B is exactly symmetric: the fitted axial couplings become the
+    constant ``-kappa / dz^2`` (``fitted_flux``), and the section couplings
+    are the off-diagonals of ``symmetrized_section_operator`` averaged across
+    the diagonal.  The free nodes are numbered section-fastest, node (i, j)
+    as ``i + n_ry j``, so the half-bandwidth is ``n_ry`` (1 on a 1D grid):
+    ``band[k, m] = B[m + k, m]``, with the diagonal in row 0, the section
+    couplings in row 1 and the axial ones in row ``n_ry``.  The band is
+    Fortran-ordered, so ``dpbtrf`` factors it in place.
+    """
+    rows, cols = free_block(grid)
+    _, w, S = symmetrized_section_operator(grid)
+    a, kappa = fitted_flux(c, grid.dz)
+    main = -(axial_bands(grid, c)[1][cols] + np.diag(S)[:, None] + diag[rows, cols])
+    n_ry, n_z = main.shape
+    band = np.zeros((n_ry + 1, main.size), order="F")
+    band[0] = main.ravel(order="F")
+    # no section coupling between the last row of one node column and the next
+    band[1] = np.tile(np.append(-0.5 * (np.diag(S, 1) + np.diag(S, -1)), 0.0), n_z)
+    band[n_ry, :-n_ry] = -kappa / grid.dz ** 2
+    scale = w[:, None] * np.exp(a * (np.arange(n_z) - 0.5 * (n_z - 1)))
+    return band, scale
+
+
 def transport_operator(grid: CylinderGrid, c: float,
                        diag: np.ndarray | None = None) -> sp.csc_matrix:
     """Sparse discrete ``Delta + c d/dz``, rows at Dirichlet-pinned nodes zero
@@ -294,7 +329,9 @@ def transport_operator(grid: CylinderGrid, c: float,
 
     Five diagonals in one call: the axial bands tiled over the sections at
     offsets 0 and +-1, ``_section_operator``'s at +-n_z.  Acts on row-major
-    raveled fields; assembled for factoring, products use ``_apply_transport``.
+    raveled fields; assembled only for the LU factorization of a Newton block
+    that is not positive definite (``waves._block_solver``), products use
+    ``_apply_transport`` and Cholesky factors ``symmetrized_band``.
     """
     n_y, n_z = grid.shape
     Ay = _section_operator(grid)

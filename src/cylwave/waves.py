@@ -11,8 +11,13 @@ J. Numer. Anal. 35 (1998)).  The phase condition pins the front's mid-level
 at z = 0, where the seed's own mid-level is moved first, so the loop returns
 the speed and the centred profile together.  1D and 2D grids take the same
 path: the residual is applied matrix-free, and each level's solve reuses a
-sparse factorization of the Jacobian block (chord steps), factored again
-when a chord step fails to lower the merit or to cut it to a quarter.
+factorization of the Jacobian block (chord steps), factored again when a
+chord step fails to lower the merit or to cut it to a quarter.  The block
+is self-adjoint in the exponential weights, and near a wave, which
+minimizes the weighted energy Phi_c, its negative is positive definite:
+LAPACK's banded Cholesky factors its weight-symmetrized form
+(``grids.symmetrized_band``), and SuperLU factors only a block that is not
+positive definite.
 
 Every wave is solved on two levels (nested iteration, Briggs, Henson &
 McCormick, *A Multigrid Tutorial*, SIAM 2000): the continuation runs on the
@@ -25,23 +30,24 @@ factorizations.
 
 The spectral gap is the second lowest eigenvalue of the weight-symmetrized
 linearization at the wave; the lowest is the translational mode's.
-``spectral_gap`` takes both from one shift-invert Lanczos run.
+``spectral_gap`` takes both from one shift-invert Lanczos run on the same
+band, factored by Cholesky.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from .evolve import flow_weights
 from .grids import (CrossSectionField, CylinderGrid, Field, GridConfig, _apply_axial,
-                    _apply_transport, apply_boundary, axial_bands, axial_derivative,
-                    build_grid, fitted_flux, free_block, front_seed, half_grid,
-                    symmetrized_section_operator, transport_operator)
+                    _apply_transport, apply_boundary, axial_derivative, build_grid,
+                    fitted_flux, free_block, front_seed, half_grid, symmetrized_band,
+                    transport_operator)
 from .reactions import ReactionModel, ShiftedModel, eval_f, eval_f_u
 from .sections import CriticalPoint, find_critical_point, section_energy
 from .weighted import (WeightedMeasure, cell_fraction, hermite, pchip_slopes, shifted_cell,
@@ -56,8 +62,8 @@ TAU0 = 100.0
 # pseudo-time steps before the continuation counts as failed
 CONTINUATION_MAX_STEPS = 200
 # SuperLU's symmetric mode (minimum degree on A + A^T, diagonal pivots) with the
-# smallest supernodes, for the Newton block and the gap's shifted operator (which
-# is symmetric positive definite, so diagonal pivots are safe); see README
+# smallest supernodes, for a Newton block that is not positive definite, the one
+# the banded Cholesky factorization of _block_solver cannot take; see README
 SPLU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1, panel_size=1)
 
 
@@ -254,6 +260,53 @@ def _speed_derivative(grid: CylinderGrid, U: np.ndarray, c: float, hc: float) ->
     return Gc
 
 
+def _block_solver(grid: CylinderGrid, c: float, d: np.ndarray):
+    """``solve(b)`` for the Newton block ``transport_operator(grid, c) +
+    diag(d)`` on the free nodes, with identity rows at the pinned ones, ``d``
+    grid-shaped.  ``b`` stacks raveled fields on its leading axes, each zero
+    at the pinned nodes (``G`` and ``dG/dc`` are), and ``x = b`` there.
+
+    With ``d = f_u - 1/tau`` the block is ``J - I/tau``, and its negative,
+    weight-symmetrized, is ``symmetrized_band``'s B.  B is positive definite
+    where the iterate is near a wave that minimizes Phi_c (see README), so
+    LAPACK's ``dpbtrf`` factors it in place by banded Cholesky, and each
+    solve is one ``dpbtrs`` between the node scalings (``_band_solve``).
+    The block is assembled (``transport_operator``) and factored by SuperLU
+    with ``SPLU_OPTIONS`` instead where ``dpbtrf`` meets a nonpositive pivot,
+    so the block is indefinite, and where the scalings ``e^{a (j - j_c)}``
+    span more than a float holds, ``|a| (n_z - 1) >= log(float max)``: a
+    speed far above the wave's, as in a continuation from a fast seed.
+    """
+    if abs(fitted_flux(c, grid.dz)[0]) * (grid.n_z - 1) < np.log(np.finfo(float).max):
+        band, scale = symmetrized_band(grid, c, d)
+        chol, info = dpbtrf(band, lower=1, overwrite_ab=1)
+        if info == 0:
+            return partial(_band_solve, grid, chol, scale)
+    # pinned rows of the operator are zero, so unit diagonal entries there
+    # make identity rows enforcing the pinned values
+    try:
+        lu = spla.splu(transport_operator(grid, c, np.where(grid.dirichlet_mask, 1.0, d)),
+                       **SPLU_OPTIONS)
+    except RuntimeError as exc:
+        raise WaveSolverError("bordered Newton solve failed: %s" % exc)
+    return lambda b: lu.solve(b.T).T
+
+
+def _band_solve(grid: CylinderGrid, chol: np.ndarray, scale: np.ndarray,
+                b: np.ndarray) -> np.ndarray:
+    """``_block_solver``'s solve from the Cholesky factor ``chol`` of B:
+    ``x = -W^{-1/2} B^{-1} W^{1/2} b`` on the free nodes, ``x = b`` on the
+    pinned ones, one ``dpbtrs`` column per field of ``b``."""
+    x = b.copy()
+    X = x.reshape(b.shape[:-1] + grid.shape)[(Ellipsis, *free_block(grid))]  # a view
+    n_ry, n_z = scale.shape
+    # one section-fastest column per field: (..., n_z, n_ry) in C order
+    y = np.swapaxes(X * scale, -1, -2).reshape(-1, n_ry * n_z).T
+    y, _ = dpbtrs(chol, y, lower=1, overwrite_b=1)
+    X[...] = -np.swapaxes(y.T.reshape(X.shape[:-2] + (n_z, n_ry)), -1, -2) / scale
+    return x
+
+
 def _newton_polish(model, grid, values, c, max_iter=40, tau=np.inf):
     """Bordered Newton on (profile, speed) with the mid-level phase condition.
 
@@ -268,8 +321,9 @@ def _newton_polish(model, grid, values, c, max_iter=40, tau=np.inf):
 
     The residual is applied matrix-free, ``dG/dc`` is a central difference
     of the axial product alone (``_speed_derivative``), and the block is
-    assembled as five diagonals only to be factored.  On every grid the
-    ``splu`` factorization is kept and reused across this call's iterations
+    factored by ``_block_solver``: banded Cholesky of its weight-symmetrized
+    negative, or SuperLU where that is not positive definite.  On every grid
+    the factorization is kept and reused across this call's iterations
     (the chord method, Kelley, *Solving Nonlinear Equations with Newton's
     Method*, SIAM 2003, ch. 2), together with its solve ``s2`` of ``dG/dc``,
     which is evaluated only where the block is factored: a chord step solves
@@ -286,7 +340,7 @@ def _newton_polish(model, grid, values, c, max_iter=40, tau=np.inf):
     or whose every section stays above three quarters of it, is no front and
     raises SeedBasinError.  Returns (values, c, iterations, factorizations).
     """
-    lu, s2, iterations, factorizations = None, None, 0, 0
+    solve, s2, iterations, factorizations = None, None, 0, 0
     pinned = grid.dirichlet_mask.ravel()
     u = values.ravel().copy()
     u[pinned] = 0.0
@@ -314,26 +368,16 @@ def _newton_polish(model, grid, values, c, max_iter=40, tau=np.inf):
             break
         iterations += 1
         kept = False
-        if lu is not None:
-            du, dc = bordered(lu.solve(G), s2)
+        if solve is not None:
+            du, dc = bordered(solve(G), s2)
             u_try, c_try = u + du, c + dc
             G_try, _, m_try = residual(u_try, c_try)
             kept = m_try < merit
         if not kept:
-            # Pinned rows of the operator are zero, so unit diagonal entries
-            # there make identity rows enforcing the pinned values.
             U = u.reshape(grid.shape)
-            fu = eval_f_u(model, grid, U).ravel()
-            jac_diag = np.where(pinned, 1.0, fu - 1.0 / tau)
-            lu = None  # free the stale factors first
-            rhs = np.column_stack([G, _speed_derivative(grid, U, c, hc).ravel()])
-            try:
-                # the block is structurally symmetric with a diagonal that
-                # outweighs each row's couplings up to f_u: SPLU_OPTIONS
-                lu = spla.splu(transport_operator(grid, c, jac_diag), **SPLU_OPTIONS)
-                s1, s2 = lu.solve(rhs).T
-            except RuntimeError as exc:
-                raise WaveSolverError("bordered Newton solve failed: %s" % exc)
+            solve = None  # free the stale factors first
+            solve = _block_solver(grid, c, eval_f_u(model, grid, U) - 1.0 / tau)
+            s1, s2 = solve(np.stack([G, _speed_derivative(grid, U, c, hc).ravel()]))
             factorizations += 1
             du, dc = bordered(s1, s2)
             stepsize = 1.0
@@ -349,7 +393,7 @@ def _newton_polish(model, grid, values, c, max_iter=40, tau=np.inf):
                     raise WaveSolverError("Newton stalled at residual %.3g" % merit)
                 break  # at the roundoff floor: keep the best iterate
         elif not m_try <= 0.25 * merit:
-            lu = None  # a slow chord: factor again at the new iterate
+            solve = None  # a slow chord: factor again at the new iterate
         tau *= merit / max(m_try, NEWTON_TOL)  # the floor only guards the last step
         u, c, G = u_try, c_try, G_try
         p = _phase_vector(grid, u)
@@ -476,50 +520,48 @@ def spectral_gap(ws: WaveSolution, model: ReactionModel) -> GapResult:
     """Two smallest eigenvalues of the weighted linearization at the wave.
 
     The operator is ``W^{1/2} L W^{-1/2}``, L = -(transport + f_u) on the
-    free nodes and W the flow weights, built from its bands: the fitted axial
-    couplings become the constant kappa / dz^2 (as in ``Stepper``), and the
-    section ones are those of ``symmetrized_section_operator`` averaged
-    across the diagonal, so it is exactly symmetric.  The translational mode
-    and the gap are its two lowest eigenpairs, from one run of ARPACK's
-    Lanczos on the shift-invert operator (Lehoucq, Sorensen & Yang, ARPACK
-    Users' Guide, SIAM 1998): the operator is factored once, shifted below
-    its spectrum, so the two largest eigenvalues of the inverse are the two
-    lowest of the operator.  The eigenvalues are the Rayleigh quotients of
-    the Ritz vectors, whose residuals are reported with them.
+    free nodes and W the flow weights: ``symmetrized_band``'s B at
+    ``d = f_u``, exactly symmetric, its nodes numbered section-fastest.  The
+    translational mode and the gap are its two lowest eigenpairs, from one
+    run of ARPACK's Lanczos on the shift-invert operator (Lehoucq, Sorensen
+    & Yang, ARPACK Users' Guide, SIAM 1998): the band is shifted below its
+    spectrum and factored once by LAPACK's banded Cholesky (``dpbtrf``), so
+    the two largest eigenvalues of the inverse are the two lowest of the
+    operator.  The shifted band is positive definite by construction, and a
+    nonpositive pivot raises WaveSolverError.  The eigenvalues are the
+    Rayleigh quotients of the Ritz vectors, whose residuals are reported
+    with them.
 
     ARPACK (``tol = 0``) stops at ``||OP x - mu x|| <= eps |mu|``, OP the
-    shifted inverse, so ``||A x - lam x|| <= eps ||A - shift||``; each LU
-    solve is exact for a matrix within ``n eps ||A - shift||`` of A - shift
-    (Higham 2002, Thm 9.3: n unknowns, diagonal pivots, no growth on this
-    positive definite block).  A converged residual is below ``residual_tol``.
+    shifted inverse, so ``||A x - lam x|| <= eps ||A - shift||``; the
+    Cholesky factorization needs no pivoting and is backward stable on this
+    positive definite band (Higham 2002, Thm 10.4).  A converged residual is
+    below ``residual_tol``.
     """
     grid = ws.grid
     rows, cols = free_block(grid)
-    _, _, S = symmetrized_section_operator(grid)
     fu = eval_f_u(model, grid, ws.profile.values)
-    main = -(axial_bands(grid, ws.speed)[1][cols] + np.diag(S)[:, None] + fu[rows, cols])
-    n_z, n = main.shape[1], main.size
-    axial = np.full(main.shape, -fitted_flux(ws.speed, grid.dz)[1] / grid.dz ** 2)
-    axial[:, -1] = 0.0  # no coupling between consecutive section rows
-    section = np.repeat(-0.5 * (np.diag(S, 1) + np.diag(S, -1)), n_z)
-
-    def operator(shift):
-        bands = [main.ravel() - shift, axial.ravel()[:-1], section]
-        return sp.diags(bands + bands[1:], [0, 1, n_z, -1, -n_z], format="csc")
-
-    Asym = operator(0.0)
+    band, sqrt_w = symmetrized_band(grid, ws.speed, fu)
+    n = band.shape[1]
+    offsets = sorted({1, band.shape[0] - 1})  # the section and axial couplings
+    couplings = [band[k, :n - k] for k in offsets]
+    Asym = sp.diags([band[0]] + couplings + couplings,
+                    [0] + offsets + [-k for k in offsets], format="csr")
     scale = float(np.max(np.abs(Asym).sum(axis=1)))
-    phiz = (np.sqrt(flow_weights(grid, ws.measure(0.0))[rows, cols])
-            * ws.profile_dz[rows, cols]).ravel()
+    phiz = (sqrt_w * ws.profile_dz[rows, cols]).ravel(order="F")
     phiz_hat = phiz / np.linalg.norm(phiz)
     shift = -0.2 * (1.0 + float(np.max(np.abs(fu))))
-    lu = spla.splu(operator(shift), **SPLU_OPTIONS)
+    band[0] -= shift
+    chol, info = dpbtrf(band, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise WaveSolverError("spectral gap: the shifted operator is not positive "
+                              "definite (dpbtrf: nonpositive pivot %d)" % info)
     solves = 0
 
     def inverse(x):
         nonlocal solves
         solves += 1
-        return lu.solve(x)
+        return dpbtrs(chol, x, lower=1)[0]
 
     op = spla.LinearOperator((n, n), matvec=inverse, dtype=float)
     try:

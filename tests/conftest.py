@@ -1,11 +1,14 @@
 """Shared test plumbing: the acceptance suite's per-criterion report lines,
-the IMEX step's exact energy identity, and the slope of a shifted Hermite
-cubic, the reference for the translate's and the template's slopes."""
+the IMEX step's exact energy identity, the slope of a shifted Hermite
+cubic, the reference for the translate's and the template's slopes, and the
+weight-symmetrized transport operator built by hand, the reference for
+``grids.symmetrized_band``."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from cylwave.evolve import flow_weights, weighted_energy
-from cylwave.grids import _apply_transport
+from cylwave.grids import _apply_transport, transport_operator
 from cylwave.reactions import eval_f
 from cylwave.weighted import WeightedMeasure, cell_fraction, shifted_cell
 
@@ -78,3 +81,27 @@ def energy_identity_defect(stepper, old, new) -> tuple[float, int]:
     terms = w * (abs(v0) + abs(v1) + 0.5 * abs(u0 * au0) + 0.5 * abs(u1 * au1)
                  + d * d / dt + 0.5 * abs(d * ad) + abs(f0 * d))
     return abs(lhs - rhs) / (np.finfo(float).eps * terms.sum()), g.n_y * g.n_z - 1
+
+
+def symmetrized_by_hand(grid, c, diag):
+    """``D (-(transport_operator(grid, c, diag)))_free D^{-1}`` as a dense
+    array, D the square roots of ``flow_weights`` at speed c on the free
+    nodes, which are numbered section-fastest as in ``symmetrized_band``."""
+    free = ~grid.dirichlet_mask  # a rectangle: the axial left end is never pinned
+    # the free nodes' raveled (z-fastest) indices, in section-fastest order
+    order = np.flatnonzero(free).reshape(int(free[:, 0].sum()), -1).T.ravel()
+    w = flow_weights(grid, WeightedMeasure(c)).ravel()[order]
+    L = (-transport_operator(grid, c, diag)).tocsr()[order][:, order]
+    d = 1.0 / np.sqrt(w)
+    return (sp.diags(d) @ (sp.diags(w) @ L) @ sp.diags(d)).toarray()
+
+
+def band_to_dense(band):
+    """The symmetric matrix whose LAPACK lower band storage is ``band``:
+    ``band[k, m]`` is its entry (m + k, m) and (m, m + k)."""
+    n = band.shape[1]
+    dense = np.diag(band[0])
+    for k in range(1, band.shape[0]):
+        lower = np.diag(band[k, :n - k], -k)
+        dense += lower + lower.T
+    return dense

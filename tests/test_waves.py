@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from conftest import template_slope
+from conftest import band_to_dense, symmetrized_by_hand, template_slope
 
-from cylwave.evolve import flow_weights
 from cylwave.grids import (CrossSectionField, Field, GridConfig, _apply_axial,
-                           _apply_transport, build_grid, half_grid, transport_operator)
+                           _apply_transport, build_grid, half_grid, symmetrized_band,
+                           transport_operator)
 from cylwave.reactions import (CubicBistable, HeterogeneousCubic, LinearModel,
                                ShiftedModel, StackedBistable, eval_f_u)
 from cylwave.sections import find_critical_point
@@ -35,6 +35,42 @@ def cubic_wave():
     return model, ws
 
 
+@pytest.fixture(scope="module")
+def small_wave(request):
+    """(model, wave) on a coarse grid, for the dense oracles: the 1D cubic
+    wave, a 5x201 Neumann cubic_y cylinder or the 5x201 Dirichlet stacked
+    cylinder, by the fixture's parameter."""
+    if request.param == "1d":
+        model = CubicBistable(a=0.25)
+        g = wave_grid(n_z=401)
+        return model, solve_wave(model, g, front_seed(g, 1.0), 0.2)
+    if request.param == "neumann_section":
+        model = HeterogeneousCubic(a0=0.25, a1=0.1)
+        g = build_grid(GridConfig(n_y=5, n_z=201, y_min=0.0, y_max=1.0,
+                                  z_min=-20.0, z_max=10.0))
+        cp = find_critical_point(model, g, CrossSectionField(g, np.full(5, 0.9)))
+        return model, solve_wave(model, g, front_seed(g, cp.v), 0.2)
+    model = StackedBistable(a1=0.05, a2=0.5, a3=0.7, scale=20.0)
+    g = build_grid(GridConfig(n_y=5, n_z=201, y_min=0.0, y_max=16.0,
+                              z_min=-25.0, z_max=12.0, bc_left="dirichlet",
+                              bc_right="dirichlet"))
+    plateau = _plateau_state(model, g, 0.55)
+    return model, solve_wave(model, g, front_seed(g, plateau.v), 0.15)
+
+
+@pytest.fixture
+def lu_calls(monkeypatch):
+    """The arguments of every SuperLU factorization ``waves`` makes, in order."""
+    splu, calls = waves.spla.splu, []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(waves.spla, "splu", spy)
+    return calls
+
+
 def exact_cubic_profile(z):
     return 1.0 / (1.0 + np.exp(z / np.sqrt(2.0)))
 
@@ -56,6 +92,14 @@ class TestSolveWave:
         _, ws = cubic_wave
         assert ws.coarse.factorizations == 2
         assert ws.factorizations == 3
+
+    def test_no_block_takes_the_lu_path(self, lu_calls):
+        # every block of the 1D cubic wave is positive definite: Cholesky
+        # factors all three, and SuperLU none
+        g = wave_grid()
+        ws = solve_wave(CubicBistable(a=0.25), g, front_seed(g, 1.0), c_seed=0.2)
+        assert ws.factorizations == 3
+        assert lu_calls == []
 
     def test_continuation_counted(self, cubic_wave):
         # the continuation runs on the half grid, Newton on the configured one
@@ -355,49 +399,50 @@ class TestSpectralGap:
         assert gap.residual_zero <= 1e-9 * max(1.0, abs(gap.zero_mode_value))
         assert gap.residual_gap <= 1e-8
 
-    @pytest.mark.parametrize("case", ["1d", "dirichlet_section"])
-    def test_matches_dense_eigensolver(self, case, monkeypatch):
+    @pytest.mark.parametrize("small_wave", ["1d", "dirichlet_section"], indirect=True)
+    def test_matches_dense_eigensolver(self, small_wave, monkeypatch):
         # independent oracle: the two lowest eigenvalues of the symmetrized
         # operator from a dense symmetric eigensolver on a coarse grid; the
-        # operator built from its bands is exactly symmetric and within
-        # rounding of the oracle's similarity transform
-        import scipy.sparse as sp
-
-        if case == "1d":
-            model = CubicBistable(a=0.25)
-            g = wave_grid(n_z=401)
-            ws = solve_wave(model, g, front_seed(g, 1.0), 0.2)
-        else:
-            model = StackedBistable(a1=0.05, a2=0.5, a3=0.7, scale=20.0)
-            g = build_grid(GridConfig(n_y=5, n_z=201, y_min=0.0, y_max=16.0,
-                                      z_min=-25.0, z_max=12.0, bc_left="dirichlet",
-                                      bc_right="dirichlet"))
-            plateau = _plateau_state(model, g, 0.55)
-            ws = solve_wave(model, g, front_seed(g, plateau.v), 0.15)
-        free = ~g.dirichlet_mask.ravel()
-        A = transport_operator(g, ws.speed)
-        fu = eval_f_u(model, g, ws.profile.values).ravel()
-        w = flow_weights(g, ws.measure(0.0)).ravel()
-        L = (-(A + sp.diags(fu))).tocsr()[free][:, free]
-        wf = w[free]
-        d = 1.0 / np.sqrt(wf)
-        S = (sp.diags(d) @ (sp.diags(wf) @ L) @ sp.diags(d)).toarray()
+        # shifted band the gap factors is within rounding of the oracle's
+        # similarity transform, in both triangles
+        model, ws = small_wave
+        g = ws.grid
+        fu = eval_f_u(model, g, ws.profile.values)
+        S = symmetrized_by_hand(g, ws.speed, fu)
         ev = np.linalg.eigvalsh(0.5 * (S + S.T))
-        splu, factored = waves.spla.splu, []
+        dpbtrf, factored = waves.dpbtrf, []
 
-        def spy(A, **kwargs):
-            factored.append(A)
-            return splu(A, **kwargs)
+        def spy(band, **kwargs):
+            factored.append(band.copy())
+            return dpbtrf(band, **kwargs)
 
-        monkeypatch.setattr(waves.spla, "splu", spy)
+        monkeypatch.setattr(waves, "dpbtrf", spy)
         gap = spectral_gap(ws, model)
         (shifted,) = factored
-        assert (shifted != shifted.T).nnz == 0
         shift = -0.2 * (1.0 + np.max(np.abs(fu)))
-        assert np.max(np.abs(shifted.toarray() + shift * np.eye(len(S)) - S)) <= 1e-13 * gap.scale
+        assert np.max(np.abs(band_to_dense(shifted) + shift * np.eye(len(S)) - S)) <= (
+            1e-13 * gap.scale)
         assert gap.zero_mode_value == pytest.approx(ev[0], abs=1e-10)
         assert gap.gap == pytest.approx(ev[1], rel=1e-10)
         assert max(gap.residual_zero, gap.residual_gap) <= gap.residual_tol
+
+    def test_indefinite_band_raises(self, cubic_wave, monkeypatch):
+        # one diagonal entry moved far below the shift makes the shifted band
+        # indefinite: dpbtrf names the leading minor that is not positive
+        # definite, and no gap is returned (SuperLU with diagonal pivots
+        # factored such an operator without a sign)
+        model, ws = cubic_wave
+        band_of = waves.symmetrized_band
+
+        def lowered(grid, c, diag):
+            band, sqrt_w = band_of(grid, c, diag)
+            band[0, 7] -= 1e4
+            return band, sqrt_w
+
+        monkeypatch.setattr(waves, "symmetrized_band", lowered)
+        with pytest.raises(WaveSolverError,
+                           match=r"not positive definite \(dpbtrf: nonpositive pivot 8\)"):
+            spectral_gap(ws, model)
 
     def test_repeatable(self, cubic_wave):
         model, ws = cubic_wave
@@ -579,6 +624,62 @@ class TestSecondarySpeed:
             secondary_speed(model, g, v, c_seed=0.03)
 
 
+class TestSymmetrizedBand:
+    """``grids.symmetrized_band``, the one encoding of the weight-symmetrized
+    Newton and gap blocks, and the Newton block's Cholesky solve."""
+
+    @pytest.mark.parametrize("small_wave", ["1d", "neumann_section", "dirichlet_section"],
+                             indirect=True)
+    def test_band_is_the_symmetrized_block(self, small_wave, lu_calls):
+        # the first continuation block at the wave: J - I/TAU0.  Lower band
+        # storage holds one entry per symmetric pair, so the band's matrix
+        # is exactly symmetric; both triangles of the hand-built similarity
+        # transform are within rounding of it
+        model, ws = small_wave
+        g = ws.grid
+        d = eval_f_u(model, g, ws.profile.values) - 1.0 / waves.TAU0
+        band, sqrt_w = symmetrized_band(g, ws.speed, d)
+        assert band.shape == (sqrt_w.shape[0] + 1, sqrt_w.size)
+        assert band.flags.f_contiguous
+        S = symmetrized_by_hand(g, ws.speed, d)
+        scale = np.max(np.abs(S).sum(axis=1))
+        assert np.max(np.abs(band_to_dense(band) - S)) <= 1e-13 * scale
+        # the block is positive definite: a Cholesky chord solve, no LU,
+        # against SuperLU's solve of the same block
+        solve = waves._block_solver(g, ws.speed, d)
+        assert lu_calls == []
+        rng = np.random.default_rng(3)
+        b, b2 = np.where(g.dirichlet_mask, 0.0, rng.uniform(-1.0, 1.0, (2,) + g.shape))
+        b, b2 = b.ravel(), b2.ravel()
+        x = solve(b)
+        lu = waves.spla.splu(transport_operator(g, ws.speed,
+                                                np.where(g.dirichlet_mask, 1.0, d)),
+                             **waves.SPLU_OPTIONS)
+        ref = lu.solve(b)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert np.array_equal(x[g.dirichlet_mask.ravel()], b[g.dirichlet_mask.ravel()])
+        # a stack of right-hand sides is solved field by field
+        x2 = solve(np.stack([b, b2]))
+        assert np.max(np.abs(x2[0] - x)) <= 1e-14 * np.max(np.abs(x))
+        assert np.max(np.abs(x2[1] - lu.solve(b2))) <= 1e-10 * np.max(np.abs(x2[1]))
+
+    def test_scalings_beyond_a_float_take_the_lu_path(self, lu_calls):
+        # at c = 50 the scalings e^{a (j - j_c)} of a 601-node grid would span
+        # e^{1500}, past the float range (a continuation from a fast seed
+        # starts there): the block is factored by SuperLU, and nothing
+        # overflows (warnings are errors here)
+        model = CubicBistable(a=0.25)
+        g = wave_grid(n_z=601)
+        d = eval_f_u(model, g, front_seed(g, 1.0).values) - 1.0 / waves.TAU0
+        assert waves.fitted_flux(50.0, g.dz)[0] * (g.n_z - 1) == pytest.approx(1500.0)
+        b = np.where(g.dirichlet_mask, 0.0, 1.0).ravel()
+        x = waves._block_solver(g, 50.0, d)(b)
+        assert len(lu_calls) == 1 and np.all(np.isfinite(x))
+        # a speed whose scalings fit takes the band path
+        waves._block_solver(g, 0.5, d)
+        assert len(lu_calls) == 1
+
+
 class TestHeterogeneous2D:
     def test_wave_on_cylinder(self, monkeypatch):
         g = build_grid(GridConfig(n_y=17, n_z=451, y_min=0.0, y_max=1.0,
@@ -591,10 +692,12 @@ class TestHeterogeneous2D:
             assembled.append(args)
             return transport_operator(*args)
 
-        # residuals are matrix-free: the operator is assembled only to be factored
+        # residuals are matrix-free, and the operator is assembled only for an
+        # LU factorization: every block of this wave is positive definite, so
+        # Cholesky factors them all from the band
         monkeypatch.setattr(waves, "transport_operator", spy)
         ws = solve_wave(model, g, front_seed(g, cp.v), c_seed=0.2)
-        assert len(assembled) == ws.factorizations
+        assert assembled == []
         assert ws.monotone
         assert ws.residual <= 1e-8
         # speed sits inside the range of the frozen-coefficient extremes
@@ -689,20 +792,25 @@ class TestNewtonPolish:
         assert not full[g.dirichlet_mask].any()
 
     @pytest.mark.parametrize("c_seed", [0.1485, 0.149625, 0.15, 0.1515])
-    def test_stacked_newton_path(self, monkeypatch, c_seed):
+    def test_stacked_newton_path(self, monkeypatch, lu_calls, c_seed):
         # (steps, factorizations) of every Newton solve of the stacked config's
         # two waves, each on its 33x186 half grid and then on the 65x371 grid,
-        # the same for every seed speed within 1% of the shipped 0.15
+        # the same for every seed speed within 1% of the shipped 0.15; and
+        # how many of each solve's factorizations took the LU path: the
+        # primary wave's 2nd and 3rd continuation blocks, whose -(J - I/tau)
+        # has one negative direction, the translation mode's
         g = build_grid(GridConfig(n_y=65, n_z=371, y_min=0.0, y_max=16.0,
                                   z_min=-25.0, z_max=12.0, bc_left="dirichlet",
                                   bc_right="dirichlet"))
         model = StackedBistable(a1=0.05, a2=0.5, a3=0.7, scale=20.0)
         plateau = _plateau_state(model, g, 0.55)
-        counts, polish = [], waves._newton_polish
+        counts, lu_counts, polish = [], [], waves._newton_polish
 
         def spy(model, grid, *args, **kwargs):
+            before = len(lu_calls)
             values, c, iterations, factorizations = polish(model, grid, *args, **kwargs)
             counts.append((grid.shape, iterations, factorizations))
+            lu_counts.append((grid.shape, len(lu_calls) - before))
             return values, c, iterations, factorizations
 
         monkeypatch.setattr(waves, "_newton_polish", spy)
@@ -711,6 +819,7 @@ class TestNewtonPolish:
         assert res.applicable
         assert counts == [((33, 186), 8, 3), ((65, 371), 4, 1),
                           ((33, 186), 9, 3), ((65, 371), 6, 1)]
+        assert lu_counts == [((33, 186), 2), ((65, 371), 0), ((33, 186), 0), ((65, 371), 0)]
         # the secondary wave counts both of its levels, as WaveSolution does
         (_, steps, coarse_f), (_, iterations, fine_f) = counts[2:]
         assert (res.continuation_steps, res.newton_iterations, res.factorizations) == (
