@@ -14,6 +14,7 @@ from dataclasses import dataclass, field as dc_field, fields, replace
 from .evolve import dt_max, step_count
 from .grids import CylinderGrid, GridConfig, GridError, build_grid
 from .reactions import _BUILTINS, ReactionError, ReactionModel, make_model
+from .waves import SPEED_LIMIT
 
 SCENARIOS = ("wave", "converge", "gap", "secondary_speed", "comparison", "hypotheses")
 # the scenarios that take time steps, hence read dt and horizon
@@ -190,6 +191,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(str(exc)) from None
     if cfg.seed < 0:
         raise ConfigError("seed must be >= 0, got %d" % cfg.seed)
+    if not abs(cfg.c_seed) <= SPEED_LIMIT:
+        raise ConfigError("c_seed = %g is beyond the speed limit %g" % (cfg.c_seed, SPEED_LIMIT))
     if not cfg.c_trial > 0:
         raise ConfigError("c_trial must be positive, got %g" % cfg.c_trial)
     init = cfg.initial_params

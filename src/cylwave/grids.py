@@ -329,9 +329,9 @@ def transport_operator(grid: CylinderGrid, c: float,
 
     Five diagonals in one call: the axial bands tiled over the sections at
     offsets 0 and +-1, ``_section_operator``'s at +-n_z.  Acts on row-major
-    raveled fields; assembled only for the LU factorization of a Newton block
-    that is not positive definite (``waves._block_solver``), products use
-    ``_apply_transport`` and Cholesky factors ``symmetrized_band``.
+    raveled fields.  No solver assembles it (products use ``_apply_transport``,
+    factorizations ``symmetrized_band``): it is the tests' assembled
+    reference and the name ``perfbench/tracer.py`` spans.
     """
     n_y, n_z = grid.shape
     Ay = _section_operator(grid)

@@ -15,9 +15,8 @@ factorization of the Jacobian block (chord steps), factored again when a
 chord step fails to lower the merit or to cut it to a quarter.  The block
 is self-adjoint in the exponential weights, and near a wave, which
 minimizes the weighted energy Phi_c, its negative is positive definite:
-LAPACK's banded Cholesky factors its weight-symmetrized form
-(``grids.symmetrized_band``), and SuperLU factors only a block that is not
-positive definite.
+LAPACK factors its weight-symmetrized form (``grids.symmetrized_band``) by
+banded Cholesky, and by banded LU only where that form is indefinite.
 
 Every wave is solved on two levels (nested iteration, Briggs, Henson &
 McCormick, *A Multigrid Tutorial*, SIAM 2000): the continuation runs on the
@@ -42,12 +41,11 @@ from functools import cached_property, partial
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 
 from .grids import (CrossSectionField, CylinderGrid, Field, GridConfig, _apply_axial,
                     _apply_transport, apply_boundary, axial_derivative, build_grid,
-                    fitted_flux, free_block, front_seed, half_grid, symmetrized_band,
-                    transport_operator)
+                    free_block, front_seed, half_grid, symmetrized_band)
 from .reactions import ReactionModel, ShiftedModel, eval_f, eval_f_u
 from .sections import CriticalPoint, find_critical_point, section_energy
 from .weighted import (WeightedMeasure, cell_fraction, hermite, pchip_slopes, shifted_cell,
@@ -61,10 +59,8 @@ RESIDUAL_LIMIT = 1e-8
 TAU0 = 100.0
 # pseudo-time steps before the continuation counts as failed
 CONTINUATION_MAX_STEPS = 200
-# SuperLU's symmetric mode (minimum degree on A + A^T, diagonal pivots) with the
-# smallest supernodes, for a Newton block that is not positive definite, the one
-# the banded Cholesky factorization of _block_solver cannot take; see README
-SPLU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1, panel_size=1)
+# |c| past which Newton has diverged; a seed speed past it is refused
+SPEED_LIMIT = 1e3
 
 
 class WaveSolverError(RuntimeError):
@@ -207,6 +203,8 @@ def freeze_frame(model: ReactionModel, grid: CylinderGrid, seed: Field,
     ``CONTINUATION_MAX_STEPS`` steps without reaching ``NEWTON_TOL`` raise
     WaveSolverError.  Returns (speed, wave, steps, shift, factorizations).
     """
+    if not abs(c_seed) <= SPEED_LIMIT:
+        raise WaveSolverError("seed speed %g is beyond the speed limit %g" % (c_seed, SPEED_LIMIT))
     seed = apply_boundary(seed)
     left = section_energy(CrossSectionField(grid, seed.values[:, 0].copy()), model)
     if not left < 0.0:
@@ -267,44 +265,42 @@ def _block_solver(grid: CylinderGrid, c: float, d: np.ndarray):
     at the pinned nodes (``G`` and ``dG/dc`` are), and ``x = b`` there.
 
     With ``d = f_u - 1/tau`` the block is ``J - I/tau``, and its negative,
-    weight-symmetrized, is ``symmetrized_band``'s B.  B is positive definite
-    where the iterate is near a wave that minimizes Phi_c (see README), so
-    LAPACK's ``dpbtrf`` factors it in place by banded Cholesky, and each
-    solve is one ``dpbtrs`` between the node scalings (``_band_solve``).
-    The block is assembled (``transport_operator``) and factored by SuperLU
-    with ``SPLU_OPTIONS`` instead where ``dpbtrf`` meets a nonpositive pivot,
-    so the block is indefinite, and where the scalings ``e^{a (j - j_c)}``
-    span more than a float holds, ``|a| (n_z - 1) >= log(float max)``: a
-    speed far above the wave's, as in a continuation from a fast seed.
+    weight-symmetrized, is ``symmetrized_band``'s B, so ``x = -W^{-1/2}
+    B^{-1} W^{1/2} b`` on the free nodes.  LAPACK's ``dpbtrf`` factors B by
+    banded Cholesky, as B is positive definite near a wave that minimizes
+    Phi_c (see README), and ``dgbtrf`` by LU where that meets a nonpositive
+    pivot.  B is built at the speed nearest ``c`` whose scalings ``e^{a (j -
+    j_c)}``, ``a = c dz / 2``, span at most a float's range, ``|c| <= 2
+    log(float max) / (z_max - z_min)``; beyond it (a fast seed) the block is
+    a chord, and the residual and ``dG/dc``, still at ``c``, decide each step.
     """
-    if abs(fitted_flux(c, grid.dz)[0]) * (grid.n_z - 1) < np.log(np.finfo(float).max):
-        band, scale = symmetrized_band(grid, c, d)
-        chol, info = dpbtrf(band, lower=1, overwrite_ab=1)
-        if info == 0:
-            return partial(_band_solve, grid, chol, scale)
-    # pinned rows of the operator are zero, so unit diagonal entries there
-    # make identity rows enforcing the pinned values
-    try:
-        lu = spla.splu(transport_operator(grid, c, np.where(grid.dirichlet_mask, 1.0, d)),
-                       **SPLU_OPTIONS)
-    except RuntimeError as exc:
-        raise WaveSolverError("bordered Newton solve failed: %s" % exc)
-    return lambda b: lu.solve(b.T).T
-
-
-def _band_solve(grid: CylinderGrid, chol: np.ndarray, scale: np.ndarray,
-                b: np.ndarray) -> np.ndarray:
-    """``_block_solver``'s solve from the Cholesky factor ``chol`` of B:
-    ``x = -W^{-1/2} B^{-1} W^{1/2} b`` on the free nodes, ``x = b`` on the
-    pinned ones, one ``dpbtrs`` column per field of ``b``."""
-    x = b.copy()
-    X = x.reshape(b.shape[:-1] + grid.shape)[(Ellipsis, *free_block(grid))]  # a view
+    limit = 2.0 * np.log(np.finfo(float).max) / grid.window_length
+    c_b = min(max(c, -limit), limit)
+    band, scale = symmetrized_band(grid, c_b, d)
     n_ry, n_z = scale.shape
-    # one section-fastest column per field: (..., n_z, n_ry) in C order
-    y = np.swapaxes(X * scale, -1, -2).reshape(-1, n_ry * n_z).T
-    y, _ = dpbtrs(chol, y, lower=1, overwrite_b=1)
-    X[...] = -np.swapaxes(y.T.reshape(X.shape[:-2] + (n_z, n_ry)), -1, -2) / scale
-    return x
+    chol, info = dpbtrf(band, lower=1, overwrite_ab=1)
+    if info == 0:
+        factored = partial(dpbtrs, chol, lower=1)
+    else:  # B's diagonals 0, 1 and n_ry in general band storage: B[i, m] in row 2 n_ry + i - m
+        band = symmetrized_band(grid, c_b, d)[0]
+        ab = np.zeros((3 * n_ry + 1, band.shape[1]), order="F")  # the top n_ry rows: fill
+        ab[2 * n_ry:] = band
+        for k in {1, n_ry}:
+            ab[2 * n_ry - k, k:] = band[k, :-k]
+        lu, piv, info = dgbtrf(ab, n_ry, n_ry, overwrite_ab=1)
+        if info != 0:
+            raise WaveSolverError("bordered Newton solve failed: dgbtrf info %d" % info)
+        factored = partial(dgbtrs, lu, n_ry, n_ry, ipiv=piv)
+
+    def solve(b):
+        x = b.copy()
+        X = x.reshape(b.shape[:-1] + grid.shape)[(..., *free_block(grid))]  # a view
+        # one section-fastest column per field: (..., n_z, n_ry) in C order
+        y = np.swapaxes(X * scale, -1, -2).reshape(-1, n_ry * n_z).T
+        y, _ = factored(b=y, overwrite_b=1)
+        X[...] = -np.swapaxes(y.T.reshape(X.shape[:-2] + (n_z, n_ry)), -1, -2) / scale
+        return x
+    return solve
 
 
 def _newton_polish(model, grid, values, c, max_iter=40, tau=np.inf):
@@ -322,7 +318,7 @@ def _newton_polish(model, grid, values, c, max_iter=40, tau=np.inf):
     The residual is applied matrix-free, ``dG/dc`` is a central difference
     of the axial product alone (``_speed_derivative``), and the block is
     factored by ``_block_solver``: banded Cholesky of its weight-symmetrized
-    negative, or SuperLU where that is not positive definite.  On every grid
+    negative, or banded LU where that is indefinite.  On every grid
     the factorization is kept and reused across this call's iterations
     (the chord method, Kelley, *Solving Nonlinear Equations with Newton's
     Method*, SIAM 2003, ch. 2), together with its solve ``s2`` of ``dG/dc``,
@@ -399,7 +395,7 @@ def _newton_polish(model, grid, values, c, max_iter=40, tau=np.inf):
         p = _phase_vector(grid, u)
         phase = float(p @ u)
         merit = max(float(np.max(np.abs(G))), abs(phase))
-        if not np.isfinite(merit) or abs(c) > 1e3:
+        if not np.isfinite(merit) or abs(c) > SPEED_LIMIT:
             raise WaveSolverError("Newton diverged")
         if float(np.max(u)) < 0.25 * top:
             raise SeedBasinError("iterate collapsed toward zero")

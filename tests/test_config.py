@@ -159,6 +159,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match=key):
             parse_config(MINIMAL + "%s = 0\n" % key)
 
+    @pytest.mark.parametrize("c_seed", [2000.0, -2000.0, 1e6])
+    def test_seed_speed_beyond_the_limit(self, c_seed):
+        # past |c| = 1e3 the wave Newton counts as diverged, so such a seed
+        # could only fail (1e6 overflowed sinh, 2000 stalled)
+        message = "c_seed = %g is beyond the speed limit 1000" % c_seed
+        with pytest.raises(ConfigError, match="^%s$" % re.escape(message)):
+            parse_config(MINIMAL + "c_seed = %r\n" % c_seed)
+
+    @pytest.mark.parametrize("c_seed", [1000.0, -1000.0, 50.0])
+    def test_seed_speed_within_the_limit(self, c_seed):
+        assert parse_config(MINIMAL + "c_seed = %r\n" % c_seed).c_seed == c_seed
+
     @pytest.mark.parametrize("scenario", ["wave", "converge", "comparison"])
     @pytest.mark.parametrize("line, message", [
         ("steepness = 0", "steepness must be positive, got 0"),

@@ -318,6 +318,22 @@ class TestCli:
         results = read_manifest(tmp_path / "out" / "manifest.txt")["results"]
         assert float(results["speed"]) == pytest.approx(0.35355799106416952, rel=1e-9)
 
+    @pytest.mark.parametrize("c_seed", [2000.0, 1e6])
+    def test_shipped_wave_from_a_seed_beyond_the_speed_limit(self, tmp_path, capsys, c_seed):
+        # refused before any solve, as a one-line config error: 1e6 used to
+        # overflow sinh and 2000 to end "Newton stalled"
+        shipped = os.path.join(os.path.dirname(__file__), "..", "configs",
+                               "wave_cubic_a25.cfg")
+        with open(shipped) as fh:
+            text = fh.read()
+        cfg = tmp_path / "wave.cfg"
+        cfg.write_text(text.replace("c_seed = 0.2", "c_seed = %r" % c_seed))
+        out = tmp_path / "out"
+        assert main(["wave", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: c_seed = %g is beyond the speed limit 1000\n" % c_seed)
+        assert not out.exists()
+
     def test_sub_threshold_datum_names_extinction(self, tmp_path, capsys):
         # sup 0.2 lies below the cubic's ignition level a = 0.25: no front survives
         cfg = tmp_path / "converge.cfg"

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
+from scipy.sparse.linalg import splu
 
 from conftest import band_to_dense, symmetrized_by_hand, template_slope
 
@@ -60,14 +61,15 @@ def small_wave(request):
 
 @pytest.fixture
 def lu_calls(monkeypatch):
-    """The arguments of every SuperLU factorization ``waves`` makes, in order."""
-    splu, calls = waves.spla.splu, []
+    """The arguments of every banded LU factorization (``dgbtrf``) ``waves``
+    makes, in order."""
+    dgbtrf, calls = waves.dgbtrf, []
 
     def spy(*args, **kwargs):
         calls.append(args)
-        return splu(*args, **kwargs)
+        return dgbtrf(*args, **kwargs)
 
-    monkeypatch.setattr(waves.spla, "splu", spy)
+    monkeypatch.setattr(waves, "dgbtrf", spy)
     return calls
 
 
@@ -95,7 +97,7 @@ class TestSolveWave:
 
     def test_no_block_takes_the_lu_path(self, lu_calls):
         # every block of the 1D cubic wave is positive definite: Cholesky
-        # factors all three, and SuperLU none
+        # factors all three, and LU none
         g = wave_grid()
         ws = solve_wave(CubicBistable(a=0.25), g, front_seed(g, 1.0), c_seed=0.2)
         assert ws.factorizations == 3
@@ -220,6 +222,17 @@ class TestSolveWave:
         monkeypatch.setattr(waves, "_newton_polish", lambda *a, **k: calls.append(a))
         with pytest.raises(SeedBasinError, match="not front-like"):
             waves.freeze_frame(CubicBistable(a=0.45), g, front_seed(g, 0.5), c_seed=0.1)
+        assert calls == []
+
+    @pytest.mark.parametrize("c_seed", [1000.5, -2000.0, 1e6])
+    def test_seed_speed_beyond_the_limit_rejected_before_any_step(self, monkeypatch,
+                                                                   c_seed):
+        # a seed speed at which Newton would count as diverged: no step
+        g = wave_grid(n_z=401, z=(-20.0, 20.0))
+        calls = []
+        monkeypatch.setattr(waves, "_newton_polish", lambda *a, **k: calls.append(a))
+        with pytest.raises(WaveSolverError, match="beyond the speed limit 1000"):
+            waves.freeze_frame(CubicBistable(a=0.25), g, front_seed(g, 1.0), c_seed)
         assert calls == []
 
     def test_collapse_inside_continuation_raises(self, monkeypatch):
@@ -644,17 +657,20 @@ class TestSymmetrizedBand:
         S = symmetrized_by_hand(g, ws.speed, d)
         scale = np.max(np.abs(S).sum(axis=1))
         assert np.max(np.abs(band_to_dense(band) - S)) <= 1e-13 * scale
+        rng = np.random.default_rng(3)
+        b, b2 = np.where(g.dirichlet_mask, 0.0, rng.uniform(-1.0, 1.0, (2,) + g.shape))
+        b, b2 = b.ravel(), b2.ravel()
+
+        def reference(d):
+            # SuperLU on the assembled block, identity rows at the pinned nodes
+            return splu(transport_operator(g, ws.speed, np.where(g.dirichlet_mask, 1.0, d)))
+
         # the block is positive definite: a Cholesky chord solve, no LU,
         # against SuperLU's solve of the same block
         solve = waves._block_solver(g, ws.speed, d)
         assert lu_calls == []
-        rng = np.random.default_rng(3)
-        b, b2 = np.where(g.dirichlet_mask, 0.0, rng.uniform(-1.0, 1.0, (2,) + g.shape))
-        b, b2 = b.ravel(), b2.ravel()
         x = solve(b)
-        lu = waves.spla.splu(transport_operator(g, ws.speed,
-                                                np.where(g.dirichlet_mask, 1.0, d)),
-                             **waves.SPLU_OPTIONS)
+        lu = reference(d)
         ref = lu.solve(b)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
         assert np.array_equal(x[g.dirichlet_mask.ravel()], b[g.dirichlet_mask.ravel()])
@@ -662,42 +678,55 @@ class TestSymmetrizedBand:
         x2 = solve(np.stack([b, b2]))
         assert np.max(np.abs(x2[0] - x)) <= 1e-14 * np.max(np.abs(x))
         assert np.max(np.abs(x2[1] - lu.solve(b2))) <= 1e-10 * np.max(np.abs(x2[1]))
+        # d raised midway between B's two lowest eigenvalues leaves B one
+        # negative one: the band is factored by LU, and solves as SuperLU does
+        low = np.linalg.eigvalsh(0.5 * (S + S.T))[:2]
+        indefinite = d + 0.5 * (low[0] + low[1])
+        solve = waves._block_solver(g, ws.speed, indefinite)
+        assert len(lu_calls) == 1
+        x2 = solve(np.stack([b, b2]))
+        lu = reference(indefinite)
+        for xi, bi in zip(x2, (b, b2)):
+            ref = lu.solve(bi)
+            assert np.linalg.norm(xi - ref) <= 1e-10 * np.linalg.norm(ref)
+            assert np.array_equal(xi[g.dirichlet_mask.ravel()], bi[g.dirichlet_mask.ravel()])
 
-    def test_scalings_beyond_a_float_take_the_lu_path(self, lu_calls):
+    def test_a_fast_speed_builds_the_band_at_the_clamped_speed(self, monkeypatch):
         # at c = 50 the scalings e^{a (j - j_c)} of a 601-node grid would span
         # e^{1500}, past the float range (a continuation from a fast seed
-        # starts there): the block is factored by SuperLU, and nothing
-        # overflows (warnings are errors here)
+        # starts there): the band is built at the clamped speed 2 log(float
+        # max) / (z_max - z_min), and nothing overflows (warnings are errors
+        # here)
         model = CubicBistable(a=0.25)
         g = wave_grid(n_z=601)
         d = eval_f_u(model, g, front_seed(g, 1.0).values) - 1.0 / waves.TAU0
-        assert waves.fitted_flux(50.0, g.dz)[0] * (g.n_z - 1) == pytest.approx(1500.0)
+        band_of, built = waves.symmetrized_band, []
+
+        def spy(grid, c, diag):
+            band, scale = band_of(grid, c, diag)
+            built.append((c, scale.max() / scale.min()))
+            return band, scale
+
+        monkeypatch.setattr(waves, "symmetrized_band", spy)
         b = np.where(g.dirichlet_mask, 0.0, 1.0).ravel()
-        x = waves._block_solver(g, 50.0, d)(b)
-        assert len(lu_calls) == 1 and np.all(np.isfinite(x))
-        # a speed whose scalings fit takes the band path
-        waves._block_solver(g, 0.5, d)
-        assert len(lu_calls) == 1
+        limit = 2.0 * np.log(np.finfo(float).max) / g.window_length
+        for c, c_b in [(50.0, limit), (-50.0, -limit), (0.5, 0.5)]:
+            built.clear()
+            x = waves._block_solver(g, c, d)(b)
+            assert {speed for speed, _ in built} == {c_b} and np.all(np.isfinite(x))
+            assert all(np.isfinite(span) for _, span in built)
 
 
 class TestHeterogeneous2D:
-    def test_wave_on_cylinder(self, monkeypatch):
+    def test_wave_on_cylinder(self, lu_calls):
         g = build_grid(GridConfig(n_y=17, n_z=451, y_min=0.0, y_max=1.0,
                                   z_min=-30.0, z_max=15.0))
         model = HeterogeneousCubic(a0=0.25, a1=0.1)
         cp = find_critical_point(model, g, CrossSectionField(g, np.full(17, 0.9)))
-        assembled = []
-
-        def spy(*args):
-            assembled.append(args)
-            return transport_operator(*args)
-
-        # residuals are matrix-free, and the operator is assembled only for an
-        # LU factorization: every block of this wave is positive definite, so
-        # Cholesky factors them all from the band
-        monkeypatch.setattr(waves, "transport_operator", spy)
+        # every block of this wave is positive definite, so Cholesky factors
+        # them all from the band, and LU none
         ws = solve_wave(model, g, front_seed(g, cp.v), c_seed=0.2)
-        assert assembled == []
+        assert lu_calls == []
         assert ws.monotone
         assert ws.residual <= 1e-8
         # speed sits inside the range of the frozen-coefficient extremes
